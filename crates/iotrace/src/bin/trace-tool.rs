@@ -47,8 +47,19 @@ fn opt(args: &[String], name: &str) -> Option<String> {
         .cloned()
 }
 
+/// The positive integer after `name`, or `default` when `name` is absent.
+/// A missing, zero or unparsable value is a usage error (exit 2).
 fn num(args: &[String], name: &str, default: u32) -> u32 {
-    opt(args, name).and_then(|v| v.parse().ok()).unwrap_or(default)
+    if !args.iter().any(|a| a == name) {
+        return default;
+    }
+    match opt(args, name).map(|v| v.parse::<u32>()) {
+        Some(Ok(n)) if n > 0 => n,
+        _ => {
+            eprintln!("{name} takes a positive integer");
+            std::process::exit(2);
+        }
+    }
 }
 
 fn op_of(args: &[String]) -> IoOp {

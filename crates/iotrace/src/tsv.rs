@@ -3,34 +3,87 @@
 //!
 //! Format, one record per line:
 //! `pid<TAB>rank<TAB>file<TAB>op<TAB>offset<TAB>len<TAB>ts_ns<TAB>phase`
-//! Lines starting with `#` are comments.
+//! Lines starting with `#` are comments. `pid`, `rank`, `file` and
+//! `phase` are `u32`, `offset`, `len` and `ts_ns` are `u64`; a value out
+//! of its type's range is a parse error, never a wrapped number.
+//!
+//! Both directions work on bytes. [`to_tsv`] builds each record's line in
+//! a stack buffer, writing integers two digits at a time from a
+//! digit-pair table, and appends it to one byte buffer. [`from_tsv`]
+//! makes one forward pass: a line in the plain form
+//! the encoder writes (ASCII digits, tabs and `read`/`write`) is cut into
+//! fields and its digits parsed in place. Any other line goes through the
+//! `str` path — `trim`, a split on tabs, std's integer parsers — which
+//! decides blank and comment lines, `str::trim`'s Unicode whitespace and
+//! every error message.
 
 use crate::error::TraceError;
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use simrt::SimTime;
-use std::fmt::Write as _;
+use std::num::ParseIntError;
 use storage_model::IoOp;
+
+const HEADER: &str = "# pid\trank\tfile\top\toffset\tlen\tts_ns\tphase\n";
+
+/// Bytes `2k` and `2k + 1` are the two decimal digits of `k < 100`.
+const DIGIT_PAIRS: [u8; 200] = {
+    let mut t = [0u8; 200];
+    let mut k = 0;
+    while k < 100 {
+        t[2 * k] = b'0' + (k / 10) as u8;
+        t[2 * k + 1] = b'0' + (k % 10) as u8;
+        k += 1;
+    }
+    t
+};
+
+/// The longest record line: seven 20-digit integers, `write`, eight
+/// separators.
+const LINE_MAX: usize = 7 * 20 + 5 + 8;
 
 /// Serialize a trace to TSV.
 pub fn to_tsv(trace: &Trace) -> String {
-    let mut out = String::with_capacity(trace.len() * 48 + 64);
-    out.push_str("# pid\trank\tfile\top\toffset\tlen\tts_ns\tphase\n");
+    let mut out = Vec::with_capacity(trace.len() * 48 + 64);
+    out.extend_from_slice(HEADER.as_bytes());
+    let mut line = [0u8; LINE_MAX];
     for r in trace.records() {
-        let _ = writeln!(
-            out,
-            "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
-            r.pid,
-            r.rank.0,
-            r.file.0,
-            r.op.name(),
-            r.offset,
-            r.len,
-            r.ts.as_nanos(),
-            r.phase
-        );
+        let mut n = put_decimal(&mut line, 0, r.pid.into(), b'\t');
+        n = put_decimal(&mut line, n, r.rank.0.into(), b'\t');
+        n = put_decimal(&mut line, n, r.file.0.into(), b'\t');
+        for &c in r.op.name().as_bytes() {
+            line[n] = c;
+            n += 1;
+        }
+        line[n] = b'\t';
+        n = put_decimal(&mut line, n + 1, r.offset, b'\t');
+        n = put_decimal(&mut line, n, r.len, b'\t');
+        n = put_decimal(&mut line, n, r.ts.as_nanos(), b'\t');
+        n = put_decimal(&mut line, n, r.phase.into(), b'\n');
+        out.extend_from_slice(&line[..n]);
     }
-    out
+    String::from_utf8(out).expect("the encoder writes only ASCII")
+}
+
+/// Write `v` in decimal and then `sep` at `line[at..]`; returns the index
+/// past `sep`.
+fn put_decimal(line: &mut [u8; LINE_MAX], at: usize, mut v: u64, sep: u8) -> usize {
+    let mut i = at + v.checked_ilog10().map_or(1, |d| d as usize + 1);
+    line[i] = sep;
+    let end = i + 1;
+    while v >= 100 {
+        let k = (v % 100) as usize * 2;
+        v /= 100;
+        i -= 2;
+        line[i..i + 2].copy_from_slice(&DIGIT_PAIRS[k..k + 2]);
+    }
+    if v >= 10 {
+        let k = v as usize * 2;
+        line[i - 2..i].copy_from_slice(&DIGIT_PAIRS[k..k + 2]);
+    } else {
+        line[i - 1] = b'0' + v as u8;
+    }
+    end
 }
 
 /// Parse a trace from TSV and [validate](Trace::validate) it: malformed
@@ -39,109 +92,163 @@ pub fn to_tsv(trace: &Trace) -> String {
 /// out-of-range rank, out-of-order timestamps, …) reports
 /// [`TraceError::InvalidRecord`].
 ///
-/// The parser streams: fields are walked as byte slices into a fixed
-/// array (no per-line `Vec<&str>`), numbers take a digit fast path that
-/// defers to `str::parse` for anything unusual (so error text is the std
-/// library's verbatim), and the record vector is reserved once from a
-/// newline count instead of regrowing mid-parse.
+/// One forward pass over the bytes: plain lines parse in place, all
+/// others take the `str` path (see the module docs). The record vector is
+/// reserved from the bytes per record seen so far and trimmed to its
+/// length at the end.
 pub fn from_tsv(text: &str) -> Result<Trace, TraceError> {
-    // Every record costs one line, so the newline count (plus an
-    // unterminated tail) bounds the record total.
-    let line_upper = text.as_bytes().iter().filter(|&&b| b == b'\n').count()
-        + usize::from(!text.is_empty() && !text.ends_with('\n'));
-    let mut records = Vec::with_capacity(line_upper);
-    for (idx, line) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields = split8(line).map_err(|found| TraceError::Parse {
-            line: lineno,
-            message: format!("expected 8 fields, found {found}"),
-        })?;
-        let num = |s: &str, what: &str| -> Result<u64, TraceError> {
-            parse_u64(s).map_err(|e| TraceError::Parse {
-                line: lineno,
-                message: format!("bad {what} '{s}': {e}"),
-            })
-        };
-        let op = match fields[3] {
-            "read" => IoOp::Read,
-            "write" => IoOp::Write,
-            other => {
-                return Err(TraceError::Parse {
-                    line: lineno,
-                    message: format!("bad op '{other}' (expected read/write)"),
-                })
+    let bytes = text.as_bytes();
+    let mut records: Vec<TraceRecord> = Vec::new();
+    let mut first_record_at = 0;
+    let (mut pos, mut lineno) = (0, 0);
+    while pos < bytes.len() {
+        lineno += 1;
+        let start = pos;
+        let record = match plain_record(bytes, pos) {
+            Some((record, next)) => {
+                pos = next;
+                Some(record)
+            }
+            None => {
+                let end = bytes[pos..]
+                    .iter()
+                    .position(|&b| b == b'\n')
+                    .map_or(bytes.len(), |n| pos + n);
+                pos = end + 1;
+                parse_line(&text[start..end], lineno)?
             }
         };
-        records.push(TraceRecord {
-            pid: num(fields[0], "pid")? as u32,
-            rank: Rank(num(fields[1], "rank")? as u32),
-            file: FileId(num(fields[2], "file")? as u32),
-            op,
-            offset: num(fields[4], "offset")?,
-            len: num(fields[5], "len")?,
-            ts: SimTime::from_nanos(num(fields[6], "ts")?),
-            phase: num(fields[7], "phase")? as u32,
-        });
+        let Some(record) = record else { continue };
+        if records.len() == records.capacity() {
+            // Out of room (or the first record): assume the rest of the
+            // text has the bytes per record seen so far.
+            if records.is_empty() {
+                first_record_at = start;
+            }
+            let per_record = ((pos - first_record_at) / (records.len() + 1)).max(1);
+            records.reserve_exact(bytes.len().saturating_sub(pos) / per_record + 1);
+        }
+        records.push(record);
     }
+    records.shrink_to_fit();
     let trace = Trace::from_records(records);
     trace.validate()?;
     Ok(trace)
 }
 
-/// Split a line on tabs into exactly eight borrowed fields. Returns the
-/// actual field count on mismatch so the error message stays identical to
-/// the old `split('\t').collect::<Vec<_>>()` path.
-fn split8(line: &str) -> Result<[&str; 8], usize> {
-    let mut fields = [""; 8];
-    let mut n = 0usize;
-    let mut rest = line;
-    loop {
-        match rest.as_bytes().iter().position(|&b| b == b'\t') {
-            Some(t) => {
-                if n < 8 {
-                    fields[n] = &rest[..t];
-                }
-                n += 1;
-                rest = &rest[t + 1..];
-            }
-            None => {
-                if n < 8 {
-                    fields[n] = rest;
-                }
-                n += 1;
-                break;
-            }
-        }
-    }
-    if n == 8 {
-        Ok(fields)
+/// Parse the line at `b[i..]` if it has the plain form the encoder
+/// writes: eight tab-separated fields, each 1 to 19 ASCII digits except
+/// the fourth, `read` or `write`, ended by `\n`, `\r\n` or the end of the
+/// text. Returns the record and the index past the line end. `None` sends
+/// the line to [`parse_line`], so a value that does not fit its field's
+/// type comes back as `None` too.
+fn plain_record(b: &[u8], mut i: usize) -> Option<(TraceRecord, usize)> {
+    let pid = u32::try_from(tab_field(b, &mut i)?).ok()?;
+    let rank = u32::try_from(tab_field(b, &mut i)?).ok()?;
+    let file = u32::try_from(tab_field(b, &mut i)?).ok()?;
+    let op = if b[i..].starts_with(b"write\t") {
+        i += 6;
+        IoOp::Write
+    } else if b[i..].starts_with(b"read\t") {
+        i += 5;
+        IoOp::Read
     } else {
-        Err(n)
-    }
+        return None;
+    };
+    let offset = tab_field(b, &mut i)?;
+    let len = tab_field(b, &mut i)?;
+    let ts = tab_field(b, &mut i)?;
+    let phase = u32::try_from(digits(b, &mut i)?).ok()?;
+    let next = match &b[i..] {
+        [] => i,
+        [b'\n', ..] => i + 1,
+        [b'\r', b'\n', ..] => i + 2,
+        _ => return None,
+    };
+    let record = TraceRecord {
+        pid,
+        rank: Rank(rank),
+        file: FileId(file),
+        op,
+        offset,
+        len,
+        ts: SimTime::from_nanos(ts),
+        phase,
+    };
+    Some((record, next))
 }
 
-/// `s.parse::<u64>()` with an all-digit fast path. Nineteen decimal
-/// digits can never overflow a u64, so anything longer — and anything
-/// containing a non-digit, including signs and leading whitespace — falls
-/// back to the std parser for its exact semantics and error values.
-fn parse_u64(s: &str) -> Result<u64, std::num::ParseIntError> {
-    let b = s.as_bytes();
-    if b.is_empty() || b.len() > 19 {
-        return s.parse();
+/// [`digits`] followed by a tab, which is consumed too.
+fn tab_field(b: &[u8], i: &mut usize) -> Option<u64> {
+    let v = digits(b, i)?;
+    if b.get(*i) != Some(&b'\t') {
+        return None;
     }
+    *i += 1;
+    Some(v)
+}
+
+/// The run of ASCII digits at `b[*i..]`, advancing `*i` past it. `None`
+/// for an empty run or one longer than 19 digits, the most that always
+/// fit a `u64`.
+fn digits(b: &[u8], i: &mut usize) -> Option<u64> {
+    let start = *i;
     let mut v = 0u64;
-    for &c in b {
-        let d = c.wrapping_sub(b'0');
-        if d > 9 {
-            return s.parse();
-        }
-        v = v * 10 + u64::from(d);
+    while let Some(d) = b.get(*i).map(|c| c.wrapping_sub(b'0')).filter(|&d| d <= 9) {
+        v = v.wrapping_mul(10).wrapping_add(u64::from(d));
+        *i += 1;
     }
-    Ok(v)
+    (1..=19).contains(&(*i - start)).then_some(v)
+}
+
+/// The `str` path for one line (without its `\n`): `None` for a blank or
+/// comment line, else the record or the line's parse error.
+fn parse_line(line: &str, lineno: usize) -> Result<Option<TraceRecord>, TraceError> {
+    let line = line.trim();
+    if line.is_empty() || line.starts_with('#') {
+        return Ok(None);
+    }
+    let fields: Vec<&str> = line.split('\t').collect();
+    let fields: [&str; 8] = fields
+        .try_into()
+        .map_err(|f: Vec<&str>| TraceError::Parse {
+            line: lineno,
+            message: format!("expected 8 fields, found {}", f.len()),
+        })?;
+    let bad = |what: &str, s: &str, e: ParseIntError| TraceError::Parse {
+        line: lineno,
+        message: format!("bad {what} '{s}': {e}"),
+    };
+    let wide = |i: usize, what: &str| {
+        fields[i]
+            .parse::<u64>()
+            .map_err(|e| bad(what, fields[i], e))
+    };
+    let narrow = |i: usize, what: &str| {
+        fields[i]
+            .parse::<u32>()
+            .map_err(|e| bad(what, fields[i], e))
+    };
+    let op = match fields[3] {
+        "read" => IoOp::Read,
+        "write" => IoOp::Write,
+        other => {
+            return Err(TraceError::Parse {
+                line: lineno,
+                message: format!("bad op '{other}' (expected read/write)"),
+            })
+        }
+    };
+    Ok(Some(TraceRecord {
+        pid: narrow(0, "pid")?,
+        rank: Rank(narrow(1, "rank")?),
+        file: FileId(narrow(2, "file")?),
+        op,
+        offset: wide(4, "offset")?,
+        len: wide(5, "len")?,
+        ts: SimTime::from_nanos(wide(6, "ts")?),
+        phase: narrow(7, "phase")?,
+    }))
 }
 
 #[cfg(test)]
@@ -396,10 +503,204 @@ mod tests {
         }
     }
 
+    /// The `fmt` encoder the byte-level one replaced, kept as the
+    /// reference its output must equal byte for byte.
+    fn to_tsv_fmt(trace: &Trace) -> String {
+        use std::fmt::Write as _;
+        let mut out = String::with_capacity(trace.len() * 48 + 64);
+        out.push_str("# pid\trank\tfile\top\toffset\tlen\tts_ns\tphase\n");
+        for r in trace.records() {
+            let _ = writeln!(
+                out,
+                "{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}",
+                r.pid,
+                r.rank.0,
+                r.file.0,
+                r.op.name(),
+                r.offset,
+                r.len,
+                r.ts.as_nanos(),
+                r.phase
+            );
+        }
+        out
+    }
+
+    /// 0, 9, 10, 99, 100, …, 10^19, `u32::MAX` and `u64::MAX`, ascending.
+    fn digit_edges() -> Vec<u64> {
+        let mut edges = vec![0, u64::from(u32::MAX), u64::MAX];
+        for k in 1..=19 {
+            edges.extend([10u64.pow(k) - 1, 10u64.pow(k)]);
+        }
+        edges.sort_unstable();
+        edges
+    }
+
+    /// One record per edge value, with every field set to it (clamped
+    /// where the field type or, if `valid`, `validate` demands).
+    fn edge_trace(valid: bool) -> Trace {
+        use crate::trace::{MAX_RANK, MAX_REQUEST_LEN};
+        let narrow = |v: u64| u32::try_from(v).unwrap_or(u32::MAX);
+        let recs = digit_edges()
+            .into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                let (mut rank, mut offset, mut len) = (narrow(v), v, v);
+                if valid {
+                    rank = rank.min(MAX_RANK - 1);
+                    len = len.clamp(1, MAX_REQUEST_LEN);
+                    offset = offset.min(u64::MAX - len);
+                }
+                TraceRecord {
+                    pid: narrow(v),
+                    rank: Rank(rank),
+                    file: FileId(narrow(v)),
+                    op: if i % 2 == 0 { IoOp::Read } else { IoOp::Write },
+                    offset,
+                    len,
+                    ts: SimTime::from_nanos(v),
+                    phase: narrow(v),
+                }
+            })
+            .collect();
+        Trace::from_records(recs)
+    }
+
+    fn generated_traces() -> Vec<(&'static str, Trace)> {
+        use crate::gen::{btio, burst, cholesky, hpio, ior, lanl, lu, skewed};
+        let (r, w) = (IoOp::Read, IoOp::Write);
+        vec![
+            ("lanl", lanl::generate(&lanl::LanlConfig::paper(16, w))),
+            ("ior", ior::generate(&ior::IorConfig::default_run(r))),
+            ("hpio", hpio::generate(&hpio::HpioConfig::paper(16, w))),
+            ("btio", btio::generate(&btio::BtioConfig::paper(9, w))),
+            ("lu", lu::generate(&lu::LuConfig::default())),
+            ("cholesky", cholesky::generate(&Default::default())),
+            (
+                "skewed",
+                skewed::generate(&skewed::SkewedConfig::default_run(r)),
+            ),
+            (
+                "burst",
+                burst::generate(&burst::BurstConfig::default_run(w)),
+            ),
+        ]
+    }
+
     #[test]
-    fn fast_number_path_matches_std_on_oddities() {
-        for s in ["0", "42", "18446744073709551615", "18446744073709551616", "+7", "007", "", " 3", "3 ", "1e3", "0x10", "99999999999999999999999999", "000000000000000000000000007"] {
-            assert_eq!(parse_u64(s), s.parse::<u64>(), "input {s:?}");
+    fn encoder_matches_fmt_on_digit_count_edges() {
+        for valid in [false, true] {
+            let t = edge_trace(valid);
+            assert_eq!(to_tsv(&t), to_tsv_fmt(&t), "valid {valid}");
+        }
+        let t = edge_trace(true);
+        assert_eq!(from_tsv(&to_tsv(&t)).unwrap().records(), t.records());
+    }
+
+    #[test]
+    fn encoder_matches_fmt_and_round_trips_every_generator() {
+        for (name, t) in generated_traces() {
+            assert!(!t.is_empty(), "{name}");
+            let text = to_tsv(&t);
+            assert_eq!(text, to_tsv_fmt(&t), "{name}");
+            assert_eq!(from_tsv(&text).unwrap().records(), t.records(), "{name}");
+        }
+    }
+
+    /// `from_tsv` and the oracle agree on `text`, error or trace.
+    fn assert_parses_as_oracle(text: &str) {
+        let (new, old) = (from_tsv(text), from_tsv_oracle(text));
+        assert_eq!(format!("{new:?}"), format!("{old:?}"), "input {text:?}");
+    }
+
+    #[test]
+    fn line_endings_and_padding_parse_as_the_oracle_does() {
+        let a = "11\t0\t0\twrite\t0\t16\t100\t0";
+        let b = "12\t1\t0\tread\t16\t131056\t200\t1";
+        let pads = [" ", "\t", "  \t ", "\u{a0}", "\u{2003}", "\r"];
+        let mut texts = vec![
+            format!("{a}\r\n{b}\r\n"),
+            format!("{a}\n{b}"),
+            format!("{a}\r\n{b}"),
+            format!("{a}\n{b}\r"),
+            format!("{a}\r{b}\n"),
+            format!("{a}\r\r\n{b}"),
+            format!("# c\r\n\r\n{a}\r\n\n{b}\n\n"),
+        ];
+        for p in pads {
+            texts.push(format!("{p}{a}\n{b}{p}\n"));
+            texts.push(format!("{a}{p}\n{p}{b}"));
+            texts.push(format!("{p}#{p}\n{p}\n{a}\n{b}\n"));
+            // Padding inside a line: a field gains it, or a tab-split
+            // shifts the field count; either way it is an error.
+            texts.push(format!("{a}\n12\t1\t0\tread{p}\t16\t131056\t200\t1\n"));
+            texts.push(format!("{a}\n12\t1{p}\t0\tread\t16\t131056\t200\t1\n"));
+            texts.push(format!("{a}\n12\t1\t0\tread\t16\t131056\t200{p}\t1\n"));
+        }
+        for text in &texts {
+            assert_parses_as_oracle(text);
+        }
+    }
+
+    /// A one-line trace with field `index` set to `value`, too large for
+    /// a `u32`, fails to parse with std's error text.
+    fn assert_out_of_range(index: usize, what: &str, value: &str) {
+        let mut fields = ["1", "1", "0", "read", "0", "16", "0", "0"];
+        fields[index] = value;
+        match from_tsv(&fields.join("\t")) {
+            Err(TraceError::Parse { line: 1, message }) => {
+                let want = format!("bad {what} '{value}': number too large to fit in target type");
+                assert_eq!(message, want);
+            }
+            other => panic!("{fields:?} parsed as {other:?}"),
+        }
+    }
+
+    #[test]
+    fn out_of_range_pid_is_a_parse_error() {
+        assert_out_of_range(0, "pid", "4294967297");
+    }
+
+    #[test]
+    fn out_of_range_rank_is_a_parse_error() {
+        assert_out_of_range(1, "rank", "4294967297");
+    }
+
+    #[test]
+    fn out_of_range_file_is_a_parse_error() {
+        assert_out_of_range(2, "file", "4294967296");
+    }
+
+    #[test]
+    fn out_of_range_phase_is_a_parse_error() {
+        assert_out_of_range(7, "phase", "99999999999");
+    }
+
+    #[test]
+    fn number_oddities_parse_as_the_oracle_does() {
+        let oddities = [
+            "0",
+            "42",
+            "18446744073709551615",
+            "18446744073709551616",
+            "+7",
+            "007",
+            "",
+            " 3",
+            "3 ",
+            "1e3",
+            "0x10",
+            "99999999999999999999999999",
+            "000000000000000000000000007",
+        ];
+        for s in oddities {
+            // The u64 columns: the oracle's `as u32` casts make it wrong
+            // for the u32 ones.
+            for col in [4, 5, 6] {
+                let mut fields = ["1", "0", "0", "read", "0", "16", "0", "0"];
+                fields[col] = s;
+                assert_parses_as_oracle(&fields.join("\t"));
+            }
         }
     }
 }

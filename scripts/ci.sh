@@ -47,6 +47,24 @@ cargo test -q -p pfs-sim
 cargo test -q -p mpiio-sim
 cargo test -q -p simrt
 cargo test -q -p iotrace
+# trace-tool smoke: a generated trace reads back through `stats`, a zero
+# or unparsable `gen` option is a usage error (exit 2), and a rank too
+# large for u32 is a parse error (exit 1) rather than a wrapped value.
+cargo build -q --release -p iotrace --bin trace-tool
+trace_tool="${CARGO_TARGET_DIR:-target}/release/trace-tool"
+expect_exit() {
+    local want=$1 got=0
+    shift
+    "$@" >/dev/null 2>&1 || got=$?
+    if [ "$got" -ne "$want" ]; then
+        echo "error: '$*' exited $got, expected $want" >&2
+        exit 1
+    fi
+}
+"$trace_tool" gen lanl --loops 64 | expect_exit 0 "$trace_tool" stats
+expect_exit 2 "$trace_tool" gen lanl --procs 0
+expect_exit 2 "$trace_tool" gen lanl --loops abc
+printf '1\t4294967297\t0\tread\t0\t16\t0\t0\n' | expect_exit 1 "$trace_tool" stats
 # --all-targets lints tests and examples too; the pre-0.3
 # replay free functions are gone, so any resurrected caller fails here.
 cargo clippy --workspace --all-targets -- -D warnings
