@@ -409,16 +409,13 @@ pub fn tab1() -> Figure {
 }
 
 /// §V-E.2: DRT meta-data space overhead for the worst case (all requests
-/// 4 KiB), measured from the real kvstore encoding.
+/// 4 KiB), measured as the log bytes one committed generation of the
+/// table takes in the pipeline store.
 pub fn ovh() -> Figure {
-    use mha_core::region::{Drt, DrtEntry};
+    use mha_core::region::{Drt, DrtEntry, Rst};
     let path = std::env::temp_dir().join(format!("mha-ovh-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
-    let store = kvstore::Store::open(
-        &path,
-        kvstore::StoreOptions { sync_on_write: false, ..Default::default() },
-    )
-    .expect("open overhead store");
+    let store = mha_core::PipelineStore::open(&path).expect("open overhead store");
     let mut drt = Drt::new();
     let entries = 4096u64;
     for i in 0..entries {
@@ -430,8 +427,9 @@ pub fn ovh() -> Figure {
             length: 4096,
         });
     }
-    drt.save(&store).expect("save DRT");
-    let log_bytes = store.stats().log_bytes;
+    store.save_tables(&drt, &Rst::new()).expect("save DRT");
+    let log_bytes = store.store().stats().log_bytes;
+    drop(store);
     let _ = std::fs::remove_file(&path);
     let data_bytes = entries * 4096;
     let per_entry = log_bytes as f64 / entries as f64;

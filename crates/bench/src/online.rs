@@ -32,7 +32,7 @@
 use crate::report::Figure;
 use crate::workloads::{self, Scale};
 use iotrace::gen::skewed::{self, SkewedConfig};
-use iotrace::{Trace, TraceBatches, TraceRecord, WindowConfig, WindowedSource};
+use iotrace::{TenantId, Trace, TraceBatches, TraceRecord, WindowConfig, WindowedSource};
 use mha_core::schemes::{LayoutPlanner, MhaPlanner, PlanResolver};
 use mha_core::{DrtResolver, LazyMigrator, OnlineConfig, OnlinePlanner, PipelineStore, Replan};
 use pfs_sim::{
@@ -180,7 +180,8 @@ pub fn study(scale: Scale) -> OnlineStudy {
             .join(format!("mha-online-eager-{}", std::process::id()));
         let _ = std::fs::remove_file(&path);
         let store = PipelineStore::open(&path).expect("open eager store");
-        let mut m = LazyMigrator::new(&store, mha_core::Drt::new(), &cluster_cfg, LOOKUP);
+        let mut m =
+            LazyMigrator::new(store.tenant(TenantId(0)), mha_core::Drt::new(), &cluster_cfg, LOOKUP);
         m.add_pending(&cold_drt.entries()).expect("journal eager intents");
         let (_, d) = m.drain().expect("eager drain");
         let _ = std::fs::remove_file(&path);
@@ -192,6 +193,7 @@ pub fn study(scale: Scale) -> OnlineStudy {
         std::env::temp_dir().join(format!("mha-online-{}", std::process::id()));
     let _ = std::fs::remove_file(&store_path);
     let store = PipelineStore::open(&store_path).expect("open online store");
+    let store = store.tenant(TenantId(0));
     let online_cfg = OnlineConfig::builder()
         // Migrate 16 MiB neighborhoods — the workload's region size:
         // each rank's hot region is one block, so a couple of profiled
@@ -205,7 +207,7 @@ pub fn study(scale: Scale) -> OnlineStudy {
         .expect("static online config is valid");
     let mut planner = OnlinePlanner::new(ctx.clone(), online_cfg);
     let mut migrator =
-        LazyMigrator::new(&store, mha_core::Drt::new(), &cluster_cfg, LOOKUP);
+        LazyMigrator::new(store, mha_core::Drt::new(), &cluster_cfg, LOOKUP);
     let mut layout_book: Vec<(iotrace::FileId, LayoutSpec)> = Vec::new();
     let mut online_points = Vec::new();
     let mut clock = 0.0f64;

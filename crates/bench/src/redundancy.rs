@@ -33,7 +33,7 @@
 use crate::report::Figure;
 use crate::workloads::Scale;
 use iotrace::gen::ior::{generate, IorConfig};
-use iotrace::{FileId, Trace};
+use iotrace::{FileId, TenantId, Trace};
 use mha_core::{
     apply_plan, rebuild_onto_spare, PipelineStore, Plan, PlannerContext, RebuildOutcome, Scheme,
 };
@@ -138,9 +138,14 @@ fn rebuilt(plan: &Plan, tag: &str) -> (Plan, RebuildOutcome) {
     let _ = std::fs::remove_file(&path);
     let store = PipelineStore::open(&path).expect("open rebuild store");
     let mut layouts = plan.layouts.clone();
-    let outcome =
-        rebuild_onto_spare(&store, &mut layouts, &sizes, ServerId(VICTIM), ServerId(SPARE))
-            .expect("rebuild");
+    let outcome = rebuild_onto_spare(
+        store.tenant(TenantId(0)),
+        &mut layouts,
+        &sizes,
+        ServerId(VICTIM),
+        ServerId(SPARE),
+    )
+    .expect("rebuild");
     drop(store);
     let _ = std::fs::remove_file(&path);
     (Plan { layouts, ..plan.clone() }, outcome)

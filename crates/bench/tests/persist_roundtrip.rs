@@ -7,6 +7,7 @@
 //! [`ReplayReport`].
 
 use mha_bench::workloads::{self, Scale};
+use iotrace::TenantId;
 use mha_core::persist::PipelineStore;
 use mha_core::schemes::{apply_plan, Plan, PlannerContext, Scheme};
 use pfs_sim::{Cluster, ClusterConfig, CoreSel, ReplayInput, ReplayReport, ReplaySession};
@@ -82,11 +83,12 @@ fn round_trip(scheme: Scheme, trace: &iotrace::Trace, tag: &str) {
     let path = tmp_path(tag);
     {
         let store = PipelineStore::open(&path).expect("open store");
-        store.save_plan(&plan).expect("persist plan");
+        store.tenant(TenantId(0)).save_plan(&plan).expect("persist plan");
     }
     // A fresh handle — nothing shared with the writer but the file.
     let store = PipelineStore::open(&path).expect("reopen store");
     let loaded = store
+        .tenant(TenantId(0))
         .load_plan()
         .expect("load plan")
         .expect("a committed plan must be present");

@@ -7,7 +7,7 @@
 
 use iotrace::gen::skewed::{self, SkewedConfig};
 use iotrace::{TenantId, Trace};
-use mha_core::{recover_tenant, OnlineConfig, PipelineStore, TenantPipeline};
+use mha_core::{recover, OnlineConfig, PipelineStore, TenantPipeline};
 use pfs_sim::{Cluster, ClusterConfig, LayoutService, ServiceConfig};
 use storage_model::IoOp;
 
@@ -76,9 +76,8 @@ fn every_sampled_kill_point_resumes_all_tenants_consistently() {
         // Restart: reopen the store (switch disarmed) and recover.
         let store = PipelineStore::open(&path).expect("reopen after crash");
         for &t in &TENANTS {
-            let outcome =
-                recover_tenant(&store, TenantId(t)).expect("recovery itself cannot fail at k={k}");
             let ts = store.tenant(TenantId(t));
+            let outcome = recover(ts).expect("recovery itself cannot fail at k={k}");
             match ts.committed_generation().expect("generation readable") {
                 Some(_) => {
                     ts.load_tables()
@@ -99,7 +98,7 @@ fn every_sampled_kill_point_resumes_all_tenants_consistently() {
                 ts.journal().expect("journal readable").is_empty(),
                 "recovery must clear tenant {t}'s journal (k={k})"
             );
-            let again = recover_tenant(&store, TenantId(t)).expect("second recovery");
+            let again = recover(ts).expect("second recovery");
             assert_eq!(again.rolled_forward, 0, "recovery must be idempotent (k={k})");
             assert_eq!(again.discarded_batches, 0, "recovery must be idempotent (k={k})");
         }

@@ -55,18 +55,39 @@ fn num(args: &[String], name: &str, default: u32) -> u32 {
     }
     match opt(args, name).map(|v| v.parse::<u32>()) {
         Some(Ok(n)) if n > 0 => n,
-        _ => {
-            eprintln!("{name} takes a positive integer");
-            std::process::exit(2);
-        }
+        _ => usage_error(&format!("{name} takes a positive integer")),
     }
 }
 
+/// Print `msg` and exit with the usage-error code.
+fn usage_error(msg: &str) -> ! {
+    eprintln!("{msg}");
+    std::process::exit(2);
+}
+
+/// The `--op` value, `write` when absent. Anything but `read` or
+/// `write` is a usage error (exit 2).
 fn op_of(args: &[String]) -> IoOp {
+    if !args.iter().any(|a| a == "--op") {
+        return IoOp::Write;
+    }
     match opt(args, "--op").as_deref() {
         Some("read") => IoOp::Read,
-        _ => IoOp::Write,
+        Some("write") => IoOp::Write,
+        _ => usage_error("--op takes read or write"),
     }
+}
+
+/// The `--sizes` list in bytes, `64` KiB when absent. An empty list, or
+/// an entry that is not a positive KiB count, is a usage error (exit 2).
+fn sizes_of(args: &[String]) -> Vec<u64> {
+    let list = opt(args, "--sizes").unwrap_or_else(|| "64".into());
+    list.split(',')
+        .map(|s| match s.parse::<u64>().ok().and_then(|kb| kb.checked_mul(1 << 10)) {
+            Some(bytes) if bytes > 0 => bytes,
+            _ => usage_error("--sizes takes a comma-separated list of positive KiB counts"),
+        })
+        .collect()
 }
 
 fn cmd_gen(args: &[String]) -> Result<(), TraceError> {
@@ -77,17 +98,7 @@ fn cmd_gen(args: &[String]) -> Result<(), TraceError> {
             op: op_of(args),
         }),
         Some("ior") => {
-            let sizes: Vec<u64> = opt(args, "--sizes")
-                .unwrap_or_else(|| "64".into())
-                .split(',')
-                .filter_map(|s| s.parse::<u64>().ok())
-                .map(|kb| kb << 10)
-                .collect();
-            if sizes.is_empty() {
-                eprintln!("--sizes must list at least one KiB value");
-                std::process::exit(2);
-            }
-            let mut cfg = ior::IorConfig::mixed_sizes(&sizes, op_of(args));
+            let mut cfg = ior::IorConfig::mixed_sizes(&sizes_of(args), op_of(args));
             cfg.proc_mix = vec![num(args, "--procs", 16)];
             ior::generate(&cfg)
         }
@@ -102,10 +113,7 @@ fn cmd_gen(args: &[String]) -> Result<(), TraceError> {
             panels: num(args, "--panels", 96),
             ..Default::default()
         }),
-        other => {
-            eprintln!("unknown workload: {other:?}");
-            std::process::exit(2);
-        }
+        other => usage_error(&format!("unknown workload: {other:?}")),
     };
     print!("{}", tsv::to_tsv(&trace));
     Ok(())

@@ -21,28 +21,25 @@
 //! oracle (plan-from-full-trace) bandwidth on stable patterns and stays
 //! well above DEF on drifting ones, while paying visible migration time.
 //!
-//! ## Durable mode
+//! ## Durable migration
 //!
-//! [`run_dynamic_durable`] runs the same controller against a
-//! [`PipelineStore`]: migration proceeds in **journaled batches** with a
-//! write-ahead invariant — a batch's intended DRT entries are journaled
-//! before its bytes move, its commit record is written after, and an
-//! entry is only published into the live DRT once its batch committed.
-//! [`crate::persist::recover`] then makes a crash at any point safe:
-//! committed batches roll forward, uncommitted ones are discarded, and
-//! the DRT never resolves to data that was never migrated. Each batch
-//! is replayed as its own barrier phase (the commit record *is* the
-//! barrier), so durable migration time is ≥ the one-shot estimate of
-//! [`run_dynamic`] — that gap is the price of resumability.
+//! The epoch controller keeps its state in memory. Durable migration is
+//! the [`LazyMigrator`]'s job: each extent's intended DRT entry is
+//! journaled through a [`TenantStore`] before its bytes move, its commit
+//! record is written after the copy, and the entry is only published
+//! into the live DRT once its batch committed. [`crate::persist::recover`]
+//! then makes a crash at any point safe: committed batches roll forward,
+//! uncommitted ones are discarded, and the DRT never resolves to data
+//! that was never migrated.
 
-use crate::persist::{PersistError, PipelineStore};
-use crate::region::{Drt, DrtEntry, Rst};
+use crate::persist::{PersistError, TenantStore};
+use crate::region::{Drt, DrtEntry};
 use crate::schemes::{apply_plan, LayoutPlanner, MhaPlanner, Plan, PlanResolver, PlannerContext};
 use iotrace::record::Rank;
 use iotrace::{Trace, TraceRecord, TraceStats};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, IdentityResolver, PhysExtent, ReplayInput, ReplayReport,
-    ReplaySession, Resolution, Resolver,
+    ReplaySession, Resolver,
 };
 use simrt::{SimDuration, SimTime};
 use storage_model::IoOp;
@@ -93,12 +90,6 @@ struct OnlineResolver<'a> {
 }
 
 impl Resolver for OnlineResolver<'_> {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        let mut extents = Vec::new();
-        let overhead = self.resolve_into(rec, &mut extents);
-        Resolution { extents, overhead }
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         self.state.drt.translate_into(rec.file, rec.offset, rec.len, out);
         if rec.op == IoOp::Write && out.iter().any(|p| p.file == rec.file) {
@@ -200,33 +191,6 @@ pub fn run_dynamic(
     ctx: &PlannerContext,
     cfg: &DynamicConfig,
 ) -> DynamicReport {
-    match run_dynamic_inner(cluster_cfg, trace, ctx, cfg, None) {
-        Ok(report) => report,
-        Err(_) => unreachable!("without a store there is nothing to fail"),
-    }
-}
-
-/// Run `trace` under the dynamic controller with crash-consistent state:
-/// the DRT/RST commit to `store` at every epoch boundary, and migration
-/// runs in journaled batches (see the module docs). After a crash,
-/// reopen the store, call [`crate::persist::recover`], and re-run.
-pub fn run_dynamic_durable(
-    cluster_cfg: &ClusterConfig,
-    trace: &Trace,
-    ctx: &PlannerContext,
-    cfg: &DynamicConfig,
-    store: &PipelineStore,
-) -> Result<DynamicReport, PersistError> {
-    run_dynamic_inner(cluster_cfg, trace, ctx, cfg, Some(store))
-}
-
-fn run_dynamic_inner(
-    cluster_cfg: &ClusterConfig,
-    trace: &Trace,
-    ctx: &PlannerContext,
-    cfg: &DynamicConfig,
-    store: Option<&PipelineStore>,
-) -> Result<DynamicReport, PersistError> {
     let epochs = split_epochs(trace, cfg.epoch_phases);
     let mut observed: Vec<TraceRecord> = Vec::new();
     // Layouts accumulate across re-plans: region files from earlier plans
@@ -234,10 +198,6 @@ fn run_dynamic_inner(
     let mut layout_book: Vec<(iotrace::FileId, pfs_sim::LayoutSpec)> = Vec::new();
     let mut state: Option<OnlineState> = None;
     let mut plan_stats: Option<TraceStats> = None;
-    // All plans' RST rows, accumulated: region files from earlier plans
-    // keep holding data, so their stripe pairs must stay resolvable
-    // after a reload.
-    let mut rst_book = Rst::new();
     let mut report = DynamicReport {
         epochs: Vec::new(),
         total_bytes: 0,
@@ -293,43 +253,14 @@ fn run_dynamic_inner(
             // Migrate only the hot extents (observed more than once): the
             // controller must not pay to move data it has no evidence
             // will be touched again.
-            let (bytes, time) = match store {
-                None => migrate(
-                    cluster_cfg,
-                    state.as_ref().map(|s| &s.drt),
-                    &layout_book,
-                    &new_plan,
-                    &adoption.to_migrate,
-                    cfg,
-                ),
-                Some(store) => {
-                    for (file, pair) in new_plan.rst.iter() {
-                        rst_book.set(file, pair);
-                    }
-                    // Commit the adopted mapping *without* the entries
-                    // still waiting to move: until a batch's journal
-                    // record commits, lookups must keep resolving to the
-                    // old (valid) home.
-                    let base = drt_minus(&adoption.state.drt, &adoption.to_migrate);
-                    store.save_tables(&base, &rst_book)?;
-                    let mut published = base;
-                    let moved = migrate_durable(
-                        cluster_cfg,
-                        state.as_ref().map(|s| &s.drt),
-                        &layout_book,
-                        &new_plan,
-                        &adoption.to_migrate,
-                        cfg,
-                        store,
-                        &mut published,
-                    )?;
-                    // All batches committed: publish the full mapping and
-                    // retire the journal.
-                    store.save_tables(&published, &rst_book)?;
-                    store.clear_journal()?;
-                    moved
-                }
-            };
+            let (bytes, time) = migrate(
+                cluster_cfg,
+                state.as_ref().map(|s| &s.drt),
+                &layout_book,
+                &new_plan,
+                &adoption.to_migrate,
+                cfg,
+            );
             migrated = bytes;
             mig_time = time;
             report.replans += 1;
@@ -339,14 +270,6 @@ fn run_dynamic_inner(
             layout_book.extend(new_plan.layouts.iter().cloned());
             state = Some(adoption.state);
             replanned = true;
-        }
-        // Epoch boundary: placements appended online during the replay
-        // become durable here (a crash inside the epoch replays it from
-        // the last committed generation).
-        if let (Some(store), Some(st)) = (store, &state) {
-            if !replanned {
-                store.save_tables(&st.drt, &rst_book)?;
-            }
         }
         report.epochs.push(EpochStat {
             epoch: e,
@@ -358,25 +281,7 @@ fn run_dynamic_inner(
             migration_time: mig_time,
         });
     }
-    if let Some(store) = store {
-        store.gc()?;
-    }
-    Ok(report)
-}
-
-/// `full` minus the exact `(o_file, o_offset)` keys of `removed` — the
-/// committed-before-migration base mapping.
-fn drt_minus(full: &Drt, removed: &[DrtEntry]) -> Drt {
-    let removed_keys: std::collections::HashSet<(u32, u64)> =
-        removed.iter().map(|e| (e.o_file.0, e.o_offset)).collect();
-    let mut out = Drt::new();
-    for e in full.entries() {
-        if !removed_keys.contains(&(e.o_file.0, e.o_offset)) {
-            let inserted = out.insert(e);
-            debug_assert!(inserted, "subset of a valid DRT stays non-overlapping");
-        }
-    }
-    out
+    report
 }
 
 /// Result of adopting a new plan online.
@@ -585,103 +490,6 @@ fn migrate(
     (bytes, rep.makespan)
 }
 
-/// Journaled, resumable variant of [`migrate`]: entries move in batches
-/// of `cfg.migration_batch`, each under the write-ahead discipline
-///
-/// 1. journal the batch's intended DRT entries,
-/// 2. replay the batch's read-old/write-new traffic,
-/// 3. write the batch's commit record (fsynced),
-/// 4. publish the entries into `published`.
-///
-/// A crash between 1 and 3 leaves an uncommitted journal batch that
-/// [`crate::persist::recover`] discards (the old mapping still resolves
-/// to valid bytes — migration copies, it does not destroy); a crash
-/// after 3 leaves a committed batch that recovery rolls forward. Each
-/// batch is replayed on its own cluster because the commit record is a
-/// hard barrier: batch *n + 1* must not move until batch *n* is durable.
-#[allow(clippy::too_many_arguments)]
-fn migrate_durable(
-    cluster_cfg: &ClusterConfig,
-    old_drt: Option<&Drt>,
-    layout_book: &[(iotrace::FileId, pfs_sim::LayoutSpec)],
-    new_plan: &Plan,
-    entries: &[DrtEntry],
-    cfg: &DynamicConfig,
-    store: &PipelineStore,
-    published: &mut Drt,
-) -> Result<(u64, SimDuration), PersistError> {
-    let mut bytes = 0u64;
-    let mut time = SimDuration::ZERO;
-    for (b, chunk) in entries.chunks(cfg.migration_batch.max(1)).enumerate() {
-        let batch = b as u32;
-        store.journal_batch(batch, chunk)?;
-
-        let mut records: Vec<TraceRecord> = Vec::new();
-        for entry in chunk {
-            let rank = Rank((records.len() as u32 / 2) % cfg.migration_ranks.max(1));
-            let src = old_drt
-                .map(|d| d.translate(entry.o_file, entry.o_offset, entry.length))
-                .unwrap_or_default();
-            let srcs = if src.is_empty() {
-                vec![pfs_sim::PhysExtent {
-                    file: entry.o_file,
-                    offset: entry.o_offset,
-                    len: entry.length,
-                }]
-            } else {
-                src
-            };
-            for s in srcs {
-                records.push(TraceRecord {
-                    pid: 9000 + rank.0,
-                    rank,
-                    file: s.file,
-                    op: IoOp::Read,
-                    offset: s.offset,
-                    len: s.len,
-                    ts: SimTime::ZERO,
-                    phase: 0,
-                });
-            }
-            records.push(TraceRecord {
-                pid: 9000 + rank.0,
-                rank,
-                file: entry.r_file,
-                op: IoOp::Write,
-                offset: entry.r_offset,
-                len: entry.length,
-                ts: SimTime::ZERO,
-                phase: 0,
-            });
-        }
-        if !records.is_empty() {
-            records.sort_by_key(|r| (r.rank, r.file, r.offset));
-            let migration_trace = Trace::from_records(records);
-            let mut cluster = Cluster::new(cluster_cfg.clone());
-            for (file, layout) in layout_book {
-                cluster.mds_mut().set_layout(*file, layout.clone());
-            }
-            apply_plan(&mut cluster, new_plan);
-            let rep = ReplaySession::new()
-                .run(ReplayInput::trace(&mut cluster, &migration_trace, &mut IdentityResolver), CoreSel::Auto)
-                .expect("unscheduled fault-free replay cannot fail");
-            time += rep.makespan;
-        }
-
-        store.commit_batch(batch)?;
-        for entry in chunk {
-            if published.lookup_exact(entry.o_file, entry.o_offset, entry.length)
-                != Some((entry.r_file, entry.r_offset))
-            {
-                let inserted = published.insert(*entry);
-                debug_assert!(inserted, "to-migrate entries are disjoint from the base");
-            }
-            bytes += entry.length;
-        }
-    }
-    Ok((bytes, time))
-}
-
 // ------------------------------------------------------------------
 // Lazy on-access migration
 // ------------------------------------------------------------------
@@ -730,7 +538,7 @@ pub struct PendingRedirect {
 /// error the resolver stops touching the store, mimicking a killed
 /// process.
 pub struct LazyMigrator<'a> {
-    store: crate::persist::TenantStore<'a>,
+    store: TenantStore<'a>,
     published: Drt,
     pending: Vec<PendingRedirect>,
     /// Per original file: `o_offset -> (length, index into pending)`
@@ -748,28 +556,16 @@ pub struct LazyMigrator<'a> {
 }
 
 impl<'a> LazyMigrator<'a> {
-    /// Start from the committed `base` mapping. The copy-cost model is
-    /// derived from `cluster`: a migrated byte pays a read from the old
-    /// home (HDD sustained rate — the conservative case), a transfer,
-    /// and a write to the new home (SSD peak rate), plus two link
-    /// round trips of setup per extent.
+    /// Start from the committed `base` mapping, journaling into `store`:
+    /// each tenant's intents and commits live under its own journal
+    /// keys, so concurrent tenants on one WAL recover independently
+    /// ([`crate::persist::recover`]). The copy-cost model is derived
+    /// from `cluster`: a migrated byte pays a read from the old home
+    /// (HDD sustained rate — the conservative case), a transfer, and a
+    /// write to the new home (SSD peak rate), plus two link round trips
+    /// of setup per extent.
     pub fn new(
-        store: &'a PipelineStore,
-        base: Drt,
-        cluster: &ClusterConfig,
-        lookup: SimDuration,
-    ) -> Self {
-        Self::for_tenant(store, iotrace::TenantId(0), base, cluster, lookup)
-    }
-
-    /// [`LazyMigrator::new`], journaling into `tenant`'s namespace of a
-    /// shared store. Each tenant's intents and commits live under their
-    /// own journal keys, so concurrent tenants on one WAL recover
-    /// independently ([`crate::persist::recover_tenant`]). Tenant 0 is
-    /// byte-identical to [`LazyMigrator::new`].
-    pub fn for_tenant(
-        store: &'a PipelineStore,
-        tenant: iotrace::TenantId,
+        store: TenantStore<'a>,
         base: Drt,
         cluster: &ClusterConfig,
         lookup: SimDuration,
@@ -778,7 +574,7 @@ impl<'a> LazyMigrator<'a> {
             + 1.0 / cluster.link.bandwidth_bps
             + 1.0 / cluster.ssd.write_bps;
         LazyMigrator {
-            store: store.tenant(tenant),
+            store,
             published: base,
             pending: Vec::new(),
             index: std::collections::HashMap::new(),
@@ -958,12 +754,6 @@ impl<'a> LazyMigrator<'a> {
 }
 
 impl Resolver for LazyMigrator<'_> {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        let mut extents = Vec::new();
-        let overhead = self.resolve_into(rec, &mut extents);
-        Resolution { extents, overhead }
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         let mut overhead = self.lookup;
         if self.err.is_none() {
@@ -974,54 +764,16 @@ impl Resolver for LazyMigrator<'_> {
     }
 }
 
-/// Lazy counterpart of the eager journaled migration flow: commit the
-/// base mapping, journal every pending entry up front (write-ahead),
-/// replay `trace` through the on-access migrator, drain the untouched
-/// remainder, publish the full mapping and retire the journal.
-///
-/// After a full replay + drain the published DRT is **bit-identical**
-/// to what the eager [`migrate_durable`] flow produces for the same
-/// entries (the `lazy_drain_matches_eager_migration` property test),
-/// and a crash at any commit boundary recovers to a committed
-/// generation (the lazy kill-matrix test).
-#[allow(clippy::too_many_arguments)]
-pub fn run_lazy_durable(
-    cluster_cfg: &ClusterConfig,
-    layout_book: &[(iotrace::FileId, pfs_sim::LayoutSpec)],
-    base: &Drt,
-    rst: &Rst,
-    to_migrate: &[DrtEntry],
-    trace: &Trace,
-    lookup: SimDuration,
-    store: &PipelineStore,
-) -> Result<(Drt, ReplayReport), PersistError> {
-    store.save_tables(base, rst)?;
-    let mut migrator = LazyMigrator::new(store, base.clone(), cluster_cfg, lookup);
-    migrator.add_pending(to_migrate)?;
-    let mut cluster = Cluster::new(cluster_cfg.clone());
-    for (file, layout) in layout_book {
-        cluster.mds_mut().set_layout(*file, layout.clone());
-    }
-    let report = ReplaySession::new()
-        .run(ReplayInput::trace(&mut cluster, trace, &mut migrator), CoreSel::Auto)
-        .expect("unscheduled fault-free replay cannot fail");
-    migrator.check()?;
-    migrator.drain()?;
-    let published = migrator.published().clone();
-    store.save_tables(&published, rst)?;
-    store.clear_journal()?;
-    Ok((published, report))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::recover;
+    use crate::persist::{recover, PipelineStore};
+    use crate::region::Rst;
     use crate::rssd::StripePair;
     use crate::schemes::{Evaluation, Scheme};
     use iotrace::gen::ior::{generate as gen_ior, IorConfig};
     use iotrace::gen::lanl::{generate as gen_lanl, LanlConfig};
-    use iotrace::FileId;
+    use iotrace::{FileId, TenantId};
 
     fn ctx(cfg: &ClusterConfig) -> PlannerContext {
         PlannerContext::for_cluster(cfg)
@@ -1159,22 +911,119 @@ mod tests {
             .collect()
     }
 
-    /// A plan with no layouts: the MDS default layout serves the
-    /// migration traffic, which is all `migrate_durable` needs.
-    fn empty_plan() -> Plan {
-        Plan {
-            scheme: Scheme::Mha,
-            layouts: Vec::new(),
-            resolver: PlanResolver::Identity,
-            rst: Rst::new(),
-            regions: Vec::new(),
-        }
+    /// The tenant-0 view tests journal through.
+    fn t0(store: &PipelineStore) -> TenantStore<'_> {
+        store.tenant(TenantId(0))
     }
 
-    /// The durable migration flow exactly as `run_dynamic_inner` drives
-    /// it: commit the base, move in journaled batches, publish, retire.
+    /// The eager reference for lazy migration: entries move in batches
+    /// of `cfg.migration_batch` from the original file, each under the
+    /// write-ahead discipline
+    ///
+    /// 1. journal the batch's intended DRT entries,
+    /// 2. replay the batch's read-old/write-new traffic,
+    /// 3. write the batch's commit record (fsynced),
+    /// 4. publish the entries into `published`.
+    ///
+    /// A crash between 1 and 3 leaves an uncommitted journal batch that
+    /// [`recover`] discards (the old mapping still resolves to valid
+    /// bytes — migration copies, it does not destroy); a crash after 3
+    /// leaves a committed batch that recovery rolls forward. Each batch
+    /// is replayed on its own cluster because the commit record is a
+    /// hard barrier: batch *n + 1* must not move until batch *n* is
+    /// durable.
+    fn migrate_durable(
+        cluster_cfg: &ClusterConfig,
+        entries: &[DrtEntry],
+        cfg: &DynamicConfig,
+        store: TenantStore<'_>,
+        published: &mut Drt,
+    ) -> Result<(u64, SimDuration), PersistError> {
+        let mut bytes = 0u64;
+        let mut time = SimDuration::ZERO;
+        for (b, chunk) in entries.chunks(cfg.migration_batch.max(1)).enumerate() {
+            let batch = b as u32;
+            store.journal_batch(batch, chunk)?;
+
+            let mut records: Vec<TraceRecord> = Vec::new();
+            for entry in chunk {
+                let rank = Rank((records.len() as u32 / 2) % cfg.migration_ranks.max(1));
+                for (file, offset, op) in [
+                    (entry.o_file, entry.o_offset, IoOp::Read),
+                    (entry.r_file, entry.r_offset, IoOp::Write),
+                ] {
+                    records.push(TraceRecord {
+                        pid: 9000 + rank.0,
+                        rank,
+                        file,
+                        op,
+                        offset,
+                        len: entry.length,
+                        ts: SimTime::ZERO,
+                        phase: 0,
+                    });
+                }
+            }
+            records.sort_by_key(|r| (r.rank, r.file, r.offset));
+            let traffic = Trace::from_records(records);
+            let mut cluster = Cluster::new(cluster_cfg.clone());
+            let rep = ReplaySession::new()
+                .run(ReplayInput::trace(&mut cluster, &traffic, &mut IdentityResolver), CoreSel::Auto)
+                .expect("unscheduled fault-free replay cannot fail");
+            time += rep.makespan;
+
+            store.commit_batch(batch)?;
+            for entry in chunk {
+                if published.lookup_exact(entry.o_file, entry.o_offset, entry.length)
+                    != Some((entry.r_file, entry.r_offset))
+                {
+                    let inserted = published.insert(*entry);
+                    debug_assert!(inserted, "to-migrate entries are disjoint from the base");
+                }
+                bytes += entry.length;
+            }
+        }
+        Ok((bytes, time))
+    }
+
+    /// Lazy counterpart of the eager flow: commit the base mapping,
+    /// journal every pending entry up front (write-ahead), replay
+    /// `trace` through the on-access migrator, drain the untouched
+    /// remainder, publish the full mapping and retire the journal.
+    ///
+    /// After a full replay + drain the published DRT is
+    /// **bit-identical** to what [`migrate_durable`] produces for the
+    /// same entries (`lazy_drain_matches_eager_migration`), and a crash
+    /// at any commit boundary recovers to a committed generation (the
+    /// lazy kill-matrix test).
+    fn run_lazy_durable(
+        cluster_cfg: &ClusterConfig,
+        base: &Drt,
+        rst: &Rst,
+        to_migrate: &[DrtEntry],
+        trace: &Trace,
+        lookup: SimDuration,
+        store: TenantStore<'_>,
+    ) -> Result<(Drt, ReplayReport), PersistError> {
+        store.save_tables(base, rst)?;
+        let mut migrator = LazyMigrator::new(store, base.clone(), cluster_cfg, lookup);
+        migrator.add_pending(to_migrate)?;
+        let mut cluster = Cluster::new(cluster_cfg.clone());
+        let report = ReplaySession::new()
+            .run(ReplayInput::trace(&mut cluster, trace, &mut migrator), CoreSel::Auto)
+            .expect("unscheduled fault-free replay cannot fail");
+        migrator.check()?;
+        migrator.drain()?;
+        let published = migrator.published().clone();
+        store.save_tables(&published, rst)?;
+        store.clear_journal()?;
+        Ok((published, report))
+    }
+
+    /// The eager durable migration flow: commit the base, move in
+    /// journaled batches, publish, retire.
     fn run_flow(
-        store: &PipelineStore,
+        store: TenantStore<'_>,
         cluster_cfg: &ClusterConfig,
         base: &Drt,
         rst: &Rst,
@@ -1183,16 +1032,7 @@ mod tests {
     ) -> Result<Drt, PersistError> {
         store.save_tables(base, rst)?;
         let mut published = base.clone();
-        migrate_durable(
-            cluster_cfg,
-            None,
-            &[],
-            &empty_plan(),
-            to_migrate,
-            cfg,
-            store,
-            &mut published,
-        )?;
+        migrate_durable(cluster_cfg, to_migrate, cfg, store, &mut published)?;
         store.save_tables(&published, rst)?;
         store.clear_journal()?;
         Ok(published)
@@ -1213,7 +1053,7 @@ mod tests {
         let path = tmp_store("matrix-record");
         let boundaries = {
             let store = PipelineStore::open(&path).expect("open");
-            run_flow(&store, &cluster, &base, &rst, &to_migrate, &cfg).expect("flow");
+            run_flow(t0(&store), &cluster, &base, &rst, &to_migrate, &cfg).expect("flow");
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
@@ -1224,20 +1064,20 @@ mod tests {
             {
                 let store = PipelineStore::open(&path).expect("open");
                 store.kill_switch().arm(k);
-                match run_flow(&store, &cluster, &base, &rst, &to_migrate, &cfg) {
+                match run_flow(t0(&store), &cluster, &base, &rst, &to_migrate, &cfg) {
                     Err(PersistError::Killed(_)) => {}
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
             }
             // "Restart": reopen, read the surviving journal, recover.
             let store = PipelineStore::open(&path).expect("reopen");
-            let journal = store.journal().expect("journal");
+            let journal = t0(&store).journal().expect("journal");
             let committed: std::collections::HashSet<(u32, u64)> = journal
                 .iter()
                 .filter(|b| b.committed)
                 .flat_map(|b| b.entries.iter().map(|e| (e.o_file.0, e.o_offset)))
                 .collect();
-            let out = recover(&store).expect("recover");
+            let out = recover(t0(&store)).expect("recover");
             match &out.tables {
                 None => assert!(
                     journal.is_empty(),
@@ -1272,11 +1112,11 @@ mod tests {
                 }
             }
             // Recovery is idempotent ...
-            let again = recover(&store).expect("recover again");
+            let again = recover(t0(&store)).expect("recover again");
             assert_eq!(again.rolled_forward, 0, "boundary {k}: second recovery must be a no-op");
             // ... and the retried flow completes and publishes everything.
             let published =
-                run_flow(&store, &cluster, &base, &rst, &to_migrate, &cfg).expect("resume");
+                run_flow(t0(&store), &cluster, &base, &rst, &to_migrate, &cfg).expect("resume");
             let (final_drt, final_rst) =
                 store.load_tables().expect("load").expect("committed");
             assert_eq!(final_drt, published, "boundary {k}");
@@ -1323,7 +1163,7 @@ mod tests {
         let eager = {
             let store = PipelineStore::open(&eager_path).expect("open");
             let published =
-                run_flow(&store, &cluster, &base, &rst, &to_migrate, &cfg).expect("eager");
+                run_flow(t0(&store), &cluster, &base, &rst, &to_migrate, &cfg).expect("eager");
             let on_disk = store.load_tables().expect("load").expect("committed");
             assert_eq!(on_disk.0, published);
             published
@@ -1335,20 +1175,19 @@ mod tests {
         let trace = access_trace(&to_migrate);
         let (lazy, report) = run_lazy_durable(
             &cluster,
-            &[],
             &base,
             &rst,
             &to_migrate,
             &trace,
             SimDuration::from_micros(5),
-            &store,
+            t0(&store),
         )
         .expect("lazy");
         assert_eq!(lazy, eager, "drained lazy mapping == eager mapping");
         let (disk_drt, disk_rst) = store.load_tables().expect("load").expect("committed");
         assert_eq!(disk_drt, eager, "on-disk mapping matches too");
         assert_eq!(disk_rst, rst);
-        assert!(store.journal().expect("journal").is_empty(), "journal retired");
+        assert!(t0(&store).journal().expect("journal").is_empty(), "journal retired");
         // Every access after the first resolves to the new home, and the
         // copies were charged to request service time.
         assert_eq!(report.requests, to_migrate.len());
@@ -1369,7 +1208,7 @@ mod tests {
         let store = PipelineStore::open(&path).expect("open");
         store.save_tables(&base, &rst).expect("save base");
         let mut mig =
-            LazyMigrator::new(&store, base.clone(), &cluster, SimDuration::from_micros(5));
+            LazyMigrator::new(t0(&store), base.clone(), &cluster, SimDuration::from_micros(5));
         mig.add_pending(&to_migrate).expect("journal intents");
         assert_eq!(mig.pending_len(), to_migrate.len());
 
@@ -1384,7 +1223,7 @@ mod tests {
         assert_eq!(mig.pending_len(), to_migrate.len() - 4);
         // Touched extents are committed and published; untouched ones
         // still resolve to their old home and stay uncommitted.
-        let journal = store.journal().expect("journal");
+        let journal = t0(&store).journal().expect("journal");
         for p in journal {
             let touched_entry = touched.iter().any(|e| e.o_offset == p.entries[0].o_offset);
             assert_eq!(p.committed, touched_entry, "batch {}", p.batch);
@@ -1413,7 +1252,7 @@ mod tests {
         let store = PipelineStore::open(&path).expect("open");
         store.save_tables(&base, &rst).expect("save base");
         let mut mig =
-            LazyMigrator::new(&store, base.clone(), &cluster, SimDuration::from_micros(5));
+            LazyMigrator::new(t0(&store), base.clone(), &cluster, SimDuration::from_micros(5));
         let first = to_migrate_entries();
         mig.add_pending(&first).expect("journal first plan");
         // A newer plan re-homes the same extents to region file 70 002.
@@ -1433,7 +1272,7 @@ mod tests {
             );
         }
         // Only the second plan's batches ever commit.
-        let journal = store.journal().expect("journal");
+        let journal = t0(&store).journal().expect("journal");
         let (committed, discarded): (Vec<_>, Vec<_>) =
             journal.iter().partition(|b| b.committed);
         assert_eq!(committed.len(), second.len());
@@ -1456,7 +1295,7 @@ mod tests {
         let trace = access_trace(&to_migrate);
 
         let run = |store: &PipelineStore| {
-            run_lazy_durable(&cluster, &[], &base, &rst, &to_migrate, &trace, lookup, store)
+            run_lazy_durable(&cluster, &base, &rst, &to_migrate, &trace, lookup, t0(store))
         };
 
         let path = tmp_store("lazy-matrix-record");
@@ -1479,13 +1318,13 @@ mod tests {
                 }
             }
             let store = PipelineStore::open(&path).expect("reopen");
-            let journal = store.journal().expect("journal");
+            let journal = t0(&store).journal().expect("journal");
             let committed: std::collections::HashSet<(u32, u64)> = journal
                 .iter()
                 .filter(|b| b.committed)
                 .flat_map(|b| b.entries.iter().map(|e| (e.o_file.0, e.o_offset)))
                 .collect();
-            let out = recover(&store).expect("recover");
+            let out = recover(t0(&store)).expect("recover");
             match &out.tables {
                 None => assert!(
                     journal.is_empty(),
@@ -1526,7 +1365,7 @@ mod tests {
                     }
                 }
             }
-            let again = recover(&store).expect("recover again");
+            let again = recover(t0(&store)).expect("recover again");
             assert_eq!(again.rolled_forward, 0, "boundary {k}: second recovery must be a no-op");
             // The retried flow replays idempotently to the full mapping.
             let (published, _) = run(&store).expect("resume");
@@ -1536,36 +1375,5 @@ mod tests {
             assert_eq!(final_drt.len(), base.len() + to_migrate.len(), "boundary {k}");
             let _ = std::fs::remove_file(&path);
         }
-    }
-
-    #[test]
-    fn durable_run_persists_tables_and_retires_the_journal() {
-        let cluster = ClusterConfig::paper_default();
-        let c = ctx(&cluster);
-        // The migration workload: two identical LANL passes make extents
-        // hot, the trailing large-read phase forces a drift re-plan.
-        let mut trace = gen_lanl(&LanlConfig::paper(16, IoOp::Write));
-        trace.extend_with(&gen_lanl(&LanlConfig::paper(16, IoOp::Write)));
-        let mut ior_cfg = IorConfig::default_run(IoOp::Read);
-        ior_cfg.size_mix = vec![1 << 20];
-        ior_cfg.reqs_per_proc = 32;
-        trace.extend_with(&gen_ior(&ior_cfg));
-        let path = tmp_store("durable-smoke");
-        let store = PipelineStore::open(&path).expect("open");
-        let rep = run_dynamic_durable(&cluster, &trace, &c, &DynamicConfig::default(), &store)
-            .expect("durable run");
-        assert!(rep.replans >= 2, "drift must replan: {}", rep.replans);
-        assert!(rep.migrated_bytes > 0, "hot extents must migrate");
-        assert_eq!(rep.total_bytes, trace.total_bytes());
-        // The journal is retired and the final mapping is committed.
-        assert!(store.journal().expect("journal").is_empty());
-        let (drt, rst) = store.load_tables().expect("load").expect("committed");
-        assert!(!drt.is_empty(), "the adopted mapping must persist");
-        assert!(!rst.is_empty(), "region stripe pairs must persist");
-        // Recovery on a cleanly-finished store is a no-op.
-        let out = recover(&store).expect("recover");
-        assert_eq!(out.rolled_forward, 0);
-        assert_eq!(out.tables.expect("tables").0, drt);
-        let _ = std::fs::remove_file(&path);
     }
 }

@@ -12,13 +12,15 @@
 //! * [`rssd`] — Algorithm 2: Region Stripe Size Determination (exhaustive
 //!   `<h, s>` search with adaptive bounds),
 //! * [`region`] — region construction, the Data Reordering Table (DRT)
-//!   and Region Stripe Table (RST), with kvstore persistence,
+//!   and Region Stripe Table (RST),
 //! * [`redirect`] — the runtime I/O redirector (a [`pfs_sim::Resolver`]),
 //! * [`schemes`] — the four planners evaluated in the paper: DEF, AAL,
 //!   HARL and MHA, behind one [`schemes::LayoutPlanner`] trait,
-//! * [`persist`] — crash-consistent pipeline persistence: versioned
-//!   checksummed DRT/RST/plan generations with atomic commit, the
-//!   write-ahead migration journal, and [`persist::recover`],
+//! * [`persist`] — crash-consistent pipeline persistence, the one
+//!   module that knows an on-disk format: versioned checksummed
+//!   DRT/RST/plan generations with atomic commit, the write-ahead
+//!   migration journal, and [`persist::recover`], all reached through
+//!   one tenant's [`persist::TenantStore`],
 //! * [`online`] — the online loop: windowed drift detection,
 //!   centroid-seeded incremental regrouping with per-group RSSD reuse,
 //! * [`dynamic`] — epoch-driven dynamic optimization and the lazy
@@ -55,17 +57,13 @@ pub mod schemes;
 pub mod tenant;
 
 pub use cost::{placement_factors, CostParams, OpFactors, ReqView};
-pub use dynamic::{
-    run_dynamic, run_dynamic_durable, run_lazy_durable, DynamicConfig, DynamicReport,
-    LazyMigrator, PendingRedirect,
-};
+pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, LazyMigrator, PendingRedirect};
 pub use online::{
     OnlineConfig, OnlineConfigBuilder, OnlineConfigError, OnlinePlanner, Replan, ReplanStats,
     WindowSig,
 };
 pub use persist::{
-    recover, recover_tenant, CommitPoint, KillSwitch, PersistError, PipelineStore,
-    RecoveryOutcome, TenantStore,
+    recover, CommitPoint, KillSwitch, PersistError, PipelineStore, RecoveryOutcome, TenantStore,
 };
 pub use grouping::{
     group_requests, group_requests_parallel, group_requests_seeded, group_requests_serial,

@@ -55,6 +55,7 @@
 //! deterministic kill-point matrix across the whole pipeline.
 
 use crate::region::{Drt, DrtEntry, RegionInfo, Rst};
+use crate::rssd::StripePair;
 use crate::schemes::{Plan, PlanResolver, Scheme};
 use iotrace::{FileId, TenantId};
 use kvstore::codec::crc32;
@@ -488,6 +489,21 @@ fn entry_from_bytes(key: &[u8], v: &[u8]) -> Result<DrtEntry, PersistError> {
     Ok(e)
 }
 
+/// One RST row's stripe pair as 16 bytes: `h` then `s`, little-endian.
+fn pair_bytes(pair: StripePair) -> [u8; 16] {
+    let mut b = [0u8; 16];
+    b[..8].copy_from_slice(&pair.h.to_le_bytes());
+    b[8..].copy_from_slice(&pair.s.to_le_bytes());
+    b
+}
+
+fn pair_from_bytes(key: &[u8], v: &[u8]) -> Result<StripePair, PersistError> {
+    let mut r = Reader { key, rest: v };
+    let pair = StripePair { h: r.u64()?, s: r.u64()? };
+    r.finish()?;
+    Ok(pair)
+}
+
 // -------------------------------------------- meta and fault payloads --
 //
 // Plan metadata, in order:
@@ -707,7 +723,7 @@ struct Committed {
     has_meta: bool,
 }
 
-/// One journaled migration batch, as read back by [`PipelineStore::journal`].
+/// One journaled migration batch, as read back by [`TenantStore::journal`].
 #[derive(Debug, Clone)]
 pub struct JournalBatch {
     /// Batch index within the interrupted migration.
@@ -727,6 +743,10 @@ pub struct JournalBatch {
 /// open). Saves are therefore atomic at the commit record, and the
 /// journal's intent→move→commit discipline gives migration its
 /// write-ahead invariant.
+///
+/// Tables, plans and the journal live in per-tenant namespaces reached
+/// through [`PipelineStore::tenant`]; tenant 0 is the single-tenant
+/// pipeline's namespace.
 pub struct PipelineStore {
     store: Store,
     kill: KillSwitch,
@@ -761,18 +781,74 @@ impl PipelineStore {
         Ok(())
     }
 
-    /// The view of `tenant`'s namespace within this store. Tenant 0 is
-    /// the legacy namespace: its view reads and writes exactly the keys
-    /// the un-namespaced methods on `PipelineStore` do.
+    /// The view of `tenant`'s namespace within this store.
     pub fn tenant(&self, tenant: TenantId) -> TenantStore<'_> {
         TenantStore { store: self, ns: tenant.0 }
     }
 
+    /// [`TenantStore::save_tables`] for tenant 0.
+    pub fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
+        self.tenant(TenantId(0)).save_tables(drt, rst)
+    }
+
+    /// [`TenantStore::load_tables`] for tenant 0.
+    pub fn load_tables(&self) -> Result<Option<(Drt, Rst)>, PersistError> {
+        self.tenant(TenantId(0)).load_tables()
+    }
+
+    // ------------------------------------------------------ fault plans --
+
+    /// Persist a named [`FaultPlan`] (scenario library for degraded-mode
+    /// experiments). Overwrites a previous plan of the same name.
+    pub fn save_fault_plan(&self, name: &str, plan: &FaultPlan) -> Result<(), PersistError> {
+        self.kill.check(CommitPoint::TableEntry)?;
+        self.store.put(&fault_key(name), &seal(TAG_FAULT, &encode_fault_plan(plan)))?;
+        self.store.sync()?;
+        Ok(())
+    }
+
+    /// Load a named [`FaultPlan`], validating its envelope.
+    pub fn load_fault_plan(&self, name: &str) -> Result<Option<FaultPlan>, PersistError> {
+        let k = fault_key(name);
+        let Some(raw) = self.store.get(&k)? else { return Ok(None) };
+        Ok(Some(decode_fault_plan(&k, unseal(&k, TAG_FAULT, &raw)?)?))
+    }
+}
+
+// ------------------------------------------------------- tenant views --
+
+/// One tenant's namespace of a shared [`PipelineStore`]: its table
+/// generations, its committed plan and its migration journal, every key
+/// under the tenant's prefix (none for tenant 0).
+///
+/// Obtained from [`PipelineStore::tenant`]; the borrow keeps every
+/// tenant view on the same WAL, so cross-tenant write ordering is still
+/// physical and one fsync covers all tenants.
+#[derive(Clone, Copy)]
+pub struct TenantStore<'a> {
+    store: &'a PipelineStore,
+    ns: u32,
+}
+
+impl TenantStore<'_> {
+    /// The tenant this view belongs to.
+    pub fn tenant(&self) -> TenantId {
+        TenantId(self.ns)
+    }
+
+    fn kv(&self) -> &Store {
+        &self.store.store
+    }
+
+    fn check(&self, point: CommitPoint) -> Result<(), PersistError> {
+        self.store.kill.check(point)
+    }
+
     // ------------------------------------------------------ generations --
 
-    fn committed(&self, ns: u32) -> Result<Option<Committed>, PersistError> {
-        let ck = commit_key(ns);
-        let Some(raw) = self.store.get(&ck)? else { return Ok(None) };
+    fn committed(&self) -> Result<Option<Committed>, PersistError> {
+        let ck = commit_key(self.ns);
+        let Some(raw) = self.kv().get(&ck)? else { return Ok(None) };
         let mut r = Reader { key: &ck, rest: unseal(&ck, TAG_COMMIT, &raw)? };
         let c = Committed {
             gen: r.u64()?,
@@ -786,17 +862,17 @@ impl PipelineStore {
 
     /// Generation the commit record points at, if any save ever committed.
     pub fn committed_generation(&self) -> Result<Option<u64>, PersistError> {
-        Ok(self.committed(0)?.map(|c| c.gen))
+        Ok(self.committed()?.map(|c| c.gen))
     }
 
     /// First generation index with no records at all: past the committed
     /// generation *and* past any half-written generation a crash left
     /// behind, so a new save never mixes records with a dead one.
-    fn next_generation(&self, ns: u32) -> Result<u64, PersistError> {
-        let mut max = self.committed(ns)?.map(|c| c.gen);
+    fn next_generation(&self) -> Result<u64, PersistError> {
+        let mut max = self.committed()?.map(|c| c.gen);
         for table in [&b"pdrt:"[..], b"prst:", b"pmeta:"] {
-            let prefix = table_prefix(ns, table);
-            self.store.scan_keys(&prefix, |key| {
+            let prefix = table_prefix(self.ns, table);
+            self.kv().scan_keys(&prefix, |key| {
                 if let Some(g) = le_u64(&key[prefix.len()..]) {
                     max = Some(max.map_or(g, |m: u64| m.max(g)));
                 }
@@ -807,12 +883,12 @@ impl PipelineStore {
 
     fn save_generation(
         &self,
-        ns: u32,
         drt: &Drt,
         rst: &Rst,
         meta: Option<&[u8]>,
     ) -> Result<u64, PersistError> {
-        let gen = self.next_generation(ns)?;
+        let ns = self.ns;
+        let gen = self.next_generation()?;
         let mut entries = drt.iter();
         let mut payload = Vec::with_capacity(DRT_CHUNK_ENTRIES.min(drt.len()) * ENTRY_BYTES);
         for chunk in 0u32.. {
@@ -823,67 +899,59 @@ impl PipelineStore {
             if payload.is_empty() {
                 break;
             }
-            self.kill.check(CommitPoint::TableEntry)?;
-            self.store.put(&drt_chunk_key(ns, gen, chunk), &seal(TAG_DRT, &payload))?;
+            self.check(CommitPoint::TableEntry)?;
+            self.kv().put(&drt_chunk_key(ns, gen, chunk), &seal(TAG_DRT, &payload))?;
         }
         for (file, pair) in rst.iter() {
-            self.kill.check(CommitPoint::TableEntry)?;
-            self.store.put(&rst_entry_key(ns, gen, file), &seal(TAG_RST, &Rst::pair_value(pair)))?;
+            self.check(CommitPoint::TableEntry)?;
+            self.kv().put(&rst_entry_key(ns, gen, file), &seal(TAG_RST, &pair_bytes(pair)))?;
         }
         if let Some(meta) = meta {
-            self.kill.check(CommitPoint::TableEntry)?;
-            self.store.put(&meta_key(ns, gen), &seal(TAG_META, meta))?;
+            self.check(CommitPoint::TableEntry)?;
+            self.kv().put(&meta_key(ns, gen), &seal(TAG_META, meta))?;
         }
-        self.kill.check(CommitPoint::TableCommit)?;
+        self.check(CommitPoint::TableCommit)?;
         let mut payload = Vec::with_capacity(25);
         put_u64(&mut payload, gen);
         put_u64(&mut payload, drt.len() as u64);
         put_u64(&mut payload, rst.len() as u64);
         payload.push(u8::from(meta.is_some()));
-        self.store.put(&commit_key(ns), &seal(TAG_COMMIT, &payload))?;
-        self.store.sync()?;
+        self.kv().put(&commit_key(ns), &seal(TAG_COMMIT, &payload))?;
+        self.kv().sync()?;
         Ok(gen)
-    }
-
-    fn save_plan_ns(&self, ns: u32, plan: &Plan) -> Result<u64, PersistError> {
-        let empty = Drt::new();
-        let drt = match &plan.resolver {
-            PlanResolver::Drt(d) => d,
-            PlanResolver::Identity => &empty,
-        };
-        self.save_generation(ns, drt, &plan.rst, Some(&encode_meta(plan)))
     }
 
     /// Atomically commit a new generation holding `drt` and `rst`.
     /// Returns the committed generation index. A crash at any point
     /// before the commit record leaves the previous generation intact.
     pub fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
-        self.save_generation(0, drt, rst, None)
+        self.save_generation(drt, rst, None)
     }
 
     /// Atomically commit a new generation holding a whole planner output:
     /// its tables plus scheme, layouts and region descriptors.
     pub fn save_plan(&self, plan: &Plan) -> Result<u64, PersistError> {
-        self.save_plan_ns(0, plan)
+        let empty = Drt::new();
+        let drt = match &plan.resolver {
+            PlanResolver::Drt(d) => d,
+            PlanResolver::Identity => &empty,
+        };
+        self.save_generation(drt, &plan.rst, Some(&encode_meta(plan)))
     }
 
     /// Load the committed generation's tables, verifying every envelope
     /// and the committed entry counts. `Ok(None)` when nothing has ever
     /// committed; a structured error when anything on disk is damaged.
     pub fn load_tables(&self) -> Result<Option<(Drt, Rst)>, PersistError> {
-        self.load_tables_ns(0)
+        let Some(c) = self.committed()? else { return Ok(None) };
+        Ok(Some(self.tables_at(&c)?))
     }
 
-    fn load_tables_ns(&self, ns: u32) -> Result<Option<(Drt, Rst)>, PersistError> {
-        let Some(c) = self.committed(ns)? else { return Ok(None) };
-        Ok(Some(self.tables_at(ns, &c)?))
-    }
-
-    fn tables_at(&self, ns: u32, c: &Committed) -> Result<(Drt, Rst), PersistError> {
+    fn tables_at(&self, c: &Committed) -> Result<(Drt, Rst), PersistError> {
         let mut drt = Drt::new();
-        let dp = drt_gen_prefix(ns, c.gen);
+        let dp = drt_gen_prefix(self.ns, c.gen);
         let mut n = 0u64;
-        self.store.scan_prefix(&dp, |key, raw| {
+        self.kv().scan_prefix(&dp, |key, raw| {
             if key.len() != dp.len() + 4 {
                 return Err(corrupt(key, "malformed DRT chunk key"));
             }
@@ -909,29 +977,26 @@ impl PipelineStore {
         })?;
         if n != c.drt_count {
             return Err(corrupt(
-                &commit_key(ns),
+                &commit_key(self.ns),
                 format!("{} DRT entries on disk, commit record expects {}", n, c.drt_count),
             ));
         }
         let mut rst = Rst::new();
-        let rp = rst_gen_prefix(ns, c.gen);
+        let rp = rst_gen_prefix(self.ns, c.gen);
         let mut m = 0u64;
-        self.store.scan_prefix(&rp, |key, raw| {
+        self.kv().scan_prefix(&rp, |key, raw| {
             let rest = &key[rp.len()..];
             if rest.len() != 4 {
                 return Err(corrupt(key, "malformed RST entry key"));
             }
             let file = FileId(le_u32(rest).expect("4 bytes"));
-            let payload = unseal(key, TAG_RST, raw)?;
-            let pair = Rst::decode_pair(payload)
-                .ok_or_else(|| corrupt(key, "malformed RST entry value"))?;
-            rst.set(file, pair);
+            rst.set(file, pair_from_bytes(key, unseal(key, TAG_RST, raw)?)?);
             m += 1;
             Ok(())
         })?;
         if m != c.rst_count {
             return Err(corrupt(
-                &commit_key(ns),
+                &commit_key(self.ns),
                 format!("{} RST entries on disk, commit record expects {}", m, c.rst_count),
             ));
         }
@@ -939,97 +1004,53 @@ impl PipelineStore {
     }
 
     /// Load the committed plan, if the committed generation was written
-    /// by [`PipelineStore::save_plan`] (table-only generations return
+    /// by [`TenantStore::save_plan`] (table-only generations return
     /// `Ok(None)`).
     pub fn load_plan(&self) -> Result<Option<Plan>, PersistError> {
-        self.load_plan_ns(0)
-    }
-
-    fn load_plan_ns(&self, ns: u32) -> Result<Option<Plan>, PersistError> {
-        let Some(c) = self.committed(ns)? else { return Ok(None) };
+        let Some(c) = self.committed()? else { return Ok(None) };
         if !c.has_meta {
             return Ok(None);
         }
-        let (drt, rst) = self.tables_at(ns, &c)?;
-        let mk = meta_key(ns, c.gen);
-        let raw =
-            self.store.get(&mk)?.ok_or_else(|| PersistError::Missing { key: key_name(&mk) })?;
-        Ok(Some(decode_plan(&mk, unseal(&mk, TAG_META, &raw)?, drt, rst)?))
+        let (drt, rst) = self.tables_at(&c)?;
+        let (mk, payload) = self.meta_at(c.gen)?;
+        Ok(Some(decode_plan(&mk, &payload, drt, rst)?))
     }
 
-    /// Raw plan-metadata payload of the committed generation, envelope
-    /// validated, so recovery can carry it into the generation it commits.
-    fn committed_meta_raw(&self, ns: u32) -> Result<Option<Vec<u8>>, PersistError> {
-        let Some(c) = self.committed(ns)? else { return Ok(None) };
-        if !c.has_meta {
-            return Ok(None);
-        }
-        let mk = meta_key(ns, c.gen);
-        let raw =
-            self.store.get(&mk)?.ok_or_else(|| PersistError::Missing { key: key_name(&mk) })?;
-        Ok(Some(unseal(&mk, TAG_META, &raw)?.to_vec()))
-    }
-
-    fn gc_ns(&self, ns: u32) -> Result<(), PersistError> {
-        let committed = self.committed(ns)?.map(|c| c.gen);
-        for table in [&b"pdrt:"[..], b"prst:", b"pmeta:"] {
-            let prefix = table_prefix(ns, table);
-            for key in self.store.keys_with_prefix(&prefix) {
-                if le_u64(&key[prefix.len()..]) != committed {
-                    self.store.delete(&key)?;
-                }
-            }
-        }
-        self.store.compact()?;
-        Ok(())
+    /// Key and envelope-validated payload of generation `gen`'s plan
+    /// metadata.
+    fn meta_at(&self, gen: u64) -> Result<(Vec<u8>, Vec<u8>), PersistError> {
+        let mk = meta_key(self.ns, gen);
+        let raw = self.kv().get(&mk)?.ok_or_else(|| PersistError::Missing { key: key_name(&mk) })?;
+        let payload = unseal(&mk, TAG_META, &raw)?.to_vec();
+        Ok((mk, payload))
     }
 
     /// Drop every record of non-committed generations and compact the
     /// log (old generations, dead journal tombstones, superseded puts).
-    /// Namespace-0 only; use [`TenantStore::gc`] for a tenant's view.
     pub fn gc(&self) -> Result<(), PersistError> {
-        self.gc_ns(0)
-    }
-
-    // ------------------------------------------------------ fault plans --
-
-    /// Persist a named [`FaultPlan`] (scenario library for degraded-mode
-    /// experiments). Overwrites a previous plan of the same name.
-    pub fn save_fault_plan(&self, name: &str, plan: &FaultPlan) -> Result<(), PersistError> {
-        self.kill.check(CommitPoint::TableEntry)?;
-        self.store.put(&fault_key(name), &seal(TAG_FAULT, &encode_fault_plan(plan)))?;
-        self.store.sync()?;
+        let committed = self.committed_generation()?;
+        for table in [&b"pdrt:"[..], b"prst:", b"pmeta:"] {
+            let prefix = table_prefix(self.ns, table);
+            for key in self.kv().keys_with_prefix(&prefix) {
+                if le_u64(&key[prefix.len()..]) != committed {
+                    self.kv().delete(&key)?;
+                }
+            }
+        }
+        self.kv().compact()?;
         Ok(())
-    }
-
-    /// Load a named [`FaultPlan`], validating its envelope.
-    pub fn load_fault_plan(&self, name: &str) -> Result<Option<FaultPlan>, PersistError> {
-        let k = fault_key(name);
-        let Some(raw) = self.store.get(&k)? else { return Ok(None) };
-        Ok(Some(decode_fault_plan(&k, unseal(&k, TAG_FAULT, &raw)?)?))
     }
 
     // ---------------------------------------------------------- journal --
 
-    fn journal_batch_ns(&self, ns: u32, batch: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
-        for (i, e) in entries.iter().enumerate() {
-            self.kill.check(CommitPoint::BatchIntent)?;
-            self.store
-                .put(&journal_key(ns, batch, i as u32), &seal(TAG_JOURNAL, &entry_bytes(e)))?;
-        }
-        Ok(())
-    }
-
     /// Journal a migration batch's intended DRT entries *before* any
     /// data moves (the write-ahead half of the invariant).
     pub fn journal_batch(&self, batch: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
-        self.journal_batch_ns(0, batch, entries)
-    }
-
-    fn commit_batch_ns(&self, ns: u32, batch: u32) -> Result<(), PersistError> {
-        self.kill.check(CommitPoint::BatchCommit)?;
-        self.store.put(&journal_commit_key(ns, batch), &seal(TAG_COMMIT, &[]))?;
-        self.store.sync()?;
+        for (i, e) in entries.iter().enumerate() {
+            self.check(CommitPoint::BatchIntent)?;
+            self.kv()
+                .put(&journal_key(self.ns, batch, i as u32), &seal(TAG_JOURNAL, &entry_bytes(e)))?;
+        }
         Ok(())
     }
 
@@ -1038,14 +1059,19 @@ impl PipelineStore {
     /// record on, recovery rolls the batch forward instead of
     /// discarding it.
     pub fn commit_batch(&self, batch: u32) -> Result<(), PersistError> {
-        self.commit_batch_ns(0, batch)
+        self.check(CommitPoint::BatchCommit)?;
+        self.kv().put(&journal_commit_key(self.ns, batch), &seal(TAG_COMMIT, &[]))?;
+        self.kv().sync()?;
+        Ok(())
     }
 
-    fn journal_ns(&self, ns: u32) -> Result<Vec<JournalBatch>, PersistError> {
+    /// Read the journal back: every batch with intent records, in batch
+    /// order, with its committed flag.
+    pub fn journal(&self) -> Result<Vec<JournalBatch>, PersistError> {
         let mut batches: std::collections::BTreeMap<u32, Vec<(u32, DrtEntry)>> =
             std::collections::BTreeMap::new();
-        let prefix = table_prefix(ns, b"mig:");
-        self.store.scan_prefix(&prefix, |key, raw| {
+        let prefix = table_prefix(self.ns, b"mig:");
+        self.kv().scan_prefix(&prefix, |key, raw| {
             let rest = &key[prefix.len()..];
             if rest.len() != 9 || rest[4] != b':' {
                 return Err(corrupt(key, "malformed journal key"));
@@ -1059,8 +1085,8 @@ impl PipelineStore {
         let mut out = Vec::with_capacity(batches.len());
         for (batch, mut v) in batches {
             v.sort_by_key(|(i, _)| *i);
-            let ck = journal_commit_key(ns, batch);
-            let committed = match self.store.get(&ck)? {
+            let ck = journal_commit_key(self.ns, batch);
+            let committed = match self.kv().get(&ck)? {
                 Some(raw) => {
                     unseal(&ck, TAG_COMMIT, &raw)?;
                     true
@@ -1076,109 +1102,19 @@ impl PipelineStore {
         Ok(out)
     }
 
-    /// Read the journal back: every batch with intent records, in batch
-    /// order, with its committed flag.
-    pub fn journal(&self) -> Result<Vec<JournalBatch>, PersistError> {
-        self.journal_ns(0)
-    }
-
-    fn clear_journal_ns(&self, ns: u32) -> Result<(), PersistError> {
-        self.kill.check(CommitPoint::JournalClear)?;
-        for key in self.store.keys_with_prefix(&table_prefix(ns, b"mig:")) {
-            self.store.delete(&key)?;
-        }
-        for key in self.store.keys_with_prefix(&table_prefix(ns, b"migc:")) {
-            self.store.delete(&key)?;
-        }
-        self.store.sync()?;
-        Ok(())
-    }
-
     /// Delete every journal record (intents first, then commit markers:
     /// a crash mid-clear leaves either already-published committed
     /// batches or intent-less markers, both of which recovery ignores
     /// or re-skips harmlessly).
     pub fn clear_journal(&self) -> Result<(), PersistError> {
-        self.clear_journal_ns(0)
-    }
-}
-
-// ------------------------------------------------------- tenant views --
-
-/// One tenant's namespaced view of a shared [`PipelineStore`]: the same
-/// generation/journal machinery, with every key living under the
-/// tenant's prefix. Namespace 0 reads and writes the legacy flat keys,
-/// so `store.tenant(TenantId(0))` is interchangeable with the direct
-/// `PipelineStore` methods byte for byte.
-///
-/// Obtained from [`PipelineStore::tenant`]; the borrow keeps every
-/// tenant view on the same WAL, so cross-tenant write ordering is still
-/// physical and one fsync covers all tenants.
-#[derive(Clone, Copy)]
-pub struct TenantStore<'a> {
-    store: &'a PipelineStore,
-    ns: u32,
-}
-
-impl TenantStore<'_> {
-    /// The tenant this view belongs to.
-    pub fn tenant(&self) -> TenantId {
-        TenantId(self.ns)
-    }
-
-    /// Generation the tenant's commit record points at, if any.
-    pub fn committed_generation(&self) -> Result<Option<u64>, PersistError> {
-        Ok(self.store.committed(self.ns)?.map(|c| c.gen))
-    }
-
-    /// Atomically commit a new generation of this tenant's tables
-    /// (see [`PipelineStore::save_tables`]).
-    pub fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
-        self.store.save_generation(self.ns, drt, rst, None)
-    }
-
-    /// Atomically commit a whole planner output for this tenant
-    /// (see [`PipelineStore::save_plan`]).
-    pub fn save_plan(&self, plan: &Plan) -> Result<u64, PersistError> {
-        self.store.save_plan_ns(self.ns, plan)
-    }
-
-    /// Load this tenant's committed tables
-    /// (see [`PipelineStore::load_tables`]).
-    pub fn load_tables(&self) -> Result<Option<(Drt, Rst)>, PersistError> {
-        self.store.load_tables_ns(self.ns)
-    }
-
-    /// Load this tenant's committed plan
-    /// (see [`PipelineStore::load_plan`]).
-    pub fn load_plan(&self) -> Result<Option<Plan>, PersistError> {
-        self.store.load_plan_ns(self.ns)
-    }
-
-    /// Journal a migration batch intent in this tenant's journal
-    /// (see [`PipelineStore::journal_batch`]).
-    pub fn journal_batch(&self, batch: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
-        self.store.journal_batch_ns(self.ns, batch, entries)
-    }
-
-    /// Commit a journaled batch (see [`PipelineStore::commit_batch`]).
-    pub fn commit_batch(&self, batch: u32) -> Result<(), PersistError> {
-        self.store.commit_batch_ns(self.ns, batch)
-    }
-
-    /// Read this tenant's journal (see [`PipelineStore::journal`]).
-    pub fn journal(&self) -> Result<Vec<JournalBatch>, PersistError> {
-        self.store.journal_ns(self.ns)
-    }
-
-    /// Clear this tenant's journal (see [`PipelineStore::clear_journal`]).
-    pub fn clear_journal(&self) -> Result<(), PersistError> {
-        self.store.clear_journal_ns(self.ns)
-    }
-
-    /// Drop this tenant's non-committed generations and compact the log.
-    pub fn gc(&self) -> Result<(), PersistError> {
-        self.store.gc_ns(self.ns)
+        self.check(CommitPoint::JournalClear)?;
+        for table in [&b"mig:"[..], b"migc:"] {
+            for key in self.kv().keys_with_prefix(&table_prefix(self.ns, table)) {
+                self.kv().delete(&key)?;
+            }
+        }
+        self.kv().sync()?;
+        Ok(())
     }
 }
 
@@ -1195,7 +1131,8 @@ pub struct RecoveryOutcome {
     pub discarded_batches: usize,
 }
 
-/// Bring a reopened [`PipelineStore`] to a consistent state.
+/// Bring one tenant's namespace of a reopened [`PipelineStore`] to a
+/// consistent state.
 ///
 /// * No journal → nothing to do; the committed generation (if any) *is*
 ///   the state.
@@ -1211,37 +1148,26 @@ pub struct RecoveryOutcome {
 /// journal is cleared, so a crash *during* recovery just recovers again.
 /// Recovering an already-recovered store is a no-op: the journal is
 /// empty, nothing rolls forward — recovery is idempotent.
-pub fn recover(store: &PipelineStore) -> Result<RecoveryOutcome, PersistError> {
-    recover_ns(store, 0)
-}
-
-/// [`recover`] for one tenant's namespace of a shared store. Tenants
-/// recover independently: rolling tenant A forward never reads or
-/// clears tenant B's journal, so a service restart can recover each
+///
+/// Tenants recover independently: rolling tenant A forward never reads
+/// or clears tenant B's journal, so a service restart can recover each
 /// registered tenant in any order (and skip tenants it no longer
-/// serves) without cross-contamination. `recover_tenant(s, TenantId(0))`
-/// is exactly [`recover`].
-pub fn recover_tenant(
-    store: &PipelineStore,
-    tenant: TenantId,
-) -> Result<RecoveryOutcome, PersistError> {
-    recover_ns(store, tenant.0)
-}
-
-fn recover_ns(store: &PipelineStore, ns: u32) -> Result<RecoveryOutcome, PersistError> {
-    let journal = store.journal_ns(ns)?;
+/// serves) without cross-contamination.
+pub fn recover(store: TenantStore<'_>) -> Result<RecoveryOutcome, PersistError> {
+    let journal = store.journal()?;
     if journal.is_empty() {
         return Ok(RecoveryOutcome {
-            tables: store.load_tables_ns(ns)?,
+            tables: store.load_tables()?,
             rolled_forward: 0,
             discarded_batches: 0,
         });
     }
-    let Some((mut drt, rst)) = store.load_tables_ns(ns)? else {
+    let Some(c) = store.committed()? else {
         let discarded = journal.len();
-        store.clear_journal_ns(ns)?;
+        store.clear_journal()?;
         return Ok(RecoveryOutcome { tables: None, rolled_forward: 0, discarded_batches: discarded });
     };
+    let (mut drt, rst) = store.tables_at(&c)?;
     let mut rolled = 0usize;
     let mut discarded = 0usize;
     for batch in &journal {
@@ -1262,10 +1188,10 @@ fn recover_ns(store: &PipelineStore, ns: u32) -> Result<RecoveryOutcome, Persist
         }
     }
     if rolled > 0 {
-        let meta = store.committed_meta_raw(ns)?;
-        store.save_generation(ns, &drt, &rst, meta.as_deref())?;
+        let meta = if c.has_meta { Some(store.meta_at(c.gen)?.1) } else { None };
+        store.save_generation(&drt, &rst, meta.as_deref())?;
     }
-    store.clear_journal_ns(ns)?;
+    store.clear_journal()?;
     Ok(RecoveryOutcome { tables: Some((drt, rst)), rolled_forward: rolled, discarded_batches: discarded })
 }
 
@@ -1276,6 +1202,12 @@ mod tests {
     use rand::rngs::SmallRng;
     use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
+
+    /// The tenant-0 view, where the single-tenant pipeline keeps its
+    /// state.
+    fn t0(store: &PipelineStore) -> TenantStore<'_> {
+        store.tenant(TenantId(0))
+    }
 
     fn tmp_path(tag: &str) -> PathBuf {
         let p = std::env::temp_dir().join(format!("mha-persist-{}-{tag}", std::process::id()));
@@ -1379,7 +1311,7 @@ mod tests {
         let (d, r) = store.load_tables().expect("load").expect("committed");
         assert_eq!(d, drt);
         assert_eq!(r, rst);
-        store.gc().expect("gc");
+        t0(&store).gc().expect("gc");
         let (d, r) = store.load_tables().expect("load after gc").expect("committed");
         assert_eq!((d, r), (drt, rst));
         let _ = std::fs::remove_file(&path);
@@ -1391,10 +1323,10 @@ mod tests {
         let plan = sample_plan();
         {
             let store = PipelineStore::open(&path).expect("open");
-            store.save_plan(&plan).expect("save plan");
+            t0(&store).save_plan(&plan).expect("save plan");
         }
         let store = PipelineStore::open(&path).expect("reopen");
-        let loaded = store.load_plan().expect("load").expect("committed plan");
+        let loaded = t0(&store).load_plan().expect("load").expect("committed plan");
         assert_eq!(loaded.scheme, plan.scheme);
         assert_eq!(loaded.layouts, plan.layouts);
         assert_eq!(loaded.rst, plan.rst);
@@ -1431,8 +1363,8 @@ mod tests {
             regions: Vec::new(),
         };
         let store = PipelineStore::open(&path).expect("open");
-        store.save_plan(&plan).expect("save");
-        let loaded = store.load_plan().expect("load").expect("committed");
+        t0(&store).save_plan(&plan).expect("save");
+        let loaded = t0(&store).load_plan().expect("load").expect("committed");
         assert!(matches!(loaded.resolver, PlanResolver::Identity));
         assert_eq!(loaded.scheme, Scheme::Def);
         let _ = std::fs::remove_file(&path);
@@ -1502,11 +1434,11 @@ mod tests {
         let path = tmp_path("meta-malformed");
         let store = PipelineStore::open(&path).expect("open");
         let plan = sample_plan();
-        let gen = store.save_plan(&plan).expect("save");
+        let gen = t0(&store).save_plan(&plan).expect("save");
         let mk = meta_key(0, gen);
         let load = |payload: &[u8]| {
             store.store().put(&mk, &seal(TAG_META, payload)).expect("put");
-            store.load_plan()
+            t0(&store).load_plan()
         };
         let good = encode_meta(&plan);
         let two = [(0, 4096), (1, 4096)];
@@ -1631,7 +1563,7 @@ mod tests {
         let store = PipelineStore::open(&path).expect("open");
         store.save_tables(&drt, &rst).expect("save");
         // Flip one payload bit of a committed DRT record, in place.
-        let gen = store.committed_generation().expect("gen").expect("committed");
+        let gen = t0(&store).committed_generation().expect("gen").expect("committed");
         let key = drt_chunk_key(0, gen, 0);
         let mut raw = store.store().get(&key).expect("get").expect("present");
         let last = raw.len() - 1;
@@ -1653,7 +1585,7 @@ mod tests {
         let (drt, rst) = sample_tables();
         let store = PipelineStore::open(&path).expect("open");
         store.save_tables(&drt, &rst).expect("save");
-        let gen = store.committed_generation().expect("gen").expect("committed");
+        let gen = t0(&store).committed_generation().expect("gen").expect("committed");
         let key = drt_chunk_key(0, gen, 0);
         let mut raw = store.store().get(&key).expect("get").expect("present");
         raw[3] = VERSION + 1;
@@ -1672,7 +1604,7 @@ mod tests {
         let (drt, rst) = sample_tables();
         let store = PipelineStore::open(&path).expect("open");
         store.save_tables(&drt, &rst).expect("save");
-        let gen = store.committed_generation().expect("gen").expect("committed");
+        let gen = t0(&store).committed_generation().expect("gen").expect("committed");
         store.store().delete(&drt_chunk_key(0, gen, 0)).expect("delete");
         assert!(
             matches!(store.load_tables(), Err(PersistError::Corrupt { .. })),
@@ -1870,7 +1802,7 @@ mod tests {
             let (d, r) = store.load_tables().expect("load").expect("base generation committed");
             assert_eq!(d, old_drt, "boundary {k}: DRT must be the old generation");
             assert_eq!(r, old_rst, "boundary {k}: RST must be the old generation");
-            let out = recover(&store).expect("recover");
+            let out = recover(t0(&store)).expect("recover");
             assert_eq!(out.tables.expect("tables"), (old_drt.clone(), old_rst.clone()));
             assert_eq!(out.rolled_forward, 0);
             // A retried save skips the dead generation's records and wins.
@@ -1899,7 +1831,7 @@ mod tests {
             let store = PipelineStore::open(&path).expect("open");
             store.save_tables(&old_drt, &old_rst).expect("base save");
             store.kill_switch().reset();
-            store.save_plan(&plan).expect("recording save");
+            t0(&store).save_plan(&plan).expect("recording save");
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
@@ -1912,7 +1844,7 @@ mod tests {
                 store.save_tables(&old_drt, &old_rst).expect("base save");
                 store.kill_switch().reset();
                 store.kill_switch().arm(k);
-                match store.save_plan(&plan) {
+                match t0(&store).save_plan(&plan) {
                     Err(PersistError::Killed(_)) => {}
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
@@ -1920,15 +1852,15 @@ mod tests {
             // "Crash", reopen, recover: the store must resolve to the old
             // committed generation, never a mix.
             let store = PipelineStore::open(&path).expect("reopen");
-            let out = recover(&store).expect("recover");
+            let out = recover(t0(&store)).expect("recover");
             let (d, r) = out.tables.expect("base generation still committed");
             assert_eq!(d, old_drt, "boundary {k}: DRT must be the old generation");
             assert_eq!(r, old_rst, "boundary {k}: RST must be the old generation");
             assert_eq!(out.rolled_forward, 0);
             // And a retried save on the recovered store works and wins.
             store.kill_switch().disarm();
-            store.save_plan(&plan).expect("retry save");
-            let loaded = store.load_plan().expect("load").expect("plan");
+            t0(&store).save_plan(&plan).expect("retry save");
+            let loaded = t0(&store).load_plan().expect("load").expect("plan");
             assert_eq!(loaded.rst, plan.rst);
             let _ = std::fs::remove_file(&path);
         }
@@ -1944,11 +1876,11 @@ mod tests {
         // its movement finished).
         let committed = [entry(1 << 20, 70_001, 0), entry((1 << 20) + 8192, 70_001, 4096)];
         let uncommitted = [entry(1 << 21, 70_001, 8192)];
-        store.journal_batch(0, &committed).expect("journal 0");
-        store.commit_batch(0).expect("commit 0");
-        store.journal_batch(1, &uncommitted).expect("journal 1");
+        t0(&store).journal_batch(0, &committed).expect("journal 0");
+        t0(&store).commit_batch(0).expect("commit 0");
+        t0(&store).journal_batch(1, &uncommitted).expect("journal 1");
 
-        let out = recover(&store).expect("recover");
+        let out = recover(t0(&store)).expect("recover");
         assert_eq!(out.rolled_forward, 2);
         assert_eq!(out.discarded_batches, 1);
         let (d, _) = out.tables.expect("tables");
@@ -1967,7 +1899,7 @@ mod tests {
             );
         }
         // Idempotence: recovering again changes nothing.
-        let again = recover(&store).expect("recover again");
+        let again = recover(t0(&store)).expect("recover again");
         assert_eq!(again.rolled_forward, 0);
         assert_eq!(again.discarded_batches, 0);
         assert_eq!(again.tables.expect("tables").0, d);
@@ -1978,12 +1910,12 @@ mod tests {
     fn journal_with_no_base_generation_is_discarded() {
         let path = tmp_path("orphan-journal");
         let store = PipelineStore::open(&path).expect("open");
-        store.journal_batch(0, &[entry(0, 70_000, 0)]).expect("journal");
-        store.commit_batch(0).expect("commit");
-        let out = recover(&store).expect("recover");
+        t0(&store).journal_batch(0, &[entry(0, 70_000, 0)]).expect("journal");
+        t0(&store).commit_batch(0).expect("commit");
+        let out = recover(t0(&store)).expect("recover");
         assert!(out.tables.is_none());
         assert_eq!(out.discarded_batches, 1);
-        assert!(store.journal().expect("journal").is_empty());
+        assert!(t0(&store).journal().expect("journal").is_empty());
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2042,14 +1974,56 @@ mod tests {
         let path = tmp_path("tenant-zero");
         let store = PipelineStore::open(&path).expect("open");
         let (drt, rst) = sample_tables();
-        // Written through the namespaced view, readable through the
-        // legacy API (and vice versa): namespace 0 adds no prefix.
-        let g = store.tenant(TenantId(0)).save_tables(&drt, &rst).expect("ns save");
-        assert_eq!(store.committed_generation().expect("legacy gen"), Some(g));
+        // The store's own table calls are tenant 0's, both ways round.
+        let g = t0(&store).save_tables(&drt, &rst).expect("ns save");
         let (d, r) = store.load_tables().expect("legacy load").expect("committed");
         assert_eq!((d, r), (drt.clone(), rst.clone()));
         let g2 = store.save_tables(&drt, &rst).expect("legacy save");
-        assert_eq!(store.tenant(TenantId(0)).committed_generation().expect("ns gen"), Some(g2));
+        assert_eq!(g2, g + 1);
+        assert_eq!(t0(&store).committed_generation().expect("ns gen"), Some(g2));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Every key the pipeline writes, as literal bytes: tenant 0 adds no
+    /// prefix, tenant 7 prefixes `t` + le32 + `:`. Generations are le64,
+    /// DRT chunks be32, RST files le32, journal batches and indices le32.
+    #[test]
+    fn key_bytes_are_pinned() {
+        let path = tmp_path("key-bytes");
+        let store = PipelineStore::open(&path).expect("open");
+        let (drt, rst) = sample_tables();
+        let mut two_chunks = Drt::new();
+        for i in 0..=DRT_CHUNK_ENTRIES as u64 {
+            assert!(two_chunks.insert(entry(i * 8192, 70_000, i * 4096)));
+        }
+        for t in [0, 7] {
+            let ts = store.tenant(TenantId(t));
+            assert_eq!(ts.save_tables(&two_chunks, &rst).expect("save tables"), 0);
+            assert_eq!(ts.save_plan(&sample_plan()).expect("save plan"), 1);
+            ts.journal_batch(3, &drt.entries()[..2]).expect("journal");
+            ts.commit_batch(3).expect("commit");
+        }
+        let keys = |prefix: &[u8]| -> Vec<Vec<u8>> {
+            [
+                &b"mig:\x03\x00\x00\x00:\x00\x00\x00\x00"[..],
+                b"mig:\x03\x00\x00\x00:\x01\x00\x00\x00",
+                b"migc:\x03\x00\x00\x00",
+                b"pcommit",
+                b"pdrt:\x00\x00\x00\x00\x00\x00\x00\x00:\x00\x00\x00\x00",
+                b"pdrt:\x00\x00\x00\x00\x00\x00\x00\x00:\x00\x00\x00\x01",
+                b"pdrt:\x01\x00\x00\x00\x00\x00\x00\x00:\x00\x00\x00\x00",
+                b"pmeta:\x01\x00\x00\x00\x00\x00\x00\x00",
+                b"prst:\x00\x00\x00\x00\x00\x00\x00\x00:\x70\x11\x01\x00",
+                b"prst:\x00\x00\x00\x00\x00\x00\x00\x00:\x71\x11\x01\x00",
+                b"prst:\x01\x00\x00\x00\x00\x00\x00\x00:\x70\x11\x01\x00",
+                b"prst:\x01\x00\x00\x00\x00\x00\x00\x00:\x71\x11\x01\x00",
+            ]
+            .iter()
+            .map(|k| [prefix, k].concat())
+            .collect()
+        };
+        let want = [keys(b""), keys(b"t\x07\x00\x00\x00:")].concat();
+        assert_eq!(store.store().keys_with_prefix(b""), want);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2089,7 +2063,7 @@ mod tests {
     }
 
     #[test]
-    fn recover_tenant_rolls_forward_and_discards_per_namespace_only() {
+    fn recover_rolls_forward_and_discards_per_namespace_only() {
         let path = tmp_path("tenant-recover");
         let store = PipelineStore::open(&path).expect("open");
         for t in 1..=2u32 {
@@ -2111,7 +2085,7 @@ mod tests {
         let extra2 = DrtEntry { o_file: FileId(2), ..extra1 };
         store.tenant(TenantId(2)).journal_batch(0, std::slice::from_ref(&extra2)).expect("journal");
 
-        let o1 = recover_tenant(&store, TenantId(1)).expect("recover t1");
+        let o1 = recover(store.tenant(TenantId(1))).expect("recover t1");
         assert_eq!(o1.rolled_forward, 1);
         assert_eq!(o1.discarded_batches, 0);
         let (d1, _) = o1.tables.expect("tables");
@@ -2121,14 +2095,14 @@ mod tests {
         );
 
         // Tenant 2's journal was untouched by tenant 1's recovery.
-        let o2 = recover_tenant(&store, TenantId(2)).expect("recover t2");
+        let o2 = recover(store.tenant(TenantId(2))).expect("recover t2");
         assert_eq!(o2.rolled_forward, 0);
         assert_eq!(o2.discarded_batches, 1);
         let (d2, _) = o2.tables.expect("tables");
         assert_eq!(d2.lookup_exact(extra2.o_file, extra2.o_offset, extra2.length), None);
 
-        // The legacy namespace never had state and still does not.
-        let o0 = recover(&store).expect("recover legacy");
+        // Tenant 0 never had state and still does not.
+        let o0 = recover(t0(&store)).expect("recover tenant 0");
         assert!(o0.tables.is_none());
         let _ = std::fs::remove_file(&path);
     }

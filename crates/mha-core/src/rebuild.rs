@@ -10,8 +10,8 @@
 //! before).
 //!
 //! The rebuild rides the migration write-ahead journal
-//! ([`crate::persist::PipelineStore::journal_batch`] /
-//! [`PipelineStore::commit_batch`]): one batch per affected file, in
+//! ([`TenantStore::journal_batch`] / [`TenantStore::commit_batch`]):
+//! one batch per affected file, in
 //! `FileId` order, each journaling a single [`DrtEntry`] whose `length`
 //! is the byte count being reconstructed for that file
 //! (`o_file == r_file`, offsets 0 — the entry is an *intent marker* for
@@ -46,7 +46,7 @@
 //! not be interleaved with a journaled migration on the same store (batch
 //! ids would collide). Run one to completion before starting the other.
 
-use crate::persist::{PersistError, PipelineStore};
+use crate::persist::{PersistError, TenantStore};
 use crate::region::DrtEntry;
 use iotrace::{FileId, Trace};
 use pfs_sim::{LayoutSpec, Placement, ServerId};
@@ -104,7 +104,7 @@ pub fn file_sizes(trace: &Trace) -> Vec<(FileId, u64)> {
 /// If `spare == dead`, or an affected layout already places data on
 /// `spare` (one server cannot host two segments of the same round).
 pub fn rebuild_onto_spare(
-    store: &PipelineStore,
+    store: TenantStore<'_>,
     layouts: &mut [(FileId, LayoutSpec)],
     sizes: &[(FileId, u64)],
     dead: ServerId,
@@ -180,9 +180,15 @@ pub fn rebuild_onto_spare(
 mod tests {
     use super::*;
     use crate::persist::PipelineStore;
+    use iotrace::TenantId;
     use iotrace::{Rank, TraceRecord};
     use simrt::SimTime;
     use storage_model::IoOp;
+
+    /// The tenant-0 view the rebuild journals through.
+    fn t0(store: &PipelineStore) -> TenantStore<'_> {
+        store.tenant(TenantId(0))
+    }
 
     fn tmp_store(tag: &str) -> std::path::PathBuf {
         let p = std::env::temp_dir().join(format!("mha-rebuild-{}-{tag}", std::process::id()));
@@ -282,7 +288,8 @@ mod tests {
         let (lost, read, written) = expected_totals(&layouts, &sizes);
         let path = tmp_store("happy");
         let store = PipelineStore::open(&path).expect("open");
-        let out = rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE).expect("rebuild");
+        let out =
+            rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("rebuild");
         assert_eq!(out.files, N_RED);
         assert_eq!(out.batches, N_RED as u32);
         assert_eq!(out.bytes_lost, lost);
@@ -290,10 +297,11 @@ mod tests {
         assert_eq!(out.bytes_written, written);
         assert!(out.bytes_read > out.bytes_written, "EC files read k-fold");
         assert_fully_swapped(&layouts, &originals);
-        assert!(store.journal().expect("journal").is_empty(), "journal cleared");
+        assert!(t0(&store).journal().expect("journal").is_empty(), "journal cleared");
 
         // Idempotent: nothing references the dead server any more.
-        let again = rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE).expect("again");
+        let again =
+            rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("again");
         assert_eq!(again, RebuildOutcome::default());
         let _ = std::fs::remove_file(&path);
     }
@@ -350,7 +358,7 @@ mod tests {
         let boundaries = {
             let store = PipelineStore::open(&path).expect("open");
             let mut layouts = fixture_layouts.clone();
-            rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE).expect("record");
+            rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("record");
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
@@ -362,7 +370,7 @@ mod tests {
                 let store = PipelineStore::open(&path).expect("open");
                 store.kill_switch().arm(k);
                 let mut layouts = fixture_layouts.clone();
-                match rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE) {
+                match rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE) {
                     Err(PersistError::Killed(_)) => {}
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
@@ -370,7 +378,7 @@ mod tests {
             // "Restart": reopen, note which batches committed before the
             // crash, resume from the pre-rebuild layouts.
             let store = PipelineStore::open(&path).expect("reopen");
-            let survived: u64 = store
+            let survived: u64 = t0(&store)
                 .journal()
                 .expect("journal")
                 .iter()
@@ -379,7 +387,7 @@ mod tests {
                 .sum();
             let mut layouts = fixture_layouts.clone();
             let out =
-                rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE).expect("resume");
+                rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("resume");
             assert_eq!(out.files, N_RED, "boundary {k}");
             assert_eq!(out.bytes_lost, lost, "boundary {k}: lost bytes are descriptive");
             assert_eq!(
@@ -388,11 +396,11 @@ mod tests {
                 "boundary {k}: committed batches must not be re-copied"
             );
             assert_fully_swapped(&layouts, &fixture_layouts);
-            assert!(store.journal().expect("journal").is_empty(), "boundary {k}");
+            assert!(t0(&store).journal().expect("journal").is_empty(), "boundary {k}");
 
             // Second resume is a no-op on the swapped layouts.
             let again =
-                rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, SPARE).expect("again");
+                rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("again");
             assert_eq!(again, RebuildOutcome::default(), "boundary {k}");
             let _ = std::fs::remove_file(&path);
         }
@@ -410,6 +418,6 @@ mod tests {
         let path = tmp_store("bad-spare");
         let store = PipelineStore::open(&path).expect("open");
         // Spare 2 already holds a segment of the layout.
-        let _ = rebuild_onto_spare(&store, &mut layouts, &sizes, DEAD, ServerId(2));
+        let _ = rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, ServerId(2));
     }
 }

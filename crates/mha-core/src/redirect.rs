@@ -11,7 +11,7 @@
 
 use crate::region::{walk, Drt, RunEntry};
 use iotrace::{FileId, TraceRecord};
-use pfs_sim::{PhysExtent, Resolution, Resolver};
+use pfs_sim::{PhysExtent, Resolver};
 use simrt::SimDuration;
 
 /// DRT-backed resolver: the MHA (and HARL) redirection path.
@@ -174,12 +174,6 @@ fn is_start(run: &[RunEntry], i: usize, offset: u64) -> bool {
 }
 
 impl Resolver for DrtResolver {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        let mut extents = Vec::new();
-        let overhead = self.resolve_into(rec, &mut extents);
-        Resolution { extents, overhead }
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         self.lookups += 1;
         self.translate_into(rec.file, rec.offset, rec.len, out);
@@ -214,13 +208,6 @@ impl NullRedirectResolver {
 }
 
 impl Resolver for NullRedirectResolver {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        Resolution {
-            extents: vec![PhysExtent { file: rec.file, offset: rec.offset, len: rec.len }],
-            overhead: self.lookup_cost,
-        }
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         out.clear();
         out.push(PhysExtent { file: rec.file, offset: rec.offset, len: rec.len });

@@ -8,9 +8,8 @@
 //! `(O_file, O_offset) → (R_file, R_offset, Length)` and supports the
 //! range translation the *Redirector* needs at runtime. The RST maps each
 //! region file to its optimized `<h, s>` stripe pair. Both tables
-//! persist through [`kvstore`] (the Berkeley DB substitute): one record
-//! per entry here, as the paper encodes them, and in sealed chunks of
-//! entries through the crash-consistent [`crate::persist`] store.
+//! persist through the crash-consistent [`crate::persist`] store, the
+//! one module that knows their on-disk format.
 
 use crate::cost::ReqView;
 use crate::grouping::{GroupIndex, Grouping};
@@ -220,68 +219,6 @@ impl Drt {
     pub(crate) fn files(&self) -> usize {
         self.files.len()
     }
-
-    /// Persist every entry into `store` (key `(o_file, o_offset)`, value
-    /// `(length, r_file, r_offset)` — the paper's encoding under §IV-A).
-    pub fn save(&self, store: &kvstore::Store) -> kvstore::Result<()> {
-        for e in self.iter() {
-            store.put(&Self::key(e.o_file, e.o_offset), &Self::value(&e))?;
-        }
-        Ok(())
-    }
-
-    /// Load a table previously saved with [`Drt::save`]. Unparseable
-    /// records are skipped (they belong to other tables sharing the store).
-    pub fn load(store: &kvstore::Store) -> kvstore::Result<Drt> {
-        let mut drt = Drt::new();
-        store.scan_prefix::<kvstore::Error>(b"drt:", |key, value| {
-            if let (Some((o_file, o_offset)), Some((length, r_file, r_offset))) =
-                (Self::decode_key(key), Self::decode_value(value))
-            {
-                drt.insert(DrtEntry { o_file, o_offset, r_file, r_offset, length });
-            }
-            Ok(())
-        })?;
-        Ok(drt)
-    }
-
-    fn key(o_file: FileId, o_offset: u64) -> Vec<u8> {
-        let mut k = Vec::with_capacity(16);
-        k.extend_from_slice(b"drt:");
-        k.extend_from_slice(&o_file.0.to_le_bytes());
-        k.extend_from_slice(&o_offset.to_le_bytes());
-        k
-    }
-
-    fn decode_key(k: &[u8]) -> Option<(FileId, u64)> {
-        let rest = k.strip_prefix(b"drt:")?;
-        if rest.len() != 12 {
-            return None;
-        }
-        let file = u32::from_le_bytes(rest[..4].try_into().ok()?);
-        let off = u64::from_le_bytes(rest[4..].try_into().ok()?);
-        Some((FileId(file), off))
-    }
-
-    /// Binary value encoding of one entry: `(length, r_file, r_offset)`,
-    /// all little-endian.
-    fn value(e: &DrtEntry) -> Vec<u8> {
-        let mut v = Vec::with_capacity(20);
-        v.extend_from_slice(&e.length.to_le_bytes());
-        v.extend_from_slice(&e.r_file.0.to_le_bytes());
-        v.extend_from_slice(&e.r_offset.to_le_bytes());
-        v
-    }
-
-    fn decode_value(v: &[u8]) -> Option<(u64, FileId, u64)> {
-        if v.len() != 20 {
-            return None;
-        }
-        let length = u64::from_le_bytes(v[..8].try_into().ok()?);
-        let r_file = u32::from_le_bytes(v[8..12].try_into().ok()?);
-        let r_offset = u64::from_le_bytes(v[12..].try_into().ok()?);
-        Some((length, FileId(r_file), r_offset))
-    }
 }
 
 /// The translation walk shared by [`Drt::translate_into`] and the
@@ -360,48 +297,6 @@ impl Rst {
     /// True when empty.
     pub fn is_empty(&self) -> bool {
         self.pairs.is_empty()
-    }
-
-    /// Persist into `store` under `rst:`-prefixed keys.
-    pub fn save(&self, store: &kvstore::Store) -> kvstore::Result<()> {
-        for (file, pair) in self.iter() {
-            let mut k = Vec::with_capacity(8);
-            k.extend_from_slice(b"rst:");
-            k.extend_from_slice(&file.0.to_le_bytes());
-            store.put(&k, &Self::pair_value(pair))?;
-        }
-        Ok(())
-    }
-
-    /// Load a table previously saved with [`Rst::save`].
-    pub fn load(store: &kvstore::Store) -> kvstore::Result<Rst> {
-        let mut rst = Rst::new();
-        store.scan_prefix::<kvstore::Error>(b"rst:", |key, value| {
-            let file: Option<[u8; 4]> = key[b"rst:".len()..].try_into().ok();
-            if let (Some(fb), Some(pair)) = (file, Self::decode_pair(value)) {
-                rst.set(FileId(u32::from_le_bytes(fb)), pair);
-            }
-            Ok(())
-        })?;
-        Ok(rst)
-    }
-
-    /// Binary value encoding of one pair: `h` then `s`, little-endian.
-    /// Shared with [`crate::persist`].
-    pub(crate) fn pair_value(pair: StripePair) -> Vec<u8> {
-        let mut v = Vec::with_capacity(16);
-        v.extend_from_slice(&pair.h.to_le_bytes());
-        v.extend_from_slice(&pair.s.to_le_bytes());
-        v
-    }
-
-    pub(crate) fn decode_pair(v: &[u8]) -> Option<StripePair> {
-        if v.len() != 16 {
-            return None;
-        }
-        let h = u64::from_le_bytes(v[..8].try_into().ok()?);
-        let s = u64::from_le_bytes(v[8..].try_into().ok()?);
-        Some(StripePair { h, s })
     }
 }
 
@@ -1066,42 +961,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn drt_persistence_round_trip() {
-        let path = std::env::temp_dir().join(format!("drt-rt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = kvstore::Store::open_default(&path).unwrap();
-        let mut d = Drt::new();
-        d.insert(e(0, 100, 10, 0, 50));
-        d.insert(e(0, 200, 11, 40, 50));
-        d.insert(e(3, 0, 12, 8, 16));
-        d.save(&store).unwrap();
-        let back = Drt::load(&store).unwrap();
-        assert_eq!(back, d);
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn rst_round_trip_shares_store_with_drt() {
-        let path = std::env::temp_dir().join(format!("rst-rt-{}", std::process::id()));
-        let _ = std::fs::remove_file(&path);
-        let store = kvstore::Store::open_default(&path).unwrap();
-        let mut d = Drt::new();
-        d.insert(e(0, 0, 10, 0, 64));
-        d.save(&store).unwrap();
-        let mut r = Rst::new();
-        r.set(FileId(10), StripePair { h: 0, s: 128 << 10 });
-        r.set(FileId(11), StripePair { h: 32 << 10, s: 96 << 10 });
-        r.save(&store).unwrap();
-        let rb = Rst::load(&store).unwrap();
-        assert_eq!(rb, r);
-        let db = Drt::load(&store).unwrap();
-        assert_eq!(db, d);
-        assert_eq!(rb.get(FileId(10)), Some(StripePair { h: 0, s: 128 << 10 }));
-        assert_eq!(rb.get(FileId(99)), None);
-        let _ = std::fs::remove_file(&path);
     }
 
     fn lanl_build() -> (Trace, RegionBuild) {

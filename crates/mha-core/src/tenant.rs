@@ -16,7 +16,7 @@
 //!   commits plan generations through
 //!   [`PipelineStore::tenant`](crate::persist::PipelineStore::tenant),
 //!   so co-tenants on one write-ahead log recover independently via
-//!   [`crate::persist::recover_tenant`].
+//!   [`crate::persist::recover`].
 //! * **Job-as-window.** Each completed job is treated as one profiling
 //!   window: quiet jobs (signature within the drift threshold) cost
 //!   one comparison, drifted jobs replan incrementally and hand the
@@ -54,10 +54,11 @@ impl<'a> TenantPipeline<'a> {
         let mut ctx = PlannerContext::for_cluster(cluster);
         ctx.region_file_base = FileId::with_tenant(tenant, FileId(ctx.region_file_base)).0;
         let lookup = ctx.lookup_cost;
+        let store = store.tenant(tenant);
         TenantPipeline {
-            store: store.tenant(tenant),
+            store,
             planner: OnlinePlanner::new(ctx, cfg),
-            migrator: LazyMigrator::for_tenant(store, tenant, Drt::new(), cluster, lookup),
+            migrator: LazyMigrator::new(store, Drt::new(), cluster, lookup),
             err: None,
         }
     }
@@ -126,7 +127,7 @@ impl TenantRuntime for TenantPipeline<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::recover_tenant;
+    use crate::persist::recover;
     use iotrace::gen::skewed::{self, SkewedConfig};
     use pfs_sim::{LayoutService, ServiceConfig};
     use storage_model::IoOp;
@@ -178,7 +179,7 @@ mod tests {
             for (file, _) in rst.iter() {
                 assert_eq!(file.tenant(), TenantId(t), "foreign file {file:?} in tenant {t}'s RST");
             }
-            let outcome = recover_tenant(&store, TenantId(t)).unwrap();
+            let outcome = recover(ts).unwrap();
             assert!(outcome.tables.is_some(), "tenant {t} must recover committed tables");
         }
         // A tenant never planned under never shows a generation.

@@ -15,7 +15,7 @@
 //! 4. **Placement** — region layouts install into the cluster's MDS.
 //! 5. **Redirection** — subsequent runs resolve through the DRT.
 
-use iotrace::{Collector, Trace};
+use iotrace::{Collector, TenantId, Trace};
 use mha_core::persist::{PersistError, PipelineStore};
 use mha_core::region::{Drt, Rst};
 use mha_core::schemes::{apply_plan, Plan, PlanResolver, PlannerContext, Scheme};
@@ -102,7 +102,7 @@ impl Middleware {
         let plan = self.hints.scheme().planner().plan(trace, &ctx);
         if let Some(path) = &self.table_path {
             let store = PipelineStore::open(path).expect("open table store");
-            store.save_plan(&plan).expect("persist plan");
+            store.tenant(TenantId(0)).save_plan(&plan).expect("persist plan");
         }
         self.plan = Some(plan);
         self.plan.as_ref().expect("just set")
@@ -146,7 +146,7 @@ impl Middleware {
     /// [`Middleware::load_tables`].
     pub fn load_plan(&self) -> Result<Option<Plan>, PersistError> {
         let Some(path) = &self.table_path else { return Ok(None) };
-        PipelineStore::open(path)?.load_plan()
+        PipelineStore::open(path)?.tenant(TenantId(0)).load_plan()
     }
 
     /// Restart path: adopt the committed plan from the table store as the

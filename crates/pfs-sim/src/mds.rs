@@ -107,19 +107,6 @@ pub struct MetadataServer {
 }
 
 impl MetadataServer {
-    /// MDS with `default_layout` for files without an explicit entry and
-    /// a per-lookup service cost.
-    #[deprecated(
-        since = "0.8.0",
-        note = "use MdsConfig::new(default_layout).lookup_cost(..).build(); removed next release"
-    )]
-    pub fn new(default_layout: LayoutSpec, lookup_cost: SimDuration) -> Self {
-        MdsConfig::new(default_layout)
-            .lookup_cost(lookup_cost)
-            .build()
-            .expect("legacy constructor accepts any layout the builder does")
-    }
-
     /// The shard holding `tenant`'s rows, if any.
     fn shard(&self, tenant: TenantId) -> Option<&Shard> {
         let c = self.shard_cursor.get();

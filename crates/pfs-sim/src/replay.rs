@@ -59,20 +59,17 @@ pub struct Resolution {
 /// redirector plugs in. The default [`IdentityResolver`] passes requests
 /// through unchanged.
 pub trait Resolver {
-    /// Resolve one trace record.
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution;
+    /// Overwrite `out` (cleared first) with the physical extents of one
+    /// trace record and return the resolution overhead. The replay loop
+    /// calls this exclusively, reusing one buffer across records.
+    fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration;
 
-    /// Allocation-free fast path: overwrite `out` (cleared first) with
-    /// the extents [`Self::resolve`] would return and return the
-    /// resolution overhead. The replay loop calls this exclusively; the
-    /// default implementation delegates to [`Self::resolve`], so existing
-    /// resolvers keep working unchanged, while hot resolvers override it
-    /// to reuse the caller's buffer.
-    fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
-        let resolution = self.resolve(rec);
-        out.clear();
-        out.extend_from_slice(&resolution.extents);
-        resolution.overhead
+    /// Resolve one trace record into a fresh [`Resolution`], through
+    /// [`Self::resolve_into`].
+    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
+        let mut extents = Vec::new();
+        let overhead = self.resolve_into(rec, &mut extents);
+        Resolution { extents, overhead }
     }
 }
 
@@ -81,13 +78,6 @@ pub trait Resolver {
 pub struct IdentityResolver;
 
 impl Resolver for IdentityResolver {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        Resolution {
-            extents: vec![PhysExtent { file: rec.file, offset: rec.offset, len: rec.len }],
-            overhead: SimDuration::ZERO,
-        }
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         out.clear();
         out.push(PhysExtent { file: rec.file, offset: rec.offset, len: rec.len });
@@ -678,22 +668,20 @@ mod tests {
     }
 
     #[test]
-    fn resolve_into_default_delegates_to_resolve() {
+    fn resolve_default_delegates_to_resolve_into() {
         struct Halves;
         impl Resolver for Halves {
-            fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
+            fn resolve_into(
+                &mut self,
+                rec: &TraceRecord,
+                out: &mut Vec<PhysExtent>,
+            ) -> SimDuration {
                 let half = rec.len / 2;
-                Resolution {
-                    extents: vec![
-                        PhysExtent { file: rec.file, offset: rec.offset, len: half },
-                        PhysExtent {
-                            file: rec.file,
-                            offset: rec.offset + half,
-                            len: rec.len - half,
-                        },
-                    ],
-                    overhead: SimDuration::from_micros(3),
-                }
+                out.clear();
+                out.push(PhysExtent { file: rec.file, offset: rec.offset, len: half });
+                let rest = rec.len - half;
+                out.push(PhysExtent { file: rec.file, offset: rec.offset + half, len: rest });
+                SimDuration::from_micros(3)
             }
         }
         let rec = TraceRecord {
@@ -706,11 +694,15 @@ mod tests {
             ts: SimTime::ZERO,
             phase: 0,
         };
-        // A dirty, over-long buffer must be overwritten, not appended to.
-        let mut out = vec![PhysExtent { file: FileId(9), offset: 9, len: 9 }; 5];
-        let overhead = Halves.resolve_into(&rec, &mut out);
-        assert_eq!(overhead, SimDuration::from_micros(3));
-        assert_eq!(out, Halves.resolve(&rec).extents);
+        let r = Halves.resolve(&rec);
+        assert_eq!(r.overhead, SimDuration::from_micros(3));
+        assert_eq!(
+            r.extents,
+            [
+                PhysExtent { file: FileId(4), offset: 100, len: 32 },
+                PhysExtent { file: FileId(4), offset: 132, len: 32 },
+            ]
+        );
     }
 
     #[test]
@@ -822,11 +814,13 @@ mod tests {
     fn resolver_overhead_is_charged() {
         struct Slow;
         impl Resolver for Slow {
-            fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-                Resolution {
-                    extents: vec![PhysExtent { file: rec.file, offset: rec.offset, len: rec.len }],
-                    overhead: SimDuration::from_micros(100),
-                }
+            fn resolve_into(
+                &mut self,
+                rec: &TraceRecord,
+                out: &mut Vec<PhysExtent>,
+            ) -> SimDuration {
+                IdentityResolver.resolve_into(rec, out);
+                SimDuration::from_micros(100)
             }
         }
         let t = small_ior(IoOp::Write);
@@ -847,19 +841,17 @@ mod tests {
         // file must move the same number of bytes.
         struct Split;
         impl Resolver for Split {
-            fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
+            fn resolve_into(
+                &mut self,
+                rec: &TraceRecord,
+                out: &mut Vec<PhysExtent>,
+            ) -> SimDuration {
                 let half = rec.len / 2;
-                Resolution {
-                    extents: vec![
-                        PhysExtent { file: rec.file, offset: rec.offset, len: half },
-                        PhysExtent {
-                            file: rec.file,
-                            offset: rec.offset + half,
-                            len: rec.len - half,
-                        },
-                    ],
-                    overhead: SimDuration::ZERO,
-                }
+                out.clear();
+                out.push(PhysExtent { file: rec.file, offset: rec.offset, len: half });
+                let rest = rec.len - half;
+                out.push(PhysExtent { file: rec.file, offset: rec.offset + half, len: rest });
+                SimDuration::ZERO
             }
         }
         let t = small_ior(IoOp::Read);

@@ -8,7 +8,7 @@ use iotrace::gen::ior::{generate as gen_ior, IorConfig};
 use iotrace::{FileId, Rank, Trace, TraceRecord};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutSpec, PhysExtent,
-    ReplayError, ReplayInput, ReplayReport, ReplaySession, Resolution, Resolver, SchedPolicy,
+    ReplayError, ReplayInput, ReplayReport, ReplaySession, Resolver, SchedPolicy,
     ServerId,
 };
 use rand::seq::SliceRandom;
@@ -23,11 +23,6 @@ struct ProbeResolver {
 }
 
 impl Resolver for ProbeResolver {
-    fn resolve(&mut self, rec: &TraceRecord) -> Resolution {
-        self.seen.push(rec.offset);
-        IdentityResolver.resolve(rec)
-    }
-
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         self.seen.push(rec.offset);
         IdentityResolver.resolve_into(rec, out)

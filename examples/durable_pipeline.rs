@@ -3,8 +3,8 @@
 //! replay from the reloaded plan — verifying the round trip reproduces
 //! the original run bit for bit.
 //!
-//! Also demonstrates the recovery entry point: `recover` inspects the
-//! store on startup, rolls forward any migration batches whose journal
+//! Also demonstrates the recovery entry point: `recover` inspects one
+//! tenant's namespace of the store on startup, rolls forward any migration batches whose journal
 //! records committed before a crash, and discards the rest.
 //!
 //! ```text
@@ -36,7 +36,7 @@ fn main() {
 
     let first_run = {
         let store = PipelineStore::open(&path).expect("open pipeline store");
-        let generation = store.save_plan(&plan).expect("persist plan");
+        let generation = store.tenant(TenantId(0)).save_plan(&plan).expect("persist plan");
         println!(
             "persisted {:?} plan as generation {generation}: {} layouts, {} RST rows, {} regions",
             plan.scheme,
@@ -49,7 +49,8 @@ fn main() {
 
     // ---- restarted process: recover, reload, replay ----------------------
     let store = PipelineStore::open(&path).expect("reopen pipeline store");
-    let outcome = recover(&store).expect("recovery scan");
+    let store = store.tenant(TenantId(0));
+    let outcome = recover(store).expect("recovery scan");
     println!(
         "recovery: {} batches rolled forward, {} discarded (clean shutdown → 0/0)",
         outcome.rolled_forward, outcome.discarded_batches

@@ -48,8 +48,9 @@ cargo test -q -p mpiio-sim
 cargo test -q -p simrt
 cargo test -q -p iotrace
 # trace-tool smoke: a generated trace reads back through `stats`, a zero
-# or unparsable `gen` option is a usage error (exit 2), and a rank too
-# large for u32 is a parse error (exit 1) rather than a wrapped value.
+# or unparsable `gen` option (a count, a `--sizes` entry, an `--op`) is
+# a usage error (exit 2) that names the option, and a rank too large
+# for u32 is a parse error (exit 1) rather than a wrapped value.
 cargo build -q --release -p iotrace --bin trace-tool
 trace_tool="${CARGO_TARGET_DIR:-target}/release/trace-tool"
 expect_exit() {
@@ -61,9 +62,20 @@ expect_exit() {
         exit 1
     fi
 }
+expect_usage() {
+    local option=$1 got=0 err
+    shift
+    err=$("$@" 2>&1 >/dev/null) || got=$?
+    if [ "$got" -ne 2 ] || [[ "$err" != *"$option"* ]]; then
+        echo "error: '$*' exited $got ('$err'), expected 2 naming $option" >&2
+        exit 1
+    fi
+}
 "$trace_tool" gen lanl --loops 64 | expect_exit 0 "$trace_tool" stats
-expect_exit 2 "$trace_tool" gen lanl --procs 0
-expect_exit 2 "$trace_tool" gen lanl --loops abc
+expect_usage --procs "$trace_tool" gen lanl --procs 0
+expect_usage --loops "$trace_tool" gen lanl --loops abc
+expect_usage --sizes "$trace_tool" gen ior --sizes 64,abc
+expect_usage --op "$trace_tool" gen lanl --op bogus
 printf '1\t4294967297\t0\tread\t0\t16\t0\t0\n' | expect_exit 1 "$trace_tool" stats
 # --all-targets lints tests and examples too; the pre-0.3
 # replay free functions are gone, so any resurrected caller fails here.
@@ -78,9 +90,12 @@ cargo test -q -p mha-core persist::
 cargo test -q -p mha-core kill_matrix
 cargo test -q -p mha-bench --test persist_roundtrip
 cargo test -q -p mha --test properties persisted_tables
-# Save a plan, reopen the store as a restarted process would, reload
-# and replay: the example panics unless both runs are identical.
-cargo run --release --example durable_pipeline
+# Every example runs to completion. durable_pipeline saves a plan,
+# reopens the store as a restarted process would, reloads and replays:
+# it panics unless both runs are identical.
+for example in examples/*.rs; do
+    cargo run -q --release --example "$(basename "$example" .rs)" >/dev/null
+done
 # Front-end equivalence gate, explicitly: the parallel grouping path
 # must stay bit-identical to serial, and the interval-slab DRT builder
 # must keep matching the reference BTreeMap build loop (both also run

@@ -56,8 +56,8 @@ pub mod prelude {
     pub use mha_core::schemes::{
         apply_plan, Evaluation, LayoutPlanner, Plan, PlannerContext, Scheme,
     };
-    pub use mha_core::dynamic::{run_dynamic, run_dynamic_durable, DynamicConfig, DynamicReport};
-    pub use mha_core::persist::{recover, recover_tenant, PersistError, PipelineStore, TenantStore};
+    pub use mha_core::dynamic::{run_dynamic, DynamicConfig, DynamicReport};
+    pub use mha_core::persist::{recover, PersistError, PipelineStore, TenantStore};
     pub use mha_core::tenant::TenantPipeline;
     pub use mha_core::{
         file_sizes, placement_factors, rebuild_onto_spare, CostParams, DrtResolver,

@@ -450,7 +450,7 @@ fn persisted_tables(salt: u64) -> (Drt, Rst) {
 #[test]
 fn persisted_tables_survive_single_bit_flips() {
     check("persisted_tables_survive_single_bit_flips", PERSIST_CASES, |rng| {
-        use mha::prelude::{recover, PipelineStore};
+        use mha::prelude::{recover, PipelineStore, TenantId};
         let salt = rng.gen_range(0u64..4);
         let flip_pos = rng.gen_range(0usize..4096);
         let flip_bit = rng.gen_range(0u32..8);
@@ -493,8 +493,9 @@ fn persisted_tables_survive_single_bit_flips() {
             }
         }
         // Recovery never panics, and recovering twice is recovering once.
-        if let Ok(first) = recover(&store) {
-            let again = recover(&store).expect("recovery is idempotent");
+        let t0 = store.tenant(TenantId(0));
+        if let Ok(first) = recover(t0) {
+            let again = recover(t0).expect("recovery is idempotent");
             assert_eq!(again.rolled_forward, 0);
             assert_eq!(
                 again.tables.is_some(),
