@@ -10,9 +10,15 @@
 //! implement it directly (emitting each phase as they compute it), so a
 //! 10 M-record grid run never materializes the full record vector; a
 //! borrowed [`TraceBatches`] adapts any existing [`Trace`]. The two views
-//! are interchangeable: [`materialize`] collects a source back into a
-//! `Trace`, and generators promise `generate(cfg)` equals
-//! `materialize(stream(cfg))` bit for bit.
+//! are interchangeable: [`materialize`] collects any source back into a
+//! `Trace`.
+//!
+//! The streaming generators write each phase through one emitter that is
+//! generic over a `PhaseSink`: `next_phase` runs it into a
+//! `RecordBatch`, and `generate(cfg)` runs it straight into a
+//! `Vec<TraceRecord>` without a columnar round trip. Both views come from
+//! the same code path, so `generate(cfg)` equals
+//! `materialize(stream(cfg))` bit for bit by construction.
 
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
@@ -135,6 +141,36 @@ impl RecordBatch {
     /// Bytes moved by this batch.
     pub fn total_bytes(&self) -> u64 {
         self.lens.iter().sum()
+    }
+}
+
+/// Where a generator's phase emitter writes its records.
+///
+/// A [`RecordBatch`] holds one phase and is cleared by every `begin`; a
+/// `Vec<TraceRecord>` ignores phase boundaries and appends every phase,
+/// which is how `generate` materializes a trace directly.
+pub(crate) trait PhaseSink {
+    /// Start phase `phase`.
+    fn begin(&mut self, phase: u32);
+    /// Append one record of the current phase.
+    fn push(&mut self, rec: &TraceRecord);
+}
+
+impl PhaseSink for RecordBatch {
+    fn begin(&mut self, phase: u32) {
+        RecordBatch::begin(self, phase);
+    }
+
+    fn push(&mut self, rec: &TraceRecord) {
+        RecordBatch::push(self, rec);
+    }
+}
+
+impl PhaseSink for Vec<TraceRecord> {
+    fn begin(&mut self, _phase: u32) {}
+
+    fn push(&mut self, rec: &TraceRecord) {
+        Vec::push(self, *rec);
     }
 }
 

@@ -11,10 +11,16 @@
 //! `mean_off` / `mean_on` phases, the textbook Markov on/off source.
 //!
 //! Like every generator in [`crate::gen`], output is deterministic per
-//! seed, and `generate(cfg)` is `materialize(stream(cfg))` bit for bit.
+//! seed. `generate` and `stream` run one phase emitter, so
+//! `generate(cfg)` equals the concatenated stream bit for bit (a phase
+//! that draws no request is an empty batch in the stream and absent from
+//! the trace), and the region CDF is the memoized table `gen::skewed`
+//! uses.
 
-use crate::batch::{materialize, BatchSource, RecordBatch};
-use crate::gen::PhaseClock;
+use std::sync::Arc;
+
+use crate::batch::{BatchSource, PhaseSink, RecordBatch};
+use crate::gen::{collect, zipf_cdf, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use rand::rngs::SmallRng;
@@ -73,9 +79,11 @@ impl BurstConfig {
     }
 }
 
-/// Generate the full bursty trace (`materialize(stream(cfg))`).
+/// Generate the full bursty trace: the [`stream`] emitter run into one
+/// record vector.
 pub fn generate(cfg: &BurstConfig) -> Trace {
-    materialize(&mut stream(cfg))
+    let mut src = stream(cfg);
+    collect(src.len_hint(), |out| src.emit(out))
 }
 
 /// Stream the bursty workload one phase at a time.
@@ -84,20 +92,9 @@ pub fn stream(cfg: &BurstConfig) -> BurstStream {
     assert!(cfg.request_size > 0 && cfg.file_size >= cfg.request_size, "request exceeds file");
     assert!(cfg.mean_reqs > 0.0 && cfg.on_mult >= 1.0, "burst must not thin the load");
     assert!(cfg.mean_on >= 1.0 && cfg.mean_off >= 1.0, "dwell means are in phases");
-    // Zipf CDF over region ranks, same normalization as gen::skewed.
-    let mut cdf = Vec::with_capacity(cfg.regions as usize);
-    let mut acc = 0.0f64;
-    for rank in 0..cfg.regions {
-        acc += 1.0 / ((rank + 1) as f64).powf(cfg.theta);
-        cdf.push(acc);
-    }
-    let total = acc;
-    for w in &mut cdf {
-        *w /= total;
-    }
     BurstStream {
         cfg: cfg.clone(),
-        cdf,
+        cdf: zipf_cdf(cfg.regions, cfg.theta),
         rng: SeedSeq::new(cfg.seed).derive("burst").rng(),
         clock: PhaseClock::new(),
         phase: 0,
@@ -110,7 +107,7 @@ pub fn stream(cfg: &BurstConfig) -> BurstStream {
 pub struct BurstStream {
     cfg: BurstConfig,
     /// Normalized cumulative Zipf weights over region ranks.
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     rng: SmallRng,
     clock: PhaseClock,
     phase: usize,
@@ -138,16 +135,15 @@ impl BurstStream {
             k += 1;
         }
     }
-}
 
-impl BatchSource for BurstStream {
-    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+    /// Emit the next phase into `out`; `false` when exhausted.
+    fn emit<S: PhaseSink>(&mut self, out: &mut S) -> bool {
         if self.phase >= self.cfg.phases {
-            batch.begin(0);
+            out.begin(0);
             return false;
         }
         let (phase, ts) = self.clock.tick();
-        batch.begin(phase);
+        out.begin(phase);
         // Markov on/off modulator: geometric dwells with the configured
         // means (P(switch) = 1/mean). Advanced before emission so a
         // mean_off of 1 can burst from the very first phase.
@@ -176,7 +172,7 @@ impl BatchSource for BurstStream {
                 let slot = self.rng.gen_range(0..slots);
                 let offset = (region * region_size + slot * size)
                     .min(self.cfg.file_size - size);
-                batch.push(&TraceRecord {
+                out.push(&TraceRecord {
                     pid: 7000 + p,
                     rank: Rank(p),
                     file: FileId(0),
@@ -190,6 +186,12 @@ impl BatchSource for BurstStream {
         }
         self.phase += 1;
         true
+    }
+}
+
+impl BatchSource for BurstStream {
+    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+        self.emit(batch)
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -212,6 +214,14 @@ mod tests {
         let mut other = cfg.clone();
         other.seed = 99;
         assert_ne!(generate(&other).records(), a.records());
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf theta must be finite")]
+    fn nan_theta_rejected() {
+        let mut cfg = BurstConfig::default_run(IoOp::Write);
+        cfg.theta = f64::NAN;
+        stream(&cfg);
     }
 
     #[test]

@@ -8,8 +8,8 @@
 //! between the configured mix values by file region — reproducing the
 //! paper's "large at one file chunk, small at another" heterogeneity.
 
-use crate::batch::{materialize, BatchSource, RecordBatch};
-use crate::gen::PhaseClock;
+use crate::batch::{BatchSource, PhaseSink, RecordBatch};
+use crate::gen::{collect, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use rand::rngs::SmallRng;
@@ -86,11 +86,12 @@ impl IorConfig {
 /// `proc_mix[c % procs]` processes, so pattern heterogeneity is tied to
 /// file location exactly as in the paper's modified IOR.
 ///
-/// Equivalent to collecting [`stream`] — this is literally
-/// `materialize(stream(cfg))`, so the streaming and materialized views
-/// of one config are bit-identical by construction.
+/// Runs the same phase emitter as [`stream`], straight into one record
+/// vector, so the streaming and materialized views of one config are
+/// bit-identical by construction.
 pub fn generate(cfg: &IorConfig) -> Trace {
-    materialize(&mut stream(cfg))
+    let mut src = stream(cfg);
+    collect(src.len_hint(), |out| src.emit(out))
 }
 
 /// Stream an IOR run one phase at a time (see [`IorStream`]).
@@ -122,10 +123,11 @@ pub struct IorStream {
     max_procs: u32,
 }
 
-impl BatchSource for IorStream {
-    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+impl IorStream {
+    /// Emit the next iteration into `out`; `false` when exhausted.
+    fn emit<S: PhaseSink>(&mut self, out: &mut S) -> bool {
         if self.iter >= self.cfg.reqs_per_proc {
-            batch.begin(0);
+            out.begin(0);
             return false;
         }
         let cfg = &self.cfg;
@@ -138,7 +140,7 @@ impl BatchSource for IorStream {
         let lo = variant as u64 * chunk;
         let span = chunk.saturating_sub(size).max(1);
         let (phase, ts) = self.clock.tick();
-        batch.begin(phase);
+        out.begin(phase);
         for p in 0..procs {
             let offset = if cfg.random_offsets {
                 // Align to the request size like IOR's transferSize blocks.
@@ -147,7 +149,7 @@ impl BatchSource for IorStream {
             } else {
                 lo + (iter as u64 * u64::from(self.max_procs) + u64::from(p)) * size
             };
-            batch.push(&TraceRecord {
+            out.push(&TraceRecord {
                 pid: 1000 + p,
                 rank: Rank(p),
                 file: FileId(0),
@@ -162,10 +164,23 @@ impl BatchSource for IorStream {
         true
     }
 
+    /// Records in iterations `0..n`: iteration `i` has
+    /// `proc_mix[(i % variants) % proc_mix.len()]` processes.
+    fn records_before(&self, n: usize) -> usize {
+        let mix = &self.cfg.proc_mix;
+        let procs = |v: usize| mix[v % mix.len()] as usize;
+        let cycle: usize = (0..self.variants).map(procs).sum();
+        n / self.variants * cycle + (0..n % self.variants).map(procs).sum::<usize>()
+    }
+}
+
+impl BatchSource for IorStream {
+    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+        self.emit(batch)
+    }
+
     fn len_hint(&self) -> Option<usize> {
-        // Upper bound: every remaining iteration at the widest mix entry.
-        let left = self.cfg.reqs_per_proc.saturating_sub(self.iter);
-        Some(left * self.max_procs as usize)
+        Some(self.records_before(self.cfg.reqs_per_proc) - self.records_before(self.iter))
     }
 }
 
@@ -240,6 +255,25 @@ mod tests {
             }
         }
         assert_eq!(cursor, t.len(), "stream covers the whole run");
+    }
+
+    #[test]
+    fn len_hint_is_exact_for_mixed_mixes() {
+        let mut uneven = IorConfig::mixed_procs(&[8, 32, 4], IoOp::Read);
+        uneven.size_mix = vec![64 << 10, 128 << 10];
+        uneven.reqs_per_proc = 65;
+        for cfg in [IorConfig::mixed_procs(&[8, 32], IoOp::Write), uneven] {
+            let total = generate(&cfg).len();
+            let mut src = stream(&cfg);
+            let mut batch = RecordBatch::new();
+            let mut left = total;
+            assert_eq!(src.len_hint(), Some(total));
+            while src.next_phase(&mut batch) {
+                left -= batch.len();
+                assert_eq!(src.len_hint(), Some(left), "{:?}", cfg.proc_mix);
+            }
+            assert_eq!(left, 0);
+        }
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! rather than in a contiguous run, which is precisely the heterogeneity
 //! MHA's reordering targets.
 
-use crate::batch::{materialize, BatchSource, RecordBatch};
-use crate::gen::PhaseClock;
+use crate::batch::{BatchSource, PhaseSink, RecordBatch};
+use crate::gen::{collect, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use storage_model::IoOp;
@@ -42,12 +42,15 @@ impl LanlConfig {
 /// shared file; within the slot the three requests are laid out
 /// back-to-back. Each request position in the loop is its own I/O phase
 /// across processes (all ranks emit their 16-byte header together, etc.).
+/// Runs the same phase emitter as [`stream`], straight into one record
+/// vector.
 pub fn generate(cfg: &LanlConfig) -> Trace {
-    materialize(&mut stream(cfg))
+    let mut src = stream(cfg);
+    collect(src.len_hint(), |out| src.emit(out))
 }
 
 /// Stream the LANL run one phase (= one loop position across all ranks)
-/// at a time; `generate` is `materialize(stream(cfg))`.
+/// at a time.
 pub fn stream(cfg: &LanlConfig) -> LanlStream {
     assert!(cfg.procs > 0 && cfg.loops > 0, "degenerate LANL config");
     LanlStream { cfg: cfg.clone(), clock: PhaseClock::new(), looop: 0, slot_idx: 0 }
@@ -63,20 +66,21 @@ pub struct LanlStream {
     slot_idx: usize,
 }
 
-impl BatchSource for LanlStream {
-    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+impl LanlStream {
+    /// Emit the next loop position into `out`; `false` when exhausted.
+    fn emit<S: PhaseSink>(&mut self, out: &mut S) -> bool {
         if self.looop >= self.cfg.loops {
-            batch.begin(0);
+            out.begin(0);
             return false;
         }
         let cfg = &self.cfg;
         let size = LOOP_SIZES[self.slot_idx];
         let rel: u64 = LOOP_SIZES[..self.slot_idx].iter().sum();
         let (phase, ts) = self.clock.tick();
-        batch.begin(phase);
+        out.begin(phase);
         for p in 0..cfg.procs {
             let slot = u64::from(self.looop) * u64::from(cfg.procs) + u64::from(p);
-            batch.push(&TraceRecord {
+            out.push(&TraceRecord {
                 pid: 4000 + p,
                 rank: Rank(p),
                 file: FileId(0),
@@ -93,6 +97,12 @@ impl BatchSource for LanlStream {
             self.looop += 1;
         }
         true
+    }
+}
+
+impl BatchSource for LanlStream {
+    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+        self.emit(batch)
     }
 
     fn len_hint(&self) -> Option<usize> {

@@ -9,10 +9,14 @@
 //! previously hottest region cools off and its neighbour heats up.
 //!
 //! Like every generator in [`crate::gen`], output is deterministic per
-//! seed, and `generate(cfg)` is `materialize(stream(cfg))` bit for bit.
+//! seed. `generate` and `stream` run one phase emitter, so
+//! `generate(cfg)` equals the concatenated stream bit for bit, and every
+//! trace of one `(regions, θ)` shares one memoized Zipf table.
 
-use crate::batch::{materialize, BatchSource, RecordBatch};
-use crate::gen::PhaseClock;
+use std::sync::Arc;
+
+use crate::batch::{BatchSource, PhaseSink, RecordBatch};
+use crate::gen::{collect, zipf_cdf, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use rand::rngs::SmallRng;
@@ -62,30 +66,20 @@ impl SkewedConfig {
     }
 }
 
-/// Generate the full skewed trace (`materialize(stream(cfg))`).
+/// Generate the full skewed trace: the [`stream`] emitter run into one
+/// record vector.
 pub fn generate(cfg: &SkewedConfig) -> Trace {
-    materialize(&mut stream(cfg))
+    let mut src = stream(cfg);
+    collect(src.len_hint(), |out| src.emit(out))
 }
 
 /// Stream the skewed workload one phase at a time.
 pub fn stream(cfg: &SkewedConfig) -> SkewedStream {
     assert!(cfg.procs > 0 && cfg.regions > 0, "degenerate skewed config");
     assert!(cfg.request_size > 0 && cfg.file_size >= cfg.request_size, "request exceeds file");
-    // Precompute the Zipf CDF over region ranks once; each draw is then
-    // one uniform variate plus a binary search.
-    let mut cdf = Vec::with_capacity(cfg.regions as usize);
-    let mut acc = 0.0f64;
-    for rank in 0..cfg.regions {
-        acc += 1.0 / ((rank + 1) as f64).powf(cfg.theta);
-        cdf.push(acc);
-    }
-    let total = acc;
-    for w in &mut cdf {
-        *w /= total;
-    }
     SkewedStream {
         cfg: cfg.clone(),
-        cdf,
+        cdf: zipf_cdf(cfg.regions, cfg.theta),
         rng: SeedSeq::new(cfg.seed).derive("skewed").rng(),
         clock: PhaseClock::new(),
         phase: 0,
@@ -97,7 +91,7 @@ pub fn stream(cfg: &SkewedConfig) -> SkewedStream {
 pub struct SkewedStream {
     cfg: SkewedConfig,
     /// Normalized cumulative Zipf weights over region ranks.
-    cdf: Vec<f64>,
+    cdf: Arc<[f64]>,
     rng: SmallRng,
     clock: PhaseClock,
     phase: usize,
@@ -109,16 +103,15 @@ impl SkewedStream {
         let u: f64 = self.rng.gen_range(0.0..1.0);
         self.cdf.partition_point(|&c| c <= u) as u64
     }
-}
 
-impl BatchSource for SkewedStream {
-    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+    /// Emit the next phase into `out`; `false` when exhausted.
+    fn emit<S: PhaseSink>(&mut self, out: &mut S) -> bool {
         if self.phase >= self.cfg.phases {
-            batch.begin(0);
+            out.begin(0);
             return false;
         }
         let (phase, ts) = self.clock.tick();
-        batch.begin(phase);
+        out.begin(phase);
         // Hot-set rotation: epoch e maps Zipf rank r to region (r + e),
         // so the hottest region steps through the file one region per
         // epoch while the skew shape stays fixed.
@@ -136,7 +129,7 @@ impl BatchSource for SkewedStream {
             let slot = self.rng.gen_range(0..slots);
             let offset = (region * region_size + slot * size)
                 .min(self.cfg.file_size - size);
-            batch.push(&TraceRecord {
+            out.push(&TraceRecord {
                 pid: 6000 + p,
                 rank: Rank(p),
                 file: FileId(0),
@@ -149,6 +142,12 @@ impl BatchSource for SkewedStream {
         }
         self.phase += 1;
         true
+    }
+}
+
+impl BatchSource for SkewedStream {
+    fn next_phase(&mut self, batch: &mut RecordBatch) -> bool {
+        self.emit(batch)
     }
 
     fn len_hint(&self) -> Option<usize> {
@@ -170,6 +169,14 @@ mod tests {
         let mut other = cfg.clone();
         other.seed = 7;
         assert_ne!(generate(&other).records(), a.records());
+    }
+
+    #[test]
+    #[should_panic(expected = "Zipf theta must be finite")]
+    fn nan_theta_rejected() {
+        let mut cfg = SkewedConfig::default_run(IoOp::Write);
+        cfg.theta = f64::NAN;
+        stream(&cfg);
     }
 
     #[test]

@@ -77,6 +77,23 @@ expect_usage --loops "$trace_tool" gen lanl --loops abc
 expect_usage --sizes "$trace_tool" gen ior --sizes 64,abc
 expect_usage --op "$trace_tool" gen lanl --op bogus
 printf '1\t4294967297\t0\tread\t0\t16\t0\t0\n' | expect_exit 1 "$trace_tool" stats
+# Benchmark gate: perfbench is its own offline workspace that calls the
+# library API directly, so a library change that breaks it fails here.
+# It builds into its own target dir. The build rewrites
+# perfbench/Cargo.lock, so the lock is copied aside first and put back
+# on exit, leaving perfbench/ byte-identical. One-second runs of
+# service-online and plan-pipeline execute their identity checks
+# (exit 1 on a failed check).
+bench_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")/perfbench"
+bench_work=$(mktemp -d)
+bench_lock=$(mktemp)
+cp perfbench/Cargo.lock "$bench_lock"
+trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -rf "$bench_lock" "$bench_work"' EXIT
+(cd perfbench && CARGO_TARGET_DIR="$bench_target" cargo build -q --release --offline)
+for workload in service-online plan-pipeline; do
+    "$bench_target/release/mha-perfbench" --workload "$workload" --seed 1 \
+        --seconds 1 --trace 0 --workdir "$bench_work" >/dev/null
+done
 # --all-targets lints tests and examples too; the pre-0.3
 # replay free functions are gone, so any resurrected caller fails here.
 cargo clippy --workspace --all-targets -- -D warnings
