@@ -504,9 +504,10 @@ fn migrate(
 pub struct PendingRedirect {
     /// The planned mapping this extent will adopt.
     pub entry: DrtEntry,
-    /// Journal batch carrying this entry's write-ahead intent (one
-    /// batch per entry: an extent either migrated atomically or not at
-    /// all — there is no half-migrated region).
+    /// Journal batch of this entry's write-ahead intent (one batch per
+    /// entry, so an extent either migrated atomically or not at all —
+    /// there is no half-migrated region). The intent record itself is
+    /// shared by every entry of one [`LazyMigrator::add_pending`] call.
     pub batch: u32,
     /// Whether the first-access copy happened (entry is published).
     pub migrated: bool,
@@ -520,8 +521,9 @@ pub struct PendingRedirect {
 ///
 /// State machine per extent (see DESIGN.md §15):
 ///
-/// 1. `add_pending` journals the intent (`mig:` record, fsynced by the
-///    store's WAL) — the extent keeps resolving to its old home;
+/// 1. `add_pending` journals the intent (one `mig:` record per call,
+///    ordered before every later commit by the store's WAL) — the
+///    extent keeps resolving to its old home;
 /// 2. the first replayed access that overlaps the extent pays the copy:
 ///    its resolution overhead is charged the modeled read-old +
 ///    write-new time, the batch's commit record (`migc:`) is written,
@@ -594,30 +596,44 @@ impl<'a> LazyMigrator<'a> {
     /// original file in the published mapping are skipped (they carry
     /// forward — re-homing published data would need a second move,
     /// and a partially-published range must never be re-journaled: the
-    /// published mapping is append-only within a migrator's lifetime).
-    /// An entry overlapping a still-unmigrated pending redirect
-    /// *cancels* the older one: its intent never commits, so recovery
-    /// discards it.
+    /// published mapping is append-only within a migrator's lifetime),
+    /// and so are zero-length entries. The kept entries go to disk as
+    /// one intent record, entry `i` owning batch `first + i`; only then
+    /// does each kept entry, in order, *cancel* the still-unmigrated
+    /// pending redirects it overlaps (their intents never commit, so
+    /// recovery discards them) and register. A failed write therefore
+    /// cancels and registers nothing.
     pub fn add_pending(&mut self, entries: &[DrtEntry]) -> Result<(), PersistError> {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
-        for entry in entries {
-            let already_redirected = self
-                .published
-                .translate(entry.o_file, entry.o_offset, entry.length)
-                .iter()
-                .any(|p| p.file != entry.o_file);
-            if already_redirected {
-                continue;
-            }
+        let mut pieces = Vec::new();
+        let kept: Vec<DrtEntry> = entries
+            .iter()
+            .filter(|e| {
+                if e.length == 0 {
+                    return false;
+                }
+                self.published.translate_into(e.o_file, e.o_offset, e.length, &mut pieces);
+                pieces.iter().all(|p| p.file == e.o_file)
+            })
+            .copied()
+            .collect();
+        if kept.is_empty() {
+            return Ok(());
+        }
+        let first = self.next_batch;
+        let next = u32::try_from(kept.len())
+            .ok()
+            .and_then(|n| first.checked_add(n))
+            .expect("journal batch ids fit a u32");
+        self.store.journal_intents(first, &kept)?;
+        self.next_batch = next;
+        for (entry, batch) in kept.into_iter().zip(first..) {
             self.cancel_overlapping(entry.o_file.0, entry.o_offset, entry.length);
-            let batch = self.next_batch;
-            self.next_batch += 1;
-            self.store.journal_batch(batch, std::slice::from_ref(entry))?;
             let idx = self.pending.len();
             self.pending.push(PendingRedirect {
-                entry: *entry,
+                entry,
                 batch,
                 migrated: false,
                 cancelled: false,
@@ -767,7 +783,7 @@ impl Resolver for LazyMigrator<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::{recover, PipelineStore};
+    use crate::persist::{recover, CommitPoint, JournalBatch, PipelineStore};
     use crate::region::Rst;
     use crate::rssd::StripePair;
     use crate::schemes::{Evaluation, Scheme};
@@ -896,9 +912,9 @@ mod tests {
     }
 
     /// Eighteen further extents of file 0 that migration moves into
-    /// region file 70 001: enough intents and batch commits that the
-    /// kill matrices stay wider than 30 boundaries now that each table
-    /// save crosses one boundary per DRT chunk, not per entry.
+    /// region file 70 001: one batch commit each, so the kill matrices
+    /// stay wide now that a table save crosses one boundary per DRT chunk
+    /// and a journaling call one per intent record.
     fn to_migrate_entries() -> Vec<DrtEntry> {
         (0..18u64)
             .map(|i| DrtEntry {
@@ -916,22 +932,21 @@ mod tests {
         store.tenant(TenantId(0))
     }
 
-    /// The eager reference for lazy migration: entries move in batches
-    /// of `cfg.migration_batch` from the original file, each under the
-    /// write-ahead discipline
+    /// The eager reference for lazy migration: entries move in chunks of
+    /// `cfg.migration_batch` from the original file, each entry its own
+    /// journal batch, each chunk under the write-ahead discipline
     ///
-    /// 1. journal the batch's intended DRT entries,
-    /// 2. replay the batch's read-old/write-new traffic,
-    /// 3. write the batch's commit record (fsynced),
+    /// 1. journal the chunk's intended DRT entries as one intent record,
+    /// 2. replay the chunk's read-old/write-new traffic,
+    /// 3. write each entry's commit record (fsynced),
     /// 4. publish the entries into `published`.
     ///
-    /// A crash between 1 and 3 leaves an uncommitted journal batch that
+    /// A crash between 1 and 3 leaves uncommitted journal batches that
     /// [`recover`] discards (the old mapping still resolves to valid
-    /// bytes — migration copies, it does not destroy); a crash after 3
-    /// leaves a committed batch that recovery rolls forward. Each batch
-    /// is replayed on its own cluster because the commit record is a
-    /// hard barrier: batch *n + 1* must not move until batch *n* is
-    /// durable.
+    /// bytes — migration copies, it does not destroy); a committed batch
+    /// is rolled forward. Each chunk is replayed on its own cluster
+    /// because its commit records are a hard barrier: chunk *n + 1* must
+    /// not move until chunk *n* is durable.
     fn migrate_durable(
         cluster_cfg: &ClusterConfig,
         entries: &[DrtEntry],
@@ -941,9 +956,10 @@ mod tests {
     ) -> Result<(u64, SimDuration), PersistError> {
         let mut bytes = 0u64;
         let mut time = SimDuration::ZERO;
-        for (b, chunk) in entries.chunks(cfg.migration_batch.max(1)).enumerate() {
-            let batch = b as u32;
-            store.journal_batch(batch, chunk)?;
+        let mut first = 0u32;
+        for chunk in entries.chunks(cfg.migration_batch.max(1)) {
+            let end = first + chunk.len() as u32;
+            store.journal_intents(first, chunk)?;
 
             let mut records: Vec<TraceRecord> = Vec::new();
             for entry in chunk {
@@ -972,7 +988,10 @@ mod tests {
                 .expect("unscheduled fault-free replay cannot fail");
             time += rep.makespan;
 
-            store.commit_batch(batch)?;
+            for batch in first..end {
+                store.commit_batch(batch)?;
+            }
+            first = end;
             for entry in chunk {
                 if published.lookup_exact(entry.o_file, entry.o_offset, entry.length)
                     != Some((entry.r_file, entry.r_offset))
@@ -987,7 +1006,10 @@ mod tests {
     }
 
     /// Lazy counterpart of the eager flow: commit the base mapping,
-    /// journal every pending entry up front (write-ahead), replay
+    /// journal every pending entry up front (write-ahead), then journal a
+    /// second plan that re-homes the last third of them unchanged — it
+    /// cancels those intents of the first record, so the flow writes two
+    /// intent records and still ends at the eager mapping — replay
     /// `trace` through the on-access migrator, drain the untouched
     /// remainder, publish the full mapping and retire the journal.
     ///
@@ -1008,6 +1030,7 @@ mod tests {
         store.save_tables(base, rst)?;
         let mut migrator = LazyMigrator::new(store, base.clone(), cluster_cfg, lookup);
         migrator.add_pending(to_migrate)?;
+        migrator.add_pending(&to_migrate[to_migrate.len() * 2 / 3..])?;
         let mut cluster = Cluster::new(cluster_cfg.clone());
         let report = ReplaySession::new()
             .run(ReplayInput::trace(&mut cluster, trace, &mut migrator), CoreSel::Auto)
@@ -1057,15 +1080,19 @@ mod tests {
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
-        assert!(boundaries > 30, "expected a wide matrix, got {boundaries} boundaries");
+        // Base and final saves, an intent record per chunk of 3, a
+        // commit per entry, the journal clear.
+        let chunks = to_migrate.len().div_ceil(cfg.migration_batch) as u64;
+        assert_eq!(boundaries, 2 * save_boundaries(&rst) + chunks + to_migrate.len() as u64 + 1);
 
+        let mut kinds = Vec::new();
         for k in 0..boundaries {
             let path = tmp_store(&format!("matrix-{k}"));
             {
                 let store = PipelineStore::open(&path).expect("open");
                 store.kill_switch().arm(k);
                 match run_flow(t0(&store), &cluster, &base, &rst, &to_migrate, &cfg) {
-                    Err(PersistError::Killed(_)) => {}
+                    Err(PersistError::Killed(point)) => kinds.push(point),
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
             }
@@ -1075,7 +1102,7 @@ mod tests {
             let committed: std::collections::HashSet<(u32, u64)> = journal
                 .iter()
                 .filter(|b| b.committed)
-                .flat_map(|b| b.entries.iter().map(|e| (e.o_file.0, e.o_offset)))
+                .map(|b| (b.entry.o_file.0, b.entry.o_offset))
                 .collect();
             let out = recover(t0(&store)).expect("recover");
             match &out.tables {
@@ -1093,14 +1120,12 @@ mod tests {
                             "boundary {k}: {e:?} resolves to unmigrated data"
                         );
                     }
-                    for b in journal.iter().filter(|b| b.committed) {
-                        for e in &b.entries {
-                            assert_eq!(
-                                drt.lookup_exact(e.o_file, e.o_offset, e.length),
-                                Some((e.r_file, e.r_offset)),
-                                "boundary {k}: committed batch entry lost"
-                            );
-                        }
+                    for e in journal.iter().filter(|b| b.committed).map(|b| b.entry) {
+                        assert_eq!(
+                            drt.lookup_exact(e.o_file, e.o_offset, e.length),
+                            Some((e.r_file, e.r_offset)),
+                            "boundary {k}: committed batch entry lost"
+                        );
                     }
                     for e in base.entries() {
                         assert_eq!(
@@ -1123,6 +1148,27 @@ mod tests {
             assert_eq!(final_rst, rst, "boundary {k}");
             assert_eq!(final_drt.len(), base.len() + to_migrate.len(), "boundary {k}");
             let _ = std::fs::remove_file(&path);
+        }
+        assert_every_kind_killed(&kinds);
+    }
+
+    /// Boundaries one `save_tables` of the fixture crosses: its one DRT
+    /// chunk, one record per RST row, the commit record.
+    fn save_boundaries(rst: &Rst) -> u64 {
+        1 + rst.len() as u64 + 1
+    }
+
+    /// A kill matrix must have crashed the flow at every kind of commit
+    /// boundary.
+    fn assert_every_kind_killed(kinds: &[CommitPoint]) {
+        for point in [
+            CommitPoint::TableEntry,
+            CommitPoint::TableCommit,
+            CommitPoint::BatchIntent,
+            CommitPoint::BatchCommit,
+            CommitPoint::JournalClear,
+        ] {
+            assert!(kinds.contains(&point), "no kill at a {point:?} boundary");
         }
     }
 
@@ -1225,7 +1271,7 @@ mod tests {
         // still resolve to their old home and stay uncommitted.
         let journal = t0(&store).journal().expect("journal");
         for p in journal {
-            let touched_entry = touched.iter().any(|e| e.o_offset == p.entries[0].o_offset);
+            let touched_entry = touched.iter().any(|e| e.o_offset == p.entry.o_offset);
             assert_eq!(p.committed, touched_entry, "batch {}", p.batch);
         }
         for e in touched {
@@ -1273,11 +1319,58 @@ mod tests {
         }
         // Only the second plan's batches ever commit.
         let journal = t0(&store).journal().expect("journal");
-        let (committed, discarded): (Vec<_>, Vec<_>) =
-            journal.iter().partition(|b| b.committed);
+        let (committed, discarded): (Vec<JournalBatch>, Vec<_>) =
+            journal.into_iter().partition(|b| b.committed);
         assert_eq!(committed.len(), second.len());
         assert_eq!(discarded.len(), first.len());
-        assert!(committed.iter().all(|b| b.entries[0].r_file == FileId(70_002)));
+        assert!(committed.iter().all(|b| b.entry.r_file == FileId(70_002)));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// `add_pending` is all-or-nothing: killed at its intent record, it
+    /// registers no redirect, leaves no `mig:` key, and both the live
+    /// migrator and a recovered store resolve every extent to its old
+    /// home.
+    #[test]
+    fn add_pending_killed_at_its_intent_registers_nothing() {
+        let cluster = ClusterConfig::paper_default();
+        let (base, rst) = base_tables();
+        let to_migrate = to_migrate_entries();
+        let path = tmp_store("lazy-all-or-nothing");
+        {
+            let store = PipelineStore::open(&path).expect("open");
+            store.save_tables(&base, &rst).expect("save base");
+            let mut mig =
+                LazyMigrator::new(t0(&store), base.clone(), &cluster, SimDuration::from_micros(5));
+            store.kill_switch().reset();
+            store.kill_switch().arm(0);
+            match mig.add_pending(&to_migrate) {
+                Err(PersistError::Killed(CommitPoint::BatchIntent)) => {}
+                other => panic!("expected a kill at the intent record, got {other:?}"),
+            }
+            store.kill_switch().disarm();
+            assert_eq!(mig.pending_len(), 0);
+            assert!(store.store().keys_with_prefix(b"mig").is_empty(), "no journal key");
+            let mut cluster_sim = Cluster::new(cluster.clone());
+            ReplaySession::new()
+                .run(
+                    ReplayInput::trace(&mut cluster_sim, &access_trace(&to_migrate), &mut mig),
+                    CoreSel::Auto,
+                )
+                .expect("replay");
+            mig.check().expect("no store error");
+            assert_eq!(mig.on_access_migrations(), 0);
+            assert_eq!(mig.published(), &base);
+            for rec in access_trace(&to_migrate).records() {
+                let pieces = mig.resolve(rec).extents;
+                assert_eq!(pieces.len(), 1);
+                assert_eq!((pieces[0].file, pieces[0].offset), (rec.file, rec.offset), "old home");
+            }
+        }
+        let store = PipelineStore::open(&path).expect("reopen");
+        let out = recover(t0(&store)).expect("recover");
+        assert_eq!((out.rolled_forward, out.discarded_batches), (0, 0));
+        assert_eq!(out.tables.expect("base committed"), (base, rst));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1305,15 +1398,18 @@ mod tests {
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
-        assert!(boundaries > 30, "expected a wide matrix, got {boundaries} boundaries");
+        // Base and final saves, two intent records, one on-access commit
+        // per extent (each is touched once), the journal clear.
+        assert_eq!(boundaries, 2 * save_boundaries(&rst) + 2 + to_migrate.len() as u64 + 1);
 
+        let mut kinds = Vec::new();
         for k in 0..boundaries {
             let path = tmp_store(&format!("lazy-matrix-{k}"));
             {
                 let store = PipelineStore::open(&path).expect("open");
                 store.kill_switch().arm(k);
                 match run(&store) {
-                    Err(PersistError::Killed(_)) => {}
+                    Err(PersistError::Killed(point)) => kinds.push(point),
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
             }
@@ -1322,7 +1418,7 @@ mod tests {
             let committed: std::collections::HashSet<(u32, u64)> = journal
                 .iter()
                 .filter(|b| b.committed)
-                .flat_map(|b| b.entries.iter().map(|e| (e.o_file.0, e.o_offset)))
+                .map(|b| (b.entry.o_file.0, b.entry.o_offset))
                 .collect();
             let out = recover(t0(&store)).expect("recover");
             match &out.tables {
@@ -1354,14 +1450,12 @@ mod tests {
                         );
                         assert_eq!(p.len, e.length, "boundary {k}");
                     }
-                    for b in journal.iter().filter(|b| b.committed) {
-                        for e in &b.entries {
-                            assert_eq!(
-                                drt.lookup_exact(e.o_file, e.o_offset, e.length),
-                                Some((e.r_file, e.r_offset)),
-                                "boundary {k}: committed batch entry lost"
-                            );
-                        }
+                    for e in journal.iter().filter(|b| b.committed).map(|b| b.entry) {
+                        assert_eq!(
+                            drt.lookup_exact(e.o_file, e.o_offset, e.length),
+                            Some((e.r_file, e.r_offset)),
+                            "boundary {k}: committed batch entry lost"
+                        );
                     }
                 }
             }
@@ -1375,5 +1469,6 @@ mod tests {
             assert_eq!(final_drt.len(), base.len() + to_migrate.len(), "boundary {k}");
             let _ = std::fs::remove_file(&path);
         }
+        assert_every_kind_killed(&kinds);
     }
 }

@@ -31,21 +31,27 @@
 //!    and rejects, as corrupt, a payload that is not 1 to 4096 whole
 //!    entries and an entry that is zero-length, out of order or
 //!    overlapping — so a reordered or duplicated chunk fails — and the
-//!    commit record's entry count then catches a missing one. RST and
-//!    journal records stay one record per row.
+//!    commit record's entry count then catches a missing one. RST
+//!    records stay one record per row.
 //!
 //!    Plan metadata (one record per generation) and named fault plans
 //!    are little-endian binary payloads too, laid out in the meta and
 //!    fault payload section below; a malformed one is
 //!    [`PersistError::Corrupt`], never a panic or an oversized
 //!    allocation.
-//! 3. **Write-ahead migration journal.** Region migration appends each
-//!    batch's intended DRT entries to a journal *before* moving bytes,
-//!    and a per-batch commit record *after* the movement traffic has
-//!    been replayed. A DRT entry is only published once its batch
+//! 3. **Write-ahead migration journal.** Region migration writes its
+//!    intended DRT entries to the journal *before* moving bytes, and a
+//!    per-batch commit record *after* the movement traffic has been
+//!    replayed. Every entry is its own batch: one *intent record* keyed
+//!    by its first batch holds a whole call's entries in the DRT-chunk
+//!    encoding, entry `i` owning batch `first + i`, while commit records
+//!    stay one per batch. A DRT entry is only published once its batch
 //!    committed, so [`recover`] can roll committed batches forward and
 //!    discard uncommitted intents — the DRT never resolves to data that
-//!    was never migrated.
+//!    was never migrated. An intent record that is empty, not whole
+//!    entries, holds a zero-length or `u64`-overflowing entry, numbers a
+//!    batch past `u32::MAX` or claims a batch another record claims is
+//!    [`PersistError::Corrupt`].
 //!
 //! Crash injection is first-class: every mutating operation crosses
 //! numbered *commit boundaries* through a [`KillSwitch`]. Arming the
@@ -68,7 +74,7 @@ use std::fmt::Write as _;
 use std::path::Path;
 
 /// On-disk format version of every record this module writes.
-const VERSION: u8 = 3;
+const VERSION: u8 = 4;
 
 /// Most DRT entries one chunk record holds.
 const DRT_CHUNK_ENTRIES: usize = 4096;
@@ -178,7 +184,8 @@ pub enum CommitPoint {
     /// Before writing a generation's commit record — the atomic instant
     /// a save becomes visible.
     TableCommit,
-    /// Before journaling one migration batch intent record.
+    /// Before writing one migration intent record (all the batches of
+    /// one journaling call).
     BatchIntent,
     /// Before writing a migration batch's commit record — the atomic
     /// instant a batch's movement becomes rollable-forward.
@@ -448,12 +455,11 @@ fn fault_key(name: &str) -> Vec<u8> {
     k
 }
 
-fn journal_key(ns: u32, batch: u32, idx: u32) -> Vec<u8> {
+/// Key of the intent record whose first entry owns batch `first`.
+fn journal_key(ns: u32, first: u32) -> Vec<u8> {
     let mut k = ns_prefix(ns);
     k.extend_from_slice(b"mig:");
-    k.extend_from_slice(&batch.to_le_bytes());
-    k.push(b':');
-    k.extend_from_slice(&idx.to_le_bytes());
+    k.extend_from_slice(&first.to_le_bytes());
     k
 }
 
@@ -464,8 +470,8 @@ fn journal_commit_key(ns: u32, batch: u32) -> Vec<u8> {
     k
 }
 
-/// One DRT entry as 32 bytes, little-endian fields: the journal payload
-/// and the unit of a DRT chunk.
+/// One DRT entry as 32 bytes, little-endian fields: the unit of a DRT
+/// chunk and of a journal intent record.
 fn entry_bytes(e: &DrtEntry) -> [u8; ENTRY_BYTES] {
     let mut b = [0u8; ENTRY_BYTES];
     b[..4].copy_from_slice(&e.o_file.0.to_le_bytes());
@@ -487,6 +493,20 @@ fn entry_from_bytes(key: &[u8], v: &[u8]) -> Result<DrtEntry, PersistError> {
     };
     r.finish()?;
     Ok(e)
+}
+
+/// Why `e` cannot be a journaled intent, if it cannot: an intent maps at
+/// least one byte and ends within `u64` on both sides.
+fn bad_intent(e: &DrtEntry) -> Option<&'static str> {
+    if e.length == 0 {
+        Some("zero-length entry")
+    } else if e.o_offset.checked_add(e.length).is_none()
+        || e.r_offset.checked_add(e.length).is_none()
+    {
+        Some("entry ends past u64::MAX")
+    } else {
+        None
+    }
 }
 
 /// One RST row's stripe pair as 16 bytes: `h` then `s`, little-endian.
@@ -724,14 +744,14 @@ struct Committed {
 }
 
 /// One journaled migration batch, as read back by [`TenantStore::journal`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct JournalBatch {
     /// Batch index within the interrupted migration.
     pub batch: u32,
     /// Whether the batch's commit record exists (movement completed).
     pub committed: bool,
-    /// The DRT entries the batch intended to publish.
-    pub entries: Vec<DrtEntry>,
+    /// The DRT entry the batch intended to publish.
+    pub entry: DrtEntry,
 }
 
 /// Crash-consistent store for the pipeline's durable state: DRT, RST,
@@ -1043,14 +1063,21 @@ impl TenantStore<'_> {
 
     // ---------------------------------------------------------- journal --
 
-    /// Journal a migration batch's intended DRT entries *before* any
-    /// data moves (the write-ahead half of the invariant).
-    pub fn journal_batch(&self, batch: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
-        for (i, e) in entries.iter().enumerate() {
-            self.check(CommitPoint::BatchIntent)?;
-            self.kv()
-                .put(&journal_key(self.ns, batch, i as u32), &seal(TAG_JOURNAL, &entry_bytes(e)))?;
+    /// Journal one call's intended DRT entries *before* any data moves
+    /// (the write-ahead half of the invariant): one intent record and
+    /// one kill boundary, whatever the number of entries. Entry `i` is
+    /// batch `first + i`, committed on its own by
+    /// [`TenantStore::commit_batch`].
+    pub fn journal_intents(&self, first: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
+        debug_assert!(!entries.is_empty(), "an intent record holds at least one entry");
+        debug_assert!(entries.iter().all(|e| bad_intent(e).is_none()), "unreadable intent");
+        debug_assert!(u64::from(first) + entries.len() as u64 <= u64::from(u32::MAX));
+        self.check(CommitPoint::BatchIntent)?;
+        let mut payload = Vec::with_capacity(entries.len() * ENTRY_BYTES);
+        for e in entries {
+            payload.extend_from_slice(&entry_bytes(e));
         }
+        self.kv().put(&journal_key(self.ns, first), &seal(TAG_JOURNAL, &payload))?;
         Ok(())
     }
 
@@ -1065,47 +1092,73 @@ impl TenantStore<'_> {
         Ok(())
     }
 
-    /// Read the journal back: every batch with intent records, in batch
-    /// order, with its committed flag.
+    /// Read the journal back: every journaled entry as its own batch, in
+    /// batch order, with its committed flag. One prefix scan reads the
+    /// commit records and one the intent records; a commit record with
+    /// no intent is ignored.
     pub fn journal(&self) -> Result<Vec<JournalBatch>, PersistError> {
-        let mut batches: std::collections::BTreeMap<u32, Vec<(u32, DrtEntry)>> =
-            std::collections::BTreeMap::new();
-        let prefix = table_prefix(self.ns, b"mig:");
-        self.kv().scan_prefix(&prefix, |key, raw| {
-            let rest = &key[prefix.len()..];
-            if rest.len() != 9 || rest[4] != b':' {
-                return Err(corrupt(key, "malformed journal key"));
+        let cp = table_prefix(self.ns, b"migc:");
+        let mut commits = std::collections::HashSet::new();
+        self.kv().scan_prefix(&cp, |key, raw| {
+            unseal(key, TAG_COMMIT, raw)?;
+            let rest = &key[cp.len()..];
+            if rest.len() != 4 {
+                return Err(corrupt(key, "malformed journal commit key"));
             }
-            let batch = le_u32(&rest[..4]).expect("4 bytes");
-            let idx = le_u32(&rest[5..]).expect("4 bytes");
-            let payload = unseal(key, TAG_JOURNAL, raw)?;
-            batches.entry(batch).or_default().push((idx, entry_from_bytes(key, payload)?));
+            commits.insert(le_u32(rest).expect("4 bytes"));
             Ok(())
         })?;
-        let mut out = Vec::with_capacity(batches.len());
-        for (batch, mut v) in batches {
-            v.sort_by_key(|(i, _)| *i);
-            let ck = journal_commit_key(self.ns, batch);
-            let committed = match self.kv().get(&ck)? {
-                Some(raw) => {
-                    unseal(&ck, TAG_COMMIT, &raw)?;
-                    true
+        let prefix = table_prefix(self.ns, b"mig:");
+        let mut out = Vec::new();
+        // `[first, end)` batch range of every intent record.
+        let mut ranges: Vec<(u64, u64)> = Vec::new();
+        self.kv().scan_prefix(&prefix, |key, raw| {
+            let payload = unseal(key, TAG_JOURNAL, raw)?;
+            let rest = &key[prefix.len()..];
+            if rest.len() != 4 {
+                return Err(corrupt(key, "malformed journal key"));
+            }
+            let first = le_u32(rest).expect("4 bytes");
+            if payload.is_empty() || payload.len() % ENTRY_BYTES != 0 {
+                return Err(corrupt(
+                    key,
+                    format!(
+                        "intent payload is {} bytes, not 1 or more whole {ENTRY_BYTES}-byte entries",
+                        payload.len()
+                    ),
+                ));
+            }
+            let n = (payload.len() / ENTRY_BYTES) as u64;
+            let end = u64::from(first) + n;
+            if end > u64::from(u32::MAX) {
+                return Err(corrupt(key, format!("{n} batches from {first} run past u32::MAX")));
+            }
+            for (bytes, batch) in payload.chunks_exact(ENTRY_BYTES).zip(first..) {
+                let entry = entry_from_bytes(key, bytes)?;
+                if let Some(why) = bad_intent(&entry) {
+                    return Err(corrupt(key, format!("batch {batch}: {why}")));
                 }
-                None => false,
-            };
-            out.push(JournalBatch {
-                batch,
-                committed,
-                entries: v.into_iter().map(|(_, e)| e).collect(),
-            });
+                out.push(JournalBatch { batch, committed: commits.contains(&batch), entry });
+            }
+            ranges.push((u64::from(first), end));
+            Ok(())
+        })?;
+        ranges.sort_unstable();
+        if let Some(w) = ranges.windows(2).find(|w| w[1].0 < w[0].1) {
+            return Err(corrupt(
+                &journal_key(self.ns, w[1].0 as u32),
+                format!("batch {} is also claimed by the record at batch {}", w[1].0, w[0].0),
+            ));
         }
+        out.sort_unstable_by_key(|b| b.batch);
         Ok(out)
     }
 
-    /// Delete every journal record (intents first, then commit markers:
-    /// a crash mid-clear leaves either already-published committed
-    /// batches or intent-less markers, both of which recovery ignores
-    /// or re-skips harmlessly).
+    /// Delete every journal record (intent records first, then commit
+    /// markers: a crash mid-clear leaves whole intent records whose
+    /// committed entries the final save already published, or
+    /// intent-less markers; recovery re-skips the former and ignores
+    /// the latter).
     pub fn clear_journal(&self) -> Result<(), PersistError> {
         self.check(CommitPoint::JournalClear)?;
         for table in [&b"mig:"[..], b"migc:"] {
@@ -1138,9 +1191,9 @@ pub struct RecoveryOutcome {
 ///   the state.
 /// * Journal but no committed generation → the crash predates the base
 ///   save the journal refers to; the journal is discarded wholesale.
-/// * Otherwise every **committed** batch's entries are published into
-///   the committed DRT (skipping entries the final save already
-///   published) and **uncommitted** batches are discarded — their data
+/// * Otherwise every **committed** batch's entry is published into the
+///   committed DRT (skipping entries the final save already published)
+///   and **uncommitted** batches are discarded — their data
 ///   never finished moving, and the old mapping still resolves to valid
 ///   bytes because migration copies rather than destroys.
 ///
@@ -1170,22 +1223,21 @@ pub fn recover(store: TenantStore<'_>) -> Result<RecoveryOutcome, PersistError> 
     let (mut drt, rst) = store.tables_at(&c)?;
     let mut rolled = 0usize;
     let mut discarded = 0usize;
-    for batch in &journal {
-        if !batch.committed {
+    for b in &journal {
+        if !b.committed {
             discarded += 1;
             continue;
         }
-        for e in &batch.entries {
-            if drt.lookup_exact(e.o_file, e.o_offset, e.length) == Some((e.r_file, e.r_offset)) {
-                continue; // already published by the final save
-            }
-            if drt.insert(*e) {
-                rolled += 1;
-            }
-            // A rejected insert means a later committed state already
-            // covers these bytes differently; the journal record is
-            // stale and the committed mapping wins.
+        let e = b.entry;
+        if drt.lookup_exact(e.o_file, e.o_offset, e.length) == Some((e.r_file, e.r_offset)) {
+            continue; // already published by the final save
         }
+        if drt.insert(e) {
+            rolled += 1;
+        }
+        // A rejected insert means a later committed state already covers
+        // these bytes differently; the journal record is stale and the
+        // committed mapping wins.
     }
     if rolled > 0 {
         let meta = if c.has_meta { Some(store.meta_at(c.gen)?.1) } else { None };
@@ -1872,13 +1924,14 @@ mod tests {
         let store = PipelineStore::open(&path).expect("open");
         let (drt, rst) = sample_tables();
         store.save_tables(&drt, &rst).expect("base");
-        // Batch 0 committed (moved), batch 1 only journaled (crash before
-        // its movement finished).
+        // Batches 0 and 1 committed (moved), batch 2 only journaled
+        // (crash before its movement finished).
         let committed = [entry(1 << 20, 70_001, 0), entry((1 << 20) + 8192, 70_001, 4096)];
         let uncommitted = [entry(1 << 21, 70_001, 8192)];
-        t0(&store).journal_batch(0, &committed).expect("journal 0");
+        t0(&store).journal_intents(0, &committed).expect("journal 0..2");
         t0(&store).commit_batch(0).expect("commit 0");
-        t0(&store).journal_batch(1, &uncommitted).expect("journal 1");
+        t0(&store).commit_batch(1).expect("commit 1");
+        t0(&store).journal_intents(2, &uncommitted).expect("journal 2");
 
         let out = recover(t0(&store)).expect("recover");
         assert_eq!(out.rolled_forward, 2);
@@ -1910,12 +1963,108 @@ mod tests {
     fn journal_with_no_base_generation_is_discarded() {
         let path = tmp_path("orphan-journal");
         let store = PipelineStore::open(&path).expect("open");
-        t0(&store).journal_batch(0, &[entry(0, 70_000, 0)]).expect("journal");
+        t0(&store).journal_intents(0, &[entry(0, 70_000, 0)]).expect("journal");
         t0(&store).commit_batch(0).expect("commit");
         let out = recover(t0(&store)).expect("recover");
         assert!(out.tables.is_none());
         assert_eq!(out.discarded_batches, 1);
         assert!(t0(&store).journal().expect("journal").is_empty());
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn journal_intent_records_read_back_as_one_batch_per_entry() {
+        let path = tmp_path("intents");
+        let store = PipelineStore::open(&path).expect("open");
+        let es: Vec<DrtEntry> = (0..5u64).map(|i| entry(i * 8192, 70_001, i * 4096)).collect();
+        // Two records, written out of batch order; a marker with no
+        // intent (batch 9) is ignored.
+        t0(&store).journal_intents(3, &es[3..]).expect("journal 3..5");
+        t0(&store).journal_intents(0, &es[..3]).expect("journal 0..3");
+        for b in [1, 4, 9] {
+            t0(&store).commit_batch(b).expect("commit");
+        }
+        let journal = t0(&store).journal().expect("journal");
+        let got: Vec<(u32, bool, DrtEntry)> =
+            journal.iter().map(|b| (b.batch, b.committed, b.entry)).collect();
+        let want: Vec<(u32, bool, DrtEntry)> =
+            es.iter().zip(0u32..).map(|(e, b)| (b, b == 1 || b == 4, *e)).collect();
+        assert_eq!(got, want);
+        assert_eq!(store.store().keys_with_prefix(b"mig:").len(), 2, "one key per record");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn malformed_journal_records_under_a_valid_crc_are_corrupt() {
+        let path = tmp_path("journal-malformed");
+        let store = PipelineStore::open(&path).expect("open");
+        let (drt, rst) = sample_tables();
+        store.save_tables(&drt, &rst).expect("base");
+        let good = [entry(1 << 20, 70_001, 0), entry((1 << 20) + 8192, 70_001, 4096)];
+        let enc = |es: &[DrtEntry]| es.iter().flat_map(entry_bytes).collect::<Vec<u8>>();
+        let with = |f: &dyn Fn(&mut DrtEntry)| {
+            let mut es = good;
+            f(&mut es[1]);
+            enc(&es)
+        };
+        // Batch 100 is free: only the key's length is wrong.
+        let mut odd_key = journal_key(0, 100);
+        odd_key.push(0);
+        let cases: Vec<(&str, Vec<u8>, Vec<u8>)> = vec![
+            ("empty", journal_key(0, 0), Vec::new()),
+            ("truncated mid-entry", journal_key(0, 0), enc(&good)[..64 - 5].to_vec()),
+            ("a stray byte", journal_key(0, 0), [enc(&good), vec![0]].concat()),
+            ("zero-length", journal_key(0, 0), with(&|e| e.length = 0)),
+            ("ends past u64::MAX", journal_key(0, 0), with(&|e| e.o_offset = u64::MAX - 10)),
+            ("new home ends past u64::MAX", journal_key(0, 0), with(&|e| e.r_offset = u64::MAX)),
+            ("batches past u32::MAX", journal_key(0, u32::MAX - 1), enc(&good)),
+            ("a key that is not 4 bytes", odd_key, enc(&good)),
+            ("a batch claimed twice", journal_key(0, 1), enc(&good)),
+        ];
+        // A well-formed record for batches 0 and 1, which the last case
+        // overlaps.
+        t0(&store).journal_intents(0, &good).expect("journal");
+        for (what, key, payload) in cases {
+            store.store().put(&key, &seal(TAG_JOURNAL, &payload)).expect("put");
+            match t0(&store).journal() {
+                Err(PersistError::Corrupt { .. }) => {}
+                other => panic!("{what}: expected Corrupt, got {other:?}"),
+            }
+            match recover(t0(&store)) {
+                Err(PersistError::Corrupt { .. }) => {}
+                other => panic!("{what}: recovery expected Corrupt, got {other:?}"),
+            }
+            store.store().delete(&key).expect("delete");
+            if key == journal_key(0, 0) {
+                t0(&store).journal_intents(0, &good).expect("restore");
+            }
+        }
+        assert_eq!(t0(&store).journal().expect("journal").len(), 2);
+        let mut odd_commit = journal_commit_key(0, 0);
+        odd_commit.push(0);
+        store.store().put(&odd_commit, &seal(TAG_COMMIT, &[])).expect("put");
+        assert!(matches!(t0(&store).journal(), Err(PersistError::Corrupt { .. })));
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn a_version_3_per_entry_journal_is_a_version_mismatch() {
+        let path = tmp_path("journal-v3");
+        let store = PipelineStore::open(&path).expect("open");
+        // Version 3 wrote one `mig:<batch le32>:<index le32>` record per
+        // entry.
+        let mut k = journal_key(0, 0);
+        k.push(b':');
+        k.extend_from_slice(&0u32.to_le_bytes());
+        let mut raw = seal(TAG_JOURNAL, &entry_bytes(&entry(0, 70_000, 0)));
+        raw[3] = 3;
+        store.store().put(&k, &raw).expect("put");
+        for got in [t0(&store).journal().map(|_| ()), recover(t0(&store)).map(|_| ())] {
+            assert!(
+                matches!(got, Err(PersistError::VersionMismatch { found: 3, expected: 4, .. })),
+                "{got:?}"
+            );
+        }
         let _ = std::fs::remove_file(&path);
     }
 
@@ -1986,7 +2135,7 @@ mod tests {
 
     /// Every key the pipeline writes, as literal bytes: tenant 0 adds no
     /// prefix, tenant 7 prefixes `t` + le32 + `:`. Generations are le64,
-    /// DRT chunks be32, RST files le32, journal batches and indices le32.
+    /// DRT chunks be32, RST files le32, journal batches le32.
     #[test]
     fn key_bytes_are_pinned() {
         let path = tmp_path("key-bytes");
@@ -2000,14 +2149,16 @@ mod tests {
             let ts = store.tenant(TenantId(t));
             assert_eq!(ts.save_tables(&two_chunks, &rst).expect("save tables"), 0);
             assert_eq!(ts.save_plan(&sample_plan()).expect("save plan"), 1);
-            ts.journal_batch(3, &drt.entries()[..2]).expect("journal");
-            ts.commit_batch(3).expect("commit");
+            ts.journal_intents(3, &drt.entries()[..2]).expect("journal");
+            ts.commit_batch(4).expect("commit");
+            let k = journal_key(t, 3);
+            let raw = store.store().get(&k).expect("get").expect("intent");
+            assert_eq!(unseal(&k, TAG_JOURNAL, &raw).expect("sealed").len(), 64, "two entries");
         }
         let keys = |prefix: &[u8]| -> Vec<Vec<u8>> {
             [
-                &b"mig:\x03\x00\x00\x00:\x00\x00\x00\x00"[..],
-                b"mig:\x03\x00\x00\x00:\x01\x00\x00\x00",
-                b"migc:\x03\x00\x00\x00",
+                &b"mig:\x03\x00\x00\x00"[..],
+                b"migc:\x04\x00\x00\x00",
                 b"pcommit",
                 b"pdrt:\x00\x00\x00\x00\x00\x00\x00\x00:\x00\x00\x00\x00",
                 b"pdrt:\x00\x00\x00\x00\x00\x00\x00\x00:\x00\x00\x00\x01",
@@ -2079,11 +2230,11 @@ mod tests {
             length: 4096,
         };
         let t1 = store.tenant(TenantId(1));
-        t1.journal_batch(0, std::slice::from_ref(&extra1)).expect("journal");
+        t1.journal_intents(0, std::slice::from_ref(&extra1)).expect("journal");
         t1.commit_batch(0).expect("commit");
         // Tenant 2: an uncommitted batch recovery must discard.
         let extra2 = DrtEntry { o_file: FileId(2), ..extra1 };
-        store.tenant(TenantId(2)).journal_batch(0, std::slice::from_ref(&extra2)).expect("journal");
+        store.tenant(TenantId(2)).journal_intents(0, std::slice::from_ref(&extra2)).expect("journal");
 
         let o1 = recover(store.tenant(TenantId(1))).expect("recover t1");
         assert_eq!(o1.rolled_forward, 1);

@@ -10,15 +10,17 @@
 //! before).
 //!
 //! The rebuild rides the migration write-ahead journal
-//! ([`TenantStore::journal_batch`] / [`TenantStore::commit_batch`]):
+//! ([`TenantStore::journal_intents`] / [`TenantStore::commit_batch`]):
 //! one batch per affected file, in
-//! `FileId` order, each journaling a single [`DrtEntry`] whose `length`
-//! is the byte count being reconstructed for that file
+//! `FileId` order, each a one-entry intent record whose [`DrtEntry`]
+//! `length` is the byte count being reconstructed for that file
 //! (`o_file == r_file`, offsets 0 — the entry is an *intent marker* for
 //! crash accounting, not a relocation; a rebuild changes where redundant
-//! copies live, never the file's logical mapping). The discipline is
+//! copies live, never the file's logical mapping). A file the dead
+//! server held no bytes of journals nothing; only its layout swaps.
+//! The discipline is
 //!
-//! 1. journal the file's intent entry,
+//! 1. journal the file's intent record,
 //! 2. reconstruct (accounted in bytes; see below),
 //! 3. write the batch's commit record (fsynced),
 //! 4. swap the dead server for the spare in the in-memory layout.
@@ -148,7 +150,7 @@ pub fn rebuild_onto_spare(
             .map(|&(_, bytes, _)| bytes)
             .unwrap_or(0);
         out.bytes_lost += lost;
-        if !committed.contains(&batch) {
+        if lost > 0 && !committed.contains(&batch) {
             let entry = DrtEntry {
                 o_file: *file,
                 o_offset: 0,
@@ -156,7 +158,7 @@ pub fn rebuild_onto_spare(
                 r_offset: 0,
                 length: lost,
             };
-            store.journal_batch(batch, std::slice::from_ref(&entry))?;
+            store.journal_intents(batch, std::slice::from_ref(&entry))?;
             match spec.placement() {
                 // One surviving copy streams the lost bytes directly.
                 Placement::Replicated(_) => out.bytes_read += lost,
@@ -179,7 +181,7 @@ pub fn rebuild_onto_spare(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::persist::PipelineStore;
+    use crate::persist::{CommitPoint, PipelineStore};
     use iotrace::TenantId;
     use iotrace::{Rank, TraceRecord};
     use simrt::SimTime;
@@ -362,8 +364,11 @@ mod tests {
             store.kill_switch().boundaries()
         };
         let _ = std::fs::remove_file(&path);
-        assert!(boundaries > 30, "expected a wide matrix, got {boundaries} boundaries");
+        // Per affected file an intent record and its commit, then the
+        // journal clear.
+        assert_eq!(boundaries, 2 * N_RED as u64 + 1);
 
+        let mut kinds = Vec::new();
         for k in 0..boundaries {
             let path = tmp_store(&format!("matrix-{k}"));
             {
@@ -371,7 +376,7 @@ mod tests {
                 store.kill_switch().arm(k);
                 let mut layouts = fixture_layouts.clone();
                 match rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE) {
-                    Err(PersistError::Killed(_)) => {}
+                    Err(PersistError::Killed(point)) => kinds.push(point),
                     other => panic!("boundary {k}: expected Killed, got {other:?}"),
                 }
             }
@@ -383,7 +388,7 @@ mod tests {
                 .expect("journal")
                 .iter()
                 .filter(|b| b.committed)
-                .flat_map(|b| b.entries.iter().map(|e| e.length))
+                .map(|b| b.entry.length)
                 .sum();
             let mut layouts = fixture_layouts.clone();
             let out =
@@ -404,6 +409,31 @@ mod tests {
             assert_eq!(again, RebuildOutcome::default(), "boundary {k}");
             let _ = std::fs::remove_file(&path);
         }
+        let kinds_crossed =
+            [CommitPoint::BatchIntent, CommitPoint::BatchCommit, CommitPoint::JournalClear];
+        for point in kinds_crossed {
+            assert!(kinds.contains(&point), "no kill at a {point:?} boundary");
+        }
+    }
+
+    /// A file smaller than one stripe lives on the layout's first server
+    /// only: losing the second reconstructs nothing, so the rebuild
+    /// journals no (zero-length, unreadable) intent for it and only
+    /// swaps its layout.
+    #[test]
+    fn a_file_the_dead_server_held_nothing_of_journals_nothing() {
+        let six: Vec<ServerId> = (0..6).map(ServerId).collect();
+        let original = LayoutSpec::fixed(&six, STRIPE).with_placement(Placement::Replicated(2));
+        let mut layouts = vec![(FileId(0), original.clone())];
+        let sizes = vec![(FileId(0), STRIPE / 2)];
+        let path = tmp_store("nothing-lost");
+        let store = PipelineStore::open(&path).expect("open");
+        let out =
+            rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("rebuild");
+        assert_eq!((out.files, out.bytes_lost, out.bytes_written), (1, 0, 0));
+        assert_eq!(layouts[0].1, original.swap_server(DEAD, SPARE));
+        assert_eq!(store.kill_switch().boundaries(), 1, "only the journal clear");
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

@@ -105,6 +105,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 # dropping out of the suite.
 cargo test -q -p mha-core persist::
 cargo test -q -p mha-core kill_matrix
+# The migration journal, by name: one intent record per journaling call
+# reads back as per-entry batches, a malformed record under a valid CRC
+# is Corrupt, a version-3 per-entry journal is a VersionMismatch, and an
+# add_pending killed at its intent record registers nothing.
+cargo test -q -p mha-core --lib -- journal add_pending_killed_at_its_intent
 cargo test -q -p mha-bench --test persist_roundtrip
 cargo test -q -p mha --test properties persisted_tables
 # Every example runs to completion. durable_pipeline saves a plan,
