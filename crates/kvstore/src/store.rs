@@ -4,12 +4,16 @@
 //! records where the value sits in the log and, when the value is cached,
 //! its bytes and its place in an intrusive doubly linked recency list over
 //! the cached slots. Freed slots are reused from a free list.
+//!
+//! Values stay on disk until they are read: the cache fills on `get` only
+//! (write-around), and recovery streams the log instead of loading it, so
+//! memory follows the live keys and the values actually read.
 
 use crate::error::{Error, Result};
 use crate::wal;
 use std::collections::btree_map::{BTreeMap, Entry};
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::ops::Bound;
 use std::os::unix::fs::FileExt;
 use std::path::{Path, PathBuf};
@@ -21,8 +25,9 @@ pub struct StoreOptions {
     /// fsync after every mutation (the paper's write-through durability).
     /// Disable only for bulk loads followed by an explicit [`Store::sync`].
     pub sync_on_write: bool,
-    /// Maximum number of values kept in memory; older values are evicted
-    /// to the log and re-read on demand. `usize::MAX` disables eviction.
+    /// Maximum number of values read back by [`Store::get`] that stay
+    /// in memory; older ones are evicted and re-read from the log on
+    /// demand. `usize::MAX` disables eviction.
     pub max_cached_values: usize,
 }
 
@@ -94,8 +99,8 @@ fn prefix_range<'a>(
 
 impl Inner {
     /// Point `key` at a value of `len` bytes at `offset`, dropping any
-    /// cached copy of its old value. Returns the key's slot.
-    fn upsert(&mut self, key: &[u8], offset: u64, len: u32) -> Result<u32> {
+    /// cached copy of its old value.
+    fn upsert(&mut self, key: &[u8], offset: u64, len: u32) -> Result<()> {
         // One tree search per call, which log recovery makes per record;
         // an overwrite pays for a key copy it then drops.
         let i = match self.index.entry(key.into()) {
@@ -117,14 +122,14 @@ impl Inner {
                     }
                 };
                 e.insert(i);
-                return Ok(i);
+                return Ok(());
             }
         };
         self.uncache(i);
         let slot = &mut self.slots[i as usize];
         slot.offset = offset;
         slot.len = len;
-        Ok(i)
+        Ok(())
     }
 
     /// Drop `key` if it is live.
@@ -207,15 +212,19 @@ pub struct Store {
 impl Store {
     /// Open (creating if absent) the store at `path`, recovering from the
     /// existing log. A torn tail from a crash is truncated away.
+    ///
+    /// Recovery streams the log through a fixed window and keeps only the
+    /// live keys and where their values sit, so it needs memory for the
+    /// keys, not for the log.
     pub fn open(path: impl AsRef<Path>, opts: StoreOptions) -> Result<Store> {
         let path = path.as_ref().to_path_buf();
-        let mut file = OpenOptions::new()
+        let file = OpenOptions::new()
             .read(true)
             .create(true)
             .append(true)
             .open(&path)?;
-        let mut buf = Vec::new();
-        file.read_to_end(&mut buf)?;
+        let len = file.metadata()?.len();
+        let mut walk = wal::Stream::new(file.try_clone()?, len);
         let mut inner = Inner {
             file,
             log_len: 0,
@@ -227,12 +236,10 @@ impl Store {
             cached_count: 0,
             stats: StoreStats::default(),
         };
-        let mut walk = wal::Walk::new(&buf);
-        for rec in walk.by_ref() {
-            if let Some(v) = rec.value {
-                inner.upsert(rec.key, rec.value_offset(), v.len() as u32)?;
-            } else {
-                inner.remove(rec.key);
+        while let Some(rec) = walk.next_record()? {
+            match rec.value_len {
+                Some(len) => inner.upsert(rec.key, rec.value_offset(), len)?,
+                None => inner.remove(rec.key),
             }
         }
         if walk.torn() {
@@ -273,16 +280,18 @@ impl Store {
     }
 
     /// Insert or overwrite `key` with `value`.
+    ///
+    /// The value goes to the log only; the cache fills on reads. An
+    /// overwrite drops the key's cached old value, so its next `get`
+    /// re-reads the log.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<()> {
         let rec = wal::encode_put(key, value)?;
         let mut guard = self.lock();
         let g = &mut *guard;
         let offset = self.append(g, &rec)?;
         let value_off = offset + wal::HEADER as u64 + key.len() as u64;
-        let i = g.upsert(key, value_off, value.len() as u32)?;
-        g.cache(i, value.into());
+        g.upsert(key, value_off, value.len() as u32)?;
         g.stats.puts += 1;
-        g.enforce_cache_cap(self.opts.max_cached_values);
         Ok(())
     }
 
@@ -569,8 +578,10 @@ mod tests {
         let s = small_cache(&path, 2);
         s.put(b"a", b"1").unwrap();
         s.put(b"b", b"2").unwrap();
-        s.get(b"a").unwrap(); // a becomes most recent, so b goes first
         s.put(b"c", b"3").unwrap();
+        s.get(b"b").unwrap();
+        s.get(b"a").unwrap(); // a becomes most recent, so b goes first
+        s.get(b"c").unwrap();
         assert_eq!(recency(&s), keys(&[b"c", b"a"]));
         let before = s.stats();
         assert_eq!(s.get(b"a").unwrap().as_deref(), Some(&b"1"[..]));
@@ -591,12 +602,21 @@ mod tests {
             for k in 0..50u32 {
                 s.put(&key(k), &round.to_le_bytes()).unwrap();
             }
-            // The 25 most recent puts are cached, newest first.
+            // Every key was overwritten, so nothing stays cached.
+            assert_eq!(recency(&s), Vec::<Vec<u8>>::new(), "round {round}");
+            let before = s.stats();
+            for k in 0..50u32 {
+                assert_eq!(s.get(&key(k)).unwrap().unwrap(), round.to_le_bytes());
+            }
+            // The 25 most recent gets are cached, newest first.
             let want: Vec<Vec<u8>> = (25..50u32).rev().map(key).collect();
             assert_eq!(recency(&s), want, "round {round}");
             for k in (0..10u32).rev() {
                 assert_eq!(s.get(&key(k)).unwrap().unwrap(), round.to_le_bytes());
             }
+            let after = s.stats();
+            assert_eq!(after.cache_misses - before.cache_misses, 60, "round {round}");
+            assert_eq!(after.cache_hits, before.cache_hits, "round {round}");
             let order = recency(&s);
             assert_eq!(order[..10], (0..10u32).map(key).collect::<Vec<_>>()[..]);
             assert_eq!(order[10..], (35..50u32).rev().map(key).collect::<Vec<_>>()[..]);
@@ -614,15 +634,50 @@ mod tests {
         let s = small_cache(&path, 2);
         s.put(b"k", b"v1").unwrap();
         s.put(b"x", b"x").unwrap();
+        s.get(b"k").unwrap();
+        s.get(b"x").unwrap();
+        assert_eq!(recency(&s), keys(&[b"x", b"k"]));
         assert!(s.delete(b"k").unwrap());
         assert_eq!(recency(&s), keys(&[b"x"]));
         s.put(b"k", b"v2").unwrap();
+        assert_eq!(recency(&s), keys(&[b"x"]));
+        assert_eq!(s.get(b"k").unwrap().as_deref(), Some(&b"v2"[..]));
         assert_eq!(recency(&s), keys(&[b"k", b"x"]));
         s.put(b"y", b"y").unwrap();
+        s.get(b"y").unwrap();
         assert_eq!(recency(&s), keys(&[b"y", b"k"]));
+        let hits = s.stats().cache_hits;
         assert_eq!(s.get(b"k").unwrap().as_deref(), Some(&b"v2"[..]));
+        assert_eq!(s.stats().cache_hits, hits + 1, "k stayed cached");
         // The deleted key's slot was reused rather than leaked.
         assert_eq!(s.lock().slots.len(), 3);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn put_leaves_the_cache_untouched() {
+        let path = tmp_path("write-around");
+        let s = small_cache(&path, 3);
+        for k in [b"a", b"b", b"c"] {
+            s.put(k, b"old").unwrap();
+        }
+        assert_eq!(recency(&s), Vec::<Vec<u8>>::new(), "puts cache nothing");
+        for k in [b"a", b"b", b"c"] {
+            s.get(k).unwrap();
+        }
+        assert_eq!(recency(&s), keys(&[b"c", b"b", b"a"]));
+        // A new key leaves the list and the count as they were.
+        s.put(b"d", b"new").unwrap();
+        assert_eq!(recency(&s), keys(&[b"c", b"b", b"a"]));
+        // A put over a cached key drops only that key's stale value.
+        s.put(b"b", b"new").unwrap();
+        assert_eq!(recency(&s), keys(&[b"c", b"a"]));
+        let before = s.stats();
+        assert_eq!(s.get(b"b").unwrap().as_deref(), Some(&b"new"[..]));
+        let after = s.stats();
+        assert_eq!(after.cache_misses, before.cache_misses + 1, "b is re-read from the log");
+        assert_eq!(after.cache_hits, before.cache_hits);
+        assert_eq!(recency(&s), keys(&[b"b", b"c", b"a"]));
         let _ = std::fs::remove_file(&path);
     }
 
@@ -670,7 +725,11 @@ mod tests {
             }
         }
         s.delete(b"k07").unwrap();
+        for k in [b"k03", b"k29", b"k11"] {
+            s.get(k).unwrap();
+        }
         let cached = recency(&s);
+        assert_eq!(cached, keys(&[b"k11", b"k29", b"k03"]));
         s.compact().unwrap();
         assert_eq!(recency(&s), cached, "compaction keeps the cache as it was");
         let check = |s: &Store| {
@@ -694,15 +753,17 @@ mod tests {
         let path = tmp_path("stats");
         let s = Store::open_default(&path).unwrap();
         s.put(b"a", b"1").unwrap();
+        s.get(b"a").unwrap(); // a miss that fills the cache
         s.get(b"a").unwrap();
         s.get(b"missing").unwrap();
         s.delete(b"a").unwrap();
         let st = s.stats();
         assert_eq!(st.puts, 1);
-        assert_eq!(st.gets, 2);
+        assert_eq!(st.gets, 3);
         assert_eq!(st.deletes, 1);
         assert_eq!(st.live_entries, 0);
         assert_eq!(st.cache_hits, 1);
+        assert_eq!(st.cache_misses, 1);
         let _ = std::fs::remove_file(&path);
     }
 
@@ -755,6 +816,9 @@ mod tests {
         let s = small_cache(&path, 3);
         for k in ["p:d", "p:b", "q:a", "p", "p:a", "o:z", "p:c"] {
             s.put(k.as_bytes(), format!("value of {k}").as_bytes()).unwrap();
+        }
+        for k in ["p:a", "o:z", "p:c"] {
+            s.get(k.as_bytes()).unwrap();
         }
         let cached = recency(&s);
         assert_eq!(cached, keys(&[b"p:c", b"o:z", b"p:a"]));

@@ -12,9 +12,15 @@
 //! prefix and truncates the rest, which is the crash-consistency contract
 //! the paper needs ("changes ... are synchronously written to the storage
 //! in order to survive power failures").
+//!
+//! Two walks decode a log. The store recovers with a crate-private
+//! stream that reads the log through a fixed 64 KiB window and keeps only
+//! the current key; [`Walk`] and [`scan`] decode a whole in-memory image
+//! and are the reference that stream is tested against.
 
-use crate::codec::{crc32, get_u32, put_u32};
+use crate::codec::{crc32, crc32_update, get_u32, put_u32};
 use crate::error::{Error, Result};
+use std::io::{self, Read};
 
 /// Sentinel `vlen` marking a delete record.
 pub const TOMBSTONE: u32 = u32::MAX;
@@ -51,18 +57,152 @@ pub fn encode_delete(key: &[u8]) -> Result<Vec<u8>> {
 
 fn encode(key: &[u8], value: Option<&[u8]>) -> Result<Vec<u8>> {
     let vlen = value.map_or(TOMBSTONE, |v| v.len() as u32);
-    let body_len = 8 + key.len() + value.map_or(0, <[u8]>::len);
-    let mut body = Vec::with_capacity(body_len);
-    put_u32(&mut body, key.len() as u32);
-    put_u32(&mut body, vlen);
-    body.extend_from_slice(key);
+    let mut out = Vec::with_capacity(HEADER + key.len() + value.map_or(0, <[u8]>::len));
+    put_u32(&mut out, 0);
+    put_u32(&mut out, key.len() as u32);
+    put_u32(&mut out, vlen);
+    out.extend_from_slice(key);
     if let Some(v) = value {
-        body.extend_from_slice(v);
+        out.extend_from_slice(v);
     }
-    let mut out = Vec::with_capacity(4 + body.len());
-    put_u32(&mut out, crc32(&body));
-    out.extend_from_slice(&body);
+    let crc = crc32(&out[4..]);
+    out[..4].copy_from_slice(&crc.to_le_bytes());
     Ok(out)
+}
+
+/// Size of the read window a [`Stream`] walks a log through. Window `k`
+/// holds log bytes `[k * WINDOW, (k + 1) * WINDOW)`.
+pub(crate) const WINDOW: usize = 64 << 10;
+
+/// A record met by a [`Stream`]: its key, with its value only measured.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct RecordMeta<'a> {
+    /// Byte offset of the record header in the log.
+    pub(crate) offset: u64,
+    /// The key, valid until the next record is read.
+    pub(crate) key: &'a [u8],
+    /// The value's length, or `None` for a tombstone.
+    pub(crate) value_len: Option<u32>,
+}
+
+impl RecordMeta<'_> {
+    /// Byte offset where this record's value bytes start (meaningful only
+    /// for puts).
+    pub(crate) fn value_offset(&self) -> u64 {
+        self.offset + HEADER as u64 + self.key.len() as u64
+    }
+}
+
+/// Log bytes read in order through one fixed window.
+struct Window<R> {
+    src: R,
+    /// Bytes of `src` not yet read into the window.
+    unread: u64,
+    buf: Box<[u8]>,
+    filled: usize,
+    at: usize,
+}
+
+impl<R: Read> Window<R> {
+    /// Pass the next `n` bytes to `f`, in pieces split at window edges.
+    /// The caller has checked that `n` bytes remain.
+    fn take(&mut self, mut n: u64, mut f: impl FnMut(&[u8])) -> io::Result<()> {
+        while n > 0 {
+            if self.at == self.filled {
+                let k = self.unread.min(self.buf.len() as u64) as usize;
+                if k == 0 {
+                    return Err(io::ErrorKind::UnexpectedEof.into());
+                }
+                self.src.read_exact(&mut self.buf[..k])?;
+                self.unread -= k as u64;
+                (self.filled, self.at) = (k, 0);
+            }
+            let k = ((self.filled - self.at) as u64).min(n) as usize;
+            f(&self.buf[self.at..self.at + k]);
+            self.at += k;
+            n -= k as u64;
+        }
+        Ok(())
+    }
+}
+
+/// The valid records of a log read from a source, in log order. It reads
+/// through one [`WINDOW`]-sized buffer and keeps only the current key:
+/// each header is checked against the log length before anything is read
+/// or allocated for the record, and the CRC runs over the key and value as
+/// they stream past. Memory is the window plus the longest key, whatever
+/// the log's length. Like [`Walk`], it stops at the end of the log or at
+/// the first record that fails its CRC or runs past the end.
+pub(crate) struct Stream<R> {
+    window: Window<R>,
+    len: u64,
+    pos: u64,
+    torn: bool,
+    key: Vec<u8>,
+}
+
+impl<R: Read> Stream<R> {
+    /// Walk the `len`-byte log that `src` reads out from its first record.
+    pub(crate) fn new(src: R, len: u64) -> Self {
+        let buf = vec![0; len.min(WINDOW as u64) as usize].into_boxed_slice();
+        let window = Window { src, unread: len, buf, filled: 0, at: 0 };
+        Stream { window, len, pos: 0, torn: false, key: Vec::new() }
+    }
+
+    /// Length of the valid prefix walked so far; once the walk is done,
+    /// bytes past this are a torn tail.
+    pub(crate) fn valid_len(&self) -> u64 {
+        self.pos
+    }
+
+    /// True once the walk has stopped at a torn tail (which should be
+    /// truncated).
+    pub(crate) fn torn(&self) -> bool {
+        self.torn
+    }
+
+    /// The next valid record, or `None` at the end of the log or at a torn
+    /// tail. Errors only if the source fails to read.
+    pub(crate) fn next_record(&mut self) -> io::Result<Option<RecordMeta<'_>>> {
+        let left = self.len - self.pos;
+        if self.torn || left == 0 {
+            return Ok(None);
+        }
+        if left < HEADER as u64 {
+            self.torn = true;
+            return Ok(None);
+        }
+        let mut header = [0u8; HEADER];
+        let mut filled = 0;
+        self.window.take(HEADER as u64, |b| {
+            header[filled..filled + b.len()].copy_from_slice(b);
+            filled += b.len();
+        })?;
+        let word = |i: usize| u32::from_le_bytes(header[i..i + 4].try_into().expect("4 bytes"));
+        let (stored_crc, klen, vlen_raw) = (word(0), word(4), word(8));
+        let vlen = if vlen_raw == TOMBSTONE { 0 } else { vlen_raw };
+        let body = HEADER as u64 + u64::from(klen) + u64::from(vlen);
+        if body > left {
+            self.torn = true;
+            return Ok(None);
+        }
+        let mut crc = crc32(&header[4..]);
+        let key = &mut self.key;
+        key.clear();
+        self.window.take(u64::from(klen), |b| {
+            crc = crc32_update(crc, b);
+            key.extend_from_slice(b);
+        })?;
+        self.window.take(u64::from(vlen), |b| crc = crc32_update(crc, b))?;
+        if crc != stored_crc {
+            self.torn = true;
+            return Ok(None);
+        }
+        let offset = self.pos;
+        self.pos += body;
+        let value_len = (vlen_raw != TOMBSTONE).then_some(vlen_raw);
+        Ok(Some(RecordMeta { offset, key: &self.key, value_len }))
+    }
 }
 
 /// One record borrowed from a log image.
@@ -260,6 +400,35 @@ mod tests {
         }
     }
 
+    /// A record as recovery sees it: offset, key, value offset, value length.
+    type Meta = (u64, Vec<u8>, u64, Option<u32>);
+
+    /// Stream `image` and return what it recovered, with `valid_len` and
+    /// `torn`.
+    fn streamed(image: &[u8]) -> (Vec<Meta>, u64, bool) {
+        let mut stream = Stream::new(image, image.len() as u64);
+        let mut out = Vec::new();
+        while let Some(r) = stream.next_record().unwrap() {
+            out.push((r.offset, r.key.to_vec(), r.value_offset(), r.value_len));
+        }
+        assert_eq!(stream.next_record().unwrap(), None, "a finished stream stays finished");
+        (out, stream.valid_len(), stream.torn())
+    }
+
+    /// The same view of `image` from the in-memory oracle.
+    fn scanned(image: &[u8]) -> (Vec<Meta>, u64, bool) {
+        let s = scan(image);
+        let metas = s
+            .records
+            .into_iter()
+            .map(|r| {
+                let value_offset = r.offset + (HEADER + r.key.len()) as u64;
+                (r.offset, r.key, value_offset, r.value.map(|v| v.len() as u32))
+            })
+            .collect();
+        (metas, s.valid_len, s.torn)
+    }
+
     #[test]
     fn walk_and_scan_agree_on_random_cut_logs() {
         for seed in 0..500u64 {
@@ -297,6 +466,66 @@ mod tests {
             assert_eq!(s.valid_len, valid_len, "seed {seed} cut {cut}");
             assert_eq!(s.torn, valid_len != image.len() as u64, "seed {seed} cut {cut}");
             assert_eq!(walk.next(), None, "a finished walk stays finished");
+            assert_eq!(streamed(&image), scanned(&image), "seed {seed} cut {cut}");
+        }
+    }
+
+    #[test]
+    fn stream_and_scan_agree_across_window_edges() {
+        // How far before a window edge the record crossing it starts,
+        // cycled over every split of its header and of the start of its key.
+        let mut straddle = (0..HEADER + 8).cycle();
+        for seed in 0..16u64 {
+            let mut rng = Rng(seed);
+            let (mut log, mut ends) = (Vec::new(), Vec::new());
+            let mut edge = WINDOW;
+            // Small, page-sized and larger-than-a-window values, with
+            // tombstones, until the log spans at least three windows.
+            while log.len() < 3 * WINDOW + WINDOW / 2 {
+                let key = rng.bytes(24);
+                let rec = match rng.below(6) {
+                    0 => encode_delete(&key),
+                    1 => encode_put(&key, &vec![rng.below(256) as u8; WINDOW + rng.below(WINDOW)]),
+                    2 => encode_put(&key, &rng.bytes(8 << 10)),
+                    _ => encode_put(&key, &rng.bytes(40)),
+                }
+                .unwrap();
+                let room = edge - log.len();
+                if rec.len() > room && room >= HEADER + HEADER + 8 {
+                    let filler = room - straddle.next().unwrap() - HEADER;
+                    log.extend(encode_put(b"", &vec![0xF1; filler]).unwrap());
+                    ends.push(log.len());
+                }
+                log.extend(rec);
+                ends.push(log.len());
+                while edge <= log.len() {
+                    edge += WINDOW;
+                }
+            }
+            let whole_before = |at: usize| ends.iter().take_while(|&&e| e <= at).count();
+            let valid_before = |at: usize| match whole_before(at) {
+                0 => 0,
+                n => ends[n - 1] as u64,
+            };
+            let (all, all_len, all_torn) = streamed(&log);
+            assert_eq!((all.len(), all_len, all_torn), (ends.len(), log.len() as u64, false));
+            for edge in (1..=log.len() / WINDOW).map(|k| k * WINDOW) {
+                for at in edge - 16..=(edge + 16).min(log.len()) {
+                    let cut = &log[..at];
+                    let got = streamed(cut);
+                    assert_eq!(got, scanned(cut), "seed {seed} cut {at}");
+                    assert_eq!(got.0[..], all[..whole_before(at)], "seed {seed} cut {at}");
+                    assert_eq!(got.1, valid_before(at), "seed {seed} cut {at}");
+                }
+                for at in edge - 16..(edge + 16).min(log.len()) {
+                    let mut image = log.clone();
+                    image[at] ^= 1 << rng.below(8);
+                    let got = streamed(&image);
+                    assert_eq!(got, scanned(&image), "seed {seed} flip {at}");
+                    assert_eq!(got.0[..], all[..whole_before(at)], "seed {seed} flip {at}");
+                    assert!(got.2, "seed {seed} flip {at}");
+                }
+            }
         }
     }
 
@@ -311,5 +540,6 @@ mod tests {
         let s = scan(&buf);
         assert_eq!(s.records.len(), 0);
         assert!(s.torn);
+        assert_eq!(streamed(&buf), (Vec::new(), 0, true));
     }
 }

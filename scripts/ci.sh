@@ -37,6 +37,12 @@ cargo test -q
 # logs, exact LRU order, prefix scans, compaction after eviction) run
 # only when named.
 cargo test -q -p kvstore
+# Bounded recovery, by name: opening a 16 MiB log allocates under
+# 256 KiB, a tail header claiming a 4 GiB value truncates without
+# allocating it, and the streamed walk matches the in-memory scan at
+# every cut and byte flip around each read-window edge.
+cargo test -q -p kvstore --test open_memory
+cargo test -q -p kvstore --lib stream_and_scan_agree_across_window_edges
 # Replay gate, explicitly: pfs-sim's own unit tests (the sparse
 # opened-file set, both replay cores, faults, redundancy) likewise run
 # only when named.
