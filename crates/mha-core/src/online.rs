@@ -35,10 +35,9 @@
 //! redirects get cancelled, and the copies happen lazily on first
 //! access.
 
-use crate::cost::views_of;
 use crate::grouping::{group_requests_seeded, GroupIndex};
-use crate::pattern::{FeatureSpace, ReqFeature};
-use crate::region::build_regions_aligned;
+use crate::pattern::{features_of, FeatureSpace, ReqFeature};
+use crate::region::{build_regions_with_conc, RegionBuild};
 use crate::rssd::{rssd, StripePair};
 use crate::schemes::{Plan, PlanResolver, PlannerContext, Scheme};
 use iotrace::{Trace, TraceStats, WindowStats};
@@ -383,18 +382,25 @@ impl OnlinePlanner {
     /// stripe pairs for groups that did not move.
     fn replan(&mut self, trace: &Trace) -> Replan {
         let params = self.ctx.effective_params();
-        let views = views_of(trace);
-        let feats: Vec<ReqFeature> = views.iter().map(ReqFeature::of).collect();
+        // One concurrency annotation serves the grouping and both region
+        // builds: widening keeps every record's file and phase.
+        let conc = trace.concurrency();
+        let feats = features_of(trace.records(), &conc);
         let grouping = group_requests_seeded(&feats, &self.ctx.grouping, &self.centers);
         let base_align = self.ctx.region_align.unwrap_or(self.ctx.rssd.step.max(4096));
-        let exact = build_regions_aligned(trace, &grouping, self.next_region_file, base_align);
+        let aligns = vec![base_align; grouping.groups()];
+        let include = vec![true; grouping.groups()];
+        let build_over = |t: &Trace| {
+            build_regions_with_conc(t, &conc, &grouping, self.next_region_file, &aligns, &include)
+        };
+        let exact = build_over(trace);
         // With a coverage block, the *migrated* extents are the profiled
         // extents rounded outward to block granularity in the original
         // file — one window's sample then redirects its whole spatial
         // neighborhood. The RSSD search below still scores the exact
         // per-request views: stripe sizing must follow the real request
         // mix, not the widened copy units.
-        let build = if self.cfg.coverage_block > 1 {
+        let widened = (self.cfg.coverage_block > 1).then(|| {
             let b = self.cfg.coverage_block;
             let mut hits: std::collections::HashMap<(u32, u64), u32> = std::collections::HashMap::new();
             if self.cfg.coverage_min_hits > 1 {
@@ -418,15 +424,9 @@ impl OnlinePlanner {
                     iotrace::TraceRecord { offset: start, len, ..*r }
                 })
                 .collect();
-            build_regions_aligned(
-                &Trace::from_records(widened),
-                &grouping,
-                self.next_region_file,
-                base_align,
-            )
-        } else {
-            exact.clone()
-        };
+            build_over(&Trace::from_records(widened))
+        });
+        let build = widened.as_ref().unwrap_or(&exact);
         let index = GroupIndex::new(&grouping);
         let space = FeatureSpace::fit(&feats);
 
@@ -435,7 +435,7 @@ impl OnlinePlanner {
         // fresh search — the concurrency-aware cost model is load-
         // sensitive.
         let load_of = |g: usize| -> f64 {
-            index.members(g).iter().map(|&i| views[i as usize].len as f64).sum()
+            index.members(g).iter().map(|&i| trace.records()[i as usize].len as f64).sum()
         };
 
         let mut reused = 0usize;
@@ -482,14 +482,15 @@ impl OnlinePlanner {
         self.centers = grouping.centers;
         self.cache = new_cache;
         self.next_region_file += build.regions.len() as u32;
+        let RegionBuild { regions, drt, .. } = widened.unwrap_or(exact);
 
         Replan::Plan {
             plan: Plan {
                 scheme: Scheme::Mha,
                 layouts,
-                resolver: PlanResolver::Drt(build.drt),
+                resolver: PlanResolver::Drt(drt),
                 rst,
-                regions: build.regions,
+                regions,
             },
             reused,
             searched,

@@ -7,6 +7,7 @@
 //! (small integers) compare on equal footing.
 
 use crate::cost::ReqView;
+use iotrace::TraceRecord;
 
 /// A request's clustering features.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -22,6 +23,19 @@ impl ReqFeature {
     pub fn of(view: &ReqView) -> Self {
         ReqFeature { size: view.len as f64, concurrency: f64::from(view.concurrency) }
     }
+}
+
+/// Features of every record, given the trace's concurrency annotation
+/// ([`iotrace::Trace::concurrency`]): [`ReqFeature::of`] over
+/// [`crate::cost::views_of`], without keeping the views.
+pub(crate) fn features_of(records: &[TraceRecord], conc: &[u32]) -> Vec<ReqFeature> {
+    records
+        .iter()
+        .zip(conc)
+        .map(|(r, &concurrency)| {
+            ReqFeature::of(&ReqView { offset: r.offset, len: r.len, op: r.op, concurrency })
+        })
+        .collect()
 }
 
 /// The normalization context of Eq. 1: per-dimension observed ranges.

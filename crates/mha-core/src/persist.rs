@@ -26,8 +26,12 @@
 //!    by generation and chunk index. Each entry is 32 bytes: `o_file`
 //!    (u32), `o_offset` (u64), `r_file` (u32), `r_offset` (u64) and
 //!    `length` (u64), all little-endian — the migration journal's entry
-//!    encoding. Every chunk but the last is full. A load reads the chunks
-//!    in key order, appends their entries straight into the flat [`Drt`]
+//!    encoding. Every chunk but the last is full, so `n` entries take
+//!    exactly `⌈n / 4096⌉` chunk records. A load first counts the chunk
+//!    keys and rejects, as corrupt, a commit record whose entry count
+//!    they cannot hold in that shape; it then reserves the table once,
+//!    for that count, reads the chunks in key order,
+//!    appends their entries straight into the flat [`Drt`]
 //!    and rejects, as corrupt, a payload that is not 1 to 4096 whole
 //!    entries and an entry that is zero-length, out of order or
 //!    overlapping — so a reordered or duplicated chunk fails — and the
@@ -970,6 +974,22 @@ impl TenantStore<'_> {
     fn tables_at(&self, c: &Committed) -> Result<(Drt, Rst), PersistError> {
         let mut drt = Drt::new();
         let dp = drt_gen_prefix(self.ns, c.gen);
+        // The entry count is checksummed but not trusted: check it against
+        // the chunk records present before reserving anything for it.
+        let mut chunks = 0usize;
+        self.kv().scan_keys(&dp, |_| chunks += 1);
+        let Some(mut room) = usize::try_from(c.drt_count)
+            .ok()
+            .filter(|&count| count.div_ceil(DRT_CHUNK_ENTRIES) == chunks)
+        else {
+            return Err(corrupt(
+                &commit_key(self.ns),
+                format!(
+                    "{chunks} DRT chunk records on disk, commit record expects {} entries",
+                    c.drt_count
+                ),
+            ));
+        };
         let mut n = 0u64;
         self.kv().scan_prefix(&dp, |key, raw| {
             if key.len() != dp.len() + 4 {
@@ -989,8 +1009,9 @@ impl TenantStore<'_> {
                 ));
             }
             for bytes in payload.chunks_exact(ENTRY_BYTES) {
-                drt.push_sorted(entry_from_bytes(key, bytes)?)
+                drt.push_sorted(entry_from_bytes(key, bytes)?, room)
                     .map_err(|why| corrupt(key, format!("DRT entry {n}: {why}")))?;
+                room = room.saturating_sub(1);
                 n += 1;
             }
             Ok(())
@@ -1790,6 +1811,54 @@ mod tests {
         odd_key.extend_from_slice(&[1, 2, 3]);
         store.store().put(&odd_key, &seal(TAG_DRT, &enc(&good))).expect("put");
         assert_corrupt(&store, "a malformed chunk key");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// A commit record claiming more or fewer entries than its chunk
+    /// records hold is corrupt, and the load rejects it while counting the
+    /// chunk keys, before it reserves anything for the claim (a reservation
+    /// for 2^40 or `u64::MAX` entries would abort the test).
+    #[test]
+    fn a_drt_count_its_chunks_cannot_hold_is_corrupt_before_any_reservation() {
+        let path = tmp_path("oversized-count");
+        let (drt, rst) = sample_tables();
+        let store = PipelineStore::open(&path).expect("open");
+        let gen = store.save_tables(&drt, &rst).expect("save");
+        let mut chunks = 0;
+        store.store().scan_keys(&drt_gen_prefix(0, gen), |_| chunks += 1);
+        assert_eq!(chunks, 1, "one real chunk");
+        let full = DRT_CHUNK_ENTRIES as u64;
+        for claimed in [1u64 << 40, u64::MAX, full + 1, 0] {
+            let mut commit = Vec::new();
+            put_u64(&mut commit, gen);
+            put_u64(&mut commit, claimed);
+            put_u64(&mut commit, rst.len() as u64);
+            commit.push(0);
+            store.store().put(&commit_key(0), &seal(TAG_COMMIT, &commit)).expect("put");
+            match store.load_tables() {
+                Err(PersistError::Corrupt { reason, .. }) => assert_eq!(
+                    reason,
+                    format!("1 DRT chunk records on disk, commit record expects {claimed} entries")
+                ),
+                other => panic!("{claimed}: expected Corrupt, got {other:?}"),
+            }
+        }
+        for honest in [1, drt.len() as u64, full] {
+            let mut commit = Vec::new();
+            put_u64(&mut commit, gen);
+            put_u64(&mut commit, honest);
+            put_u64(&mut commit, rst.len() as u64);
+            commit.push(0);
+            store.store().put(&commit_key(0), &seal(TAG_COMMIT, &commit)).expect("put");
+            match store.load_tables() {
+                Ok(_) if honest == drt.len() as u64 => {}
+                Err(PersistError::Corrupt { reason, .. }) if honest != drt.len() as u64 => assert_eq!(
+                    reason,
+                    format!("{} DRT entries on disk, commit record expects {honest}", drt.len())
+                ),
+                other => panic!("{honest}: unexpected {other:?}"),
+            }
+        }
         let _ = std::fs::remove_file(&path);
     }
 

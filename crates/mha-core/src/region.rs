@@ -16,6 +16,7 @@ use crate::grouping::{GroupIndex, Grouping};
 use crate::rssd::StripePair;
 use iotrace::{FileId, Trace, TraceRecord};
 use pfs_sim::PhysExtent;
+use storage_model::IoOp;
 use rayon::prelude::*;
 use std::collections::BTreeMap;
 
@@ -117,11 +118,14 @@ impl Drt {
     }
 
     /// Append `e` behind every entry already in the table: the bulk-load
-    /// path for tables read back in `(file, offset)` order. Rejects, and
-    /// appends nothing for, an entry that is zero-length, ends past
-    /// `u64::MAX`, or is out of order with or overlaps the table's last
-    /// entry.
-    pub(crate) fn push_sorted(&mut self, e: DrtEntry) -> Result<(), &'static str> {
+    /// path for tables read back in `(file, offset)` order. `room` is how
+    /// many entries, `e` included, the caller still expects to push: a
+    /// new file's run reserves that many at once and the run before it
+    /// gives back what it did not use, so a load that knows its entry
+    /// count never grows a run by doubling. Rejects, and appends nothing
+    /// for, an entry that is zero-length, ends past `u64::MAX`, or is out
+    /// of order with or overlaps the table's last entry.
+    pub(crate) fn push_sorted(&mut self, e: DrtEntry, room: usize) -> Result<(), &'static str> {
         if e.length == 0 {
             return Err("zero-length entry");
         }
@@ -142,8 +146,13 @@ impl Drt {
             }
             Some(&f) if f > e.o_file => return Err("entry out of (file, offset) order"),
             _ => {
+                if let Some(prev) = self.runs.last_mut() {
+                    prev.shrink_to_fit();
+                }
+                let mut run = Vec::with_capacity(room.max(1));
+                run.push(RunEntry::of(&e));
                 self.files.push(e.o_file);
-                self.runs.push(vec![RunEntry::of(&e)]);
+                self.runs.push(run);
             }
         }
         self.entries += 1;
@@ -392,10 +401,24 @@ pub fn build_regions_filtered(
     aligns: &[u64],
     include: &[bool],
 ) -> RegionBuild {
+    build_regions_with_conc(trace, &trace.concurrency(), grouping, region_file_base, aligns, include)
+}
+
+/// [`build_regions_filtered`] with the trace's concurrency annotation
+/// ([`Trace::concurrency`]) computed once by the caller, who also needs
+/// it for grouping.
+pub(crate) fn build_regions_with_conc(
+    trace: &Trace,
+    conc: &[u32],
+    grouping: &Grouping,
+    region_file_base: u32,
+    aligns: &[u64],
+    include: &[bool],
+) -> RegionBuild {
     assert_eq!(aligns.len(), grouping.groups(), "one alignment per group");
     assert_eq!(include.len(), grouping.groups(), "one include flag per group");
     let records = trace.records();
-    let conc = trace.concurrency();
+    assert_eq!(conc.len(), records.len(), "one concurrency per record");
     let groups = grouping.groups();
     let index = GroupIndex::new(grouping);
     let mut cursors = vec![0u64; groups];
@@ -446,10 +469,12 @@ pub fn build_regions_filtered(
         }
         builder.seal_group();
     }
+    // Pass 1's scratch is spent: free it before pass 2 allocates.
+    drop((index, member_buf, gap_buf, covered_buf));
     let drt = builder.freeze();
 
     // Pass 2 — planner views from the finished table.
-    let (region_views, residuals) = extract_views(records, &conc, &drt, region_file_base, groups);
+    let (region_views, residuals) = extract_views(records, conc, &drt, region_file_base, groups);
 
     let regions = (0..groups)
         .map(|g| RegionInfo {
@@ -463,12 +488,33 @@ pub fn build_regions_filtered(
     RegionBuild { regions, drt, region_views, residuals }
 }
 
-/// Per-file state of a [`DrtBuilder`]: sealed sorted runs from earlier
-/// groups plus the current group's append-only run.
+/// Per-file state of a [`DrtBuilder`]: one run per group that touched
+/// the file, back to back in one vector.
 #[derive(Debug, Default)]
 struct FileSlab {
-    runs: Vec<Vec<RunEntry>>,
-    cur: Vec<RunEntry>,
+    /// The sealed runs, then the current group's run; each run ascends
+    /// by original offset.
+    entries: Vec<RunEntry>,
+    /// End of each sealed run in `entries`; the current run starts at
+    /// the last one.
+    sealed: Vec<usize>,
+}
+
+impl FileSlab {
+    /// Start of the current group's run in `entries`.
+    fn cur_start(&self) -> usize {
+        self.sealed.last().copied().unwrap_or(0)
+    }
+
+    /// Every run as a slice of `entries`, the current one last.
+    fn runs(&self) -> impl Iterator<Item = &[RunEntry]> {
+        let mut start = 0;
+        self.sealed.iter().copied().chain(std::iter::once(self.entries.len())).map(move |end| {
+            let run = &self.entries[start..end];
+            start = end;
+            run
+        })
+    }
 }
 
 /// Interval-slab builder behind [`build_regions_filtered`]'s migration
@@ -479,13 +525,15 @@ struct FileSlab {
 /// just to find which subranges were still unmigrated.
 /// The builder instead keeps each file's extents as *sorted runs*, one
 /// per group that touched the file: within a group, members migrate in
-/// (file, offset) order, so appends stay sorted for free. A gap query
+/// (file, offset) order, so appends stay sorted for free. A file's runs
+/// share one vector and are index ranges of it. A gap query
 /// binary-searches the few runs for overlaps into a reusable scratch
 /// buffer; runs are globally disjoint (only gap subranges are ever
 /// appended), so the overlaps union into disjoint intervals and one
-/// small sort yields the coverage in ascending order. `freeze` flattens
-/// the runs into the finished [`Drt`], one sorted run per file, which
-/// pass 2 translates through from every thread at once.
+/// small sort yields the coverage in ascending order. `freeze` sorts
+/// each file's vector in place and hands it to the finished [`Drt`] as
+/// the file's run, so the table is never copied; pass 2 translates
+/// through it from every thread at once.
 #[derive(Debug, Default)]
 struct DrtBuilder {
     /// Original files with entries, sorted; parallel to `slabs`.
@@ -515,8 +563,7 @@ impl DrtBuilder {
         let end = offset + len;
         covered.clear();
         if let Ok(slot) = self.files.binary_search(&file) {
-            let slab = &self.slabs[slot];
-            for run in slab.runs.iter().chain(std::iter::once(&slab.cur)) {
+            for run in self.slabs[slot].runs() {
                 // First entry whose end lies above `offset` (runs are
                 // sorted and internally disjoint, so entry ends ascend).
                 let i0 = run.partition_point(|e| e.o_offset + e.length <= offset);
@@ -555,34 +602,37 @@ impl DrtBuilder {
             }
         };
         debug_assert!(
-            slab.cur.last().is_none_or(|l| l.o_offset + l.length <= e.o_offset),
+            slab.entries[slab.cur_start()..]
+                .last()
+                .is_none_or(|l| l.o_offset + l.length <= e.o_offset),
             "per-run appends must ascend"
         );
-        slab.cur.push(e);
+        slab.entries.push(e);
     }
 
     /// Seal the current group's appends; the next group starts fresh
     /// runs (its members revisit files in (file, offset) order again).
     fn seal_group(&mut self) {
         for slab in &mut self.slabs {
-            if !slab.cur.is_empty() {
-                let run = std::mem::take(&mut slab.cur);
-                slab.runs.push(run);
+            if slab.entries.len() > slab.cur_start() {
+                slab.sealed.push(slab.entries.len());
             }
         }
     }
 
-    /// Flatten into the table: one sorted run per file, sized exactly.
+    /// The finished table: each file's vector, sorted in place (a file
+    /// one group touched is sorted already) and trimmed to its length,
+    /// becomes that file's run.
     fn freeze(mut self) -> Drt {
         self.seal_group();
         let mut runs = Vec::with_capacity(self.files.len());
         let mut entries = 0;
         for slab in self.slabs {
-            let mut run = Vec::with_capacity(slab.runs.iter().map(Vec::len).sum());
-            for part in slab.runs {
-                run.extend(part);
+            let mut run = slab.entries;
+            if slab.sealed.len() > 1 {
+                run.sort_unstable_by_key(|e| e.o_offset);
             }
-            run.sort_unstable_by_key(|e| e.o_offset);
+            run.shrink_to_fit();
             entries += run.len();
             runs.push(run);
         }
@@ -590,9 +640,10 @@ impl DrtBuilder {
     }
 }
 
-/// Pass 2 chunk size; chunk outputs are merged in index order, so the
-/// result is identical to the serial scan no matter how rayon schedules
-/// the chunks (the work is pure integer bookkeeping — no floats).
+/// Pass 2 chunk size; each chunk writes its views into its own slice of
+/// every region's vector, in index order, so the result is identical to
+/// the serial scan no matter how rayon schedules the chunks (the work is
+/// pure integer bookkeeping — no floats).
 const PASS2_CHUNK: usize = 1024;
 /// Below this many records the chunk fan-out costs more than it saves.
 const PASS2_PAR_MIN: usize = 4 * PASS2_CHUNK;
@@ -601,6 +652,12 @@ const PASS2_PAR_MIN: usize = 4 * PASS2_CHUNK;
 /// the finished table; pieces landing in a region become that region's
 /// planner views, records with any piece left in an original file are
 /// residuals.
+///
+/// Count, then fill: a first scan counts each chunk's views per region
+/// and collects its residuals, each region's vector is allocated once at
+/// its exact length, and a second scan translates again and writes every
+/// view straight into its slot. Views come out in record order, as a
+/// serial scan appends them.
 fn extract_views(
     records: &[TraceRecord],
     conc: &[u32],
@@ -608,8 +665,11 @@ fn extract_views(
     region_file_base: u32,
     groups: usize,
 ) -> (Vec<Vec<ReqView>>, Vec<usize>) {
-    let scan_chunk = |ci: usize, recs: &[TraceRecord], conc: &[u32]| {
-        let mut views: Vec<Vec<ReqView>> = vec![Vec::new(); groups];
+    let region_of = |piece: &PhysExtent| {
+        piece.file.0.checked_sub(region_file_base).map(|g| g as usize)
+    };
+    let count = |ci: usize, recs: &[TraceRecord]| {
+        let mut counts = vec![0usize; groups];
         let mut residuals: Vec<usize> = Vec::new();
         let mut pieces: Vec<PhysExtent> = Vec::new();
         for (j, rec) in recs.iter().enumerate() {
@@ -619,41 +679,76 @@ fn extract_views(
             drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
             let mut any_original = false;
             for piece in &pieces {
-                if piece.file.0 >= region_file_base {
-                    let g = (piece.file.0 - region_file_base) as usize;
-                    views[g].push(ReqView {
-                        offset: piece.offset,
-                        len: piece.len,
-                        op: rec.op,
-                        concurrency: conc[j],
-                    });
-                } else {
-                    any_original = true;
+                match region_of(piece) {
+                    Some(g) => counts[g] += 1,
+                    None => any_original = true,
                 }
             }
             if any_original {
                 residuals.push(ci * PASS2_CHUNK + j);
             }
         }
-        (views, residuals)
+        (counts, residuals)
     };
-    let parts: Vec<(Vec<Vec<ReqView>>, Vec<usize>)> = if records.len() >= PASS2_PAR_MIN {
+    let fill = |recs: &[TraceRecord], conc: &[u32], slots: &mut [&mut [ReqView]]| {
+        let mut next = vec![0usize; groups];
+        let mut pieces: Vec<PhysExtent> = Vec::new();
+        for (rec, &concurrency) in recs.iter().zip(conc) {
+            if rec.len == 0 {
+                continue;
+            }
+            drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
+            for piece in &pieces {
+                if let Some(g) = region_of(piece) {
+                    slots[g][next[g]] =
+                        ReqView { offset: piece.offset, len: piece.len, op: rec.op, concurrency };
+                    next[g] += 1;
+                }
+            }
+        }
+        debug_assert!(slots.iter().zip(&next).all(|(s, &n)| s.len() == n), "fill matches count");
+    };
+    let parallel = records.len() >= PASS2_PAR_MIN;
+
+    let counted: Vec<(Vec<usize>, Vec<usize>)> = if parallel {
+        records.par_chunks(PASS2_CHUNK).enumerate().map(|(ci, r)| count(ci, r)).collect()
+    } else {
+        records.chunks(PASS2_CHUNK).enumerate().map(|(ci, r)| count(ci, r)).collect()
+    };
+    let mut residuals = Vec::with_capacity(counted.iter().map(|(_, r)| r.len()).sum());
+    for (_, r) in &counted {
+        residuals.extend_from_slice(r);
+    }
+    let blank = ReqView { offset: 0, len: 0, op: IoOp::Read, concurrency: 0 };
+    let mut region_views: Vec<Vec<ReqView>> = (0..groups)
+        .map(|g| vec![blank; counted.iter().map(|(counts, _)| counts[g]).sum()])
+        .collect();
+    // Carve every region's vector into consecutive per-chunk slots.
+    let mut rest: Vec<&mut [ReqView]> = region_views.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut slots: Vec<Vec<&mut [ReqView]>> = counted
+        .iter()
+        .map(|(counts, _)| {
+            rest.iter_mut()
+                .zip(counts)
+                .map(|(r, &n)| {
+                    let (head, tail) = std::mem::take(r).split_at_mut(n);
+                    *r = tail;
+                    head
+                })
+                .collect()
+        })
+        .collect();
+    if parallel {
         records
             .par_chunks(PASS2_CHUNK)
             .zip(conc.par_chunks(PASS2_CHUNK))
-            .enumerate()
-            .map(|(ci, (r, c))| scan_chunk(ci, r, c))
-            .collect()
+            .zip(slots.par_chunks_mut(1))
+            .for_each(|((r, c), s)| fill(r, c, &mut s[0]));
     } else {
-        vec![scan_chunk(0, records, conc)]
-    };
-    let mut region_views: Vec<Vec<ReqView>> = vec![Vec::new(); groups];
-    let mut residuals = Vec::new();
-    for (views, res) in parts {
-        for (g, mut v) in views.into_iter().enumerate() {
-            region_views[g].append(&mut v);
+        for ((r, c), s) in records.chunks(PASS2_CHUNK).zip(conc.chunks(PASS2_CHUNK)).zip(&mut slots)
+        {
+            fill(r, c, s);
         }
-        residuals.extend(res);
     }
     (region_views, residuals)
 }
@@ -877,8 +972,8 @@ mod tests {
             }
             assert_eq!(again, d, "trial {trial}: insert order must not matter");
             let mut bulk = Drt::new();
-            for x in &want {
-                bulk.push_sorted(*x).expect("reference entries are sorted");
+            for (i, x) in want.iter().enumerate() {
+                bulk.push_sorted(*x, want.len() - i).expect("reference entries are sorted");
             }
             assert_eq!(bulk, d, "trial {trial}: bulk load");
             let mut more = d.clone();
@@ -1207,6 +1302,178 @@ mod tests {
                     let got = build_regions_filtered(&trace, &grouping, 1000, &aligns, &mask);
                     assert_builds_equal(&got, &want, &format!("procs {procs} k {k} masked"));
                 }
+            }
+        }
+    }
+
+    /// Seeded records over `files` files, starting at one of `slots`
+    /// 512-byte slots (few slots make extents overlap); one in 32 is
+    /// zero-length.
+    fn random_records(s: &mut u64, n: usize, files: u64, slots: u64) -> Vec<TraceRecord> {
+        use iotrace::record::Rank;
+        use simrt::SimTime;
+        let mut ts = 0u64;
+        (0..n)
+            .map(|i| {
+                ts += xorshift(s) % 100;
+                TraceRecord {
+                    pid: 0,
+                    rank: Rank((xorshift(s) % 8) as u32),
+                    file: FileId((xorshift(s) % files) as u32),
+                    op: if xorshift(s).is_multiple_of(2) { IoOp::Read } else { IoOp::Write },
+                    offset: (xorshift(s) % slots) * 512,
+                    len: if xorshift(s).is_multiple_of(32) { 0 } else { 1 + xorshift(s) % 65_536 },
+                    ts: SimTime::from_nanos(ts),
+                    phase: (i as u32) / 16,
+                }
+            })
+            .collect()
+    }
+
+    /// A grouping that assigns each record to one of `k` groups at random.
+    fn random_grouping(s: &mut u64, n: usize, k: usize) -> Grouping {
+        Grouping {
+            assignment: (0..n).map(|_| (xorshift(s) % k as u64) as usize).collect(),
+            centers: vec![ReqFeature { size: 0.0, concurrency: 0.0 }; k],
+            iterations: 0,
+        }
+    }
+
+    /// Pass 2 as it was before count-then-fill: per-chunk vectors merged
+    /// in chunk order. Kept verbatim as the oracle for [`extract_views`].
+    fn extract_views_merge_oracle(
+        records: &[TraceRecord],
+        conc: &[u32],
+        drt: &Drt,
+        region_file_base: u32,
+        groups: usize,
+    ) -> (Vec<Vec<ReqView>>, Vec<usize>) {
+        let scan_chunk = |ci: usize, recs: &[TraceRecord], conc: &[u32]| {
+            let mut views: Vec<Vec<ReqView>> = vec![Vec::new(); groups];
+            let mut residuals: Vec<usize> = Vec::new();
+            let mut pieces: Vec<PhysExtent> = Vec::new();
+            for (j, rec) in recs.iter().enumerate() {
+                if rec.len == 0 {
+                    continue;
+                }
+                drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
+                let mut any_original = false;
+                for piece in &pieces {
+                    if piece.file.0 >= region_file_base {
+                        let g = (piece.file.0 - region_file_base) as usize;
+                        views[g].push(ReqView {
+                            offset: piece.offset,
+                            len: piece.len,
+                            op: rec.op,
+                            concurrency: conc[j],
+                        });
+                    } else {
+                        any_original = true;
+                    }
+                }
+                if any_original {
+                    residuals.push(ci * PASS2_CHUNK + j);
+                }
+            }
+            (views, residuals)
+        };
+        let parts: Vec<(Vec<Vec<ReqView>>, Vec<usize>)> = if records.len() >= PASS2_PAR_MIN {
+            records
+                .par_chunks(PASS2_CHUNK)
+                .zip(conc.par_chunks(PASS2_CHUNK))
+                .enumerate()
+                .map(|(ci, (r, c))| scan_chunk(ci, r, c))
+                .collect()
+        } else {
+            vec![scan_chunk(0, records, conc)]
+        };
+        let mut region_views: Vec<Vec<ReqView>> = vec![Vec::new(); groups];
+        let mut residuals = Vec::new();
+        for (views, res) in parts {
+            for (g, mut v) in views.into_iter().enumerate() {
+                region_views[g].append(&mut v);
+            }
+            residuals.extend(res);
+        }
+        (region_views, residuals)
+    }
+
+    /// Count-then-fill pass 2 against the per-chunk merge, on trace
+    /// lengths either side of chunk multiples and of the parallel
+    /// threshold, with excluded groups so residuals occur: views and
+    /// residuals must match, order included, and be sized exactly.
+    #[test]
+    fn pass2_count_then_fill_matches_the_per_chunk_merge() {
+        let mut s = 0x5EED_0F9A_5520_u64;
+        let c = PASS2_CHUNK;
+        let lengths = [
+            0,
+            1,
+            c - 1,
+            c,
+            c + 1,
+            2 * c + 7,
+            PASS2_PAR_MIN - 1,
+            PASS2_PAR_MIN,
+            PASS2_PAR_MIN + 1,
+            5 * c - 1,
+            5 * c,
+            5 * c + 1,
+            8 * c + 300,
+        ];
+        for (trial, &n) in lengths.iter().enumerate() {
+            let k = 1 + trial % 5;
+            let trace = Trace::from_records(random_records(&mut s, n, 3, 20 * n as u64 + 1));
+            let conc = trace.concurrency();
+            let grouping = random_grouping(&mut s, n, k);
+            let aligns = vec![4096u64; k];
+            let include: Vec<bool> = (0..k).map(|g| g == 0 || !xorshift(&mut s).is_multiple_of(3)).collect();
+            let build = build_regions_filtered(&trace, &grouping, 1000, &aligns, &include);
+            let want = extract_views_merge_oracle(trace.records(), &conc, &build.drt, 1000, k);
+            let got = extract_views(trace.records(), &conc, &build.drt, 1000, k);
+            let ctx = format!("trial {trial} (n={n}, k={k})");
+            assert_eq!(got.0, want.0, "{ctx}: views");
+            assert_eq!(got.1, want.1, "{ctx}: residuals");
+            assert_eq!((&build.region_views, &build.residuals), (&got.0, &got.1), "{ctx}: build");
+            for v in &got.0 {
+                assert_eq!(v.capacity(), v.len(), "{ctx}: region views sized exactly");
+            }
+            if include.iter().any(|&i| !i) && n > c {
+                assert!(!got.1.is_empty(), "{ctx}: excluded groups leave residuals");
+            }
+        }
+    }
+
+    /// Files that several groups migrate into hold several runs in one
+    /// vector; `freeze` sorts it in place. Interleaved group assignments
+    /// over one and two files give every file two or more runs, and
+    /// the build must match the BTreeMap oracle with every run sized
+    /// exactly.
+    #[test]
+    fn drt_builder_equivalence_on_multi_run_files() {
+        let mut s = 0x3141_5926_5358_9793u64;
+        for trial in 0..12 {
+            let files = 1 + trial % 2;
+            let k = 3 + trial % 3;
+            let n = 200 + (xorshift(&mut s) % 600) as usize;
+            let trace = Trace::from_records(random_records(&mut s, n, files as u64, 200 * n as u64));
+            // Round-robin groups interleave every file's offsets.
+            let grouping = Grouping {
+                assignment: (0..n).map(|i| i % k).collect(),
+                centers: vec![ReqFeature { size: 0.0, concurrency: 0.0 }; k],
+                iterations: 0,
+            };
+            let aligns: Vec<u64> = (0..k).map(|g| [1u64, 512, 4096][g % 3]).collect();
+            let include = vec![true; k];
+            let want = build_oracle(&trace, &grouping, 1000, &aligns, &include);
+            let got = build_regions_filtered(&trace, &grouping, 1000, &aligns, &include);
+            let ctx = format!("trial {trial} (n={n}, k={k}, files={files})");
+            assert_builds_equal(&got, &want, &ctx);
+            for slot in 0..got.drt.files() {
+                let run = got.drt.run(slot);
+                let groups: std::collections::BTreeSet<FileId> = run.iter().map(|e| e.r_file).collect();
+                assert!(groups.len() >= 2, "{ctx}: file slot {slot} holds one run");
+                assert_eq!(got.drt.runs[slot].capacity(), run.len(), "{ctx}: run sized exactly");
             }
         }
     }

@@ -24,9 +24,9 @@
 
 use crate::cost::{views_of, CostParams, ReqView};
 use crate::grouping::{group_requests, GroupingConfig};
-use crate::pattern::ReqFeature;
+use crate::pattern::features_of;
 use crate::redirect::DrtResolver;
-use crate::region::{Drt, DrtEntry, RegionInfo, Rst};
+use crate::region::{build_regions_with_conc, Drt, DrtEntry, RegionInfo, Rst};
 use crate::rssd::{region_cost, rssd, RssdConfig, StripePair};
 use iotrace::{FileId, Trace};
 use pfs_sim::{
@@ -487,9 +487,11 @@ impl LayoutPlanner for MhaPlanner {
 
     fn plan(&self, trace: &Trace, ctx: &PlannerContext) -> Plan {
         let params = ctx.effective_params();
-        let views = views_of(trace);
-        let feats: Vec<ReqFeature> = views.iter().map(ReqFeature::of).collect();
-        let grouping = group_requests(&feats, &ctx.grouping);
+        // One concurrency annotation serves the grouping and both region
+        // builds. The features feed only the grouping, so they die with it.
+        let conc = trace.concurrency();
+        let grouping = group_requests(&features_of(trace.records(), &conc), &ctx.grouping);
+        let groups = grouping.groups();
         let base_align = ctx.region_align.unwrap_or(ctx.rssd.step.max(4096));
 
         // Pass 1: pack step-aligned, search stripe pairs per region.
@@ -498,8 +500,14 @@ impl LayoutPlanner for MhaPlanner {
         // collect keeps region order — and therefore the plan — exactly
         // deterministic. Each search is itself data-parallel; rayon's
         // work-stealing composes the two levels.
-        let build =
-            crate::region::build_regions_aligned(trace, &grouping, ctx.region_file_base, base_align);
+        let build = build_regions_with_conc(
+            trace,
+            &conc,
+            &grouping,
+            ctx.region_file_base,
+            &vec![base_align; groups],
+            &vec![true; groups],
+        );
         let pairs: Vec<Option<StripePair>> = build
             .region_views
             .par_iter()
@@ -549,8 +557,9 @@ impl LayoutPlanner for MhaPlanner {
         // Pass 1's table and views are spent: free them before pass 2
         // builds its own.
         drop(build);
-        let build = crate::region::build_regions_filtered(
+        let build = build_regions_with_conc(
             trace,
+            &conc,
             &grouping,
             ctx.region_file_base,
             &aligns,

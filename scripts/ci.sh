@@ -130,6 +130,12 @@ done
 # inside `cargo test -q`; naming them pins the PR 5 contract).
 cargo test -q -p mha-core grouping_serial_matches_parallel
 cargo test -q -p mha-core drt_builder_equivalence
+# Planner memory, by name: planning a 1024-loop LANL trace peaks under
+# twice its record bytes and reloading its table under 1.25x the table
+# (a counting allocator), and count-then-fill pass 2 matches the
+# per-chunk merge it replaced, views and residuals in order.
+cargo test -q -p mha-core --test plan_memory
+cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merge
 # The flat DRT and the resolver's cursor seek must match the map-based reference table.
 cargo test -q -p mha-core drt_oracle
 # A crash at every boundary of a multi-chunk save_tables must leave the old generation loading.
