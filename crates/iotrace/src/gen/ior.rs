@@ -9,13 +9,15 @@
 //! paper's "large at one file chunk, small at another" heterogeneity.
 
 use crate::batch::{BatchSource, PhaseSink, RecordBatch};
-use crate::gen::{collect, PhaseClock};
+use crate::gen::{collect, fill_below, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
 use rand::rngs::SmallRng;
-use rand::Rng;
 use simrt::SeedSeq;
 use storage_model::IoOp;
+
+/// Offset draws made per [`fill_below`] call.
+const DRAW_CHUNK: usize = 256;
 
 /// IOR run configuration.
 #[derive(Debug, Clone)]
@@ -139,26 +141,36 @@ impl IorStream {
         let chunk = cfg.file_size / self.variants as u64;
         let lo = variant as u64 * chunk;
         let span = chunk.saturating_sub(size).max(1);
+        // Offsets are slots of the request size, like IOR's transferSize
+        // blocks: drawn at random (one draw per process, in rank order)
+        // or laid out sequentially.
+        let slots = span / size.max(1) + 1;
+        let max_offset = cfg.file_size.saturating_sub(size);
         let (phase, ts) = self.clock.tick();
         out.begin(phase);
-        for p in 0..procs {
-            let offset = if cfg.random_offsets {
-                // Align to the request size like IOR's transferSize blocks.
-                let slot = self.rng.gen_range(0..span / size.max(1) + 1);
-                lo + slot * size
+        let mut drawn = [0u64; DRAW_CHUNK];
+        for first in (0..procs).step_by(DRAW_CHUNK) {
+            let n = (procs - first).min(DRAW_CHUNK as u32) as usize;
+            let drawn = &mut drawn[..n];
+            if cfg.random_offsets {
+                fill_below(&mut self.rng, slots, drawn);
             } else {
-                lo + (iter as u64 * u64::from(self.max_procs) + u64::from(p)) * size
-            };
-            out.push(&TraceRecord {
-                pid: 1000 + p,
-                rank: Rank(p),
-                file: FileId(0),
-                op: cfg.op,
-                offset: offset.min(cfg.file_size.saturating_sub(size)),
-                len: size,
-                ts,
-                phase,
-            });
+                for (slot, p) in drawn.iter_mut().zip(first..) {
+                    *slot = iter as u64 * u64::from(self.max_procs) + u64::from(p);
+                }
+            }
+            for (p, &slot) in (first..).zip(drawn.iter()) {
+                out.push(&TraceRecord {
+                    pid: 1000 + p,
+                    rank: Rank(p),
+                    file: FileId(0),
+                    op: cfg.op,
+                    offset: (lo + slot * size).min(max_offset),
+                    len: size,
+                    ts,
+                    phase,
+                });
+            }
         }
         self.iter += 1;
         true
@@ -188,6 +200,29 @@ impl BatchSource for IorStream {
 mod tests {
     use super::*;
     use crate::stats::TraceStats;
+
+    #[test]
+    fn chunked_offset_draws_match_one_gen_range_per_record() {
+        use rand::Rng;
+        // 600 processes cross the 256-draw chunk twice per phase.
+        let mut cfg = IorConfig::default_run(IoOp::Write);
+        cfg.proc_mix = vec![600, 300];
+        cfg.reqs_per_proc = 4;
+        let size = cfg.size_mix[0];
+        let chunk = cfg.file_size / 2;
+        let slots = (chunk - size) / size + 1;
+        let mut rng = SeedSeq::new(cfg.seed).derive("ior").rng();
+        let mut want = Vec::new();
+        for iter in 0..cfg.reqs_per_proc {
+            let variant = iter % 2;
+            for _ in 0..cfg.proc_mix[variant] {
+                let slot = rng.gen_range(0..slots);
+                want.push((variant as u64 * chunk + slot * size).min(cfg.file_size - size));
+            }
+        }
+        let got: Vec<u64> = generate(&cfg).records().iter().map(|r| r.offset).collect();
+        assert_eq!(got, want);
+    }
 
     #[test]
     fn default_run_is_uniform() {

@@ -28,7 +28,8 @@ pub enum ReplayPayload<'a> {
     /// A fully materialized trace (replayable by either core).
     Trace(&'a Trace),
     /// A streaming phase source (sharded core only; the full trace
-    /// never materializes, peak memory is the widest single phase).
+    /// never materializes: peak memory is the widest single phase's
+    /// records plus one replay window's sub-requests).
     Stream(&'a mut dyn BatchSource),
 }
 

@@ -15,17 +15,18 @@
 use std::cell::UnsafeCell;
 
 /// One active lane of a [`LanePartition`]: the half-open range
-/// `start..end` into [`LanePartition::order`] holding lane `lane`'s item
-/// indices. Only lanes with at least one item get a span, so a pass over
-/// the spans does work proportional to the *active* lanes — a barrier
-/// phase touching 200 of 1024 servers walks 200 spans, not 1024 lanes.
+/// `start..end` of the partition's grouped order holding lane `lane`'s
+/// item indices ([`LanePartition::items`]). Only lanes with at least one
+/// item get a span, so a pass over the spans does work proportional to
+/// the *active* lanes — a window touching 200 of 1024 servers walks 200
+/// spans, not 1024 lanes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LaneSpan {
     /// Lane key (server index).
     pub lane: u32,
-    /// Span start in `order`.
+    /// Span start in the grouped order.
     pub start: u32,
-    /// Span end in `order` (exclusive).
+    /// Span end in the grouped order (exclusive).
     pub end: u32,
 }
 
@@ -47,8 +48,6 @@ pub struct LanePartition {
     spans: Vec<LaneSpan>,
     /// Scratch: packed sort words or counting-sort cursors.
     scratch: Vec<u64>,
-    /// Lane count of the last build.
-    lanes: usize,
 }
 
 impl LanePartition {
@@ -65,7 +64,6 @@ impl LanePartition {
     /// front pass rejects unknown servers before partitioning).
     pub fn build(&mut self, lanes: usize, keys: &[u32]) {
         debug_assert!(keys.iter().all(|&k| (k as usize) < lanes), "lane key out of range");
-        self.lanes = lanes;
         self.spans.clear();
         self.order.clear();
         // Crossover: sorting costs ~items·log(items); counting costs
@@ -123,11 +121,6 @@ impl LanePartition {
         }
     }
 
-    /// Number of lanes of the last build (including empty ones).
-    pub fn lanes(&self) -> usize {
-        self.lanes
-    }
-
     /// Active lanes in ascending lane order — the iteration surface of a
     /// sharded pass. Empty lanes never appear.
     pub fn spans(&self) -> &[LaneSpan] {
@@ -137,28 +130,6 @@ impl LanePartition {
     /// Item indices of `span`, in original (global) order.
     pub fn items(&self, span: &LaneSpan) -> &[u32] {
         &self.order[span.start as usize..span.end as usize]
-    }
-
-    /// Item indices of lane `l` in original order (empty when idle).
-    /// Spans are sorted by lane, so this is a binary-search lookup; hot
-    /// passes iterate [`LanePartition::spans`] directly instead.
-    pub fn lane(&self, l: usize) -> &[u32] {
-        match self.spans.binary_search_by_key(&(l as u32), |s| s.lane) {
-            Ok(at) => self.items(&self.spans[at]),
-            Err(_) => &[],
-        }
-    }
-
-    /// All item indices grouped by ascending lane (`lane(0)`, `lane(1)`,
-    /// ... laid out back to back).
-    pub fn order(&self) -> &[u32] {
-        &self.order
-    }
-
-    /// Per-lane item slices including empty lanes, for zipping against a
-    /// parallel iterator over dense per-lane state.
-    pub fn lane_spans(&self) -> impl Iterator<Item = &[u32]> + '_ {
-        (0..self.lanes()).map(move |l| self.lane(l))
     }
 }
 
@@ -229,16 +200,23 @@ impl<'a, T> DisjointSlice<'a, T> {
 mod tests {
     use super::*;
 
+    /// Every span as `(lane, items)`, in span order.
+    fn grouped(p: &LanePartition) -> Vec<(u32, Vec<u32>)> {
+        p.spans().iter().map(|s| (s.lane, p.items(s).to_vec())).collect()
+    }
+
     #[test]
     fn partition_groups_stably() {
         let keys = [2u32, 0, 1, 2, 0, 2];
         let mut p = LanePartition::new();
         p.build(3, &keys);
-        assert_eq!(p.lanes(), 3);
-        assert_eq!(p.lane(0), &[1, 4], "lane 0 keeps global order");
-        assert_eq!(p.lane(1), &[2]);
-        assert_eq!(p.lane(2), &[0, 3, 5]);
-        assert_eq!(p.order(), &[1, 4, 2, 0, 3, 5]);
+        assert_eq!(
+            grouped(&p),
+            vec![(0, vec![1, 4]), (1, vec![2]), (2, vec![0, 3, 5])],
+            "each lane keeps global order"
+        );
+        let spans: Vec<(u32, u32)> = p.spans().iter().map(|s| (s.start, s.end)).collect();
+        assert_eq!(spans, vec![(0, 2), (2, 3), (3, 6)], "spans lie back to back");
     }
 
     #[test]
@@ -250,11 +228,8 @@ mod tests {
         sparse.build(100_000, &keys); // 64 items ≪ lanes → sorted
         let mut dense = LanePartition::new();
         dense.build(100, &keys); // items ≥ lanes/4 → counted
-        assert_eq!(sparse.order(), dense.order());
-        for (a, b) in sparse.spans().iter().zip(dense.spans()) {
-            assert_eq!((a.lane, a.start, a.end), (b.lane, b.start, b.end));
-        }
-        assert_eq!(sparse.spans().len(), dense.spans().len());
+        assert_eq!(sparse.spans(), dense.spans());
+        assert_eq!(grouped(&sparse), grouped(&dense));
     }
 
     #[test]
@@ -262,21 +237,18 @@ mod tests {
         let keys = [7u32, 3, 7, 900_000];
         let mut p = LanePartition::new();
         p.build(1_000_000, &keys);
-        let lanes: Vec<u32> = p.spans().iter().map(|s| s.lane).collect();
-        assert_eq!(lanes, vec![3, 7, 900_000], "ascending, empties skipped");
-        let seven = p.spans().iter().find(|s| s.lane == 7).unwrap();
-        assert_eq!(p.items(seven), &[0, 2], "global order within the lane");
-        assert_eq!(p.lane(7), &[0, 2]);
-        assert_eq!(p.lane(8), &[] as &[u32], "idle lane is empty");
+        assert_eq!(
+            grouped(&p),
+            vec![(3, vec![1]), (7, vec![0, 2]), (900_000, vec![3])],
+            "ascending lanes, empties skipped, global order within a lane"
+        );
     }
 
     #[test]
-    fn empty_lanes_are_empty_slices() {
+    fn idle_lanes_get_no_span() {
         let mut p = LanePartition::new();
         p.build(4, &[3u32, 3]);
-        assert_eq!(p.lane(0), &[] as &[u32]);
-        assert_eq!(p.lane(1), &[] as &[u32]);
-        assert_eq!(p.lane(3), &[0, 1]);
+        assert_eq!(grouped(&p), vec![(3, vec![0, 1])]);
     }
 
     #[test]
@@ -284,20 +256,14 @@ mod tests {
         let mut p = LanePartition::new();
         p.build(2, &[0u32, 1, 0]);
         p.build(2, &[1u32]);
-        assert_eq!(p.lane(0), &[] as &[u32]);
-        assert_eq!(p.lane(1), &[0]);
-        assert_eq!(p.order().len(), 1);
-        assert_eq!(p.spans().len(), 1);
+        assert_eq!(grouped(&p), vec![(1, vec![0])]);
     }
 
     #[test]
     fn zero_items_zero_lanes() {
         let mut p = LanePartition::new();
         p.build(0, &[]);
-        assert_eq!(p.lanes(), 0);
-        assert!(p.order().is_empty());
         assert!(p.spans().is_empty());
-        assert_eq!(p.lane_spans().count(), 0);
     }
 
     #[test]
@@ -308,10 +274,11 @@ mod tests {
         p.build(2, &keys);
         {
             let out = DisjointSlice::new(&mut data);
-            for l in 0..p.lanes() {
-                for &i in p.lane(l) {
+            for span in p.spans() {
+                for &i in p.items(span) {
+                    let value = (u64::from(span.lane) + 1) * 100 + u64::from(i);
                     // SAFETY: each index appears in exactly one lane.
-                    unsafe { out.write(i as usize, (l as u64 + 1) * 100 + u64::from(i)) };
+                    unsafe { out.write(i as usize, value) };
                 }
             }
             assert_eq!(out.len(), 6);

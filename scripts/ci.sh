@@ -146,6 +146,15 @@ cargo test -q -p mha-core save_tables_kill_matrix
 # and fault plans (also inside `cargo test -q`; named to pin the PR 6
 # contract).
 cargo test -q -p pfs-sim --test sharded_equivalence
+# Replay window, by name: the sharded core walks each phase in fixed
+# windows, so phases one record short of a window, exactly one, one
+# past it and two plus one must stay bit-identical to the serial core
+# (fault-free, under faults, redundant with a server down, under
+# straggler-aware dispatch, and streamed), and a streamed replay's heap
+# may grow by at most 48 B per record of phase width (a counting
+# allocator).
+cargo test -q -p pfs-sim --lib window_edges
+cargo test -q -p pfs-sim --test replay_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
 # serial == sharded == streamed identity assertion on a materialized
 # prefix — catches panics, identity drift and memory blow-ups at the
