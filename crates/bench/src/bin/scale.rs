@@ -1,4 +1,4 @@
-//! Scale experiment behind `results/BENCH_scale.json`: replay-core
+//! Scale experiment behind `results/history/BENCH_scale.json`: replay-core
 //! throughput (records/sec) versus cluster size on the sharded versus
 //! serial cores, plus the bounded-memory 10M-record streaming run.
 //!

@@ -14,80 +14,43 @@ use pfs_sim::{
 use rayon::prelude::*;
 use storage_model::IoOp;
 
-/// Run the experiment(s) named by `id` (`all` runs everything) at the
-/// given scale. Returns the reproduced figures in paper order.
-pub fn run(id: &str, scale: Scale) -> Vec<Figure> {
-    let all = id == "all";
-    let mut figs = Vec::new();
-    if all || id == "fig3" {
-        figs.push(fig3());
-    }
-    if all || id == "fig7" {
-        figs.extend(fig7(scale));
-    }
-    if all || id == "fig8" {
-        figs.push(fig8(scale));
-    }
-    if all || id == "fig9" {
-        figs.extend(fig9(scale));
-    }
-    if all || id == "fig10" {
-        figs.extend(fig10(scale));
-    }
-    if all || id == "fig11" {
-        figs.push(fig11(scale));
-    }
-    if all || id == "fig12a" {
-        figs.push(fig12a(scale));
-    }
-    if all || id == "fig12b" {
-        figs.push(fig12b(scale));
-    }
-    if all || id == "fig13a" {
-        figs.push(fig13a(scale));
-    }
-    if all || id == "fig13b" {
-        figs.push(fig13b(scale));
-    }
-    if all || id == "fig14" {
-        figs.push(fig14(scale));
-    }
-    if all || id == "tab1" {
-        figs.push(tab1());
-    }
-    if all || id == "ovh" {
-        figs.push(ovh());
-    }
-    if all || id == "ablations" {
-        figs.extend(ablations(scale));
-    }
-    if all || id == "sens" {
-        figs.extend(sensitivity(scale));
-    }
-    if all || id == "coll" {
-        figs.push(collective(scale));
-    }
-    if all || id == "dyn" {
-        figs.push(dynamic(scale));
-    }
-    if all || id == "fault" {
-        figs.push(fault(scale));
-    }
-    if all || id == "online" {
-        figs.extend(crate::online::study(scale).figures);
-    }
-    assert!(!figs.is_empty(), "unknown experiment id: {id}");
-    figs
-}
+/// Reproduces one experiment's figures at a scale.
+type Build = fn(Scale) -> Vec<Figure>;
 
-/// All experiment ids, in paper order (plus the ablation, sensitivity,
-/// collective-I/O, dynamic-controller, fault-injection and online
-/// re-planning studies).
-pub fn all_ids() -> &'static [&'static str] {
-    &[
-        "fig3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12a", "fig12b", "fig13a",
-        "fig13b", "fig14", "tab1", "ovh", "ablations", "sens", "coll", "dyn", "fault", "online",
-    ]
+/// One row per experiment id: the id and the builder that reproduces
+/// its figures. Paper order first, then the ablation, sensitivity,
+/// collective-I/O, dynamic-controller and fault-injection studies, then
+/// the online, service, redundancy and straggler studies. `figures all`
+/// runs every row.
+pub const EXPERIMENTS: &[(&str, Build)] = &[
+    ("fig3", |_| vec![fig3()]),
+    ("fig7", fig7),
+    ("fig8", |scale| vec![fig8(scale)]),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", |scale| vec![fig11(scale)]),
+    ("fig12a", |_| vec![fig12a()]),
+    ("fig12b", |scale| vec![fig12b(scale)]),
+    ("fig13a", |scale| vec![fig13a(scale)]),
+    ("fig13b", |scale| vec![fig13b(scale)]),
+    ("fig14", |scale| vec![fig14(scale)]),
+    ("tab1", |_| vec![tab1()]),
+    ("ovh", |_| vec![ovh()]),
+    ("ablations", ablations),
+    ("sens", sensitivity),
+    ("coll", |scale| vec![collective(scale)]),
+    ("dyn", |scale| vec![dynamic(scale)]),
+    ("fault", |scale| vec![fault(scale)]),
+    ("online", crate::online::study),
+    ("service", crate::service::study),
+    ("redundancy", crate::redundancy::study),
+    ("straggler", crate::straggler::study),
+];
+
+/// Run the experiment `id` at `scale` and return its figures, or `None`
+/// when no row of [`EXPERIMENTS`] carries that id.
+pub fn run(id: &str, scale: Scale) -> Option<Vec<Figure>> {
+    EXPERIMENTS.iter().find(|(name, _)| *name == id).map(|(_, build)| build(scale))
 }
 
 const SCHEMES: [Scheme; 4] = [Scheme::Def, Scheme::Aal, Scheme::Harl, Scheme::Mha];
@@ -152,7 +115,7 @@ fn scheme_bandwidths(trace: &Trace, cluster: &ClusterConfig) -> Vec<f64> {
 }
 
 /// Fig. 3: the data access sequence of one LANL loop iteration set.
-pub fn fig3() -> Figure {
+fn fig3() -> Figure {
     let trace = lanl::generate(&lanl::LanlConfig { procs: 1, loops: 3, op: IoOp::Write });
     let mut fig = Figure::new(
         "fig3",
@@ -167,7 +130,7 @@ pub fn fig3() -> Figure {
 }
 
 /// Fig. 7: IOR bandwidth with mixed request sizes (one figure per op).
-pub fn fig7(scale: Scale) -> Vec<Figure> {
+fn fig7(scale: Scale) -> Vec<Figure> {
     let mixes: [(&str, &[u64]); 4] = [
         ("16", &[16]),
         ("128+256", &[128, 256]),
@@ -204,7 +167,7 @@ pub fn fig7(scale: Scale) -> Vec<Figure> {
 
 /// Fig. 8: per-server I/O time under each scheme (IOR write, 128+256 KiB),
 /// normalized to the smallest positive server time under MHA.
-pub fn fig8(scale: Scale) -> Figure {
+fn fig8(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let trace = workloads::ior_mixed_sizes(&[128, 256], IoOp::Write, scale);
     let reports = scheme_reports(&trace, &cluster);
@@ -232,7 +195,7 @@ pub fn fig8(scale: Scale) -> Figure {
 }
 
 /// Fig. 9: IOR bandwidth with mixed process counts (one figure per op).
-pub fn fig9(scale: Scale) -> Vec<Figure> {
+fn fig9(scale: Scale) -> Vec<Figure> {
     let mixes: [(&str, &[u32]); 4] =
         [("8", &[8]), ("8+32", &[8, 32]), ("16+64", &[16, 64]), ("32+128", &[32, 128])];
     let cluster = workloads::paper_cluster();
@@ -262,7 +225,7 @@ pub fn fig9(scale: Scale) -> Vec<Figure> {
 }
 
 /// Fig. 10: IOR bandwidth across H:S server ratios (one figure per op).
-pub fn fig10(scale: Scale) -> Vec<Figure> {
+fn fig10(scale: Scale) -> Vec<Figure> {
     let ratios = [(7usize, 1usize), (6, 2), (5, 3), (4, 4)];
     [IoOp::Read, IoOp::Write]
         .into_iter()
@@ -291,7 +254,7 @@ pub fn fig10(scale: Scale) -> Vec<Figure> {
 }
 
 /// Fig. 11: HPIO write bandwidth vs process count.
-pub fn fig11(scale: Scale) -> Figure {
+fn fig11(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let mut fig = Figure::new(
         "fig11",
@@ -314,7 +277,7 @@ pub fn fig11(scale: Scale) -> Figure {
 }
 
 /// Fig. 12a: BTIO aggregate bandwidth (class B + C interleaved).
-pub fn fig12a(_scale: Scale) -> Figure {
+fn fig12a() -> Figure {
     let cluster = workloads::paper_cluster();
     let mut fig = Figure::new("fig12a", "BTIO aggregate bandwidth", &SCHEME_NAMES, "MB/s");
     let procs_axis = [9u32, 16, 25];
@@ -332,7 +295,7 @@ pub fn fig12a(_scale: Scale) -> Figure {
 }
 
 /// Fig. 12b: LANL application trace replay.
-pub fn fig12b(scale: Scale) -> Figure {
+fn fig12b(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let trace = workloads::lanl_trace(scale);
     let mut fig = Figure::new("fig12b", "LANL application bandwidth", &SCHEME_NAMES, "MB/s");
@@ -341,7 +304,7 @@ pub fn fig12b(scale: Scale) -> Figure {
 }
 
 /// Fig. 13a: LU decomposition trace replay.
-pub fn fig13a(scale: Scale) -> Figure {
+fn fig13a(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let trace = workloads::lu_trace(scale);
     let mut fig = Figure::new("fig13a", "LU decomposition bandwidth", &SCHEME_NAMES, "MB/s");
@@ -350,7 +313,7 @@ pub fn fig13a(scale: Scale) -> Figure {
 }
 
 /// Fig. 13b: sparse Cholesky trace replay.
-pub fn fig13b(scale: Scale) -> Figure {
+fn fig13b(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let trace = workloads::cholesky_trace(scale);
     let mut fig = Figure::new("fig13b", "Sparse Cholesky bandwidth", &SCHEME_NAMES, "MB/s");
@@ -360,7 +323,7 @@ pub fn fig13b(scale: Scale) -> Figure {
 
 /// Fig. 14: redirection overhead — IOR 4 KiB + 64 KiB, redirecting every
 /// request back to the original system (no reordering) vs direct access.
-pub fn fig14(scale: Scale) -> Figure {
+fn fig14(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let mut fig = Figure::new(
         "fig14",
@@ -388,7 +351,7 @@ pub fn fig14(scale: Scale) -> Figure {
 }
 
 /// Table I: the calibrated cost-model parameters.
-pub fn tab1() -> Figure {
+fn tab1() -> Figure {
     let p = CostParams::paper_default();
     let mut fig = Figure::new(
         "tab1",
@@ -411,7 +374,7 @@ pub fn tab1() -> Figure {
 /// §V-E.2: DRT meta-data space overhead for the worst case (all requests
 /// 4 KiB), measured as the log bytes one committed generation of the
 /// table takes in the pipeline store.
-pub fn ovh() -> Figure {
+fn ovh() -> Figure {
     use mha_core::region::{Drt, DrtEntry, Rst};
     let path = std::env::temp_dir().join(format!("mha-ovh-{}", std::process::id()));
     let _ = std::fs::remove_file(&path);
@@ -453,7 +416,7 @@ pub fn ovh() -> Figure {
 /// each MHA design choice, on two contrasting workloads (LANL: mixed
 /// sizes at fixed concurrency; IOR mixed-procs: fixed size at mixed
 /// concurrency).
-pub fn ablations(scale: Scale) -> Vec<Figure> {
+fn ablations(scale: Scale) -> Vec<Figure> {
     use mha_core::{GroupingConfig, RssdConfig};
 
     let cluster = workloads::paper_cluster();
@@ -591,7 +554,7 @@ pub fn ablations(scale: Scale) -> Vec<Figure> {
 /// Sensitivity study: how the MHA-vs-DEF margin and RSSD's HServer
 /// engagement respond to the hardware ratios the paper's testbed fixed —
 /// the "where do crossovers fall" record for EXPERIMENTS.md.
-pub fn sensitivity(scale: Scale) -> Vec<Figure> {
+fn sensitivity(scale: Scale) -> Vec<Figure> {
     use mha_core::schemes::{LayoutPlanner, MhaPlanner};
 
     let trace = workloads::ior_mixed_sizes(&[128, 256], IoOp::Write, scale);
@@ -650,7 +613,7 @@ pub fn sensitivity(scale: Scale) -> Vec<Figure> {
 /// two-phase collective buffering, under DEF and MHA. Aggregation
 /// homogenizes the pattern, so it narrows the gap MHA exploits — and the
 /// two optimizations compose.
-pub fn collective(scale: Scale) -> Figure {
+fn collective(scale: Scale) -> Figure {
     use mpiio_sim::{CollectiveConfig, MpiJob, Piece};
 
     let loops = scale.reqs(32) as u64;
@@ -695,7 +658,7 @@ pub fn collective(scale: Scale) -> Figure {
 
 /// Dynamic-controller study (the paper's future work): DEF vs online MHA
 /// vs the offline oracle on a drifting workload.
-pub fn dynamic(scale: Scale) -> Figure {
+fn dynamic(scale: Scale) -> Figure {
     use iotrace::gen::ior::{generate as gen_ior, IorConfig};
     use mha_core::dynamic::{run_dynamic, DynamicConfig};
 
@@ -737,7 +700,7 @@ pub fn dynamic(scale: Scale) -> Figure {
 /// MHA's LANL layouts lean on the SServers for the trace's small
 /// requests; a degraded HServer barely moves a scheme that placed no
 /// data there.
-pub fn fault(scale: Scale) -> Figure {
+fn fault(scale: Scale) -> Figure {
     let cluster = workloads::paper_cluster();
     let trace = workloads::lanl_trace(scale);
     let ctx = workloads::context_for(&trace, &cluster);
@@ -910,9 +873,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "unknown experiment id")]
-    fn unknown_id_panics() {
-        run("fig99", Scale::Quick);
+    fn unknown_id_runs_nothing() {
+        assert!(run("fig99", Scale::Quick).is_none());
+        assert!(run("all", Scale::Quick).is_none(), "`all` is the harness's, not a row");
+    }
+
+    #[test]
+    fn experiment_ids_are_unique() {
+        let mut ids: Vec<&str> = EXPERIMENTS.iter().map(|(id, _)| *id).collect();
+        ids.sort_unstable();
+        let rows = ids.len();
+        ids.dedup();
+        assert_eq!(ids.len(), rows, "duplicate experiment id in {ids:?}");
     }
 
     #[test]

@@ -18,13 +18,21 @@
 //! | `fig14` | redirection overhead |
 //! | `tab1` | calibrated cost-model parameters (Table I) |
 //! | `ovh` | DRT meta-data space overhead (§V-E.2) |
+//! | `ablations` | what each MHA design choice is worth |
+//! | `sens` | sensitivity to SSD speed and network bandwidth |
+//! | `coll` | collective (two-phase) vs independent I/O |
+//! | `dyn` | epoch-based dynamic MHA on a drifting workload |
 //! | `fault` | degraded-cluster robustness: schemes × fault scenarios |
 //! | `online` | plan-while-running vs plan-then-rerun on a phase shift |
 //! | `service` | multi-tenant layout service under open-loop arrivals |
+//! | `redundancy` | replicated and erasure-coded layouts under server loss |
 //! | `straggler` | client-side straggler-aware dispatch vs replanning |
 //!
-//! Run `cargo run -p mha-bench --release --bin figures -- all` (add
-//! `--quick` for smaller workloads).
+//! [`experiments::EXPERIMENTS`] is the id table. Run
+//! `cargo run -p mha-bench --release --bin figures -- all` (add
+//! `--quick` for smaller workloads, `--json DIR` to write one
+//! `<figure id>.json` per figure, the form of the files in `results/`).
+//! Each study asserts its own acceptance bars.
 
 pub mod experiments;
 pub mod online;

@@ -1,4 +1,4 @@
-//! The `online` experiment behind `results/BENCH_online.json`:
+//! The `online` experiment behind `results/online_{traj,recovery,cost}.json`:
 //! plan-while-running (windowed incremental re-planning + lazy
 //! on-access migration) versus plan-then-rerun on a phase-shifting
 //! skewed workload.
@@ -28,6 +28,12 @@
 //! seconds from the mid-trace shift until a window first reaches 80%
 //! of the post-shift steady bandwidth (the planned rerun's post-shift
 //! mean).
+//!
+//! **Acceptance bars**, asserted by `study` at every scale: the online
+//! loop recovers at least 2x sooner than plan-then-rerun, a quiet window
+//! costs under 10% of a cold plan, and the recovered bandwidth clearly
+//! beats (by more than 1.2x) the unplanned default layout after the
+//! shift.
 
 use crate::report::Figure;
 use crate::workloads::{self, Scale};
@@ -52,7 +58,7 @@ const LOOKUP: SimDuration = SimDuration::from_micros(5);
 
 /// The phase-shifting workload: `phases` barrier phases, hot spot
 /// flipped to the far half of the file from `shift_phase` on.
-pub fn phase_shift_trace(phases: usize, shift_phase: u32) -> Trace {
+fn phase_shift_trace(phases: usize, shift_phase: u32) -> Trace {
     let file_size: u64 = 1 << 30;
     let mk = |request_size: u64, seed: u64| SkewedConfig {
         procs: 8,
@@ -128,27 +134,9 @@ fn replay_windows(
     points
 }
 
-/// Everything the study measured (figures plus the acceptance facts the
-/// smoke gate asserts).
-pub struct OnlineStudy {
-    /// The reproduced figures, in presentation order.
-    pub figures: Vec<Figure>,
-    /// Online time-to-recovery over baseline time-to-recovery.
-    pub recovery_speedup: f64,
-    /// Wall-clock cost of a quiet-window check relative to the cold
-    /// offline plan, percent.
-    pub quiet_cost_pct: f64,
-    /// Online steady bandwidth after recovery (last windows), MB/s.
-    pub online_steady_mbps: f64,
-    /// Mean online bandwidth after the shift (including the lazy
-    /// migration storm right after the replan), MB/s.
-    pub online_post_shift_mbps: f64,
-    /// Mean unplanned (DEF) bandwidth after the shift, MB/s.
-    pub def_post_shift_mbps: f64,
-}
-
-/// Run the online study at `scale`. See the module docs for the design.
-pub fn study(scale: Scale) -> OnlineStudy {
+/// Run the online study at `scale` and return its three figures.
+/// Panics if an acceptance bar (see the module docs) fails.
+pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let windows_total: usize = match scale {
         Scale::Full => 24,
         Scale::Quick => 16,
@@ -305,6 +293,19 @@ pub fn study(scale: Scale) -> OnlineStudy {
     let quiet_cost_pct = quiet_max_s / cold_plan_s * 100.0;
     let online_post_shift_mbps = mean(&online_points[shift_idx..]);
     let def_post_shift_mbps = mean(def_tail);
+    assert!(
+        recovery_speedup >= 2.0,
+        "online must recover at least 2x sooner than plan-then-rerun: {recovery_speedup:.2}x"
+    );
+    assert!(
+        quiet_cost_pct < 10.0,
+        "a quiet window must cost <10% of a cold plan: {quiet_cost_pct:.4}%"
+    );
+    assert!(
+        online_steady > 1.2 * def_post_shift_mbps,
+        "recovered online bandwidth {online_steady:.1} must clearly beat unplanned \
+         {def_post_shift_mbps:.1}"
+    );
 
     // ---- figures -----------------------------------------------------
     let mut traj = Figure::new(
@@ -361,14 +362,7 @@ pub fn study(scale: Scale) -> OnlineStudy {
     cost.push_row("drained MiB (never accessed)", vec![drained_bytes as f64 / (1 << 20) as f64]);
     cost.push_row("migrated MiB total", vec![migrated_mib]);
 
-    OnlineStudy {
-        figures: vec![traj, rec, cost],
-        recovery_speedup,
-        quiet_cost_pct,
-        online_steady_mbps: online_steady,
-        online_post_shift_mbps,
-        def_post_shift_mbps,
-    }
+    vec![traj, rec, cost]
 }
 
 fn mean(points: &[WindowPoint]) -> f64 {
@@ -425,23 +419,18 @@ mod tests {
 
     #[test]
     fn online_study_smoke_meets_the_acceptance_bars() {
-        let s = study(Scale::Quick);
-        assert_eq!(s.figures.len(), 3);
+        let figs = crate::experiments::run("online", Scale::Quick).expect("online is an id");
+        let ids: Vec<&str> = figs.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(ids, ["online_traj", "online_recovery", "online_cost"]);
+        let rec = |label: &str| figs[1].value(label, "value").expect(label);
+        let speedup = rec("recovery speedup x");
+        assert!(speedup >= 2.0, "online must recover at least 2x sooner: {speedup}");
+        let quiet = figs[2].value("quiet check / cold plan %", "value").expect("quiet row");
+        assert!(quiet < 10.0, "a quiet window must cost <10% of a cold plan: {quiet}%");
+        let (steady, def) = (rec("online steady post-shift MB/s"), rec("DEF post-shift mean MB/s"));
         assert!(
-            s.recovery_speedup >= 2.0,
-            "online must recover at least 2x sooner: {}",
-            s.recovery_speedup
-        );
-        assert!(
-            s.quiet_cost_pct < 10.0,
-            "a quiet window must cost <10% of a cold plan: {}%",
-            s.quiet_cost_pct
-        );
-        assert!(
-            s.online_steady_mbps > 1.2 * s.def_post_shift_mbps,
-            "recovered online bandwidth {} must clearly beat unplanned {}",
-            s.online_steady_mbps,
-            s.def_post_shift_mbps
+            steady > 1.2 * def,
+            "recovered online bandwidth {steady} must clearly beat unplanned {def}"
         );
     }
 }

@@ -1,4 +1,4 @@
-//! The redundancy study behind `results/BENCH_redundancy.json`:
+//! The redundancy study behind `results/redundancy{,_detail}.json`:
 //! replication and erasure coding versus plain striping across healthy,
 //! one-loss-degraded, and rebuilding clusters.
 //!
@@ -47,19 +47,6 @@ use storage_model::IoOp;
 const VICTIM: usize = 2;
 /// The spare the rebuild targets (the SServer the planner never uses).
 const SPARE: usize = 8;
-
-/// Everything the study produced.
-pub struct RedundancyStudy {
-    /// The figures written to `results/BENCH_redundancy.json`.
-    pub figures: Vec<Figure>,
-    /// Region layouts in the MHA plan (all of them carried both
-    /// placements).
-    pub layouts: usize,
-    /// Bytes the rebuild read from surviving copies/shards (3x + EC).
-    pub rebuild_read: u64,
-    /// Bytes the rebuild wrote onto the spare (3x + EC).
-    pub rebuild_written: u64,
-}
 
 fn cluster_config() -> ClusterConfig {
     ClusterConfig::with_ratio(6, 3)
@@ -151,9 +138,9 @@ fn rebuilt(plan: &Plan, tag: &str) -> (Plan, RebuildOutcome) {
     (Plan { layouts, ..plan.clone() }, outcome)
 }
 
-/// Run the study. Panics (failing the CI gate) if any acceptance
+/// Run the study and return its two figures. Panics if any acceptance
 /// property is violated.
-pub fn study(scale: Scale) -> RedundancyStudy {
+pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let cfg = cluster_config();
     let trace = workload(scale);
     let mut ctx = crate::workloads::context_for(&trace, &cfg);
@@ -295,12 +282,7 @@ pub fn study(scale: Scale) -> RedundancyStudy {
         vec![0.0, 0.0, rep_out.bytes_written as f64 * mb, ec_out.bytes_written as f64 * mb],
     );
 
-    RedundancyStudy {
-        figures: vec![bw, detail],
-        layouts: mha.layouts.len(),
-        rebuild_read: rep_out.bytes_read + ec_out.bytes_read,
-        rebuild_written: rep_out.bytes_written + ec_out.bytes_written,
-    }
+    vec![bw, detail]
 }
 
 #[cfg(test)]
@@ -312,15 +294,21 @@ mod tests {
     /// runs inside `study`.
     #[test]
     fn quick_study_passes_all_acceptance_assertions() {
-        let s = study(Scale::Quick);
-        assert_eq!(s.figures.len(), 2);
-        assert!(s.layouts > 0);
-        assert!(s.rebuild_written > 0);
-        assert!(s.rebuild_read > s.rebuild_written, "EC shard reads dominate");
+        let figs =
+            crate::experiments::run("redundancy", Scale::Quick).expect("redundancy is an id");
+        assert_eq!(figs.len(), 2);
+        let detail = &figs[1];
+        let rebuild = |label: &str| -> f64 {
+            ["MHA+3x", "MHA+EC(4+2)"].iter().map(|s| detail.value(label, s).expect(label)).sum()
+        };
+        let read = rebuild("rebuild read MB");
+        let written = rebuild("rebuild written MB");
+        assert!(written > 0.0);
+        assert!(read > written, "EC shard reads dominate");
         // The degraded redundant runs stay within the healthy ballpark
         // (no timeout cliffs): degraded bandwidth is positive and the
         // striped schemes show the timeout cliff the redundancy avoids.
-        let bw = &s.figures[0];
+        let bw = &figs[0];
         let d_mha = bw.value("one-loss degraded", "MHA").unwrap();
         let d_rep = bw.value("one-loss degraded", "MHA+3x").unwrap();
         let d_ec = bw.value("one-loss degraded", "MHA+EC(4+2)").unwrap();

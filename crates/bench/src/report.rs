@@ -61,25 +61,17 @@ impl Figure {
     }
 
     /// JSON object encoding, the form of one `results/<id>.json` file.
+    /// Strings are escaped per RFC 8259 (quotes, backslashes, and control
+    /// characters); non-finite values are rejected rather than emitted as
+    /// the invalid tokens `NaN` / `inf`.
     pub fn to_json(&self) -> Result<String, FiguresJsonError> {
-        let mut out = String::new();
-        self.write_json(&mut out, "")?;
-        out.push('\n');
-        Ok(out)
-    }
-
-    /// Append this figure as a JSON object whose lines start with `pad`
-    /// (no trailing newline). Strings are escaped per RFC 8259 (quotes,
-    /// backslashes, and control characters); non-finite values are
-    /// rejected rather than emitted as the invalid tokens `NaN` / `inf`.
-    fn write_json(&self, out: &mut String, pad: &str) -> Result<(), FiguresJsonError> {
         let series: Vec<String> = self.series.iter().map(|s| json_str(s)).collect();
-        out.push_str(&format!("{pad}{{\n"));
-        out.push_str(&format!("{pad}  \"id\": {},\n", json_str(&self.id)));
-        out.push_str(&format!("{pad}  \"title\": {},\n", json_str(&self.title)));
-        out.push_str(&format!("{pad}  \"series\": [{}],\n", series.join(", ")));
-        out.push_str(&format!("{pad}  \"unit\": {},\n", json_str(&self.unit)));
-        out.push_str(&format!("{pad}  \"rows\": [\n"));
+        let mut out = String::from("{\n");
+        out.push_str(&format!("  \"id\": {},\n", json_str(&self.id)));
+        out.push_str(&format!("  \"title\": {},\n", json_str(&self.title)));
+        out.push_str(&format!("  \"series\": [{}],\n", series.join(", ")));
+        out.push_str(&format!("  \"unit\": {},\n", json_str(&self.unit)));
+        out.push_str("  \"rows\": [\n");
         for (ri, row) in self.rows.iter().enumerate() {
             let mut vals = Vec::with_capacity(row.values.len());
             for &v in &row.values {
@@ -93,26 +85,15 @@ impl Figure {
                 vals.push(format!("{v}"));
             }
             out.push_str(&format!(
-                "{pad}    {{ \"label\": {}, \"values\": [{}] }}{}\n",
+                "    {{ \"label\": {}, \"values\": [{}] }}{}\n",
                 json_str(&row.label),
                 vals.join(", "),
                 if ri + 1 < self.rows.len() { "," } else { "" }
             ));
         }
-        out.push_str(&format!("{pad}  ]\n{pad}}}"));
-        Ok(())
+        out.push_str("  ]\n}\n");
+        Ok(out)
     }
-}
-
-/// JSON array of `figs`, the form the study bins write.
-pub fn figures_json(figs: &[Figure]) -> Result<String, FiguresJsonError> {
-    let mut out = String::from("[\n");
-    for (fi, f) in figs.iter().enumerate() {
-        f.write_json(&mut out, "  ")?;
-        out.push_str(if fi + 1 < figs.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    Ok(out)
 }
 
 /// `s` as a quoted JSON string.
@@ -238,22 +219,10 @@ mod tests {
     }
 
     #[test]
-    fn figures_json_indents_each_object_inside_one_array() {
-        let mut second = Figure::new("fig7w", "IOR write", &["DEF"], "MB/s");
-        second.push_row("16", vec![0.5]);
-        let json = figures_json(&[sample(), second]).expect("finite values encode");
-        let object = sample().to_json().unwrap();
-        let indented: Vec<String> = object.lines().map(|l| format!("  {l}")).collect();
-        assert!(json.starts_with(&format!("[\n{},\n  {{\n", indented.join("\n"))), "{json}");
-        let tail = "{ \"label\": \"16\", \"values\": [0.5] }\n    ]\n  }\n]\n";
-        assert!(json.ends_with(tail), "{json}");
-    }
-
-    #[test]
-    fn figures_json_escapes_control_characters() {
+    fn to_json_escapes_control_characters() {
         let mut f = Figure::new("x", "line\nbreak\ttab \"quoted\"", &["s\\1"], "MB/s");
         f.push_row("ctrl\u{1}", vec![1.0]);
-        let json = figures_json(&[f]).expect("encodes");
+        let json = f.to_json().expect("encodes");
         assert!(json.contains("line\\nbreak\\ttab \\\"quoted\\\""), "{json}");
         assert!(json.contains("s\\\\1"), "{json}");
         assert!(json.contains("ctrl\\u0001"), "{json}");
@@ -261,7 +230,7 @@ mod tests {
     }
 
     #[test]
-    fn figures_json_rejects_non_finite_values() {
+    fn to_json_rejects_non_finite_values() {
         for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
             let mut f = Figure::new("fig", "t", &["s1", "s2"], "MB/s");
             f.push_row("row", vec![1.0, bad]);
@@ -270,8 +239,6 @@ mod tests {
             assert_eq!(err.row, "row");
             assert_eq!(err.value.to_bits(), bad.to_bits());
             assert!(err.to_string().contains("JSON cannot represent"), "{err}");
-            let in_array = figures_json(&[f]).expect_err("nor inside an array");
-            assert_eq!((in_array.figure, in_array.row), (err.figure, err.row));
         }
     }
 

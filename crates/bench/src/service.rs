@@ -1,4 +1,5 @@
-//! The multi-tenant layout-service study (`BENCH_service`).
+//! The multi-tenant layout-service study behind
+//! `results/service_{latency,aggregate}.json`.
 //!
 //! Drives a [`pfs_sim::LayoutService`] hosting eight tenants, each
 //! running the full per-tenant MHA stack ([`mha_core::TenantPipeline`]:
@@ -14,6 +15,9 @@
 //!    whether it runs alone or among seven co-tenants.
 //! 3. **Degeneracy** — a 1-tenant service run of a single job is
 //!    bit-identical to a plain streaming replay of the same trace.
+//!
+//! At full scale it also asserts that the service completes at least
+//! 64 jobs.
 
 use crate::report::Figure;
 use crate::workloads::Scale;
@@ -31,21 +35,6 @@ const SEED: u64 = 0x5e71_1ce5;
 
 /// Tenants in the service run (the acceptance floor).
 const TENANTS: u32 = 8;
-
-/// What the study measured, plus the acceptance facts the smoke gate
-/// asserts (the property assertions themselves run inside [`study`]).
-pub struct ServiceStudy {
-    /// The figures written to `results/BENCH_service.json`.
-    pub figures: Vec<Figure>,
-    /// Jobs admitted and completed across all tenants.
-    pub jobs: usize,
-    /// Jobs shed by the per-tenant admission bound.
-    pub rejected: usize,
-    /// Tenants served.
-    pub tenants: usize,
-    /// Sustained aggregate bandwidth over the service makespan, MB/s.
-    pub aggregate_mbps: f64,
-}
 
 /// Tenant `t`'s `job`-th trace: a skewed workload whose request size
 /// cycles with the tenant (so co-tenants genuinely differ) and whose
@@ -128,9 +117,9 @@ fn report_bits(r: &ReplayReport) -> (u64, u64, usize, u64, u64) {
 }
 
 /// Run the study. Asserts the determinism, isolation, and degeneracy
-/// properties (panicking on violation — the CI smoke gate), then
-/// summarizes the full-service run into figures.
-pub fn study(scale: Scale) -> ServiceStudy {
+/// properties and the full-scale job count (panicking on violation),
+/// then summarizes the full-service run into figures.
+pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let jobs_per_tenant: u32 = match scale {
         Scale::Full => 8,
         Scale::Quick => 2,
@@ -191,6 +180,10 @@ pub fn study(scale: Scale) -> ServiceStudy {
         service_run, plain_run,
         "a 1-tenant service must degenerate to a plain streaming replay"
     );
+    if scale == Scale::Full {
+        let jobs = report.jobs.len();
+        assert!(jobs >= 64, "full study must complete >= 64 jobs, got {jobs}");
+    }
 
     // -- figures ------------------------------------------------------
     let mut latency = Figure::new(
@@ -211,19 +204,12 @@ pub fn study(scale: Scale) -> ServiceStudy {
         &["value"],
         "mixed",
     );
-    let aggregate_mbps = report.aggregate_mbps();
-    agg.push_row("aggregate MB/s", vec![aggregate_mbps]);
+    agg.push_row("aggregate MB/s", vec![report.aggregate_mbps()]);
     agg.push_row("jobs completed", vec![report.jobs.len() as f64]);
     agg.push_row("jobs rejected", vec![report.rejected as f64]);
     agg.push_row("makespan s", vec![report.makespan.as_secs_f64()]);
 
-    ServiceStudy {
-        figures: vec![latency, agg],
-        jobs: report.jobs.len(),
-        rejected: report.rejected,
-        tenants: report.tenants.len(),
-        aggregate_mbps,
-    }
+    vec![latency, agg]
 }
 
 #[cfg(test)]
@@ -232,11 +218,11 @@ mod tests {
 
     #[test]
     fn service_study_smoke_holds_its_properties_and_shape() {
-        let s = study(Scale::Quick);
-        assert_eq!(s.tenants, TENANTS as usize);
-        assert_eq!(s.jobs, (TENANTS * 2) as usize, "quick run admits every job");
-        assert!(s.aggregate_mbps > 0.0);
-        assert_eq!(s.figures.len(), 2);
-        assert_eq!(s.figures[0].rows.len(), TENANTS as usize);
+        let figs = crate::experiments::run("service", Scale::Quick).expect("service is an id");
+        assert_eq!(figs.len(), 2);
+        assert_eq!(figs[0].rows.len(), TENANTS as usize, "one latency row per tenant");
+        let agg = |label: &str| figs[1].value(label, "value").expect(label);
+        assert_eq!(agg("jobs completed"), f64::from(TENANTS * 2), "quick run admits every job");
+        assert!(agg("aggregate MB/s") > 0.0);
     }
 }

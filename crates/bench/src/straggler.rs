@@ -1,4 +1,5 @@
-//! The straggler-scheduling study behind `results/BENCH_straggler.json`:
+//! The straggler-scheduling study behind
+//! `results/straggler{,_bursty,_detail}.json`:
 //! client-side straggler-aware dispatch versus layout replanning under a
 //! migrating transient straggler.
 //!
@@ -33,7 +34,8 @@
 //! Every cell runs on both replay cores and asserts bit-identity
 //! (scheduler counters included). The headline is the share of the
 //! fault-free bandwidth the scheduler claws back relative to the blind
-//! baseline under the straggler.
+//! baseline under the straggler, read off the `straggler` figure's
+//! baseline and sched columns.
 
 use crate::report::Figure;
 use crate::workloads::Scale;
@@ -45,26 +47,24 @@ use pfs_sim::{ClusterConfig, CoreSel, FaultPlan, ReplayReport, RetryPolicy, Sche
 use storage_model::IoOp;
 
 /// Everything that shapes the straggler scenario: the outage train, the
-/// client retry policy it grinds against, and the scheduler knobs. Kept
-/// public (doc-hidden) so the offline sweep tool can explore it; the
-/// shipped study uses [`Regime::tuned`].
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy)]
-pub struct Regime {
+/// client retry policy it grinds against, and the scheduler knobs. The
+/// study uses [`Regime::tuned`]; EXPERIMENTS.md records the grid it was
+/// picked from.
+struct Regime {
     /// Outage-train period, seconds.
-    pub period_s: f64,
+    period_s: f64,
     /// Down fraction of each period.
-    pub duty_down: f64,
+    duty_down: f64,
     /// Periods before the straggler hops to the next server.
-    pub migrate_every: usize,
+    migrate_every: usize,
     /// Total periods in the train.
-    pub periods: usize,
+    periods: usize,
     /// Client retry policy (first backoff, retry budget, timeout charge).
-    pub retry: RetryPolicy,
+    retry: RetryPolicy,
     /// Scheduler EWMA smoothing factor.
-    pub alpha: f64,
+    alpha: f64,
     /// Scheduler per-suspect inflight cap (per EWMA interval).
-    pub inflight_cap: u32,
+    inflight_cap: u32,
 }
 
 impl Regime {
@@ -76,7 +76,7 @@ impl Regime {
     /// outlasts the 0.75 s backoff reach). The paced schedule breaks
     /// the resonance: sub-second issue offsets land in the 1.2 s up
     /// gap and are served immediately.
-    pub fn tuned() -> Self {
+    fn tuned() -> Self {
         Self {
             period_s: 2.0,
             duty_down: 0.4,
@@ -89,14 +89,14 @@ impl Regime {
     }
 
     /// The scheduler policy of the sched/both series.
-    pub fn policy(&self) -> SchedPolicy {
+    fn policy(&self) -> SchedPolicy {
         SchedPolicy::StragglerAware { alpha: self.alpha, inflight_cap: self.inflight_cap }
     }
 
     /// The migrating duty-cycled outage train, starting at `warmup_s`:
     /// period `k` puts server `(k / migrate_every) % n_servers` down for
     /// the first [`Regime::duty_down`] of the period.
-    pub fn train(&self, warmup_s: f64, n_servers: usize) -> FaultPlan {
+    fn train(&self, warmup_s: f64, n_servers: usize) -> FaultPlan {
         let mut plan = FaultPlan::none().with_retry(self.retry);
         for k in 0..self.periods {
             let victim = (k / self.migrate_every.max(1)) % n_servers;
@@ -108,17 +108,6 @@ impl Regime {
         }
         plan
     }
-}
-
-/// Everything the study produced.
-pub struct StragglerStudy {
-    /// The figures written to `results/BENCH_straggler.json`.
-    pub figures: Vec<Figure>,
-    /// Share of the straggler-induced bandwidth loss the scheduler
-    /// recovered over the blind baseline, percent.
-    pub recovered_pct: f64,
-    /// Requests the scheduler deferred in the straggler cell.
-    pub deferred: u64,
 }
 
 fn cluster_config() -> ClusterConfig {
@@ -185,17 +174,15 @@ fn assert_identical(serial: &ReplayReport, sharded: &ReplayReport, what: &str) {
     );
 }
 
-/// Run one cell. `cores = true` runs both cores and asserts
-/// bit-identity; `false` (the sweep path) runs serial only.
-#[allow(clippy::too_many_arguments)]
-fn cell_on(
+/// Run one cell on both replay cores, assert bit-identity, return the
+/// serial report.
+fn cell(
     trace: &Trace,
     cfg: &ClusterConfig,
     ctx: &PlannerContext,
     faults: Option<&FaultPlan>,
     replan: bool,
     policy: SchedPolicy,
-    cores: bool,
     what: &str,
 ) -> ReplayReport {
     let run = |core: CoreSel| {
@@ -210,23 +197,9 @@ fn cell_on(
         eval.run().unwrap_or_else(|e| panic!("{what}: {e}"))
     };
     let serial = run(CoreSel::Serial);
-    if cores {
-        let sharded = run(CoreSel::Sharded);
-        assert_identical(&serial, &sharded, what);
-    }
+    let sharded = run(CoreSel::Sharded);
+    assert_identical(&serial, &sharded, what);
     serial
-}
-
-fn cell(
-    trace: &Trace,
-    cfg: &ClusterConfig,
-    ctx: &PlannerContext,
-    faults: Option<&FaultPlan>,
-    replan: bool,
-    policy: SchedPolicy,
-    what: &str,
-) -> ReplayReport {
-    cell_on(trace, cfg, ctx, faults, replan, policy, true, what)
 }
 
 /// The four series of one scenario row, in figure order.
@@ -259,41 +232,9 @@ fn assert_noop(blind: &ReplayReport, sched: &ReplayReport, what: &str) {
     assert_eq!(sched.deferred_requests, 0, "{what}: nothing to defer fault-free");
 }
 
-/// One sweep observation: serial-only baseline vs sched under a regime.
-#[doc(hidden)]
-pub struct ProbeOut {
-    pub healthy_mbps: f64,
-    pub base: ReplayReport,
-    pub sched: ReplayReport,
-}
-
-/// Serial-only baseline-vs-sched comparison under `regime` — the fast
-/// path the offline sweep tool uses to explore the regime space.
-#[doc(hidden)]
-pub fn probe(scale: Scale, regime: &Regime) -> ProbeOut {
-    let cfg = cluster_config();
-    let trace = workload(scale);
-    let ctx = crate::workloads::context_for(&trace, &cfg);
-    let healthy = cell_on(
-        &trace, &cfg, &ctx, None, false,
-        SchedPolicy::SeededShuffle, false, "probe healthy",
-    );
-    let warmup = healthy.makespan.as_secs_f64() / 3.0;
-    let train = regime.train(warmup, cfg.servers());
-    let base = cell_on(
-        &trace, &cfg, &ctx, Some(&train), false,
-        SchedPolicy::SeededShuffle, false, "probe base",
-    );
-    let sched = cell_on(
-        &trace, &cfg, &ctx, Some(&train), false,
-        regime.policy(), false, "probe sched",
-    );
-    ProbeOut { healthy_mbps: healthy.bandwidth_mbps(), base, sched }
-}
-
-/// Run the study. Panics (failing the CI gate) if any acceptance
+/// Run the study and return its three figures. Panics if any acceptance
 /// property is violated.
-pub fn study(scale: Scale) -> StragglerStudy {
+pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let regime = Regime::tuned();
     let aware = regime.policy();
     let cfg = cluster_config();
@@ -314,21 +255,6 @@ pub fn study(scale: Scale) -> StragglerStudy {
     let train = regime.train(warmup, cfg.servers());
     let hit = series_row(&trace, &cfg, &ctx, Some(&train), aware, "straggler");
     let [base, sched, _replan, _both] = &hit;
-    if std::env::var_os("STRAGGLER_DEBUG").is_some() {
-        for (name, r) in ["base", "sched", "replan", "both"].iter().zip(hit.iter()) {
-            eprintln!(
-                "DEBUG {name}: makespan={:.2}s bytes={}MB bw={:.1} timeouts={} retries={} \
-                 fault_wait={:.2}s deferred={}",
-                r.makespan.as_secs_f64(),
-                r.total_bytes / 1_000_000,
-                r.bandwidth_mbps(),
-                r.timeouts,
-                r.retries,
-                r.fault_wait.as_secs_f64(),
-                r.deferred_requests
-            );
-        }
-    }
     assert!(sched.deferred_requests > 0, "the train must trip the scheduler");
     let bw = |r: &ReplayReport| r.bandwidth_mbps();
     match scale {
@@ -347,12 +273,6 @@ pub fn study(scale: Scale) -> StragglerStudy {
             bw(base)
         ),
     }
-    let recovered_pct = if bw(&free[0]) > bw(base) {
-        100.0 * (bw(sched) - bw(base)) / (bw(&free[0]) - bw(base))
-    } else {
-        0.0
-    };
-
     // --- bursty arrivals under the same train --------------------------
     let btrace = bursty_workload(scale);
     let bctx = crate::workloads::context_for(&btrace, &cfg);
@@ -397,11 +317,7 @@ pub fn study(scale: Scale) -> StragglerStudy {
     fig_detail.push_row("deferred requests", counters(|r| r.deferred_requests as f64));
     fig_detail.push_row("bytes moved (MB)", counters(|r| r.total_bytes as f64 / 1e6));
 
-    StragglerStudy {
-        figures: vec![fig_bw, fig_burst, fig_detail],
-        recovered_pct,
-        deferred: sched.deferred_requests,
-    }
+    vec![fig_bw, fig_burst, fig_detail]
 }
 
 #[cfg(test)]
@@ -413,10 +329,11 @@ mod tests {
     /// sched-never-loses bar all assert inside `study`.
     #[test]
     fn quick_study_passes_all_acceptance_assertions() {
-        let s = study(Scale::Quick);
-        assert_eq!(s.figures.len(), 3);
-        assert!(s.deferred > 0);
-        let bw = &s.figures[0];
+        let figs = crate::experiments::run("straggler", Scale::Quick).expect("straggler is an id");
+        assert_eq!(figs.len(), 3);
+        let deferred = figs[2].value("deferred requests", "sched").expect("deferred row");
+        assert!(deferred > 0.0);
+        let bw = &figs[0];
         let free = bw.value("fault-free", "baseline").unwrap();
         let hit = bw.value("migrating straggler", "baseline").unwrap();
         assert!(hit < free, "the train must cost the blind baseline bandwidth");

@@ -160,42 +160,42 @@ cargo test -q -p pfs-sim --test replay_memory
 # prefix — catches panics, identity drift and memory blow-ups at the
 # cluster sizes the full grid exercises.
 cargo run -p mha-bench --release --bin scale -- --smoke
-# Fault-matrix smoke: the degraded-cluster experiment must run end to
-# end (empty-plan bit-identity and replanning wins are asserted by the
-# test suite; this catches panics in the full figure path). `--json`
-# also drives the results/<id>.json writer.
-cargo run -p mha-bench --release --bin figures -- fault --quick --json "$(mktemp -d)"
-# Online smoke: the plan-while-running loop (windowed replans + lazy
-# on-access migration) must still recover from a phase shift at least
-# 2x sooner than plan-then-rerun, with quiet windows costing <10% of a
-# cold plan — the acceptance bars are asserted inside the binary.
-cargo run -p mha-bench --release --bin online -- --smoke
-# Service smoke: the multi-tenant layout service must stay seeded-
-# deterministic (same seed => bit-identical schedule and job reports),
-# keep co-tenants from perturbing each other's replay reports, and
-# degenerate to a plain streaming replay for one tenant — all asserted
-# inside the binary. The kill-matrix resume test does the same for a
-# crash mid-service on the shared store.
-cargo run -p mha-bench --release --bin service -- --smoke
+# Study smoke: every figure and study is a `figures` id with one flag
+# surface, and an unknown id or option, or `--json` without a directory,
+# is a usage error (exit 2) that names it. The quick run below covers
+# the studies, each asserting its own bars inside the study:
+# - fault: the degraded-cluster matrix runs end to end (empty-plan
+#   bit-identity and replanning wins are asserted by the test suite);
+# - online: the plan-while-running loop recovers from a phase shift at
+#   least 2x sooner than plan-then-rerun, a quiet window costs <10% of a
+#   cold plan, and the recovered bandwidth beats the unplanned layout;
+# - service: the multi-tenant service is seeded-deterministic, co-tenants
+#   never perturb a tenant's replay reports, and one tenant degenerates
+#   to a plain streaming replay;
+# - redundancy: replicated and erasure-coded layouts survive a permanent
+#   server loss with zero timeouts, healthy redundant replays match
+#   striped MHA, and the journaled rebuild swaps every affected layout
+#   onto the spare (its kill-point matrix lives in `mha-core rebuild::`);
+# - straggler: straggler-aware dispatch is a bit-identical no-op
+#   fault-free, both replay cores agree in every cell, and it never
+#   loses to blind dispatch under the migrating transient straggler.
+# `--json` also drives the results/<figure id>.json writer (into the
+# scratch directory the exit trap removes). The
+# kill-matrix resume test checks a crash mid-service on the shared store.
+cargo build -q --release -p mha-bench --bin figures
+figures="${CARGO_TARGET_DIR:-target}/release/figures"
+expect_usage fig99 "$figures" fig99
+expect_usage --smoke "$figures" fig3 --smoke
+expect_usage --json "$figures" fig3 --json
+expect_usage --json "$figures" --json --quick fig3
+"$figures" fault online service redundancy straggler --quick --json "$bench_work/figures" >/dev/null
 cargo test -q -p mha-bench --test service_resume
-# Redundancy smoke: replicated and erasure-coded layouts must survive
-# a permanent server loss end to end — every degraded redundant replay
-# completes with zero timeouts, healthy redundant replays stay
-# bit-identical to striped MHA, and the journaled rebuild swaps every
-# affected layout onto the spare. All bars are asserted inside the
-# binary; its kill-point matrix lives in `mha-core rebuild::`.
-cargo run -p mha-bench --release --bin redundancy -- --smoke
 # Degraded-equivalence gate, explicitly: the serial and sharded cores
 # must agree bit-for-bit (counters included) on randomized *degraded*
 # redundant replays — replica failover and erasure decode included
 # (also inside the sharded_equivalence run above; named to pin the
 # redundancy contract).
 cargo test -q -p pfs-sim --test sharded_equivalence degraded_redundant
-# Straggler smoke: client-side straggler-aware dispatch must stay a
-# bit-identical no-op fault-free, agree across both replay cores in
-# every cell, and never lose to blind dispatch under the migrating
-# transient straggler — all asserted inside the binary.
-cargo run -p mha-bench --release --bin straggler -- --smoke
 # Scheduler-policy gates, explicitly: SeededShuffle must replay the
 # exact pre-scheduler dispatch order, fault-free StragglerAware must be
 # bit-identical to it, and the cores must agree under random scheduler
