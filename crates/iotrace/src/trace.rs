@@ -1,8 +1,9 @@
 //! A trace: an ordered collection of records plus derived views.
 
 use crate::error::TraceError;
-use crate::record::{FileId, TraceRecord};
+use crate::record::{FileId, TenantId, TraceRecord};
 use std::collections::BTreeMap;
+use std::sync::Arc;
 use storage_model::IoOp;
 
 /// Largest request length [`Trace::validate`] accepts (4 TiB). A length
@@ -14,20 +15,26 @@ pub const MAX_REQUEST_LEN: u64 = 1 << 42;
 pub const MAX_RANK: u32 = 1 << 20;
 
 /// An application I/O trace in issue order.
+///
+/// Copy-on-write: the records live behind one shared allocation, so
+/// `clone` is O(1) and every clone reads the same storage. The mutators
+/// ([`Trace::push`], [`Trace::extend_with`]) copy the records first when
+/// another clone still shares them, so a change to one clone never shows
+/// in another.
 #[derive(Debug, Clone, Default)]
 pub struct Trace {
-    records: Vec<TraceRecord>,
+    records: Arc<Vec<TraceRecord>>,
 }
 
 impl Trace {
     /// Empty trace.
     pub fn new() -> Self {
-        Trace { records: Vec::new() }
+        Trace::default()
     }
 
     /// Build from records already in issue order.
     pub fn from_records(records: Vec<TraceRecord>) -> Self {
-        Trace { records }
+        Trace { records: Arc::new(records) }
     }
 
     /// Append one record (must not be earlier than the last — issue order).
@@ -36,12 +43,32 @@ impl Trace {
             self.records.last().is_none_or(|l| rec.ts >= l.ts),
             "trace records must be appended in issue order"
         );
-        self.records.push(rec);
+        Arc::make_mut(&mut self.records).push(rec);
     }
 
     /// Records in issue order.
     pub fn records(&self) -> &[TraceRecord] {
         &self.records
+    }
+
+    /// Overwrite `out` with this trace's records, each file id moved into
+    /// `tenant`'s namespace ([`FileId::with_tenant`]). `out`'s storage is
+    /// reused unless a clone still shares it.
+    ///
+    /// # Panics
+    /// If a file id overflows the tenant-local namespace.
+    pub fn retag_into(&self, tenant: TenantId, out: &mut Trace) {
+        let tagged = self
+            .records
+            .iter()
+            .map(|r| TraceRecord { file: FileId::with_tenant(tenant, r.file), ..*r });
+        match Arc::get_mut(&mut out.records) {
+            Some(records) => {
+                records.clear();
+                records.extend(tagged);
+            }
+            None => out.records = Arc::new(tagged.collect()),
+        }
     }
 
     /// Check the invariants a well-formed ingested trace must satisfy:
@@ -99,7 +126,7 @@ impl Trace {
     /// Records sorted ascending by (file, offset) — the order the paper's
     /// collector emits for the layout-optimization phases (§III-C).
     pub fn sorted_by_offset(&self) -> Vec<TraceRecord> {
-        let mut v = self.records.clone();
+        let mut v = self.records.to_vec();
         v.sort_by_key(|r| (r.file, r.offset, r.ts, r.rank));
         v
     }
@@ -131,7 +158,7 @@ impl Trace {
     /// Required size of each file (max end offset), keyed by file.
     pub fn file_extents(&self) -> BTreeMap<FileId, u64> {
         let mut m = BTreeMap::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             let e = m.entry(r.file).or_insert(0u64);
             *e = (*e).max(r.end());
         }
@@ -157,7 +184,7 @@ impl Trace {
         }
         let mut max_file = 0u32;
         let mut max_phase = 0u32;
-        for r in &self.records {
+        for r in self.records.iter() {
             max_file = max_file.max(r.file.0);
             max_phase = max_phase.max(r.phase);
         }
@@ -172,7 +199,7 @@ impl Trace {
         let files = max_file as usize + 1;
         // Counting-sort record indices by phase.
         let mut starts = vec![0u32; phases + 1];
-        for r in &self.records {
+        for r in self.records.iter() {
             starts[r.phase as usize + 1] += 1;
         }
         for p in 0..phases {
@@ -209,7 +236,7 @@ impl Trace {
     /// tested against.
     fn concurrency_sparse(&self) -> Vec<u32> {
         let mut phase_count: BTreeMap<(FileId, u32), u32> = BTreeMap::new();
-        for r in &self.records {
+        for r in self.records.iter() {
             *phase_count.entry((r.file, r.phase)).or_insert(0) += 1;
         }
         self.records
@@ -242,36 +269,37 @@ impl Trace {
     /// single merge of the two sorted halves otherwise.
     pub fn extend_with(&mut self, other: &Trace) {
         let shift = self.phase_count();
-        let split = self.records.len();
-        self.records.reserve(other.records.len());
-        for r in &other.records {
+        let records = Arc::make_mut(&mut self.records);
+        let split = records.len();
+        records.reserve(other.records.len());
+        for r in other.records.iter() {
             let mut r = *r;
             r.phase += shift;
-            self.records.push(r);
+            records.push(r);
         }
         let key = |r: &TraceRecord| (r.ts, r.phase, r.rank, r.offset);
         let is_sorted =
             |v: &[TraceRecord]| v.windows(2).all(|w| key(&w[0]) <= key(&w[1]));
-        let left_ok = is_sorted(&self.records[..split]);
-        let right_ok = is_sorted(&self.records[split..]);
+        let left_ok = is_sorted(&records[..split]);
+        let right_ok = is_sorted(&records[split..]);
         if left_ok
             && right_ok
             && (split == 0
-                || split == self.records.len()
-                || key(&self.records[split - 1]) <= key(&self.records[split]))
+                || split == records.len()
+                || key(&records[split - 1]) <= key(&records[split]))
         {
             return;
         }
         // Stable-sorting each half keeps equal keys in push order, exactly
         // as one stable sort of the concatenation would.
         if !left_ok {
-            self.records[..split].sort_by_key(key);
+            records[..split].sort_by_key(key);
         }
         if !right_ok {
-            self.records[split..].sort_by_key(key);
+            records[split..].sort_by_key(key);
         }
-        let mut merged = Vec::with_capacity(self.records.len());
-        let (left, right) = self.records.split_at(split);
+        let mut merged = Vec::with_capacity(records.len());
+        let (left, right) = records.split_at(split);
         let (mut i, mut j) = (0, 0);
         // Left-preferring merge: ties resolve to the left half, matching
         // the stability of sorting the concatenation.
@@ -286,7 +314,7 @@ impl Trace {
         }
         merged.extend_from_slice(&left[i..]);
         merged.extend_from_slice(&right[j..]);
-        self.records = merged;
+        *records = merged;
     }
 }
 
@@ -411,6 +439,52 @@ mod tests {
             all.sort_by_key(|r| (r.ts, r.phase, r.rank, r.offset));
             assert_eq!(got.records(), &all[..], "trial {trial} (na={na}, nb={nb})");
             assert!(got.phase_count() >= shift, "phases stay distinct");
+        }
+    }
+
+    #[test]
+    fn clone_shares_storage() {
+        let a = Trace::from_records(vec![rec(0, 0, 10, 0, IoOp::Read), rec(1, 0, 10, 1, IoOp::Read)]);
+        let b = a.clone();
+        assert_eq!(a.records().as_ptr(), b.records().as_ptr());
+        assert_eq!(a.records(), b.records());
+    }
+
+    #[test]
+    fn push_on_a_clone_leaves_the_other_unchanged() {
+        let mut a = Trace::from_records(vec![rec(0, 0, 10, 0, IoOp::Read)]);
+        let b = a.clone();
+        a.push(rec(0, 10, 10, 1, IoOp::Write));
+        assert_eq!(a.len(), 2);
+        assert_eq!(b.records(), &[rec(0, 0, 10, 0, IoOp::Read)]);
+        assert_ne!(a.records().as_ptr(), b.records().as_ptr());
+        // The other way round: the original shared, the clone mutated.
+        let c = b.clone();
+        let mut d = b.clone();
+        d.push(rec(2, 0, 5, 3, IoOp::Read));
+        assert_eq!(c.records(), b.records());
+        assert_eq!(c.records().as_ptr(), b.records().as_ptr());
+        assert_eq!(d.len(), 2);
+    }
+
+    #[test]
+    fn extend_with_on_a_clone_leaves_the_other_unchanged() {
+        let tail = Trace::from_records(vec![rec(0, 20, 10, 0, IoOp::Read)]);
+        // Both the in-order fast path and the merge path.
+        for head in [
+            vec![rec(0, 0, 10, 0, IoOp::Read)],
+            vec![rec(0, 0, 10, 0, IoOp::Read), rec(0, 10, 10, 5, IoOp::Read)],
+        ] {
+            let original = Trace::from_records(head.clone());
+            let mut grown = original.clone();
+            grown.extend_with(&tail);
+            assert_eq!(original.records(), &head[..]);
+            assert_eq!(grown.len(), head.len() + 1);
+            // Extending by a clone of itself reads the pre-extension records.
+            let mut doubled = original.clone();
+            doubled.extend_with(&original);
+            assert_eq!(doubled.len(), 2 * head.len());
+            assert_eq!(original.records(), &head[..]);
         }
     }
 

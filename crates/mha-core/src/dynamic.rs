@@ -36,12 +36,13 @@ use crate::persist::{PersistError, TenantStore};
 use crate::region::{Drt, DrtEntry};
 use crate::schemes::{apply_plan, LayoutPlanner, MhaPlanner, Plan, PlanResolver, PlannerContext};
 use iotrace::record::Rank;
-use iotrace::{Trace, TraceRecord, TraceStats};
+use iotrace::{FileId, Trace, TraceRecord, TraceStats};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, IdentityResolver, PhysExtent, ReplayInput, ReplayReport,
     ReplaySession, Resolver,
 };
 use simrt::{SimDuration, SimTime};
+use std::collections::{BTreeMap, HashMap};
 use storage_model::IoOp;
 
 /// Online placement state carried across epochs: the evolving DRT plus
@@ -314,8 +315,7 @@ fn adopt_plan(
         };
     };
     // Access counts per exact extent.
-    let mut counts: std::collections::HashMap<(u32, u64, u64), u32> =
-        std::collections::HashMap::new();
+    let mut counts: HashMap<(u32, u64, u64), u32> = HashMap::new();
     for r in observed {
         *counts.entry((r.file.0, r.offset, r.len)).or_insert(0) += 1;
     }
@@ -494,26 +494,27 @@ fn migrate(
 // Lazy on-access migration
 // ------------------------------------------------------------------
 
-/// A DRT entry journaled for migration whose bytes have not moved yet.
+/// A live redirect: a DRT entry journaled for migration whose bytes have
+/// not moved yet, keyed in [`LazyMigrator`] by its original file and
+/// offset.
 ///
 /// The entry's write-ahead intent (`mig:`) is already on disk; the copy
 /// itself is deferred to the first replayed access of the extent (or to
 /// [`LazyMigrator::drain`]). Until the copy's commit record (`migc:`)
 /// is written, lookups keep resolving to the old — still valid — home.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PendingRedirect {
-    /// The planned mapping this extent will adopt.
-    pub entry: DrtEntry,
+#[derive(Debug, Clone, Copy)]
+struct LiveRedirect {
+    /// Region file the extent will live in.
+    r_file: FileId,
+    /// Offset in the region file.
+    r_offset: u64,
+    /// Extent length, bytes.
+    length: u64,
     /// Journal batch of this entry's write-ahead intent (one batch per
     /// entry, so an extent either migrated atomically or not at all —
     /// there is no half-migrated region). The intent record itself is
     /// shared by every entry of one [`LazyMigrator::add_pending`] call.
-    pub batch: u32,
-    /// Whether the first-access copy happened (entry is published).
-    pub migrated: bool,
-    /// Whether a newer plan superseded this redirect before it moved
-    /// (its intent never commits; recovery discards it).
-    pub cancelled: bool,
+    batch: u32,
 }
 
 /// Resolver that migrates pending extents on first access instead of in
@@ -531,6 +532,11 @@ pub struct PendingRedirect {
 /// 3. every later access resolves through the published mapping at
 ///    plain lookup cost.
 ///
+/// Only live redirects are held: an entry leaves the migrator's map when
+/// it migrates (into the published DRT) or when a newer plan cancels it,
+/// so the migrator's memory follows the redirects still waiting, not the
+/// number ever journaled.
+///
 /// A crash between the copy and the commit record leaves an uncommitted
 /// journal batch that [`crate::persist::recover`] discards — the copy
 /// is non-destructive, so the old mapping still resolves to valid
@@ -542,10 +548,10 @@ pub struct PendingRedirect {
 pub struct LazyMigrator<'a> {
     store: TenantStore<'a>,
     published: Drt,
-    pending: Vec<PendingRedirect>,
-    /// Per original file: `o_offset -> (length, index into pending)`
-    /// for unmigrated entries. Pending extents never overlap.
-    index: std::collections::HashMap<u32, std::collections::BTreeMap<u64, (u64, usize)>>,
+    /// Live redirects: per original file, `o_offset -> redirect`. A
+    /// file's map leaves with its last redirect, and extents never
+    /// overlap.
+    live: HashMap<FileId, BTreeMap<u64, LiveRedirect>>,
     lookup: SimDuration,
     /// Fixed per-copy setup time (two network round trips).
     copy_latency: SimDuration,
@@ -578,8 +584,7 @@ impl<'a> LazyMigrator<'a> {
         LazyMigrator {
             store,
             published: base,
-            pending: Vec::new(),
-            index: std::collections::HashMap::new(),
+            live: HashMap::new(),
             lookup,
             copy_latency: SimDuration::from_nanos((4.0 * cluster.link.latency_s * 1e9) as u64),
             copy_secs_per_byte: per_byte,
@@ -599,10 +604,10 @@ impl<'a> LazyMigrator<'a> {
     /// published mapping is append-only within a migrator's lifetime),
     /// and so are zero-length entries. The kept entries go to disk as
     /// one intent record, entry `i` owning batch `first + i`; only then
-    /// does each kept entry, in order, *cancel* the still-unmigrated
-    /// pending redirects it overlaps (their intents never commit, so
-    /// recovery discards them) and register. A failed write therefore
-    /// cancels and registers nothing.
+    /// does each kept entry, in order, *cancel* the live redirects it
+    /// overlaps (their intents never commit, so recovery discards them)
+    /// and register. A failed write therefore cancels and registers
+    /// nothing.
     pub fn add_pending(&mut self, entries: &[DrtEntry]) -> Result<(), PersistError> {
         if let Some(e) = self.err.take() {
             return Err(e);
@@ -629,19 +634,14 @@ impl<'a> LazyMigrator<'a> {
             .expect("journal batch ids fit a u32");
         self.store.journal_intents(first, &kept)?;
         self.next_batch = next;
-        for (entry, batch) in kept.into_iter().zip(first..) {
-            self.cancel_overlapping(entry.o_file.0, entry.o_offset, entry.length);
-            let idx = self.pending.len();
-            self.pending.push(PendingRedirect {
-                entry,
-                batch,
-                migrated: false,
-                cancelled: false,
-            });
-            self.index
-                .entry(entry.o_file.0)
-                .or_default()
-                .insert(entry.o_offset, (entry.length, idx));
+        for (e, batch) in kept.into_iter().zip(first..) {
+            let end = e.o_offset + e.length;
+            while let Some((offset, _)) = self.last_overlapping(e.o_file, e.o_offset, end) {
+                self.remove(e.o_file, offset);
+            }
+            let redirect =
+                LiveRedirect { r_file: e.r_file, r_offset: e.r_offset, length: e.length, batch };
+            self.live.entry(e.o_file).or_default().insert(e.o_offset, redirect);
         }
         Ok(())
     }
@@ -653,7 +653,7 @@ impl<'a> LazyMigrator<'a> {
 
     /// Redirects still waiting for their first access.
     pub fn pending_len(&self) -> usize {
-        self.pending.iter().filter(|p| !p.migrated && !p.cancelled).count()
+        self.live.values().map(BTreeMap::len).sum()
     }
 
     /// Extents migrated by an access (not by [`LazyMigrator::drain`]).
@@ -675,26 +675,28 @@ impl<'a> LazyMigrator<'a> {
         }
     }
 
-    /// Migrate every remaining pending redirect (end-of-run drain), so
-    /// the final mapping matches what eager migration would have
-    /// produced. Returns the bytes moved and the modeled copy time.
+    /// Migrate every remaining pending redirect (end-of-run drain), in
+    /// journal batch order, so the final mapping matches what eager
+    /// migration would have produced. Returns the bytes moved and the
+    /// modeled copy time.
     pub fn drain(&mut self) -> Result<(u64, SimDuration), PersistError> {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
+        let mut order: Vec<(u32, (FileId, u64))> = self
+            .live
+            .iter()
+            .flat_map(|(&file, map)| map.iter().map(move |(&offset, r)| (r.batch, (file, offset))))
+            .collect();
+        order.sort_unstable();
         let mut bytes = 0u64;
         let mut time = SimDuration::ZERO;
-        for i in 0..self.pending.len() {
-            if self.pending[i].migrated || self.pending[i].cancelled {
-                continue;
-            }
-            let p = self.pending[i];
-            self.store.commit_batch(p.batch)?;
-            self.publish(i);
-            bytes += p.entry.length;
-            time += self.copy_cost(p.entry.length);
+        for (batch, (file, offset)) in order {
+            self.store.commit_batch(batch)?;
+            let length = self.publish(file, offset);
+            bytes += length;
+            time += self.copy_cost(length);
         }
-        self.index.clear();
         Ok((bytes, time))
     }
 
@@ -704,60 +706,52 @@ impl<'a> LazyMigrator<'a> {
             + SimDuration::from_nanos((len as f64 * self.copy_secs_per_byte * 1e9) as u64)
     }
 
-    /// Drop unmigrated pendings overlapping `[offset, offset + len)` of
-    /// file `file` (their journal intents stay uncommitted and are
-    /// discarded by recovery / retired with the journal).
-    fn cancel_overlapping(&mut self, file: u32, offset: u64, len: u64) {
-        let Some(map) = self.index.get_mut(&file) else {
-            return;
-        };
-        let end = offset + len;
-        let hits: Vec<(u64, usize)> = map
-            .range(..end)
-            .rev()
-            .take_while(|(&off, &(elen, _))| off + elen > offset)
-            .map(|(&off, &(_, idx))| (off, idx))
-            .collect();
-        for (off, idx) in hits {
-            map.remove(&off);
-            self.pending[idx].cancelled = true;
+    /// Drop the live redirect at `(file, offset)`, and its file's map
+    /// with its last entry.
+    fn remove(&mut self, file: FileId, offset: u64) -> LiveRedirect {
+        let map = self.live.get_mut(&file).expect("removed redirect's file is live");
+        let r = map.remove(&offset).expect("removed redirect is live");
+        if map.is_empty() {
+            self.live.remove(&file);
         }
+        r
     }
 
-    /// Mark pending `i` migrated and publish its entry into the live
-    /// mapping.
-    fn publish(&mut self, i: usize) {
-        self.pending[i].migrated = true;
-        let entry = self.pending[i].entry;
-        let inserted = self.published.insert(entry);
+    /// Move the live redirect at `(file, offset)` into the published
+    /// mapping, returning its length.
+    fn publish(&mut self, file: FileId, offset: u64) -> u64 {
+        let r = self.remove(file, offset);
+        let inserted = self.published.insert(DrtEntry {
+            o_file: file,
+            o_offset: offset,
+            r_file: r.r_file,
+            r_offset: r.r_offset,
+            length: r.length,
+        });
         debug_assert!(inserted, "pending redirects never overlap the published mapping");
-        if let Some(map) = self.index.get_mut(&entry.o_file.0) {
-            map.remove(&entry.o_offset);
-        }
+        r.length
     }
 
-    /// The unmigrated pending redirect starting highest below `end`, if
-    /// it overlaps `[offset, end)`. Pending extents are disjoint, so
-    /// taking this one until none is left visits every overlapping one,
-    /// downwards, as long as each is dropped from the index.
-    fn last_overlapping(&self, file: u32, offset: u64, end: u64) -> Option<usize> {
-        let (&off, &(len, i)) = self.index.get(&file)?.range(..end).next_back()?;
-        (off + len > offset).then_some(i)
+    /// The live redirect of `file` starting highest below `end`, with its
+    /// offset, if it overlaps `[offset, end)`. Live extents are disjoint,
+    /// so taking this one until none is left visits every overlapping
+    /// one, downwards, as long as each leaves the map.
+    fn last_overlapping(&self, file: FileId, offset: u64, end: u64) -> Option<(u64, LiveRedirect)> {
+        let (&off, &r) = self.live.get(&file)?.range(..end).next_back()?;
+        (off + r.length > offset).then_some((off, r))
     }
 
-    /// First-access hook: migrate every unmigrated pending redirect
-    /// overlapping the accessed range, returning the copy time charged
-    /// to this request.
-    fn touch(&mut self, file: u32, offset: u64, len: u64) -> SimDuration {
+    /// First-access hook: migrate every live redirect overlapping the
+    /// accessed range, returning the copy time charged to this request.
+    fn touch(&mut self, file: FileId, offset: u64, len: u64) -> SimDuration {
         let mut charged = SimDuration::ZERO;
-        while let Some(i) = self.last_overlapping(file, offset, offset + len) {
-            let p = self.pending[i];
-            match self.store.commit_batch(p.batch) {
+        while let Some((off, r)) = self.last_overlapping(file, offset, offset + len) {
+            match self.store.commit_batch(r.batch) {
                 Ok(()) => {
-                    self.publish(i);
+                    self.publish(file, off);
                     self.on_access_migrations += 1;
-                    self.migrated_bytes += p.entry.length;
-                    charged += self.copy_cost(p.entry.length);
+                    self.migrated_bytes += r.length;
+                    charged += self.copy_cost(r.length);
                 }
                 Err(e) => {
                     self.err = Some(e);
@@ -773,7 +767,7 @@ impl Resolver for LazyMigrator<'_> {
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
         let mut overhead = self.lookup;
         if self.err.is_none() {
-            overhead += self.touch(rec.file.0, rec.offset, rec.len);
+            overhead += self.touch(rec.file, rec.offset, rec.len);
         }
         self.published.translate_into(rec.file, rec.offset, rec.len, out);
         overhead

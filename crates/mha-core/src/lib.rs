@@ -57,7 +57,7 @@ pub mod schemes;
 pub mod tenant;
 
 pub use cost::{placement_factors, CostParams, OpFactors, ReqView};
-pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, LazyMigrator, PendingRedirect};
+pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, LazyMigrator};
 pub use online::{
     OnlineConfig, OnlineConfigBuilder, OnlineConfigError, OnlinePlanner, Replan, ReplanStats,
     WindowSig,

@@ -220,16 +220,8 @@ mod tests {
         let mut pipe =
             TenantPipeline::new(&store, TenantId(1), &cluster_cfg, OnlineConfig::default());
         store.kill_switch().arm(1); // next store boundary dies
-        let t = skewed_trace(64 << 10, 3);
-        let retagged = Trace::from_records(
-            t.records()
-                .iter()
-                .map(|r| iotrace::TraceRecord {
-                    file: FileId::with_tenant(TenantId(1), r.file),
-                    ..*r
-                })
-                .collect(),
-        );
+        let mut retagged = Trace::new();
+        skewed_trace(64 << 10, 3).retag_into(TenantId(1), &mut retagged);
         let updates = pipe.after_job(&retagged);
         assert!(updates.is_empty(), "a dead store must not publish layouts");
         assert!(pipe.check().is_err(), "the swallowed error must surface");

@@ -22,12 +22,13 @@
 //!   at each replay keeps device/queue state from leaking across jobs
 //!   while installed MDS layouts persist — exactly the composition model
 //!   the single-shot pipeline already used for sequential runs.
-//! * **Tenancy** lives in the file-id namespace: submitted traces are
-//!   retagged into their tenant's id space
-//!   ([`iotrace::FileId::with_tenant`]), so the shared MDS shards rows
-//!   per tenant and layout updates can never collide. Tenant 0 is the
-//!   identity namespace: a 1-tenant service run is bit-identical to a
-//!   plain streaming replay of the same trace.
+//! * **Tenancy** lives in the file-id namespace: each job is retagged
+//!   into its tenant's id space ([`iotrace::FileId::with_tenant`]) when
+//!   it is dispatched, so the shared MDS shards rows per tenant and
+//!   layout updates can never collide. Queued jobs are held as
+//!   submitted, and one reused buffer holds the dispatched job's tagged
+//!   records. Tenant 0 is the identity namespace: a 1-tenant service
+//!   run is bit-identical to a plain streaming replay of the same trace.
 //!
 //! Per-tenant planning (online re-planning, lazy migration) plugs in
 //! through [`TenantRuntime`]: the service calls back after every
@@ -39,7 +40,7 @@ use crate::error::ReplayError;
 use crate::layout::LayoutSpec;
 use crate::replay::{IdentityResolver, ReplayReport, Resolver};
 use crate::session::{CoreSel, ReplayInput, ReplaySession};
-use iotrace::{FileId, TenantId, Trace, TraceBatches, TraceRecord};
+use iotrace::{FileId, TenantId, Trace, TraceBatches};
 use simrt::{ArrivalProcess, SchedPolicy, SeedSeq, SimDuration, SimTime};
 
 /// Per-tenant planning hook: how a tenant's jobs resolve requests, and
@@ -259,28 +260,27 @@ impl<'a> LayoutService<'a> {
     }
 
     /// Submit one job for `tenant` and return its submission index.
-    /// Records are retagged into the tenant's file-id namespace (tenant 0
-    /// is the identity, so legacy traces pass through untouched).
+    /// The service keeps `trace` as given (a [`Trace`] clone shares its
+    /// records); [`LayoutService::run`] retags each job into the
+    /// tenant's file-id namespace when it dispatches it (tenant 0 is the
+    /// identity, so legacy traces pass through untouched).
     ///
     /// # Panics
     /// If the tenant is unknown, or a record's file id overflows the
-    /// tenant-local namespace ([`iotrace::FileId::with_tenant`]).
+    /// tenant-local namespace ([`iotrace::FileId::with_tenant`]) — here,
+    /// not later in `run`.
     pub fn submit(&mut self, tenant: TenantId, trace: Trace) -> u32 {
         let i = self
             .tenants
             .binary_search_by_key(&tenant, |e| e.tenant)
             .unwrap_or_else(|_| panic!("tenant {} not registered", tenant.0));
+        // The retag waits for dispatch; its overflow check runs now.
+        if tenant.0 != 0 {
+            for r in trace.records() {
+                FileId::with_tenant(tenant, r.file);
+            }
+        }
         let entry = &mut self.tenants[i];
-        let trace = if tenant.0 == 0 {
-            trace
-        } else {
-            let records: Vec<TraceRecord> = trace
-                .records()
-                .iter()
-                .map(|r| TraceRecord { file: FileId::with_tenant(tenant, r.file), ..*r })
-                .collect();
-            Trace::from_records(records)
-        };
         entry.jobs.push(trace);
         (entry.jobs.len() - 1) as u32
     }
@@ -335,6 +335,8 @@ impl<'a> LayoutService<'a> {
         let mut reconstructed_bytes = 0u64;
         let mut failovers = 0u64;
         let mut deferred_requests = 0u64;
+        // One retag buffer serves every dispatched job of a non-zero tenant.
+        let mut tagged = Trace::new();
         for p in schedule {
             let backlog = in_flight
                 .iter()
@@ -345,7 +347,11 @@ impl<'a> LayoutService<'a> {
                 continue;
             }
             let entry = &mut self.tenants[p.tenant_ix];
-            let trace = &entry.jobs[p.seq as usize];
+            let mut trace = &entry.jobs[p.seq as usize];
+            if p.tenant.0 != 0 {
+                trace.retag_into(p.tenant, &mut tagged);
+                trace = &tagged;
+            }
             let mut batches = TraceBatches::new(trace);
             self.session.set_sched_policy(entry.policy);
             let report = self.session.run(
@@ -414,7 +420,11 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use crate::layout::ServerId;
+    use crate::replay::PhysExtent;
     use iotrace::gen::ior::{generate, IorConfig};
+    use iotrace::TraceRecord;
+    use std::cell::RefCell;
+    use std::rc::Rc;
     use storage_model::IoOp;
 
     fn small_ior(reqs: usize) -> Trace {
@@ -763,5 +773,98 @@ mod tests {
         let mut c = cluster();
         let mut svc = LayoutService::new(&mut c, ServiceConfig::new(0));
         svc.submit(TenantId(9), Trace::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows the tenant-local namespace")]
+    fn overflowing_file_id_panics_in_submit() {
+        let mut c = cluster();
+        let mut svc = LayoutService::new(&mut c, ServiceConfig::new(0));
+        svc.add_tenant(TenantId(1), Box::new(NullRuntime::new()));
+        let mut records = small_ior(2).records().to_vec();
+        records.last_mut().unwrap().file = FileId(1 << FileId::TENANT_SHIFT);
+        // No `run`: the bad id must be caught when the job is queued.
+        svc.submit(TenantId(1), Trace::from_records(records));
+    }
+
+    /// Everything a job showed its runtime: the tenant, the file ids
+    /// its records resolved through, and the records `after_job` saw.
+    type Seen = (TenantId, Vec<FileId>, Vec<TraceRecord>);
+
+    /// Test runtime: identity resolution that logs every resolved file
+    /// id and every `after_job` trace into a log shared across tenants.
+    struct Witness {
+        tenant: TenantId,
+        resolved: Vec<FileId>,
+        log: Rc<RefCell<Vec<Seen>>>,
+    }
+
+    impl Resolver for Witness {
+        fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
+            self.resolved.push(rec.file);
+            IdentityResolver.resolve_into(rec, out)
+        }
+    }
+
+    impl TenantRuntime for Witness {
+        fn resolver(&mut self) -> &mut dyn Resolver {
+            self
+        }
+
+        fn after_job(&mut self, trace: &Trace) -> Vec<(FileId, LayoutSpec)> {
+            let resolved = std::mem::take(&mut self.resolved);
+            self.log.borrow_mut().push((self.tenant, resolved, trace.records().to_vec()));
+            Vec::new()
+        }
+    }
+
+    #[test]
+    fn interleaved_tenants_see_only_their_own_tagged_ids() {
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut c = cluster();
+        let mut svc = LayoutService::new(&mut c, ServiceConfig::new(5).queue_depth(8));
+        let tenants = [TenantId(1), TenantId(2)];
+        for &tenant in &tenants {
+            let runtime = Witness { tenant, resolved: Vec::new(), log: Rc::clone(&log) };
+            svc.add_tenant(tenant, Box::new(runtime));
+        }
+        // Jobs grow and shrink, so the reused retag buffer both extends
+        // and leaves stale capacity behind; each job names its own files.
+        let mut submitted: Vec<Vec<Trace>> = vec![Vec::new(); tenants.len()];
+        for (seq, reqs) in [5usize, 2, 7, 3, 6, 1].into_iter().enumerate() {
+            for (ix, &tenant) in tenants.iter().enumerate() {
+                let records = small_ior(reqs + ix)
+                    .records()
+                    .iter()
+                    .map(|r| TraceRecord { file: FileId(r.file.0 + 3 * seq as u32 + 1), ..*r })
+                    .collect();
+                let job = Trace::from_records(records);
+                assert_eq!(svc.submit(tenant, job.clone()), seq as u32);
+                submitted[ix].push(job);
+            }
+        }
+        let report = svc.run().unwrap();
+        drop(svc);
+        let log = log.borrow();
+        assert_eq!(report.rejected, 0);
+        assert_eq!(log.len(), report.jobs.len());
+        assert_eq!(log.len(), 12);
+        let switches = log.windows(2).filter(|w| w[0].0 != w[1].0).count();
+        assert!(switches >= 2, "the two tenants' jobs must interleave");
+        for (job, (tenant, resolved, seen)) in report.jobs.iter().zip(log.iter()) {
+            assert_eq!(job.tenant, *tenant, "after_job ran on the dispatched job's tenant");
+            let ix = tenants.iter().position(|t| t == tenant).unwrap();
+            let expected: Vec<TraceRecord> = submitted[ix][job.seq as usize]
+                .records()
+                .iter()
+                .map(|r| TraceRecord { file: FileId::with_tenant(*tenant, r.file), ..*r })
+                .collect();
+            assert_eq!(seen, &expected, "tenant {} job {}", tenant.0, job.seq);
+            let mut want: Vec<FileId> = expected.iter().map(|r| r.file).collect();
+            let mut got = resolved.clone();
+            want.sort_unstable();
+            got.sort_unstable();
+            assert_eq!(got, want, "tenant {} job {} resolved ids", tenant.0, job.seq);
+        }
     }
 }

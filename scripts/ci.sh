@@ -136,6 +136,10 @@ cargo test -q -p mha-core drt_builder_equivalence
 # per-chunk merge it replaced, views and residuals in order.
 cargo test -q -p mha-core --test plan_memory
 cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merge
+# Migrator memory, by name: after 38,400 journaled redirects, all but 32
+# cancelled or migrated, the lazy migrator holds at most 192 B per live
+# redirect or published entry (a counting allocator).
+cargo test -q -p mha-core --test migrator_memory
 # The flat DRT and the resolver's cursor seek must match the map-based reference table.
 cargo test -q -p mha-core drt_oracle
 # A crash at every boundary of a multi-chunk save_tables must leave the old generation loading.
@@ -155,6 +159,10 @@ cargo test -q -p pfs-sim --test sharded_equivalence
 # allocator).
 cargo test -q -p pfs-sim --lib window_edges
 cargo test -q -p pfs-sim --test replay_memory
+# Service memory, by name: queueing 256 jobs of 64 records for non-zero
+# tenants allocates at most 32 B per job and no bytes per record (a
+# counting allocator); the retag happens at dispatch.
+cargo test -q -p pfs-sim --test service_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
 # serial == sharded == streamed identity assertion on a materialized
 # prefix — catches panics, identity drift and memory blow-ups at the
