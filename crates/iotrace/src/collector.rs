@@ -46,11 +46,6 @@ impl Collector {
         self.enabled = enabled;
     }
 
-    /// Whether the collector is recording.
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Record one file operation. No-op while disabled.
     #[allow(clippy::too_many_arguments)]
     pub fn record(

@@ -12,7 +12,7 @@
 use crate::gen::PhaseClock;
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
-use rand::Rng;
+use simrt::rng::SmallRng;
 use simrt::SeedSeq;
 use storage_model::IoOp;
 
@@ -41,7 +41,7 @@ impl Default for CholeskyConfig {
 }
 
 /// Draw a log-uniform size in `[lo, hi]`.
-fn log_uniform(rng: &mut impl Rng, lo: u64, hi: u64) -> u64 {
+fn log_uniform(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
     let (l, h) = ((lo as f64).ln(), (hi as f64).ln());
     let x = rng.gen_range(l..=h).exp();
     (x.round() as u64).clamp(lo, hi)

@@ -9,14 +9,14 @@
 //! paper's "large at one file chunk, small at another" heterogeneity.
 
 use crate::batch::{BatchSource, PhaseSink, RecordBatch};
-use crate::gen::{collect, fill_below, PhaseClock};
+use crate::gen::{collect, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
-use rand::rngs::SmallRng;
+use simrt::rng::SmallRng;
 use simrt::SeedSeq;
 use storage_model::IoOp;
 
-/// Offset draws made per [`fill_below`] call.
+/// Offset draws made per [`SmallRng::fill_below`] call.
 const DRAW_CHUNK: usize = 256;
 
 /// IOR run configuration.
@@ -153,7 +153,7 @@ impl IorStream {
             let n = (procs - first).min(DRAW_CHUNK as u32) as usize;
             let drawn = &mut drawn[..n];
             if cfg.random_offsets {
-                fill_below(&mut self.rng, slots, drawn);
+                self.rng.fill_below(slots, drawn);
             } else {
                 for (slot, p) in drawn.iter_mut().zip(first..) {
                     *slot = iter as u64 * u64::from(self.max_procs) + u64::from(p);
@@ -203,7 +203,6 @@ mod tests {
 
     #[test]
     fn chunked_offset_draws_match_one_gen_range_per_record() {
-        use rand::Rng;
         // 600 processes cross the 256-draw chunk twice per phase.
         let mut cfg = IorConfig::default_run(IoOp::Write);
         cfg.proc_mix = vec![600, 300];

@@ -25,8 +25,6 @@ use std::sync::Arc;
 
 use crate::record::TraceRecord;
 use crate::trace::Trace;
-use rand::rngs::SmallRng;
-use rand::RngCore;
 use simrt::{SimDuration, SimTime};
 
 /// Run a generator's phase emitter into one record vector reserved from
@@ -39,26 +37,6 @@ fn collect(
     let mut records = Vec::with_capacity(len_hint.unwrap_or(0));
     while emit(&mut records) {}
     Trace::from_records(records)
-}
-
-/// Fill `out` with uniform draws from `0..n`, consuming exactly the
-/// variates `out.len()` calls of `rng.gen_range(0..n)` would, in order.
-///
-/// This is the widening-multiply rejection sampler `gen_range` runs for
-/// `u64` (rand 0.8's `sample_single_inclusive`), without its branch:
-/// every variate is written to the current slot, and the slot advances
-/// only when the variate is accepted. For a range at or just above a
-/// power of two, such as the 2^20 slots of a 64 GiB IOR file, about half
-/// the variates are rejected, and the branch mispredicts on most of them.
-pub(crate) fn fill_below(rng: &mut SmallRng, n: u64, out: &mut [u64]) {
-    assert!(n > 0, "cannot draw from an empty range");
-    let zone = (n << n.leading_zeros()).wrapping_sub(1);
-    let mut k = 0;
-    while k < out.len() {
-        let m = u128::from(rng.next_u64()) * u128::from(n);
-        out[k] = (m >> 64) as u64;
-        k += usize::from(m as u64 <= zone);
-    }
 }
 
 /// Normalized cumulative Zipf(θ) weights over `regions` ranks: entry `r`
@@ -149,25 +127,6 @@ mod tests {
         assert_eq!((p0, p1), (0, 1));
         assert!(t1 > t0);
         assert_eq!(c.phases(), 2);
-    }
-
-    #[test]
-    fn fill_below_draws_what_gen_range_draws() {
-        use rand::{Rng, SeedableRng};
-        // Powers of two and their neighbours (where about half the
-        // variates are rejected), tiny ranges, and the top of u64.
-        let ranges =
-            [1, 2, 3, 7, 1000, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, u64::MAX / 3, u64::MAX];
-        for (seed, &n) in ranges.iter().enumerate() {
-            let mut reference = SmallRng::seed_from_u64(seed as u64);
-            let mut fast = reference.clone();
-            let want: Vec<u64> = (0..1000).map(|_| reference.gen_range(0..n)).collect();
-            let mut got = vec![0u64; 1000];
-            fill_below(&mut fast, n, &mut got[..1]);
-            fill_below(&mut fast, n, &mut got[1..]);
-            assert_eq!(got, want, "range {n}");
-            assert_eq!(fast.next_u64(), reference.next_u64(), "range {n}: same variates consumed");
-        }
     }
 
     #[test]

@@ -19,8 +19,7 @@ use crate::batch::{BatchSource, PhaseSink, RecordBatch};
 use crate::gen::{collect, zipf_cdf, PhaseClock};
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
-use rand::rngs::SmallRng;
-use rand::Rng;
+use simrt::rng::SmallRng;
 use simrt::SeedSeq;
 use storage_model::IoOp;
 

@@ -140,19 +140,6 @@ impl Window {
     pub fn into_trace(self) -> Trace {
         Trace::from_records(self.records)
     }
-
-    /// Move every record's file id into `tenant`'s namespace
-    /// ([`crate::FileId::with_tenant`]). The mapping is injective, so
-    /// the window's statistics (which only compare file ids for
-    /// equality) stay valid; tenant 0 is the identity.
-    pub fn retag_tenant(&mut self, tenant: crate::TenantId) {
-        if tenant.0 == 0 {
-            return;
-        }
-        for r in &mut self.records {
-            r.file = crate::FileId::with_tenant(tenant, r.file);
-        }
-    }
 }
 
 /// Slices a [`BatchSource`] into consecutive [`Window`]s.

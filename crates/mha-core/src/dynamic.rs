@@ -694,6 +694,7 @@ impl<'a> LazyMigrator<'a> {
         for (batch, (file, offset)) in order {
             self.store.commit_batch(batch)?;
             let length = self.publish(file, offset);
+            self.migrated_bytes += length;
             bytes += length;
             time += self.copy_cost(length);
         }
@@ -1281,6 +1282,32 @@ mod tests {
         let (bytes, _) = mig.drain().expect("drain");
         assert_eq!(bytes, to_migrate[4..].iter().map(|e| e.length).sum::<u64>());
         assert_eq!(mig.pending_len(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn migrated_bytes_counts_on_access_and_drained_bytes() {
+        let cluster = ClusterConfig::paper_default();
+        let (base, rst) = base_tables();
+        let to_migrate = to_migrate_entries();
+        let path = tmp_store("lazy-bytes");
+        let store = PipelineStore::open(&path).expect("open");
+        store.save_tables(&base, &rst).expect("save base");
+        let mut mig =
+            LazyMigrator::new(t0(&store), base.clone(), &cluster, SimDuration::from_micros(5));
+        mig.add_pending(&to_migrate).expect("journal intents");
+        let (touched, rest) = to_migrate.split_at(3);
+        let mut cluster_sim = Cluster::new(cluster.clone());
+        ReplaySession::new()
+            .run(ReplayInput::trace(&mut cluster_sim, &access_trace(touched), &mut mig), CoreSel::Auto)
+            .expect("replay");
+        let on_access: u64 = touched.iter().map(|e| e.length).sum();
+        assert_eq!(mig.migrated_bytes(), on_access);
+        let (drained, _) = mig.drain().expect("drain");
+        assert!(drained > 0 && !rest.is_empty(), "the drain must move bytes");
+        assert_eq!(drained, rest.iter().map(|e| e.length).sum::<u64>());
+        assert_eq!(mig.migrated_bytes(), on_access + drained);
+        assert_eq!(mig.on_access_migrations(), touched.len(), "a drain is not an access");
         let _ = std::fs::remove_file(&path);
     }
 

@@ -281,7 +281,6 @@ fn initial_centers(
     space: &FeatureSpace,
     parallel: bool,
 ) -> Vec<ReqFeature> {
-    use rand::Rng;
     let mut rng = SeedSeq::new(seed).derive("grouping").rng();
     extend_centers(points, vec![points[rng.gen_range(0..points.len())]], k, space, parallel)
 }
@@ -448,7 +447,6 @@ mod tests {
 
     #[test]
     fn group_count_never_exceeds_k() {
-        use rand::Rng;
         let mut rng = SeedSeq::new(7).rng();
         let pts: Vec<ReqFeature> = (0..500)
             .map(|_| f(rng.gen_range(1.0..1e7), rng.gen_range(1.0..64.0)))
@@ -463,7 +461,6 @@ mod tests {
 
     #[test]
     fn iteration_cap_respected() {
-        use rand::Rng;
         let mut rng = SeedSeq::new(9).rng();
         let pts: Vec<ReqFeature> = (0..200)
             .map(|_| f(rng.gen_range(1.0..1e6), rng.gen_range(1.0..32.0)))
@@ -609,7 +606,6 @@ mod tests {
     /// only kind `ReqFeature::of` produces — partial sums below 2^53 are
     /// exact, so the chunked path must reproduce it bit for bit.
     fn group_requests_oracle(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
-        use rand::Rng;
         assert!(cfg.k > 0, "need at least one group");
         if points.is_empty() {
             return Grouping { assignment: Vec::new(), centers: Vec::new(), iterations: 0 };
@@ -742,7 +738,6 @@ mod tests {
 
     #[test]
     fn seeded_group_count_never_exceeds_k() {
-        use rand::Rng;
         let mut rng = SeedSeq::new(77).rng();
         let pts: Vec<ReqFeature> = (0..400)
             .map(|_| f(rng.gen_range(1.0..1e7), rng.gen_range(1.0..64.0)))

@@ -1272,8 +1272,6 @@ pub fn recover(store: TenantStore<'_>) -> Result<RecoveryOutcome, PersistError> 
 mod tests {
     use super::*;
     use crate::rssd::StripePair;
-    use rand::rngs::SmallRng;
-    use rand::{Rng, SeedableRng};
     use std::path::PathBuf;
 
     /// The tenant-0 view, where the single-tenant pipeline keeps its
@@ -1411,7 +1409,7 @@ mod tests {
         };
         assert_eq!(got, want);
         // A reloaded layout maps every extent exactly as the planned one.
-        let mut rng = SmallRng::seed_from_u64(7);
+        let mut rng = simrt::SeedSeq::new(7).rng();
         let (mut a, mut b) = (Vec::new(), Vec::new());
         for ((_, want), (_, got)) in plan.layouts.iter().zip(&loaded.layouts) {
             for _ in 0..2000 {

@@ -17,13 +17,6 @@ use storage_model::IoOp;
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileHandle(FileId);
 
-impl FileHandle {
-    /// The underlying file id.
-    pub fn file_id(self) -> FileId {
-        self.0
-    }
-}
-
 /// A recorded MPI job.
 #[derive(Debug)]
 pub struct MpiJob {

@@ -15,7 +15,6 @@ use crate::layout::{LayoutSpec, SubExtent};
 use crate::redundancy::{decode_penalty, RedundancyState};
 use crate::sched::SchedRuntime;
 use iotrace::{FileId, Trace, TraceRecord};
-use rand::seq::SliceRandom;
 use simrt::stats::OnlineStats;
 use simrt::{SeedSeq, ServerHealth, SimDuration, SimTime};
 use std::collections::HashSet;
@@ -172,7 +171,7 @@ impl ReplaySchedule {
         let shuffle_seed = SeedSeq::new(0x5EED_0F0F);
         for &(phase, start, end) in self.spans.iter() {
             let mut rng = shuffle_seed.derive_idx("phase", u64::from(phase)).rng();
-            self.order[start..end].shuffle(&mut rng);
+            rng.shuffle(&mut self.order[start..end]);
         }
     }
 

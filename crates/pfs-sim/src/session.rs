@@ -134,11 +134,6 @@ impl ReplaySession {
         self.fault = plan;
     }
 
-    /// The active fault plan (empty by default).
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.fault
-    }
-
     /// Attach a dispatch policy. The default
     /// [`SchedPolicy::SeededShuffle`] replays bit-identically to every
     /// pre-scheduler release; [`SchedPolicy::StragglerAware`] paces

@@ -48,7 +48,6 @@ use crate::sched::SchedRuntime;
 use crate::layout::SubExtent;
 use crate::replay::PhysExtent;
 use iotrace::{BatchSource, FileId, RecordBatch};
-use rand::seq::SliceRandom;
 use rayon::prelude::*;
 use simrt::stats::OnlineStats;
 use simrt::{DisjointSlice, LanePartition, SeedSeq, SimDuration, SimTime};
@@ -204,7 +203,7 @@ pub(crate) fn sharded_core(
         shuffle.clear();
         shuffle.extend(0..n as u32);
         let mut rng = shuffle_seed.derive_idx("phase", u64::from(batch.phase())).rng();
-        shuffle.shuffle(&mut rng);
+        rng.shuffle(shuffle);
 
         // Plan the phase from scheduler state frozen at the barrier —
         // the same pure function of (shuffled order, layout table,

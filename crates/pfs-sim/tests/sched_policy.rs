@@ -11,7 +11,6 @@ use pfs_sim::{
     ReplayError, ReplayInput, ReplayReport, ReplaySession, Resolver, SchedPolicy,
     ServerId,
 };
-use rand::seq::SliceRandom;
 use simrt::{SeedSeq, SimDuration, SimTime};
 use storage_model::IoOp;
 
@@ -68,7 +67,7 @@ fn expected_offsets(trace: &Trace) -> Vec<u64> {
     let seed = SeedSeq::new(0x5EED_0F0F);
     for &(phase, start, end) in &spans {
         let mut rng = seed.derive_idx("phase", u64::from(phase)).rng();
-        order[start..end].shuffle(&mut rng);
+        rng.shuffle(&mut order[start..end]);
     }
     order.into_iter().map(|i| records[i].offset).collect()
 }

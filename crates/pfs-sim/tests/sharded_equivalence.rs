@@ -14,8 +14,7 @@ use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutSpec, Placement,
     ReplayInput, ReplayReport, ReplaySession, SchedPolicy, ServerId,
 };
-use rand::rngs::SmallRng;
-use rand::Rng;
+use simrt::rng::SmallRng;
 use simrt::{SeedSeq, SimDuration, SimTime};
 use storage_model::IoOp;
 
@@ -400,7 +399,7 @@ fn skewed_stream_replays_identically_under_active_fault_plans() {
         });
         cfg.phases = 12;
         cfg.procs = rng.gen_range(2..=8);
-        cfg.seed = rng.gen();
+        cfg.seed = rng.next_u64();
         let config = random_config(&mut rng);
         let mut plan = random_fault_plan(&mut rng, config.servers());
         if plan.is_empty() {

@@ -8,10 +8,8 @@
 //! exponential interarrival gaps drawn from a [`SeedSeq`]-derived RNG,
 //! so the same seed always produces the same arrival instants.
 
-use crate::rng::SeedSeq;
+use crate::rng::{SeedSeq, SmallRng};
 use crate::time::{SimDuration, SimTime};
-use rand::rngs::SmallRng;
-use rand::Rng;
 
 /// A deterministic Poisson (exponential-interarrival) arrival process.
 #[derive(Debug, Clone)]

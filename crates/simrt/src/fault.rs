@@ -17,8 +17,6 @@
 //! identically to the fault-free code path when handed one.
 
 use crate::rng::SeedSeq;
-use rand::seq::SliceRandom;
-use rand::Rng;
 
 /// What kind of degraded hardware a server pretends to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -205,7 +203,7 @@ impl FaultPlan {
     ) -> Self {
         let mut rng = SeedSeq::new(seed).derive("stragglers").rng();
         let mut ids: Vec<usize> = (0..servers).collect();
-        ids.shuffle(&mut rng);
+        rng.shuffle(&mut ids);
         let mut plan = FaultPlan { seed, ..Self::default() };
         ids.truncate(count.min(servers));
         // Deterministic order: factors are drawn in shuffled order (that

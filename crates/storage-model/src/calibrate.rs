@@ -10,7 +10,6 @@
 //! preserving the model/ground-truth separation.
 
 use crate::device::{Device, IoOp};
-use rand::Rng;
 use simrt::SeedSeq;
 
 /// Result of an affine fit `t(bytes) ≈ alpha + beta * bytes`.

@@ -20,13 +20,13 @@ if git ls-files '*.log' | grep -q .; then
     exit 1
 fi
 
-# The workspace builds offline from two in-tree stand-ins (rand and
-# rayon, patched in .cargo/config.toml). No manifest may bring back the
-# serde or proptest crates; perfbench/stubs keeps stand-ins for older
-# trees and is not checked.
+# The workspace builds offline from one in-tree stand-in (rayon, patched
+# in .cargo/config.toml); the random number generator is `simrt::rng`.
+# No manifest may bring back the serde, proptest or rand crates;
+# perfbench/stubs keeps stand-ins for older trees and is not checked.
 if git ls-files -- ':(glob)**/Cargo.toml' ':(exclude)perfbench/stubs' \
-        | xargs grep -nwE 'serde|serde_json|serde_derive|proptest'; then
-    echo "error: a Cargo.toml names serde, serde_json or proptest" >&2
+        | xargs grep -nwE 'serde|serde_json|serde_derive|proptest|rand'; then
+    echo "error: a Cargo.toml names serde, serde_json, proptest or rand" >&2
     exit 1
 fi
 
@@ -53,6 +53,9 @@ cargo test -q -p pfs-sim
 cargo test -q -p mpiio-sim
 cargo test -q -p simrt
 cargo test -q -p iotrace
+# The device models (whose calibration draws from `simrt::rng`), the
+# network model and the figure harness likewise run only when named.
+cargo test -q -p storage-model -p netsim -p mha-bench
 # trace-tool smoke: a generated trace reads back through `stats`, a zero
 # or unparsable `gen` option (a count, a `--sizes` entry, an `--op`) is
 # a usage error (exit 2) that names the option, and a rank too large

@@ -8,8 +8,7 @@ use mha::mha_core::rssd::StripePair;
 use mha::mha_core::{CostParams, ReqView};
 use mha::pfs_sim::{LayoutSpec, ServerId};
 use mha::storage_model::IoOp;
-use rand::rngs::SmallRng;
-use rand::{Rng, SeedableRng};
+use mha::simrt::rng::{SeedSeq, SmallRng};
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 
 /// Cases per property unless the property says otherwise.
@@ -19,7 +18,7 @@ const CASES: u64 = 256;
 /// first case that fails.
 fn check(name: &str, cases: u64, property: impl Fn(&mut SmallRng)) {
     for seed in 0..cases {
-        let mut rng = SmallRng::seed_from_u64(seed);
+        let mut rng = SeedSeq::new(seed).rng();
         if let Err(panic) = catch_unwind(AssertUnwindSafe(|| property(&mut rng))) {
             eprintln!("{name}: failing seed {seed}");
             resume_unwind(panic);
