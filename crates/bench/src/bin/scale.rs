@@ -26,9 +26,7 @@
 //! minute, without the full grid's runtime.
 
 use iotrace::gen::ior::{self, generate, IorConfig};
-use pfs_sim::{
-    Cluster, ClusterConfig, CoreSel, IdentityResolver, ReplayInput, ReplayReport, ReplaySession,
-};
+use pfs_sim::{Cluster, ClusterConfig, CoreSel, IdentityResolver, ReplayInput, ReplaySession};
 use std::time::Instant;
 use storage_model::IoOp;
 
@@ -62,31 +60,6 @@ fn cluster_of(servers: usize, clients: usize) -> Cluster {
     })
 }
 
-/// Every observable of the two reports must match — by bit pattern for
-/// the float statistics. Identity is the precondition for timing: a
-/// fast wrong core is worthless.
-fn assert_identical(serial: &ReplayReport, sharded: &ReplayReport, what: &str) {
-    assert_eq!(serial.makespan, sharded.makespan, "{what}: makespan");
-    assert_eq!(serial.requests, sharded.requests, "{what}: requests");
-    assert_eq!(serial.total_bytes, sharded.total_bytes, "{what}: bytes");
-    assert_eq!(serial.mds_lookups, sharded.mds_lookups, "{what}: mds");
-    assert_eq!(
-        serial.server_busy_secs(),
-        sharded.server_busy_secs(),
-        "{what}: busy"
-    );
-    assert_eq!(
-        serial.request_latency.sum().to_bits(),
-        sharded.request_latency.sum().to_bits(),
-        "{what}: latency sum"
-    );
-    assert_eq!(
-        serial.request_latency.max().to_bits(),
-        sharded.request_latency.max().to_bits(),
-        "{what}: latency max"
-    );
-}
-
 /// One grid row: identity check, then best-of-10 of each core.
 fn grid_row(servers: usize, procs: u32, reqs: usize) {
     let cfg = workload(procs, reqs);
@@ -96,7 +69,9 @@ fn grid_row(servers: usize, procs: u32, reqs: usize) {
 
     let serial = session.run(ReplayInput::trace(&mut cluster, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
     let sharded = session.run(ReplayInput::trace(&mut cluster, &trace, &mut IdentityResolver), CoreSel::Sharded).unwrap();
-    assert_identical(&serial, &sharded, "grid");
+    // Identity is the precondition for timing: a fast wrong core is
+    // worthless. `assert!` keeps a failure from printing every server.
+    assert!(serial == sharded, "grid: serial and sharded reports differ");
 
     let mut dt_serial = f64::MAX;
     let mut dt_sharded = f64::MAX;
@@ -154,11 +129,11 @@ fn smoke() {
     let mut session = ReplaySession::new();
     let serial = session.run(ReplayInput::trace(&mut cluster, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
     let sharded = session.run(ReplayInput::trace(&mut cluster, &trace, &mut IdentityResolver), CoreSel::Sharded).unwrap();
-    assert_identical(&serial, &sharded, "smoke");
+    assert!(serial == sharded, "smoke: serial and sharded reports differ");
     let streamed = session
         .run(ReplayInput::stream(&mut cluster, &mut ior::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
         .unwrap();
-    assert_identical(&serial, &streamed, "smoke stream");
+    assert!(serial == streamed, "smoke stream: serial and streamed reports differ");
     println!("[smoke] identity: serial == sharded == streamed on {} records", trace.len());
 
     // ~1M records, streamed, single pass.

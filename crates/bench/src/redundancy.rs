@@ -68,28 +68,6 @@ fn workload(scale: Scale) -> Trace {
     })
 }
 
-/// Every observable must match bit-for-bit — the degraded-equivalence
-/// gate of the two replay cores, including the redundancy accounting.
-fn assert_identical(serial: &ReplayReport, sharded: &ReplayReport, what: &str) {
-    assert_eq!(serial.makespan, sharded.makespan, "{what}: makespan");
-    assert_eq!(serial.requests, sharded.requests, "{what}: requests");
-    assert_eq!(serial.total_bytes, sharded.total_bytes, "{what}: bytes");
-    assert_eq!(serial.timeouts, sharded.timeouts, "{what}: timeouts");
-    assert_eq!(serial.retries, sharded.retries, "{what}: retries");
-    assert_eq!(serial.degraded_reads, sharded.degraded_reads, "{what}: degraded reads");
-    assert_eq!(
-        serial.reconstructed_bytes, sharded.reconstructed_bytes,
-        "{what}: reconstructed bytes"
-    );
-    assert_eq!(serial.failovers, sharded.failovers, "{what}: failovers");
-    assert_eq!(serial.server_busy_secs(), sharded.server_busy_secs(), "{what}: busy");
-    assert_eq!(
-        serial.request_latency.sum().to_bits(),
-        sharded.request_latency.sum().to_bits(),
-        "{what}: latency sum"
-    );
-}
-
 /// Replay one (plan, fault) cell on both cores, assert bit-identity,
 /// return the report.
 fn replay_cell(
@@ -111,7 +89,9 @@ fn replay_cell(
     let sharded = session
         .run(ReplayInput::trace(&mut cluster, trace, resolver.as_mut()), CoreSel::Sharded)
         .expect("replay");
-    assert_identical(&serial, &sharded, what);
+    // Every observable must match bit for bit: the degraded-equivalence
+    // gate of the two replay cores, redundancy accounting included.
+    assert!(serial == sharded, "{what}: serial and sharded reports differ");
     serial
 }
 
@@ -184,16 +164,16 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let d_rep = replay_cell(&cfg, &rep, &ctx, &trace, &one_loss, "degraded 3x");
     let d_ec = replay_cell(&cfg, &ec, &ctx, &trace, &one_loss, "degraded EC");
     let total = trace.total_bytes();
-    assert!(d_def.timeouts > 0, "striped DEF must hit dead-server timeouts");
-    assert!(d_mha.timeouts > 0, "striped MHA must hit dead-server timeouts");
+    assert!(d_def.counters.timeouts > 0, "striped DEF must hit dead-server timeouts");
+    assert!(d_mha.counters.timeouts > 0, "striped MHA must hit dead-server timeouts");
     for (r, what) in [(&d_rep, "3x"), (&d_ec, "EC")] {
-        assert_eq!(r.timeouts, 0, "degraded {what} must complete without timeouts");
+        assert_eq!(r.counters.timeouts, 0, "degraded {what} must complete without timeouts");
         assert_eq!(r.total_bytes, total, "degraded {what} must move every byte");
     }
-    assert!(d_rep.failovers > 0, "replication must fail reads over");
-    assert_eq!(d_rep.degraded_reads, 0, "replication reconstructs nothing");
-    assert!(d_ec.degraded_reads > 0, "EC must reconstruct degraded reads");
-    assert!(d_ec.reconstructed_bytes > 0, "EC must count reconstructed bytes");
+    assert!(d_rep.counters.failovers > 0, "replication must fail reads over");
+    assert_eq!(d_rep.counters.degraded_reads, 0, "replication reconstructs nothing");
+    assert!(d_ec.counters.degraded_reads > 0, "EC must reconstruct degraded reads");
+    assert!(d_ec.counters.reconstructed_bytes > 0, "EC must count reconstructed bytes");
 
     // --- rebuilding onto the spare -------------------------------------
     let (rep_rb, rep_out) = rebuilt(&rep, "3x");
@@ -206,15 +186,15 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let r_rep = replay_cell(&cfg, &rep_rb, &ctx, &trace, &rebuilding, "rebuilding 3x");
     let r_ec = replay_cell(&cfg, &ec_rb, &ctx, &trace, &rebuilding, "rebuilding EC");
     for (r, what) in [(&r_rep, "3x"), (&r_ec, "EC")] {
-        assert_eq!(r.timeouts, 0, "rebuilt {what} must not touch the dead server");
-        assert_eq!(r.degraded_reads, 0, "rebuilt {what} reads are whole again");
+        assert_eq!(r.counters.timeouts, 0, "rebuilt {what} must not touch the dead server");
+        assert_eq!(r.counters.degraded_reads, 0, "rebuilt {what} reads are whole again");
         assert_eq!(r.total_bytes, total, "rebuilt {what} must move every byte");
     }
     // Replicated reads are speed-aware: primaries now living on the
     // 2x-slow spare are read from a faster replica instead (counted as
     // failovers — routing, not reconstruction). EC has no such choice;
     // with every home alive it never reconstructs.
-    assert_eq!(r_ec.failovers, 0, "rebuilt EC homes are all live");
+    assert_eq!(r_ec.counters.failovers, 0, "rebuilt EC homes are all live");
 
     // --- figures -------------------------------------------------------
     let series = ["DEF", "MHA", "MHA+3x", "MHA+EC(4+2)"];
@@ -250,27 +230,27 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     detail.push_row(
         "timeouts (one-loss)",
         vec![
-            d_def.timeouts as f64,
-            d_mha.timeouts as f64,
-            d_rep.timeouts as f64,
-            d_ec.timeouts as f64,
+            d_def.counters.timeouts as f64,
+            d_mha.counters.timeouts as f64,
+            d_rep.counters.timeouts as f64,
+            d_ec.counters.timeouts as f64,
         ],
     );
     detail.push_row(
         "replica failovers (one-loss)",
-        vec![0.0, 0.0, d_rep.failovers as f64, d_ec.failovers as f64],
+        vec![0.0, 0.0, d_rep.counters.failovers as f64, d_ec.counters.failovers as f64],
     );
     detail.push_row(
         "degraded reads (one-loss)",
-        vec![0.0, 0.0, d_rep.degraded_reads as f64, d_ec.degraded_reads as f64],
+        vec![0.0, 0.0, d_rep.counters.degraded_reads as f64, d_ec.counters.degraded_reads as f64],
     );
     detail.push_row(
         "reconstructed MB (one-loss)",
         vec![
             0.0,
             0.0,
-            d_rep.reconstructed_bytes as f64 * mb,
-            d_ec.reconstructed_bytes as f64 * mb,
+            d_rep.counters.reconstructed_bytes as f64 * mb,
+            d_ec.counters.reconstructed_bytes as f64 * mb,
         ],
     );
     detail.push_row(

@@ -26,7 +26,7 @@ use iotrace::{TenantId, Trace, TraceBatches};
 use mha_core::{OnlineConfig, PipelineStore, TenantPipeline};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, IdentityResolver, LayoutService, NullRuntime, ReplayInput,
-    ReplayReport, ReplaySession, ServiceConfig, ServiceReport,
+    ReplaySession, ServiceConfig, ServiceReport,
 };
 use storage_model::IoOp;
 
@@ -82,40 +82,6 @@ fn run_service(
     svc.run().expect("fault-free service cannot fail")
 }
 
-/// One job's observable outcome as raw bits: tenant, seq, the three
-/// timestamps, bytes, requests, makespan.
-type JobBits = (u32, u32, u64, u64, u64, u64, usize, u64);
-
-/// Everything observable about one job, as raw bits: any divergence
-/// between two runs shows up here.
-fn fingerprint(r: &ServiceReport) -> Vec<JobBits> {
-    r.jobs
-        .iter()
-        .map(|j| {
-            (
-                j.tenant.0,
-                j.seq,
-                j.arrival.as_secs_f64().to_bits(),
-                j.start.as_secs_f64().to_bits(),
-                j.completion.as_secs_f64().to_bits(),
-                j.report.total_bytes,
-                j.report.requests,
-                j.report.makespan.as_secs_f64().to_bits(),
-            )
-        })
-        .collect()
-}
-
-fn report_bits(r: &ReplayReport) -> (u64, u64, usize, u64, u64) {
-    (
-        r.makespan.as_secs_f64().to_bits(),
-        r.total_bytes,
-        r.requests,
-        r.mds_lookups,
-        r.resolve_overhead.as_secs_f64().to_bits(),
-    )
-}
-
 /// Run the study. Asserts the determinism, isolation, and degeneracy
 /// properties and the full-scale job count (panicking on violation),
 /// then summarizes the full-service run into figures.
@@ -131,24 +97,20 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
     let report = run_service(&store_a, &all, jobs_per_tenant, scale);
     let store_b = fresh_store("b");
     let rerun = run_service(&store_b, &all, jobs_per_tenant, scale);
-    assert_eq!(
-        fingerprint(&report),
-        fingerprint(&rerun),
-        "same seed must reproduce the service bit-for-bit"
-    );
+    assert!(report == rerun, "same seed must reproduce the service bit-for-bit");
 
     // -- isolation: tenant 1 solo == tenant 1 among co-tenants --------
     let store_solo = fresh_store("solo");
     let solo = run_service(&store_solo, &[1], jobs_per_tenant, scale);
-    let solo_reports: Vec<_> = solo.jobs.iter().map(|j| (j.seq, report_bits(&j.report))).collect();
+    let solo_reports: Vec<_> = solo.jobs.iter().map(|j| (j.seq, &j.report)).collect();
     let with_cotenants: Vec<_> = report
         .jobs
         .iter()
         .filter(|j| j.tenant == TenantId(1))
-        .map(|j| (j.seq, report_bits(&j.report)))
+        .map(|j| (j.seq, &j.report))
         .collect();
-    assert_eq!(
-        solo_reports, with_cotenants,
+    assert!(
+        solo_reports == with_cotenants,
         "co-tenants must not perturb a tenant's replay reports"
     );
 
@@ -159,12 +121,12 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
         let mut svc = LayoutService::new(&mut cluster, ServiceConfig::new(SEED));
         svc.add_tenant(TenantId(0), Box::new(NullRuntime::new()));
         svc.submit(TenantId(0), trace.clone());
-        let r = svc.run().expect("fault-free service cannot fail");
-        report_bits(&r.jobs[0].report)
+        let mut r = svc.run().expect("fault-free service cannot fail");
+        r.jobs.remove(0).report
     };
     let plain_run = {
         let mut cluster = Cluster::new(ClusterConfig::paper_default());
-        let r = ReplaySession::new()
+        ReplaySession::new()
             .run(
                 ReplayInput::stream(
                     &mut cluster,
@@ -173,11 +135,10 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
                 ),
                 CoreSel::Sharded,
             )
-            .expect("fault-free replay cannot fail");
-        report_bits(&r)
+            .expect("fault-free replay cannot fail")
     };
-    assert_eq!(
-        service_run, plain_run,
+    assert!(
+        service_run == plain_run,
         "a 1-tenant service must degenerate to a plain streaming replay"
     );
     if scale == Scale::Full {

@@ -16,36 +16,6 @@ use storage_model::IoOp;
 
 const SCHEMES: [Scheme; 4] = [Scheme::Def, Scheme::Aal, Scheme::Harl, Scheme::Mha];
 
-/// Field-by-field equality, exact: durations and counters by value,
-/// floats by bit pattern.
-fn assert_reports_identical(a: &ReplayReport, b: &ReplayReport, what: &str) {
-    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(a.total_bytes, b.total_bytes, "{what}: total_bytes");
-    assert_eq!(a.read_bytes, b.read_bytes, "{what}: read_bytes");
-    assert_eq!(a.write_bytes, b.write_bytes, "{what}: write_bytes");
-    assert_eq!(a.resolve_overhead, b.resolve_overhead, "{what}: resolve_overhead");
-    assert_eq!(a.mds_lookups, b.mds_lookups, "{what}: mds_lookups");
-    assert_eq!(a.retries, b.retries, "{what}: retries");
-    assert_eq!(a.timeouts, b.timeouts, "{what}: timeouts");
-    assert_eq!(a.fault_wait, b.fault_wait, "{what}: fault_wait");
-    assert_eq!(a.per_server.len(), b.per_server.len(), "{what}: server count");
-    for (sa, sb) in a.per_server.iter().zip(&b.per_server) {
-        assert_eq!(sa.busy, sb.busy, "{what}: S{} busy", sa.server);
-        assert_eq!(sa.bytes_read, sb.bytes_read, "{what}: S{} bytes_read", sa.server);
-        assert_eq!(sa.bytes_written, sb.bytes_written, "{what}: S{} bytes_written", sa.server);
-        assert_eq!(sa.served, sb.served, "{what}: S{} served", sa.server);
-        assert_eq!(sa.retries, sb.retries, "{what}: S{} retries", sa.server);
-        assert_eq!(sa.timeouts, sb.timeouts, "{what}: S{} timeouts", sa.server);
-        assert_eq!(sa.down, sb.down, "{what}: S{} down", sa.server);
-        assert_eq!(
-            sa.slowdown.to_bits(),
-            sb.slowdown.to_bits(),
-            "{what}: S{} slowdown",
-            sa.server
-        );
-    }
-}
-
 fn grid(trace: &Trace, cluster: &ClusterConfig, plan: &FaultPlan) -> Vec<ReplayReport> {
     let ctx = workloads::context_for(trace, cluster);
     SCHEMES
@@ -86,9 +56,9 @@ fn empty_fault_plan_is_bit_identical_across_the_grid() {
         let with_plan = grid(trace, &cluster, &empty);
         let without = fault_free_grid(trace, &cluster);
         for (i, (a, b)) in with_plan.iter().zip(&without).enumerate() {
-            assert_reports_identical(a, b, &format!("{name}, scheme #{i}"));
-            assert_eq!(a.retries, 0, "{name}: empty plan must record no retries");
-            assert_eq!(a.timeouts, 0, "{name}: empty plan must record no timeouts");
+            assert_eq!(a, b, "{name}, scheme #{i}");
+            assert_eq!(a.counters.retries, 0, "{name}: empty plan must record no retries");
+            assert_eq!(a.counters.timeouts, 0, "{name}: empty plan must record no timeouts");
         }
     }
 }
@@ -102,7 +72,7 @@ fn straggler_replay_is_deterministic_across_fresh_sessions() {
     for round in 0..2 {
         let again = grid(&trace, &cluster, &plan);
         for (i, (a, b)) in first.iter().zip(&again).enumerate() {
-            assert_reports_identical(a, b, &format!("round {round}, scheme #{i}"));
+            assert_eq!(a, b, "round {round}, scheme #{i}");
         }
     }
     // The straggler is visible where it must be: the degraded server's
@@ -126,9 +96,9 @@ fn outages_and_loss_surface_retry_accounting() {
     // stripes every request over all servers).
     let outage = FaultPlan::none().outage(6, 0.0, 1.0);
     let r = grid(&trace, &cluster, &outage).remove(0);
-    assert!(r.retries > 0, "outage must force retries, got {}", r.retries);
+    assert!(r.counters.retries > 0, "outage must force retries, got {}", r.counters.retries);
     assert_eq!(
-        r.per_server[6].retries, r.retries,
+        r.per_server[6].counters.retries, r.counters.retries,
         "all retries belong to the server in outage"
     );
 
@@ -136,7 +106,7 @@ fn outages_and_loss_surface_retry_accounting() {
     // report marks it down.
     let loss = FaultPlan::none().down(6, 0.0);
     let r = grid(&trace, &cluster, &loss).remove(0);
-    assert!(r.timeouts > 0, "a lost server must surface timeouts");
+    assert!(r.counters.timeouts > 0, "a lost server must surface timeouts");
     assert!(r.per_server[6].down, "the report must mark S6 down");
-    assert!(r.per_server[6].timeouts > 0, "timeouts pinned to the lost server");
+    assert!(r.per_server[6].counters.timeouts > 0, "timeouts pinned to the lost server");
 }

@@ -14,44 +14,6 @@ use pfs_sim::{Cluster, ClusterConfig, CoreSel, ReplayInput, ReplayReport, Replay
 use std::path::PathBuf;
 use storage_model::IoOp;
 
-/// Field-by-field equality, exact: durations and counters by value,
-/// floats (latency statistics) by bit pattern.
-fn assert_reports_identical(a: &ReplayReport, b: &ReplayReport, what: &str) {
-    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(a.total_bytes, b.total_bytes, "{what}: total_bytes");
-    assert_eq!(a.read_bytes, b.read_bytes, "{what}: read_bytes");
-    assert_eq!(a.write_bytes, b.write_bytes, "{what}: write_bytes");
-    assert_eq!(a.resolve_overhead, b.resolve_overhead, "{what}: resolve_overhead");
-    assert_eq!(a.mds_lookups, b.mds_lookups, "{what}: mds_lookups");
-    assert_eq!(a.retries, b.retries, "{what}: retries");
-    assert_eq!(a.timeouts, b.timeouts, "{what}: timeouts");
-    assert_eq!(a.fault_wait, b.fault_wait, "{what}: fault_wait");
-    assert_eq!(a.per_server.len(), b.per_server.len(), "{what}: server count");
-    for (sa, sb) in a.per_server.iter().zip(&b.per_server) {
-        assert_eq!(sa.server, sb.server, "{what}: server index");
-        assert_eq!(sa.kind, sb.kind, "{what}: server kind");
-        assert_eq!(sa.busy, sb.busy, "{what}: S{} busy", sa.server);
-        assert_eq!(sa.bytes_read, sb.bytes_read, "{what}: S{} bytes_read", sa.server);
-        assert_eq!(sa.bytes_written, sb.bytes_written, "{what}: S{} bytes_written", sa.server);
-        assert_eq!(sa.served, sb.served, "{what}: S{} served", sa.server);
-        assert_eq!(sa.retries, sb.retries, "{what}: S{} retries", sa.server);
-        assert_eq!(sa.timeouts, sb.timeouts, "{what}: S{} timeouts", sa.server);
-        assert_eq!(sa.down, sb.down, "{what}: S{} down", sa.server);
-        assert_eq!(
-            sa.slowdown.to_bits(),
-            sb.slowdown.to_bits(),
-            "{what}: S{} slowdown",
-            sa.server
-        );
-    }
-    let (la, lb) = (&a.request_latency, &b.request_latency);
-    assert_eq!(la.count(), lb.count(), "{what}: latency count");
-    assert_eq!(la.mean().to_bits(), lb.mean().to_bits(), "{what}: latency mean");
-    assert_eq!(la.sum().to_bits(), lb.sum().to_bits(), "{what}: latency sum");
-    assert_eq!(la.min().to_bits(), lb.min().to_bits(), "{what}: latency min");
-    assert_eq!(la.max().to_bits(), lb.max().to_bits(), "{what}: latency max");
-}
-
 fn tmp_path(tag: &str) -> PathBuf {
     let p = std::env::temp_dir().join(format!("mha-roundtrip-{}-{tag}", std::process::id()));
     let _ = std::fs::remove_file(&p);
@@ -98,7 +60,7 @@ fn round_trip(scheme: Scheme, trace: &iotrace::Trace, tag: &str) {
     assert_eq!(loaded.regions, plan.regions, "{tag}: regions survive");
 
     let after = replay_plan(&cfg, &loaded, trace, &ctx);
-    assert_reports_identical(&before, &after, tag);
+    assert_eq!(before, after, "{tag}");
     let _ = std::fs::remove_file(&path);
 }
 

@@ -10,46 +10,7 @@
 
 use mha_bench::experiments::{scheme_reports, scheme_reports_serial};
 use mha_bench::workloads::{self, Scale};
-use pfs_sim::ReplayReport;
 use storage_model::IoOp;
-
-/// Field-by-field equality, exact: durations and counters by value,
-/// floats (latency statistics) by bit pattern.
-fn assert_reports_identical(a: &ReplayReport, b: &ReplayReport, what: &str) {
-    assert_eq!(a.makespan, b.makespan, "{what}: makespan");
-    assert_eq!(a.total_bytes, b.total_bytes, "{what}: total_bytes");
-    assert_eq!(a.read_bytes, b.read_bytes, "{what}: read_bytes");
-    assert_eq!(a.write_bytes, b.write_bytes, "{what}: write_bytes");
-    assert_eq!(a.resolve_overhead, b.resolve_overhead, "{what}: resolve_overhead");
-    assert_eq!(a.mds_lookups, b.mds_lookups, "{what}: mds_lookups");
-    assert_eq!(a.retries, b.retries, "{what}: retries");
-    assert_eq!(a.timeouts, b.timeouts, "{what}: timeouts");
-    assert_eq!(a.fault_wait, b.fault_wait, "{what}: fault_wait");
-    assert_eq!(a.per_server.len(), b.per_server.len(), "{what}: server count");
-    for (sa, sb) in a.per_server.iter().zip(&b.per_server) {
-        assert_eq!(sa.server, sb.server, "{what}: server index");
-        assert_eq!(sa.kind, sb.kind, "{what}: server kind");
-        assert_eq!(sa.busy, sb.busy, "{what}: S{} busy", sa.server);
-        assert_eq!(sa.bytes_read, sb.bytes_read, "{what}: S{} bytes_read", sa.server);
-        assert_eq!(sa.bytes_written, sb.bytes_written, "{what}: S{} bytes_written", sa.server);
-        assert_eq!(sa.served, sb.served, "{what}: S{} served", sa.server);
-        assert_eq!(sa.retries, sb.retries, "{what}: S{} retries", sa.server);
-        assert_eq!(sa.timeouts, sb.timeouts, "{what}: S{} timeouts", sa.server);
-        assert_eq!(sa.down, sb.down, "{what}: S{} down", sa.server);
-        assert_eq!(
-            sa.slowdown.to_bits(),
-            sb.slowdown.to_bits(),
-            "{what}: S{} slowdown",
-            sa.server
-        );
-    }
-    let (la, lb) = (&a.request_latency, &b.request_latency);
-    assert_eq!(la.count(), lb.count(), "{what}: latency count");
-    assert_eq!(la.mean().to_bits(), lb.mean().to_bits(), "{what}: latency mean");
-    assert_eq!(la.sum().to_bits(), lb.sum().to_bits(), "{what}: latency sum");
-    assert_eq!(la.min().to_bits(), lb.min().to_bits(), "{what}: latency min");
-    assert_eq!(la.max().to_bits(), lb.max().to_bits(), "{what}: latency max");
-}
 
 #[test]
 fn parallel_grid_matches_serial_grid_bit_for_bit() {
@@ -64,7 +25,7 @@ fn parallel_grid_matches_serial_grid_bit_for_bit() {
         let ser = scheme_reports_serial(trace, &cluster);
         assert_eq!(par.len(), ser.len());
         for (i, (p, s)) in par.iter().zip(&ser).enumerate() {
-            assert_reports_identical(p, s, &format!("{name}, scheme #{i}"));
+            assert_eq!(p, s, "{name}, scheme #{i}");
         }
     }
 }
@@ -78,7 +39,7 @@ fn repeated_parallel_runs_are_stable() {
     for round in 0..2 {
         let again = scheme_reports(&trace, &cluster);
         for (i, (a, b)) in first.iter().zip(&again).enumerate() {
-            assert_reports_identical(a, b, &format!("round {round}, scheme #{i}"));
+            assert_eq!(a, b, "round {round}, scheme #{i}");
         }
     }
 }

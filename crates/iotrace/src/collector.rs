@@ -1,7 +1,7 @@
 //! IOSIG-like online trace collector.
 //!
 //! The paper profiles the application's first run with IOSIG, a pluggable
-//! MPI-IO layer library (§III-C). Our middleware ([`mpiio-sim`]) calls
+//! MPI-IO layer library (§III-C). Our middleware (`mpiio-sim`) calls
 //! [`Collector::record`] on every file operation; phases are inferred from
 //! timestamps: records issued within `phase_window` of the phase's first
 //! record belong to the same phase (one parallel I/O call).

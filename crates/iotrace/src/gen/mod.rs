@@ -9,7 +9,7 @@
 //! `PhaseSink`: their `stream` runs it into a
 //! [`RecordBatch`](crate::RecordBatch) per phase, and their `generate`
 //! runs it into one record vector. The Zipf generators share one
-//! memoized [`zipf_cdf`] table per `(regions, θ)`.
+//! memoized `zipf_cdf` table per `(regions, θ)`.
 
 pub mod btio;
 pub mod burst;

@@ -9,7 +9,7 @@
 //!   k-means on (size, concurrency)),
 //! * [`cost`] — Table I parameters and the Eq. 2 access cost model,
 //!   calibrated from device/network models,
-//! * [`rssd`] — Algorithm 2: Region Stripe Size Determination (exhaustive
+//! * [`rssd`](mod@rssd) — Algorithm 2: Region Stripe Size Determination (exhaustive
 //!   `<h, s>` search with adaptive bounds),
 //! * [`region`] — region construction, the Data Reordering Table (DRT)
 //!   and Region Stripe Table (RST),

@@ -7,10 +7,9 @@
 //!
 //! 1. **Quiet or drifted?** The window's summary signature (mean
 //!    request size, size CV, peak concurrency) is compared against the
-//!    previous window's; relative movement below
-//!    [`OnlineConfig::drift_threshold`] on every component means the
-//!    current plan still fits and the window costs nothing but the
-//!    comparison.
+//!    previous window's; relative movement below `DRIFT_THRESHOLD`
+//!    (0.25) on every component means the current plan still fits and
+//!    the window costs nothing but the comparison.
 //! 2. **Incremental regroup.** A drifted window re-runs Algorithm 1
 //!    *seeded from the previous window's centroids*
 //!    ([`crate::grouping::group_requests_seeded`]): converged seeds
@@ -18,11 +17,10 @@
 //!    cost tracks how far the workload actually moved.
 //! 3. **Selective RSSD.** Each new group is matched to the nearest
 //!    cached group of the previous plan (normalized Eq. 1 distance).
-//!    Groups whose centroid moved less than
-//!    [`OnlineConfig::center_tolerance`] and whose byte load changed by
-//!    less than [`OnlineConfig::load_tolerance`] reuse the cached
-//!    stripe pair; only genuinely moved groups pay the exhaustive
-//!    `<h, s>` search.
+//!    Groups whose centroid moved less than `CENTER_TOLERANCE` (0.05)
+//!    and whose byte load changed by less than `LOAD_TOLERANCE` (0.5)
+//!    reuse the cached stripe pair; only genuinely moved groups pay the
+//!    exhaustive `<h, s>` search.
 //!
 //! The emitted [`Plan`] is MHA-shaped (regions, DRT, RST) but built
 //! single-pass: the offline planner's second repack-to-stripe pass
@@ -42,23 +40,28 @@ use crate::rssd::{rssd, StripePair};
 use crate::schemes::{Plan, PlanResolver, PlannerContext, Scheme};
 use iotrace::{Trace, TraceStats, WindowStats};
 
-/// Thresholds steering the online loop.
+/// Relative movement of any signature component (mean request, size
+/// CV, peak concurrency) past which a window is *drifted* and triggers a
+/// replan. Matches the dynamic optimizer's default.
+const DRIFT_THRESHOLD: f64 = 0.25;
+
+/// Normalized Eq. 1 distance below which a group's centroid is
+/// considered unmoved and its cached stripe pair is reused.
+const CENTER_TOLERANCE: f64 = 0.05;
+
+/// Relative byte-load change below which pair reuse is allowed.
+const LOAD_TOLERANCE: f64 = 0.5;
+
+/// How the online loop migrates: the two options callers set
+/// differently. The drift trigger and the pair-reuse tolerances are
+/// fixed (`DRIFT_THRESHOLD`, `CENTER_TOLERANCE`, `LOAD_TOLERANCE`).
 ///
 /// Construct with [`OnlineConfig::builder`]; the defaults
-/// ([`OnlineConfig::default`]) match the dynamic optimizer's. Fields
-/// are validated at [`OnlineConfigBuilder::build`] so a planner never
-/// sees a NaN threshold or a zero-byte coverage block.
+/// ([`OnlineConfig::default`]) migrate exact extents. Fields are
+/// validated at [`OnlineConfigBuilder::build`] so a planner never sees
+/// a zero-byte coverage block.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
-    /// Relative movement of any signature component (mean request,
-    /// size CV, peak concurrency) past which a window is *drifted* and
-    /// triggers a replan. Matches the dynamic optimizer's default.
-    drift_threshold: f64,
-    /// Normalized Eq. 1 distance below which a group's centroid is
-    /// considered unmoved and its cached stripe pair is reused.
-    center_tolerance: f64,
-    /// Relative byte-load change below which pair reuse is allowed.
-    load_tolerance: f64,
     /// Unit of lazy migration, bytes: every migrated extent is rounded
     /// outward to this block in the *original* file, so a plan built
     /// from one window's sample redirects the whole spatial
@@ -79,9 +82,6 @@ pub struct OnlineConfig {
 impl Default for OnlineConfig {
     fn default() -> Self {
         OnlineConfig {
-            drift_threshold: 0.25,
-            center_tolerance: 0.05,
-            load_tolerance: 0.5,
             coverage_block: 1,
             coverage_min_hits: 1,
         }
@@ -92,21 +92,6 @@ impl OnlineConfig {
     /// A builder seeded with the validated defaults.
     pub fn builder() -> OnlineConfigBuilder {
         OnlineConfigBuilder { cfg: OnlineConfig::default() }
-    }
-
-    /// Drift-trigger threshold (relative signature movement).
-    pub fn drift_threshold(&self) -> f64 {
-        self.drift_threshold
-    }
-
-    /// Centroid-distance tolerance for stripe-pair reuse.
-    pub fn center_tolerance(&self) -> f64 {
-        self.center_tolerance
-    }
-
-    /// Byte-load change tolerance for stripe-pair reuse.
-    pub fn load_tolerance(&self) -> f64 {
-        self.load_tolerance
     }
 
     /// Lazy-migration coverage block, bytes.
@@ -140,27 +125,6 @@ pub struct OnlineConfigBuilder {
 }
 
 impl OnlineConfigBuilder {
-    /// Relative signature movement past which a window replans.
-    #[must_use]
-    pub fn drift_threshold(mut self, v: f64) -> Self {
-        self.cfg.drift_threshold = v;
-        self
-    }
-
-    /// Normalized centroid distance below which pairs are reused.
-    #[must_use]
-    pub fn center_tolerance(mut self, v: f64) -> Self {
-        self.cfg.center_tolerance = v;
-        self
-    }
-
-    /// Relative byte-load change below which pairs are reused.
-    #[must_use]
-    pub fn load_tolerance(mut self, v: f64) -> Self {
-        self.cfg.load_tolerance = v;
-        self
-    }
-
     /// Lazy-migration coverage block, bytes (`1` = exact extents).
     #[must_use]
     pub fn coverage_block(mut self, v: u64) -> Self {
@@ -178,24 +142,6 @@ impl OnlineConfigBuilder {
     /// Validate and produce the config.
     pub fn build(self) -> Result<OnlineConfig, OnlineConfigError> {
         let c = self.cfg;
-        if !(c.drift_threshold.is_finite() && c.drift_threshold > 0.0) {
-            return Err(OnlineConfigError(format!(
-                "drift_threshold must be finite and positive, got {}",
-                c.drift_threshold
-            )));
-        }
-        if !(c.center_tolerance.is_finite() && c.center_tolerance >= 0.0) {
-            return Err(OnlineConfigError(format!(
-                "center_tolerance must be finite and non-negative, got {}",
-                c.center_tolerance
-            )));
-        }
-        if !(c.load_tolerance.is_finite() && c.load_tolerance >= 0.0) {
-            return Err(OnlineConfigError(format!(
-                "load_tolerance must be finite and non-negative, got {}",
-                c.load_tolerance
-            )));
-        }
         if c.coverage_block == 0 {
             return Err(OnlineConfigError(
                 "coverage_block must be at least 1 byte (1 = exact extents)".into(),
@@ -367,7 +313,7 @@ impl OnlinePlanner {
     pub fn observe(&mut self, trace: &Trace, sig: WindowSig) -> Replan {
         self.stats.windows += 1;
         if let Some(prev) = &self.sig {
-            if !sig.drifted_from(prev, self.cfg.drift_threshold) {
+            if !sig.drifted_from(prev, DRIFT_THRESHOLD) {
                 self.stats.quiet_windows += 1;
                 self.sig = Some(sig);
                 return Replan::Quiet;
@@ -458,8 +404,8 @@ impl OnlinePlanner {
                 .copied();
             let pair = match cached {
                 Some(c)
-                    if space.distance(&c.center, &center) <= self.cfg.center_tolerance
-                        && rel_change(c.load, load) <= self.cfg.load_tolerance =>
+                    if space.distance(&c.center, &center) <= CENTER_TOLERANCE
+                        && rel_change(c.load, load) <= LOAD_TOLERANCE =>
                 {
                     reused += 1;
                     c.pair
@@ -674,31 +620,18 @@ mod tests {
     fn builder_defaults_round_trip_and_bad_inputs_are_rejected() {
         let built = OnlineConfig::builder().build().unwrap();
         let dflt = OnlineConfig::default();
-        assert_eq!(built.drift_threshold(), dflt.drift_threshold());
-        assert_eq!(built.center_tolerance(), dflt.center_tolerance());
-        assert_eq!(built.load_tolerance(), dflt.load_tolerance());
         assert_eq!(built.coverage_block(), dflt.coverage_block());
         assert_eq!(built.coverage_min_hits(), dflt.coverage_min_hits());
 
         let custom = OnlineConfig::builder()
-            .drift_threshold(0.1)
-            .center_tolerance(0.2)
-            .load_tolerance(0.3)
             .coverage_block(16 << 20)
             .coverage_min_hits(2)
             .build()
             .unwrap();
-        assert_eq!(custom.drift_threshold(), 0.1);
         assert_eq!(custom.coverage_block(), 16 << 20);
         assert_eq!(custom.coverage_min_hits(), 2);
 
         for bad in [
-            OnlineConfig::builder().drift_threshold(0.0),
-            OnlineConfig::builder().drift_threshold(f64::NAN),
-            OnlineConfig::builder().drift_threshold(f64::INFINITY),
-            OnlineConfig::builder().center_tolerance(-0.1),
-            OnlineConfig::builder().center_tolerance(f64::NAN),
-            OnlineConfig::builder().load_tolerance(-1.0),
             OnlineConfig::builder().coverage_block(0),
             OnlineConfig::builder().coverage_min_hits(0),
         ] {

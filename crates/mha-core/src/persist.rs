@@ -200,7 +200,7 @@ pub enum CommitPoint {
 
 /// Deterministic crash injector.
 ///
-/// Every mutating [`PipelineStore`] operation calls [`KillSwitch::check`]
+/// Every mutating [`PipelineStore`] operation calls `KillSwitch::check`
 /// immediately *before* each store write; the switch counts these
 /// crossings globally. Arming it at index `k` makes crossing `k` return
 /// [`PersistError::Killed`] — the write does not happen, everything

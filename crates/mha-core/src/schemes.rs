@@ -9,11 +9,11 @@
 //!
 //! * **DEF** — the file system default: fixed 64 KB stripes over all
 //!   servers; the plan is empty.
-//! * **AAL** (application-aware layout, [10]) — picks one stripe size per
+//! * **AAL** (application-aware layout, \[10\]) — picks one stripe size per
 //!   file from the traced access pattern but assigns it uniformly to
 //!   every server, evaluating costs under a *homogeneous* model (all
 //!   servers treated as HServers) — server heterogeneity is ignored.
-//! * **HARL** ([8], the authors' prior work) — divides each file into
+//! * **HARL** (\[8\], the authors' prior work) — divides each file into
 //!   fixed offset-contiguous regions and runs the stripe search per
 //!   region against the *inherent* request order; no data migration, no
 //!   concurrency term, and search bounds from the average request size.
@@ -1036,12 +1036,7 @@ mod tests {
             .faults(&empty)
             .replan_around_faults(true)
             .report();
-        assert_eq!(plain.makespan, faultless.makespan);
-        assert_eq!(plain.server_busy_secs(), faultless.server_busy_secs());
-        assert_eq!(
-            plain.request_latency.sum().to_bits(),
-            faultless.request_latency.sum().to_bits()
-        );
+        assert_eq!(plain, faultless);
     }
 
     #[test]
@@ -1058,7 +1053,6 @@ mod tests {
             .context(&c)
             .run_in(&mut pinned)
             .expect("pinned evaluation");
-        assert_eq!(via_builder.makespan, via_sched.makespan);
-        assert_eq!(via_builder.server_busy_secs(), via_sched.server_busy_secs());
+        assert_eq!(via_builder, via_sched);
     }
 }

@@ -14,6 +14,7 @@
 //! bit-identical totals — integer sums are order-independent, so the
 //! deterministic merge is just the sum in server order.
 
+use crate::replay::Counters;
 use simrt::{FaultKind, FaultPlan, ServerHealth, SimDuration, SimTime};
 
 /// Outcome of asking whether a server will accept a sub-request.
@@ -149,16 +150,6 @@ impl FaultRuntime {
         (self.params, &mut self.servers)
     }
 
-    /// Total retries across all servers.
-    pub(crate) fn retries(&self) -> u64 {
-        self.servers.iter().map(|s| s.retries).sum()
-    }
-
-    /// Total abandoned sub-requests.
-    pub(crate) fn timeouts(&self) -> u64 {
-        self.servers.iter().map(|s| s.timeouts).sum()
-    }
-
     /// Total time requests spent backed off in retry loops.
     pub(crate) fn fault_wait(&self) -> SimDuration {
         self.servers
@@ -166,9 +157,13 @@ impl FaultRuntime {
             .fold(SimDuration::ZERO, |acc, s| acc + s.fault_wait)
     }
 
-    /// Per-server `(retries, timeouts)` counters.
-    pub(crate) fn server_counters(&self, server: usize) -> (u64, u64) {
-        self.servers.get(server).map_or((0, 0), |s| (s.retries, s.timeouts))
+    /// `server`'s retries and timeouts (every other count is 0).
+    pub(crate) fn server_counters(&self, server: usize) -> Counters {
+        self.servers.get(server).map_or_else(Counters::default, |s| Counters {
+            retries: s.retries,
+            timeouts: s.timeouts,
+            ..Counters::default()
+        })
     }
 
     /// The plan's health summary for `server`.
@@ -186,6 +181,15 @@ mod tests {
         SimTime::ZERO + SimDuration::from_secs_f64(secs)
     }
 
+    fn counters(retries: u64, timeouts: u64) -> Counters {
+        Counters { retries, timeouts, ..Counters::default() }
+    }
+
+    /// Every server's counters, in server order.
+    fn all_counters(rt: &FaultRuntime) -> Vec<Counters> {
+        (0..rt.servers.len()).map(|s| rt.server_counters(s)).collect()
+    }
+
     #[test]
     fn healthy_server_admits_immediately() {
         let plan = FaultPlan::none().outage(1, 1.0, 1.0);
@@ -193,7 +197,7 @@ mod tests {
         assert_eq!(rt.admit(0, at(1.5)), Admission::At(at(1.5)));
         assert_eq!(rt.admit(1, at(0.5)), Admission::At(at(0.5)), "before the window");
         assert_eq!(rt.admit(1, at(2.5)), Admission::At(at(2.5)), "after the window");
-        assert_eq!(rt.retries(), 0);
+        assert_eq!(all_counters(&rt), vec![Counters::default(); 4]);
         assert_eq!(rt.fault_wait(), SimDuration::ZERO);
     }
 
@@ -205,8 +209,7 @@ mod tests {
         let mut rt = FaultRuntime::new(&plan, 1);
         let got = rt.admit(0, at(1.0));
         assert_eq!(got, Admission::At(at(1.0) + SimDuration::from_secs_f64(0.07)));
-        assert_eq!(rt.retries(), 3);
-        assert_eq!(rt.server_counters(0), (3, 0));
+        assert_eq!(rt.server_counters(0), counters(3, 0));
         assert!((rt.fault_wait().as_secs_f64() - 0.07).abs() < 1e-9);
     }
 
@@ -217,8 +220,7 @@ mod tests {
             .with_retry(RetryPolicy { backoff_s: 1.0e-3, max_retries: 3, timeout_s: 2.0 });
         let mut rt = FaultRuntime::new(&plan, 1);
         assert_eq!(rt.admit(0, at(0.0)), Admission::TimedOut);
-        assert_eq!(rt.server_counters(0), (0, 1));
-        assert_eq!(rt.timeouts(), 1);
+        assert_eq!(all_counters(&rt), vec![counters(0, 1)]);
         assert_eq!(rt.timeout(), SimDuration::from_secs_f64(2.0));
     }
 
@@ -229,7 +231,7 @@ mod tests {
         assert_eq!(rt.admit(0, at(0.5)), Admission::At(at(0.5)), "still alive");
         assert_eq!(rt.admit(0, at(1.0)), Admission::TimedOut);
         assert_eq!(rt.admit(0, at(7.0)), Admission::TimedOut, "never comes back");
-        assert_eq!(rt.server_counters(0), (0, 2));
+        assert_eq!(rt.server_counters(0), counters(0, 2));
     }
 
     #[test]
@@ -252,19 +254,18 @@ mod tests {
 
     #[test]
     fn totals_are_sums_of_per_server_counters() {
-        // Two servers with different fault shapes: the run totals must be
-        // exactly the per-server sums (the sharded merge invariant).
+        // Two servers with different fault shapes: each keeps its own
+        // counts, and their merge is the run total a report carries (the
+        // sharded merge invariant).
         let plan = FaultPlan::none().outage(0, 1.0, 0.035).down(1, 0.0);
         let mut rt = FaultRuntime::new(&plan, 2);
         rt.admit(0, at(1.0));
         rt.admit(1, at(0.5));
         rt.admit(1, at(2.0));
-        let (r0, t0) = rt.server_counters(0);
-        let (r1, t1) = rt.server_counters(1);
-        assert_eq!(rt.retries(), r0 + r1);
-        assert_eq!(rt.timeouts(), t0 + t1);
-        assert_eq!((r0, t0), (3, 0));
-        assert_eq!((r1, t1), (0, 2));
+        assert_eq!(all_counters(&rt), vec![counters(3, 0), counters(0, 2)]);
+        let mut total = Counters::default();
+        all_counters(&rt).into_iter().for_each(|c| total.merge(c));
+        assert_eq!(total, counters(3, 2));
     }
 
     #[test]
@@ -282,7 +283,7 @@ mod tests {
         let a2 = params.admit(&mut s0[0], at(1.0));
         assert_eq!(a, a2);
         assert_eq!(b, b2);
-        assert_eq!(serial.retries(), laned.retries());
+        assert_eq!(all_counters(&serial), all_counters(&laned));
         assert_eq!(serial.fault_wait(), laned.fault_wait());
     }
 }

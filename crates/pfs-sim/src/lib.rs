@@ -55,7 +55,7 @@ pub use layout::{LayoutSpec, LoadScratch, Placement, ServerId, SubExtent};
 pub use redundancy::REDUNDANCY_REGION;
 pub use mds::{MdsConfig, MetadataServer};
 pub use replay::{
-    FileSet, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, ReplayScratch,
+    Counters, FileSet, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, ReplayScratch,
     Resolution, Resolver, ServerIoStat,
 };
 pub use server::StorageServer;

@@ -1,6 +1,6 @@
 //! Redundancy-aware sub-request expansion.
 //!
-//! [`RedundancyState::expand`] turns one logical extent into the physical
+//! `RedundancyState::expand` turns one logical extent into the physical
 //! sub-requests its layout's [`Placement`] implies, consulting per-server
 //! health so every sub-request targets a *live* source:
 //!
@@ -33,6 +33,7 @@
 
 use crate::fault::FaultRuntime;
 use crate::layout::{LayoutSpec, Placement, ServerId, SubExtent};
+use crate::replay::Counters;
 use simrt::{ServerHealth, SimDuration};
 use storage_model::IoOp;
 
@@ -97,13 +98,16 @@ impl RedundancyState {
         self.failovers.resize(n_servers, 0);
     }
 
-    /// `(degraded reads, reconstructed bytes, failovers)` for `server`.
-    pub(crate) fn server_counters(&self, server: usize) -> (u64, u64, u64) {
-        (
-            self.degraded_reads.get(server).copied().unwrap_or(0),
-            self.reconstructed_bytes.get(server).copied().unwrap_or(0),
-            self.failovers.get(server).copied().unwrap_or(0),
-        )
+    /// `server`'s degraded reads, reconstructed bytes and failovers
+    /// (every other count is 0).
+    pub(crate) fn server_counters(&self, server: usize) -> Counters {
+        let at = |v: &[u64]| v.get(server).copied().unwrap_or(0);
+        Counters {
+            degraded_reads: at(&self.degraded_reads),
+            reconstructed_bytes: at(&self.reconstructed_bytes),
+            failovers: at(&self.failovers),
+            ..Counters::default()
+        }
     }
 
     fn alive(&self, server: ServerId) -> bool {
@@ -394,7 +398,7 @@ mod tests {
         let mut out = Vec::new();
         s.expand(&l, 0, 256 << 10, IoOp::Read, &mut out);
         assert_eq!(out, l.map_extent(0, 256 << 10), "primary copies serve healthy reads");
-        assert_eq!(s.server_counters(0), (0, 0, 0));
+        assert_eq!(s.server_counters(0), Counters::default());
     }
 
     #[test]
@@ -433,7 +437,11 @@ mod tests {
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].server, ServerId(2), "copy 1 of segment 1 lives on segment 2");
         assert_eq!(out[0].server_offset, REDUNDANCY_REGION);
-        assert_eq!(s.server_counters(1), (0, 0, 1), "failover charged to the lost primary");
+        assert_eq!(
+            s.server_counters(1),
+            Counters { failovers: 1, ..Counters::default() },
+            "failover charged to the lost primary"
+        );
         // Writes skip the dead copy but still write the live one.
         s.expand(&l, 64 << 10, 64 << 10, IoOp::Write, &mut out);
         assert_eq!(out.len(), 1);
@@ -450,7 +458,7 @@ mod tests {
         let mut out = Vec::new();
         s.expand(&l, 0, 64 << 10, IoOp::Read, &mut out);
         assert_eq!(out[0].server, ServerId(1), "nominal replica beats slowed primary");
-        assert_eq!(s.server_counters(0).2, 1);
+        assert_eq!(s.server_counters(0).failovers, 1);
     }
 
     #[test]
@@ -504,7 +512,10 @@ mod tests {
         assert!(out.iter().all(|x| x.server != ServerId(2)), "no read hits the lost server");
         assert!(out.iter().all(|x| x.len == 64 << 10));
         assert_eq!(dec, 4 * (64 << 10), "decode over k unit-lengths");
-        assert_eq!(s.server_counters(2), (1, 64 << 10, 0));
+        assert_eq!(
+            s.server_counters(2),
+            Counters { degraded_reads: 1, reconstructed_bytes: 64 << 10, ..Counters::default() }
+        );
     }
 
     #[test]

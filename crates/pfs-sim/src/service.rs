@@ -38,7 +38,7 @@
 use crate::cluster::Cluster;
 use crate::error::ReplayError;
 use crate::layout::LayoutSpec;
-use crate::replay::{IdentityResolver, ReplayReport, Resolver};
+use crate::replay::{Counters, IdentityResolver, ReplayReport, Resolver};
 use crate::session::{CoreSel, ReplayInput, ReplaySession};
 use iotrace::{FileId, TenantId, Trace, TraceBatches};
 use simrt::{ArrivalProcess, SchedPolicy, SeedSeq, SimDuration, SimTime};
@@ -123,7 +123,7 @@ impl ServiceConfig {
 }
 
 /// One admitted job's lifecycle inside a [`ServiceReport`].
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Submitting tenant.
     pub tenant: TenantId,
@@ -165,8 +165,9 @@ pub struct TenantSummary {
 }
 
 /// What a service run produces: every admitted job's lifecycle, the
-/// shed-load count, and per-tenant latency summaries.
-#[derive(Debug, Clone)]
+/// shed-load count, and per-tenant latency summaries. Two reports compare
+/// equal only when every job's lifecycle and replay report match exactly.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Admitted jobs in service (start-time) order.
     pub jobs: Vec<JobRecord>,
@@ -178,16 +179,9 @@ pub struct ServiceReport {
     pub total_bytes: u64,
     /// Per-tenant summaries, in tenant-id order.
     pub tenants: Vec<TenantSummary>,
-    /// Degraded (erasure-reconstruction) reads across all jobs — the
-    /// service-level robustness counter (0 without redundant layouts).
-    pub degraded_reads: u64,
-    /// Bytes reconstructed by degraded reads across all jobs.
-    pub reconstructed_bytes: u64,
-    /// Reads served by a replica failover across all jobs.
-    pub failovers: u64,
-    /// Requests issue-deferred by straggler-aware scheduling across all
-    /// jobs (0 when every tenant runs [`SchedPolicy::SeededShuffle`]).
-    pub deferred_requests: u64,
+    /// The merge of every job's counters: retries, timeouts, degraded-mode
+    /// work and straggler-aware deferrals across the whole service run.
+    pub counters: Counters,
 }
 
 impl ServiceReport {
@@ -331,10 +325,7 @@ impl<'a> LayoutService<'a> {
         let mut jobs: Vec<JobRecord> = Vec::new();
         let mut rejected_by_tenant = vec![0usize; self.tenants.len()];
         let mut total_bytes = 0u64;
-        let mut degraded_reads = 0u64;
-        let mut reconstructed_bytes = 0u64;
-        let mut failovers = 0u64;
-        let mut deferred_requests = 0u64;
+        let mut counters = Counters::default();
         // One retag buffer serves every dispatched job of a non-zero tenant.
         let mut tagged = Trace::new();
         for p in schedule {
@@ -363,10 +354,7 @@ impl<'a> LayoutService<'a> {
             free_at = completion;
             in_flight.push((p.tenant_ix, completion));
             total_bytes += report.total_bytes;
-            degraded_reads += report.degraded_reads;
-            reconstructed_bytes += report.reconstructed_bytes;
-            failovers += report.failovers;
-            deferred_requests += report.deferred_requests;
+            counters.merge(report.counters);
             for (file, layout) in entry.runtime.after_job(trace) {
                 self.cluster.mds_mut().set_layout(file, layout);
             }
@@ -407,10 +395,7 @@ impl<'a> LayoutService<'a> {
             total_bytes,
             jobs,
             tenants,
-            degraded_reads,
-            reconstructed_bytes,
-            failovers,
-            deferred_requests,
+            counters,
         })
     }
 }
@@ -466,22 +451,6 @@ mod tests {
         }
     }
 
-    fn fingerprint(r: &ServiceReport) -> Vec<(u32, u32, u64, u64, u64, u64)> {
-        r.jobs
-            .iter()
-            .map(|j| {
-                (
-                    j.tenant.0,
-                    j.seq,
-                    j.arrival.as_nanos(),
-                    j.start.as_nanos(),
-                    j.completion.as_nanos(),
-                    j.report.makespan.as_nanos(),
-                )
-            })
-            .collect()
-    }
-
     #[test]
     fn one_tenant_run_is_bit_identical_to_a_plain_streaming_replay() {
         let t = small_ior(6);
@@ -501,15 +470,7 @@ mod tests {
         let report = svc.run().unwrap();
         assert_eq!(report.jobs.len(), 1);
         assert_eq!(report.rejected, 0);
-        let job = &report.jobs[0];
-        assert_eq!(job.report.makespan, standalone.makespan);
-        assert_eq!(job.report.total_bytes, standalone.total_bytes);
-        assert_eq!(job.report.mds_lookups, standalone.mds_lookups);
-        assert_eq!(job.report.server_busy_secs(), standalone.server_busy_secs());
-        assert_eq!(
-            job.report.request_latency.sum().to_bits(),
-            standalone.request_latency.sum().to_bits()
-        );
+        assert_eq!(report.jobs[0].report, standalone);
     }
 
     #[test]
@@ -536,15 +497,25 @@ mod tests {
         svc.submit(TenantId(0), t);
         let report = svc.run().unwrap();
         assert_eq!(report.jobs.len(), 2);
-        assert!(report.failovers > 0, "lost primary must fail over");
-        assert_eq!(
-            report.failovers,
-            report.jobs.iter().map(|j| j.report.failovers).sum::<u64>()
-        );
-        assert_eq!(report.degraded_reads, 0, "replication reconstructs nothing");
+        assert!(report.counters.failovers > 0, "lost primary must fail over");
+        assert_eq!(report.counters.degraded_reads, 0, "replication reconstructs nothing");
+        // Each level is the merge of the one below: a job's counters are
+        // its servers' plus its deferrals, the service's are its jobs'.
+        let mut jobs_total = Counters::default();
         for j in &report.jobs {
-            assert_eq!(j.report.timeouts, 0, "redundant jobs must complete");
+            assert_eq!(j.report.counters.timeouts, 0, "redundant jobs must complete");
+            let mut servers_total = Counters {
+                deferred_requests: j.report.counters.deferred_requests,
+                ..Counters::default()
+            };
+            for s in &j.report.per_server {
+                assert_eq!(s.counters.deferred_requests, 0, "deferral is per request");
+                servers_total.merge(s.counters);
+            }
+            assert_eq!(j.report.counters, servers_total);
+            jobs_total.merge(j.report.counters);
         }
+        assert_eq!(report.counters, jobs_total);
     }
 
     #[test]
@@ -563,13 +534,7 @@ mod tests {
             }
             svc.run().unwrap()
         };
-        let a = run();
-        let b = run();
-        assert_eq!(fingerprint(&a), fingerprint(&b));
-        assert_eq!(a.rejected, b.rejected);
-        assert_eq!(a.total_bytes, b.total_bytes);
-        assert_eq!(a.aggregate_mbps().to_bits(), b.aggregate_mbps().to_bits());
-        assert_eq!(a.tenants, b.tenants);
+        assert!(run() == run(), "same seed, same service report");
     }
 
     #[test]
@@ -585,7 +550,7 @@ mod tests {
             }
             svc.run().unwrap()
         };
-        assert_eq!(fingerprint(&run(&[2, 0, 1])), fingerprint(&run(&[0, 1, 2])));
+        assert!(run(&[2, 0, 1]) == run(&[0, 1, 2]), "registration order leaked into the report");
     }
 
     #[test]
@@ -655,20 +620,10 @@ mod tests {
             }
             svc.run().unwrap()
         };
-        let reports = |r: &ServiceReport, t: u32| -> Vec<(u64, u64, Vec<f64>)> {
-            r.jobs
-                .iter()
-                .filter(|j| j.tenant.0 == t)
-                .map(|j| {
-                    (
-                        j.report.makespan.as_nanos(),
-                        j.report.total_bytes,
-                        j.report.server_busy_secs(),
-                    )
-                })
-                .collect()
+        let reports = |r: &ServiceReport, t: u32| -> Vec<ReplayReport> {
+            r.jobs.iter().filter(|j| j.tenant.0 == t).map(|j| j.report.clone()).collect()
         };
-        assert_eq!(reports(&solo, 2), reports(&shared, 2));
+        assert!(reports(&solo, 2) == reports(&shared, 2), "co-tenant changed a replay report");
         // Arrivals are also identical (derived from the tenant id, not
         // the tenant set); only start/completion may differ.
         let arrivals = |r: &ServiceReport, t: u32| -> Vec<u64> {
@@ -746,8 +701,8 @@ mod tests {
         };
         let base = run(false);
         let aware = run(true);
-        assert_eq!(fingerprint(&base), fingerprint(&aware));
-        assert_eq!(aware.deferred_requests, 0);
+        assert!(base == aware, "fault-free straggler-aware dispatch changed the report");
+        assert_eq!(aware.counters.deferred_requests, 0);
     }
 
     #[test]

@@ -252,7 +252,7 @@ impl ReplaySession {
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use crate::replay::IdentityResolver;
+    use crate::replay::{Counters, IdentityResolver};
     use iotrace::gen::ior::{generate, IorConfig};
     use storage_model::IoOp;
 
@@ -278,15 +278,8 @@ mod tests {
         for t in [small_ior(IoOp::Write), small_ior(IoOp::Read)] {
             let a = run_serial(&t);
             let b = run_serial(&t);
-            assert_eq!(a.makespan, b.makespan);
-            assert_eq!(a.server_busy_secs(), b.server_busy_secs());
-            assert_eq!(a.mds_lookups, b.mds_lookups);
-            assert_eq!(
-                a.request_latency.sum().to_bits(),
-                b.request_latency.sum().to_bits()
-            );
-            assert_eq!(b.retries, 0);
-            assert_eq!(b.timeouts, 0);
+            assert_eq!(a, b);
+            assert_eq!(b.counters, Counters::default());
         }
     }
 
@@ -299,13 +292,7 @@ mod tests {
             let r = ReplaySession::new()
                 .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), core)
                 .unwrap();
-            assert_eq!(r.makespan, auto.makespan, "{core:?}");
-            assert_eq!(r.server_busy_secs(), auto.server_busy_secs(), "{core:?}");
-            assert_eq!(
-                r.request_latency.sum().to_bits(),
-                auto.request_latency.sum().to_bits(),
-                "{core:?}"
-            );
+            assert_eq!(r, auto, "{core:?}");
         }
     }
 
@@ -342,12 +329,7 @@ mod tests {
                 CoreSel::Auto,
             )
             .unwrap();
-        assert_eq!(streamed.makespan, unified.makespan);
-        assert_eq!(streamed.server_busy_secs(), unified.server_busy_secs());
-        assert_eq!(
-            streamed.request_latency.sum().to_bits(),
-            unified.request_latency.sum().to_bits()
-        );
+        assert_eq!(streamed, unified);
     }
 
     #[test]
@@ -359,8 +341,7 @@ mod tests {
             .with_fault_plan(FaultPlan::none())
             .run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert_eq!(plain.makespan, faultless.makespan);
-        assert_eq!(plain.server_busy_secs(), faultless.server_busy_secs());
+        assert_eq!(plain, faultless);
         assert!(!c2.faults_applied(), "empty plan must not touch the cluster");
     }
 
@@ -390,8 +371,7 @@ mod tests {
         let r1 = run(plan.clone());
         let r2 = run(plan);
         assert!(r1.makespan > base.makespan, "straggler must cost time");
-        assert_eq!(r1.makespan, r2.makespan, "same plan, same report");
-        assert_eq!(r1.server_busy_secs(), r2.server_busy_secs());
+        assert_eq!(r1, r2, "same plan, same report");
         assert!((r1.per_server[0].slowdown - 4.0).abs() < 1e-12);
     }
 
@@ -406,11 +386,11 @@ mod tests {
             .with_fault_plan(plan)
             .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert!(r.retries > 0, "outage must force retries");
-        assert!(r.timeouts > 0, "down server must time out");
+        assert!(r.counters.retries > 0, "outage must force retries");
+        assert!(r.counters.timeouts > 0, "down server must time out");
         assert!(r.fault_wait > simrt::SimDuration::ZERO);
-        assert_eq!(r.per_server[0].retries, r.retries);
-        assert_eq!(r.per_server[1].timeouts, r.timeouts);
+        assert_eq!(r.per_server[0].counters.retries, r.counters.retries);
+        assert_eq!(r.per_server[1].counters.timeouts, r.counters.timeouts);
         assert!(r.per_server[1].down);
         assert_eq!(
             r.per_server[1].bytes_written, 0,
@@ -434,10 +414,7 @@ mod tests {
         let r2 = session
             .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert_eq!(
-            r1.makespan, r2.makespan,
-            "second run must not re-wrap the device"
-        );
+        assert_eq!(r1, r2, "second run must not re-wrap the device");
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!    runs the write-fabric hop is fused in here (pass 3 would visit the
 //!    same subs in the same order);
 //! 2. **admit** (lane-parallel, fault runs only) — fault admission
-//!    against per-server [`crate::fault::ServerFaultState`]s, one lane
+//!    against per-server fault states (`fault::ServerFaultState`), one lane
 //!    per server;
 //! 3. **write fabric** (serial, sub order, fault runs only) —
 //!    client→server transfers after admission (shared client egress NICs
@@ -480,7 +480,7 @@ pub(crate) fn sharded_core(
             resolve_overhead,
             request_latency: latencies,
             phase_end,
-            deferred_requests: sched.deferred,
+            deferred: sched.deferred,
         },
     ))
 }
@@ -502,46 +502,6 @@ mod tests {
         generate(&cfg)
     }
 
-    /// Every observable of the two reports, compared bit for bit.
-    fn assert_identical(serial: &ReplayReport, sharded: &ReplayReport) {
-        assert_eq!(serial.makespan, sharded.makespan);
-        assert_eq!(serial.total_bytes, sharded.total_bytes);
-        assert_eq!(serial.read_bytes, sharded.read_bytes);
-        assert_eq!(serial.write_bytes, sharded.write_bytes);
-        assert_eq!(serial.requests, sharded.requests);
-        assert_eq!(serial.phases, sharded.phases);
-        assert_eq!(serial.resolve_overhead, sharded.resolve_overhead);
-        assert_eq!(serial.mds_lookups, sharded.mds_lookups);
-        assert_eq!(serial.retries, sharded.retries);
-        assert_eq!(serial.timeouts, sharded.timeouts);
-        assert_eq!(serial.fault_wait, sharded.fault_wait);
-        assert_eq!(serial.degraded_reads, sharded.degraded_reads);
-        assert_eq!(serial.reconstructed_bytes, sharded.reconstructed_bytes);
-        assert_eq!(serial.failovers, sharded.failovers);
-        assert_eq!(serial.deferred_requests, sharded.deferred_requests);
-        assert_eq!(
-            serial.request_latency.sum().to_bits(),
-            sharded.request_latency.sum().to_bits()
-        );
-        assert_eq!(
-            serial.request_latency.max().to_bits(),
-            sharded.request_latency.max().to_bits()
-        );
-        assert_eq!(serial.per_server.len(), sharded.per_server.len());
-        for (a, b) in serial.per_server.iter().zip(sharded.per_server.iter()) {
-            assert_eq!(a.busy, b.busy, "server {} busy", a.server);
-            assert_eq!(a.bytes_read, b.bytes_read);
-            assert_eq!(a.bytes_written, b.bytes_written);
-            assert_eq!(a.served, b.served);
-            assert_eq!(a.retries, b.retries, "server {} retries", a.server);
-            assert_eq!(a.timeouts, b.timeouts, "server {} timeouts", a.server);
-            assert_eq!(a.down, b.down);
-            assert_eq!(a.degraded_reads, b.degraded_reads, "server {} degraded", a.server);
-            assert_eq!(a.reconstructed_bytes, b.reconstructed_bytes);
-            assert_eq!(a.failovers, b.failovers, "server {} failovers", a.server);
-        }
-    }
-
     #[test]
     fn sharded_matches_serial_fault_free() {
         for t in [small_ior(IoOp::Write), small_ior(IoOp::Read)] {
@@ -550,7 +510,7 @@ mod tests {
             let mut c2 = Cluster::new(ClusterConfig::paper_default());
             let sharded =
                 ReplaySession::new().run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Sharded).unwrap();
-            assert_identical(&serial, &sharded);
+            assert_eq!(serial, sharded);
         }
     }
 
@@ -566,13 +526,13 @@ mod tests {
             .with_fault_plan(plan.clone())
             .run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert!(serial.retries > 0 && serial.timeouts > 0, "plan must bite");
+        assert!(serial.counters.retries > 0 && serial.counters.timeouts > 0, "plan must bite");
         let mut c2 = Cluster::new(ClusterConfig::paper_default());
         let sharded = ReplaySession::new()
             .with_fault_plan(plan)
             .run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Sharded)
             .unwrap();
-        assert_identical(&serial, &sharded);
+        assert_eq!(serial, sharded);
     }
 
     #[test]
@@ -599,18 +559,21 @@ mod tests {
                 .with_fault_plan(plan)
                 .run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Sharded)
                 .unwrap();
-            assert_identical(&serial, &sharded);
-            assert_eq!(serial.timeouts, 0, "{placement:?}: degraded replay must complete");
+            assert_eq!(serial, sharded);
+            assert_eq!(serial.counters.timeouts, 0, "{placement:?}: degraded replay must complete");
             assert_eq!(serial.total_bytes, t.total_bytes());
             match placement {
                 Placement::Replicated(_) => {
-                    assert!(serial.failovers > 0, "replica failovers must be counted");
-                    assert_eq!(serial.per_server[1].failovers, serial.failovers);
+                    assert!(serial.counters.failovers > 0, "replica failovers must be counted");
+                    assert_eq!(serial.per_server[1].counters.failovers, serial.counters.failovers);
                 }
                 _ => {
-                    assert!(serial.degraded_reads > 0, "EC degraded reads must be counted");
-                    assert!(serial.reconstructed_bytes > 0);
-                    assert_eq!(serial.per_server[1].degraded_reads, serial.degraded_reads);
+                    assert!(serial.counters.degraded_reads > 0, "EC degraded reads must be counted");
+                    assert!(serial.counters.reconstructed_bytes > 0);
+                    assert_eq!(
+                        serial.per_server[1].counters.degraded_reads,
+                        serial.counters.degraded_reads
+                    );
                 }
             }
         }
@@ -633,7 +596,7 @@ mod tests {
         let streamed = ReplaySession::new()
             .run(ReplayInput::stream(&mut c2, &mut iotrace::gen::ior::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert_identical(&serial, &streamed);
+        assert_eq!(serial, streamed);
     }
 
     #[test]
@@ -644,7 +607,7 @@ mod tests {
             let mut c = Cluster::new(ClusterConfig::paper_default());
             reports.push(session.run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Sharded).unwrap());
         }
-        assert_identical(&reports[0], &reports[2]);
+        assert_eq!(reports[0], reports[2]);
     }
 
     #[test]
@@ -692,7 +655,7 @@ mod tests {
             assert_eq!(t.len(), (w - 1) + w + (w + 1) + (2 * w + 1));
             let (serial, sharded) = both_cores(&t, ReplaySession::new, |_| {});
             assert_eq!(serial.phases, 4);
-            assert_identical(&serial, &sharded);
+            assert_eq!(serial, sharded);
         }
     }
 
@@ -702,8 +665,8 @@ mod tests {
         let plan = FaultPlan::none().outage(0, 0.0, 0.05).down(1, 0.0).slow_server(2, 3.0);
         let (serial, sharded) =
             both_cores(&t, || ReplaySession::new().with_fault_plan(plan.clone()), |_| {});
-        assert!(serial.retries > 0 && serial.timeouts > 0, "plan must bite");
-        assert_identical(&serial, &sharded);
+        assert!(serial.counters.retries > 0 && serial.counters.timeouts > 0, "plan must bite");
+        assert_eq!(serial, sharded);
     }
 
     #[test]
@@ -720,10 +683,10 @@ mod tests {
                 |c| c.mds_mut().set_layout(FileId(0), spec.clone()),
             );
             assert!(
-                serial.failovers + serial.degraded_reads > 0,
+                serial.counters.failovers + serial.counters.degraded_reads > 0,
                 "{placement:?}: the down server must be routed around"
             );
-            assert_identical(&serial, &sharded);
+            assert_eq!(serial, sharded);
         }
     }
 
@@ -750,8 +713,8 @@ mod tests {
             },
             |_| {},
         );
-        assert!(serial.deferred_requests > 0, "the outage must trip the scheduler");
-        assert_identical(&serial, &sharded);
+        assert!(serial.counters.deferred_requests > 0, "the outage must trip the scheduler");
+        assert_eq!(serial, sharded);
     }
 
     #[test]
@@ -773,6 +736,6 @@ mod tests {
                 CoreSel::Sharded,
             )
             .unwrap();
-        assert_identical(&materialized, &streamed);
+        assert_eq!(materialized, streamed);
     }
 }

@@ -8,7 +8,7 @@ use iotrace::gen::ior::{generate as gen_ior, IorConfig};
 use iotrace::{FileId, Rank, Trace, TraceRecord};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutSpec, PhysExtent,
-    ReplayError, ReplayInput, ReplayReport, ReplaySession, Resolver, SchedPolicy,
+    ReplayError, ReplayInput, ReplaySession, Resolver, SchedPolicy,
     ServerId,
 };
 use simrt::{SeedSeq, SimDuration, SimTime};
@@ -82,20 +82,6 @@ fn dispatch_order(trace: &Trace, policy: SchedPolicy) -> Vec<u64> {
     probe.seen
 }
 
-/// Every observable that must agree for two runs to count as identical.
-fn fingerprint(r: &ReplayReport) -> (u64, u64, u64, u64, u64, u64, u64, Vec<u64>) {
-    (
-        r.makespan.as_nanos(),
-        r.total_bytes,
-        r.retries,
-        r.timeouts,
-        r.deferred_requests,
-        r.request_latency.sum().to_bits(),
-        r.request_latency.max().to_bits(),
-        r.per_server.iter().map(|s| s.busy.as_nanos()).collect(),
-    )
-}
-
 #[test]
 fn seeded_shuffle_dispatches_in_the_pre_scheduler_order() {
     let trace = tagged_trace(4, 9);
@@ -133,8 +119,8 @@ fn fault_free_straggler_aware_report_is_bit_identical_to_seeded_shuffle() {
     for core in [CoreSel::Serial, CoreSel::Sharded] {
         let base = run(SchedPolicy::SeededShuffle, core);
         let aware = run(SchedPolicy::straggler_aware(), core);
-        assert_eq!(fingerprint(&base), fingerprint(&aware), "{core:?}");
-        assert_eq!(aware.deferred_requests, 0);
+        assert_eq!(base, aware, "{core:?}");
+        assert_eq!(aware.counters.deferred_requests, 0);
     }
 }
 
@@ -202,12 +188,8 @@ fn straggler_aware_defers_under_a_heavy_transient_fault() {
     };
     let serial = run(CoreSel::Serial);
     let sharded = run(CoreSel::Sharded);
-    assert!(serial.deferred_requests > 0, "outage must trip the scheduler");
-    assert_eq!(
-        fingerprint(&serial),
-        fingerprint(&sharded),
-        "cores must agree while the scheduler is active"
-    );
+    assert!(serial.counters.deferred_requests > 0, "outage must trip the scheduler");
+    assert_eq!(serial, sharded, "cores must agree while the scheduler is active");
 }
 
 #[test]
@@ -224,7 +206,7 @@ fn straggler_aware_reports_are_deterministic_across_reruns() {
     };
     let a = run_fresh();
     let b = run_fresh();
-    assert_eq!(fingerprint(&a), fingerprint(&b), "fresh sessions");
+    assert_eq!(a, b, "fresh sessions");
 
     // A warm session must not leak EWMA state between runs: back-to-back
     // runs of the same input stay identical to a cold one.
@@ -236,7 +218,7 @@ fn straggler_aware_reports_are_deterministic_across_reruns() {
         let r = warm
             .run(ReplayInput::trace(&mut cluster, &trace, &mut IdentityResolver), CoreSel::Serial)
             .unwrap();
-        assert_eq!(fingerprint(&a), fingerprint(&r), "warm round {round}");
+        assert_eq!(a, r, "warm round {round}");
     }
 }
 

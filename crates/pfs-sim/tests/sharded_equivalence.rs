@@ -12,60 +12,11 @@ use iotrace::gen::{ior, skewed};
 use iotrace::{FileId, Rank, RecordBatch, TenantId, Trace, TraceRecord};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutSpec, Placement,
-    ReplayInput, ReplayReport, ReplaySession, SchedPolicy, ServerId,
+    ReplayInput, ReplaySession, SchedPolicy, ServerId,
 };
 use simrt::rng::SmallRng;
 use simrt::{SeedSeq, SimDuration, SimTime};
 use storage_model::IoOp;
-
-/// Compare every observable of two reports bit for bit.
-fn assert_identical(serial: &ReplayReport, sharded: &ReplayReport, trial: usize) {
-    assert_eq!(serial.makespan, sharded.makespan, "trial {trial}: makespan");
-    assert_eq!(serial.total_bytes, sharded.total_bytes, "trial {trial}");
-    assert_eq!(serial.read_bytes, sharded.read_bytes, "trial {trial}");
-    assert_eq!(serial.write_bytes, sharded.write_bytes, "trial {trial}");
-    assert_eq!(serial.requests, sharded.requests, "trial {trial}");
-    assert_eq!(serial.phases, sharded.phases, "trial {trial}");
-    assert_eq!(serial.resolve_overhead, sharded.resolve_overhead, "trial {trial}");
-    assert_eq!(serial.mds_lookups, sharded.mds_lookups, "trial {trial}");
-    assert_eq!(serial.retries, sharded.retries, "trial {trial}: retries");
-    assert_eq!(serial.timeouts, sharded.timeouts, "trial {trial}: timeouts");
-    assert_eq!(serial.fault_wait, sharded.fault_wait, "trial {trial}: fault_wait");
-    assert_eq!(serial.degraded_reads, sharded.degraded_reads, "trial {trial}: degraded");
-    assert_eq!(
-        serial.reconstructed_bytes, sharded.reconstructed_bytes,
-        "trial {trial}: reconstructed"
-    );
-    assert_eq!(serial.failovers, sharded.failovers, "trial {trial}: failovers");
-    assert_eq!(
-        serial.deferred_requests, sharded.deferred_requests,
-        "trial {trial}: deferred"
-    );
-    assert_eq!(
-        serial.request_latency.sum().to_bits(),
-        sharded.request_latency.sum().to_bits(),
-        "trial {trial}: latency sum"
-    );
-    assert_eq!(
-        serial.request_latency.max().to_bits(),
-        sharded.request_latency.max().to_bits(),
-        "trial {trial}: latency max"
-    );
-    assert_eq!(serial.per_server.len(), sharded.per_server.len());
-    for (a, b) in serial.per_server.iter().zip(sharded.per_server.iter()) {
-        let s = a.server;
-        assert_eq!(a.busy, b.busy, "trial {trial}: server {s} busy");
-        assert_eq!(a.bytes_read, b.bytes_read, "trial {trial}: server {s}");
-        assert_eq!(a.bytes_written, b.bytes_written, "trial {trial}: server {s}");
-        assert_eq!(a.served, b.served, "trial {trial}: server {s} served");
-        assert_eq!(a.retries, b.retries, "trial {trial}: server {s} retries");
-        assert_eq!(a.timeouts, b.timeouts, "trial {trial}: server {s} timeouts");
-        assert_eq!(a.down, b.down, "trial {trial}: server {s} down");
-        assert_eq!(a.degraded_reads, b.degraded_reads, "trial {trial}: server {s} degraded");
-        assert_eq!(a.reconstructed_bytes, b.reconstructed_bytes, "trial {trial}: server {s}");
-        assert_eq!(a.failovers, b.failovers, "trial {trial}: server {s} failovers");
-    }
-}
 
 /// A random barrier-phased trace: 1–6 phases, 1–12 records each, ranks,
 /// files, ops, offsets and sizes all drawn at random.
@@ -196,7 +147,7 @@ fn sharded_replay_is_bit_identical_under_random_sched_policies() {
             .run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded)
             .unwrap();
 
-        assert_identical(&serial, &sharded, trial);
+        assert_eq!(serial, sharded, "trial {trial}");
     }
 }
 
@@ -222,7 +173,7 @@ fn sharded_replay_is_bit_identical_to_serial_across_random_scenarios() {
             .run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded)
             .unwrap();
 
-        assert_identical(&serial, &sharded, trial);
+        assert_eq!(serial, sharded, "trial {trial}");
     }
 }
 
@@ -254,7 +205,7 @@ fn tenant_namespaced_files_replay_identically() {
             .run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded)
             .unwrap();
 
-        assert_identical(&serial, &sharded, trial);
+        assert_eq!(serial, sharded, "trial {trial}");
         let mut files: Vec<FileId> = trace.records().iter().map(|r| r.file).collect();
         files.sort_unstable();
         files.dedup();
@@ -291,7 +242,7 @@ fn degraded_redundant_replay_is_bit_identical_and_completes() {
             .run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded)
             .unwrap();
 
-        assert_identical(&serial, &sharded, trial);
+        assert_eq!(serial, sharded, "trial {trial}");
 
         // Completion guarantee: single permanent loss, every file on a
         // loss-tolerant layout over distinct live servers → no timeouts.
@@ -309,7 +260,7 @@ fn degraded_redundant_replay_is_bit_identical_and_completes() {
                 .with_fault_plan(only_loss)
                 .run(ReplayInput::trace(&mut c3, &trace, &mut IdentityResolver), CoreSel::Auto)
                 .unwrap();
-            assert_eq!(degraded.timeouts, 0, "trial {trial}: redundant replay must complete");
+            assert_eq!(degraded.counters.timeouts, 0, "trial {trial}: redundant replay must complete");
             assert_eq!(degraded.total_bytes, trace.total_bytes(), "trial {trial}");
         }
     }
@@ -329,7 +280,7 @@ fn one_warmed_session_stays_identical_across_random_scenarios() {
             ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
         let mut c2 = Cluster::new(config);
         let sharded = session.run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded).unwrap();
-        assert_identical(&serial, &sharded, trial);
+        assert_eq!(serial, sharded, "trial {trial}");
     }
 }
 
@@ -367,7 +318,7 @@ fn streaming_generators_match_their_materialized_traces() {
         let streamed = ReplaySession::new()
             .run(ReplayInput::stream(&mut c2, &mut ior::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert_identical(&serial, &streamed, trial);
+        assert_eq!(serial, streamed, "trial {trial}");
     }
 }
 
@@ -382,7 +333,7 @@ fn skewed_stream_replays_identically_to_its_trace() {
     let streamed = ReplaySession::new()
         .run(ReplayInput::stream(&mut c2, &mut skewed::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
         .unwrap();
-    assert_identical(&serial, &streamed, 0);
+    assert_eq!(serial, streamed, "trial 0");
 }
 
 #[test]
@@ -417,6 +368,6 @@ fn skewed_stream_replays_identically_under_active_fault_plans() {
             .with_fault_plan(plan)
             .run(ReplayInput::stream(&mut c2, &mut skewed::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
             .unwrap();
-        assert_identical(&serial, &streamed, trial);
+        assert_eq!(serial, streamed, "trial {trial}");
     }
 }

@@ -1,6 +1,12 @@
 //! Online statistics and histograms for simulation reporting.
 
 /// Welford online mean/variance accumulator.
+///
+/// Two accumulators are equal when every internal field has the same bit
+/// pattern: the same observations pushed in the same order, so reports
+/// that carry one compare exactly (a `-0.0` and a `0.0` observation
+/// differ, and so do two streams whose sums agree but whose spreads do
+/// not).
 #[derive(Debug, Clone, Default)]
 pub struct OnlineStats {
     n: u64,
@@ -9,6 +15,13 @@ pub struct OnlineStats {
     min: f64,
     max: f64,
     sum: f64,
+}
+
+impl PartialEq for OnlineStats {
+    fn eq(&self, other: &Self) -> bool {
+        let bits = |s: &Self| [s.mean, s.m2, s.min, s.max, s.sum].map(f64::to_bits);
+        self.n == other.n && bits(self) == bits(other)
+    }
 }
 
 impl OnlineStats {
@@ -210,6 +223,26 @@ mod tests {
         assert_eq!(s.min(), 2.0);
         assert_eq!(s.max(), 9.0);
         assert!((s.sum() - 40.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn equality_is_by_bit_pattern() {
+        let of = |xs: &[f64]| {
+            let mut s = OnlineStats::new();
+            xs.iter().for_each(|&x| s.push(x));
+            s
+        };
+        assert_eq!(of(&[1.0, 2.5]), of(&[1.0, 2.5]));
+        // Same value, different sign bit: `min` and `max` keep it.
+        let (pos, neg) = (of(&[0.0]), of(&[-0.0]));
+        assert_eq!(pos.sum().to_bits(), neg.sum().to_bits());
+        assert_ne!(pos, neg);
+        // Same count, sum, mean, min and max; only `m2` (8 vs 10) differs.
+        let (a, b) = (of(&[0.0, 2.0, 2.0, 4.0]), of(&[0.0, 1.0, 3.0, 4.0]));
+        assert_eq!((a.count(), a.sum(), a.mean()), (b.count(), b.sum(), b.mean()));
+        assert_eq!((a.min(), a.max()), (b.min(), b.max()));
+        assert_ne!(a.variance(), b.variance());
+        assert_ne!(a, b);
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! affine (HDD seeks depend on locality, SSD rates ramp with size), so the
 //! paper measures α and β empirically. We do the same: probe a device with
 //! a spread of request sizes at random offsets and least-squares fit a
-//! line. `mha-core` then builds its [`CostParams`]-equivalent from these
+//! line. `mha-core` then builds its `CostParams` equivalent from these
 //! fits — the model sees only the fit, never the simulator internals,
 //! preserving the model/ground-truth separation.
 

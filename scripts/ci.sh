@@ -106,6 +106,8 @@ done
 # --all-targets lints tests and examples too; the pre-0.3
 # replay free functions are gone, so any resurrected caller fails here.
 cargo clippy --workspace --all-targets -- -D warnings
+# Rustdoc stays clean: a broken or private intra-doc link is an error.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 # Durability gate, explicitly: the kill-point matrices (simulated crash
 # at every commit boundary of save_plan and journaled migration), the
 # corruption/truncation recovery tests, and the save→reload→replay
@@ -151,7 +153,9 @@ cargo test -q -p mha-core save_tables_kill_matrix
 # and the streaming-generator path must stay bit-identical to the
 # serial replay loop across randomized traces, cluster shapes, layouts
 # and fault plans (also inside `cargo test -q`; named to pin the PR 6
-# contract).
+# contract). "Bit-identical" is `==` on the whole `ReplayReport`: every
+# field and every server's stats and counters, the latency statistics
+# by bit pattern.
 cargo test -q -p pfs-sim --test sharded_equivalence
 # Replay window, by name: the sharded core walks each phase in fixed
 # windows, so phases one record short of a window, exactly one, one
@@ -167,8 +171,8 @@ cargo test -q -p pfs-sim --test replay_memory
 # counting allocator); the retag happens at dispatch.
 cargo test -q -p pfs-sim --test service_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
-# serial == sharded == streamed identity assertion on a materialized
-# prefix — catches panics, identity drift and memory blow-ups at the
+# serial == sharded == streamed whole-report identity assertion on a
+# materialized prefix — catches panics, identity drift and memory blow-ups at the
 # cluster sizes the full grid exercises.
 cargo run -p mha-bench --release --bin scale -- --smoke
 # Study smoke: every figure and study is a `figures` id with one flag
@@ -180,16 +184,18 @@ cargo run -p mha-bench --release --bin scale -- --smoke
 # - online: the plan-while-running loop recovers from a phase shift at
 #   least 2x sooner than plan-then-rerun, a quiet window costs <10% of a
 #   cold plan, and the recovered bandwidth beats the unplanned layout;
-# - service: the multi-tenant service is seeded-deterministic, co-tenants
-#   never perturb a tenant's replay reports, and one tenant degenerates
-#   to a plain streaming replay;
+# - service: the multi-tenant service is seeded-deterministic (the whole
+#   `ServiceReport` reruns equal), co-tenants never perturb a tenant's
+#   replay reports, and one tenant degenerates to a plain streaming
+#   replay (whole reports equal);
 # - redundancy: replicated and erasure-coded layouts survive a permanent
 #   server loss with zero timeouts, healthy redundant replays match
 #   striped MHA, and the journaled rebuild swaps every affected layout
 #   onto the spare (its kill-point matrix lives in `mha-core rebuild::`);
 # - straggler: straggler-aware dispatch is a bit-identical no-op
-#   fault-free, both replay cores agree in every cell, and it never
-#   loses to blind dispatch under the migrating transient straggler.
+#   fault-free (whole reports equal), both replay cores agree in every
+#   cell, and it never loses to blind dispatch under the migrating
+#   transient straggler.
 # `--json` also drives the results/<figure id>.json writer (into the
 # scratch directory the exit trap removes). The
 # kill-matrix resume test checks a crash mid-service on the shared store.

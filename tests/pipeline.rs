@@ -106,8 +106,7 @@ fn end_to_end_determinism() {
     for scheme in Scheme::all() {
         let a = eval(scheme, &trace, &cluster, &c);
         let b = eval(scheme, &trace, &cluster, &c);
-        assert_eq!(a.makespan, b.makespan, "{}", scheme.name());
-        assert_eq!(a.server_busy_secs(), b.server_busy_secs(), "{}", scheme.name());
+        assert_eq!(a, b, "{}", scheme.name());
     }
 }
 
