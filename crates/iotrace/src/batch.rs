@@ -1,10 +1,11 @@
-//! Columnar (structure-of-arrays) record batches and streaming sources.
+//! Run-encoded record batches and streaming sources.
 //!
-//! A [`RecordBatch`] holds one barrier phase of records as parallel
-//! columns instead of a `Vec<TraceRecord>`. The sharded replay consumes
-//! phases column-wise — every pass touches only the two or three columns
-//! it needs, so a 10 M-record phase streams through cache-sized slabs
-//! instead of striding over 64-byte record structs.
+//! A [`RecordBatch`] holds one barrier phase of records as seven columns
+//! instead of a `Vec<TraceRecord>`, and stores each column as a run
+//! `base + i·step` until the first value that breaks it. Generated phases
+//! vary in few columns: an IOR phase's pid, rank, file, op, length and
+//! timestamp are constant or `base + rank`, so a 16,384-rank phase keeps
+//! only its offsets, 8 B per record.
 //!
 //! A [`BatchSource`] yields phases one batch at a time. Generators
 //! implement it directly (emitting each phase as they compute it), so a
@@ -25,22 +26,90 @@ use crate::trace::Trace;
 use simrt::SimTime;
 use storage_model::IoOp;
 
-/// One barrier phase of trace records, stored as parallel columns.
+/// A column value: an unsigned word under wrapping arithmetic, so one
+/// run form covers constant, rising and falling (wrapping step) columns.
+trait Word: Copy + Default + PartialEq {
+    fn plus(self, other: Self) -> Self;
+    fn minus(self, other: Self) -> Self;
+    fn times(self, i: usize) -> Self;
+}
+
+macro_rules! word {
+    ($($t:ty),*) => {$(
+        impl Word for $t {
+            fn plus(self, other: Self) -> Self {
+                self.wrapping_add(other)
+            }
+            fn minus(self, other: Self) -> Self {
+                self.wrapping_sub(other)
+            }
+            fn times(self, i: usize) -> Self {
+                // Truncating `i` is exact modulo the word size.
+                self.wrapping_mul(i as $t)
+            }
+        }
+    )*};
+}
+word!(u8, u32, u64);
+
+/// One column: the run `base + i·step` until a value breaks it, then
+/// every value.
+#[derive(Debug, Clone, Default)]
+struct Column<T> {
+    base: T,
+    step: T,
+    /// Every value once the run broke; empty while the column is a run.
+    values: Vec<T>,
+}
+
+impl<T: Word> Column<T> {
+    fn run_at(&self, i: usize) -> T {
+        self.base.plus(self.step.times(i))
+    }
+
+    /// Append `v` as value `i`; the column holds values `0..i`.
+    fn push(&mut self, i: usize, v: T) {
+        if !self.values.is_empty() {
+            self.values.push(v);
+        } else if i == 0 {
+            self.base = v;
+        } else if i == 1 {
+            self.step = v.minus(self.base);
+        } else if v != self.run_at(i) {
+            let (base, step) = (self.base, self.step);
+            self.values.extend((0..i).map(|k| base.plus(step.times(k))));
+            self.values.push(v);
+        }
+    }
+
+    fn get(&self, i: usize) -> T {
+        if self.values.is_empty() {
+            self.run_at(i)
+        } else {
+            self.values[i]
+        }
+    }
+}
+
+/// One barrier phase of trace records, stored as run-encoded columns.
 ///
-/// All columns always have equal length; the phase id is a scalar
-/// because a batch spans exactly one phase. Buffers are retained across
+/// Every column holds `len` values; the phase id is a scalar because a
+/// batch spans exactly one phase. Buffers are retained across
 /// [`RecordBatch::begin`] calls, so a streaming loop reusing one batch
 /// is allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
 pub struct RecordBatch {
     phase: u32,
-    pids: Vec<u32>,
-    ranks: Vec<u32>,
-    files: Vec<u32>,
-    ops: Vec<IoOp>,
-    offsets: Vec<u64>,
-    lens: Vec<u64>,
-    timestamps: Vec<SimTime>,
+    len: usize,
+    pids: Column<u32>,
+    ranks: Column<u32>,
+    files: Column<u32>,
+    /// `IoOp::Read` is 0, `IoOp::Write` 1.
+    ops: Column<u8>,
+    offsets: Column<u64>,
+    lens: Column<u64>,
+    /// Nanoseconds.
+    timestamps: Column<u64>,
 }
 
 impl RecordBatch {
@@ -53,49 +122,53 @@ impl RecordBatch {
     /// allocated capacity.
     pub fn begin(&mut self, phase: u32) {
         self.phase = phase;
-        self.pids.clear();
-        self.ranks.clear();
-        self.files.clear();
-        self.ops.clear();
-        self.offsets.clear();
-        self.lens.clear();
-        self.timestamps.clear();
+        self.len = 0;
+        self.pids.values.clear();
+        self.ranks.values.clear();
+        self.files.values.clear();
+        self.ops.values.clear();
+        self.offsets.values.clear();
+        self.lens.values.clear();
+        self.timestamps.values.clear();
     }
 
     /// Append one record.
     pub fn push(&mut self, rec: &TraceRecord) {
         debug_assert_eq!(rec.phase, self.phase, "batch spans exactly one phase");
-        self.pids.push(rec.pid);
-        self.ranks.push(rec.rank.0);
-        self.files.push(rec.file.0);
-        self.ops.push(rec.op);
-        self.offsets.push(rec.offset);
-        self.lens.push(rec.len);
-        self.timestamps.push(rec.ts);
+        let i = self.len;
+        self.pids.push(i, rec.pid);
+        self.ranks.push(i, rec.rank.0);
+        self.files.push(i, rec.file.0);
+        self.ops.push(i, matches!(rec.op, IoOp::Write).into());
+        self.offsets.push(i, rec.offset);
+        self.lens.push(i, rec.len);
+        self.timestamps.push(i, rec.ts.as_nanos());
+        self.len += 1;
     }
 
     /// Reconstruct record `i` from the columns.
     pub fn record(&self, i: usize) -> TraceRecord {
+        assert!(i < self.len, "record {i} of a {}-record batch", self.len);
         TraceRecord {
-            pid: self.pids[i],
-            rank: Rank(self.ranks[i]),
-            file: FileId(self.files[i]),
-            op: self.ops[i],
-            offset: self.offsets[i],
-            len: self.lens[i],
-            ts: self.timestamps[i],
+            pid: self.pids.get(i),
+            rank: Rank(self.ranks.get(i)),
+            file: FileId(self.files.get(i)),
+            op: if self.ops.get(i) == 0 { IoOp::Read } else { IoOp::Write },
+            offset: self.offsets.get(i),
+            len: self.lens.get(i),
+            ts: SimTime::from_nanos(self.timestamps.get(i)),
             phase: self.phase,
         }
     }
 
     /// Records in the batch.
     pub fn len(&self) -> usize {
-        self.lens.len()
+        self.len
     }
 
     /// True when the batch holds no records.
     pub fn is_empty(&self) -> bool {
-        self.lens.is_empty()
+        self.len == 0
     }
 
     /// The phase every record of this batch belongs to.
@@ -103,44 +176,9 @@ impl RecordBatch {
         self.phase
     }
 
-    /// Process id column.
-    pub fn pids(&self) -> &[u32] {
-        &self.pids
-    }
-
-    /// MPI rank column.
-    pub fn ranks(&self) -> &[u32] {
-        &self.ranks
-    }
-
-    /// File id column.
-    pub fn files(&self) -> &[u32] {
-        &self.files
-    }
-
-    /// Operation column.
-    pub fn ops(&self) -> &[IoOp] {
-        &self.ops
-    }
-
-    /// Byte offset column.
-    pub fn offsets(&self) -> &[u64] {
-        &self.offsets
-    }
-
-    /// Request length column.
-    pub fn lens(&self) -> &[u64] {
-        &self.lens
-    }
-
-    /// Timestamp column.
-    pub fn timestamps(&self) -> &[SimTime] {
-        &self.timestamps
-    }
-
     /// Bytes moved by this batch.
     pub fn total_bytes(&self) -> u64 {
-        self.lens.iter().sum()
+        (0..self.len).map(|i| self.lens.get(i)).sum()
     }
 }
 
@@ -246,6 +284,8 @@ pub fn materialize<S: BatchSource + ?Sized>(source: &mut S) -> Trace {
 mod tests {
     use super::*;
     use crate::gen::ior::{generate, IorConfig};
+    use simrt::rng::SmallRng;
+    use simrt::SeedSeq;
 
     #[test]
     fn push_and_record_round_trip() {
@@ -269,6 +309,116 @@ mod tests {
         b.begin(5);
         assert!(b.is_empty(), "begin clears the previous phase");
         assert_eq!(b.phase(), 5);
+    }
+
+    /// `n` values of one column: constant, rising, falling, wrapping, a
+    /// run broken at index 1, 2, n−1 or at random, or random. Narrower
+    /// fields truncate, which keeps a run a run (modulo their width), and
+    /// the op column reads the low bit, so an odd step alternates ops.
+    fn column(rng: &mut SmallRng, n: usize) -> Vec<u64> {
+        let step = if rng.gen_bool(0.5) { rng.gen_range(1..=16u64) } else { rng.next_u64() };
+        let base = rng.next_u64();
+        let run =
+            |base: u64, step: u64| move |i: usize| base.wrapping_add(step.wrapping_mul(i as u64));
+        match rng.gen_range(0..6u32) {
+            0 => vec![base; n],
+            1 => (0..n).map(run(base, step)).collect(),
+            2 => (0..n).map(run(base, step.wrapping_neg())).collect(),
+            3 => (0..n).map(run(u64::MAX - step, step)).collect(),
+            4 => {
+                let at = [1, 2, n.saturating_sub(1), rng.gen_range(0..n.max(1))]
+                    [rng.gen_range(0..4usize)];
+                let mut v: Vec<u64> = (0..n).map(run(base, step)).collect();
+                if let Some(x) = v.get_mut(at) {
+                    // Flipping the low bit breaks the run in every width.
+                    *x ^= 1;
+                }
+                v
+            }
+            _ => (0..n).map(|_| rng.next_u64()).collect(),
+        }
+    }
+
+    /// One phase of `n` records whose seven fields are independent
+    /// [`column`]s.
+    fn phase_records(rng: &mut SmallRng, phase: u32, n: usize) -> Vec<TraceRecord> {
+        let c: Vec<Vec<u64>> = (0..7).map(|_| column(rng, n)).collect();
+        (0..n)
+            .map(|i| TraceRecord {
+                pid: c[0][i] as u32,
+                rank: Rank(c[1][i] as u32),
+                file: FileId(c[2][i] as u32),
+                op: if c[3][i] & 1 == 0 { IoOp::Read } else { IoOp::Write },
+                offset: c[4][i],
+                len: c[5][i],
+                ts: SimTime::from_nanos(c[6][i]),
+                phase,
+            })
+            .collect()
+    }
+
+    /// Fill `batch` with `recs` and read every record back.
+    fn check_phase(batch: &mut RecordBatch, phase: u32, recs: &[TraceRecord]) {
+        batch.begin(phase);
+        for r in recs {
+            batch.push(r);
+        }
+        assert_eq!(batch.len(), recs.len());
+        assert_eq!(batch.phase(), phase);
+        let got: Vec<TraceRecord> = (0..batch.len()).map(|i| batch.record(i)).collect();
+        assert_eq!(got, recs, "phase {phase}");
+        if let Some(total) = recs.iter().try_fold(0u64, |a, r| a.checked_add(r.len)) {
+            assert_eq!(batch.total_bytes(), total, "phase {phase}");
+        }
+    }
+
+    #[test]
+    fn run_columns_read_back_like_a_record_vector() {
+        let mut rng = SeedSeq::new(0xba7c).rng();
+        for trial in 0..200 {
+            let mut batch = RecordBatch::new();
+            for phase in 0..8 {
+                let most = if rng.gen_bool(0.2) { 4 } else { 64 };
+                let n = rng.gen_range(0..most);
+                let recs = phase_records(&mut rng, trial * 8 + phase, n);
+                check_phase(&mut batch, trial * 8 + phase, &recs);
+            }
+        }
+    }
+
+    #[test]
+    fn begin_reuses_a_materialized_batch_for_a_run_and_back() {
+        let mut rng = SeedSeq::new(7).rng();
+        let random: Vec<TraceRecord> = (0..100)
+            .map(|_| TraceRecord {
+                pid: rng.next_u64() as u32,
+                rank: Rank(rng.next_u64() as u32),
+                file: FileId(rng.next_u64() as u32),
+                op: if rng.gen_bool(0.5) { IoOp::Read } else { IoOp::Write },
+                offset: rng.next_u64(),
+                len: rng.gen_range(1..1u64 << 20),
+                ts: SimTime::from_nanos(rng.next_u64()),
+                phase: 0,
+            })
+            .collect();
+        let run: Vec<TraceRecord> = (0..100u32)
+            .map(|i| TraceRecord {
+                pid: 1000 + i,
+                rank: Rank(i),
+                file: FileId(3),
+                op: IoOp::Write,
+                offset: u64::from(99 - i) << 16,
+                len: 65536,
+                ts: SimTime::from_nanos(42),
+                phase: 1,
+            })
+            .collect();
+        let mut batch = RecordBatch::new();
+        check_phase(&mut batch, 0, &random);
+        check_phase(&mut batch, 1, &run);
+        check_phase(&mut batch, 0, &random);
+        check_phase(&mut batch, 1, &run[..1]);
+        check_phase(&mut batch, 2, &[]);
     }
 
     #[test]

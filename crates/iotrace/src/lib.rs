@@ -8,7 +8,7 @@
 //!   (process id, MPI rank, file descriptor, operation, offset, size,
 //!   timestamp) plus an explicit I/O *phase* used to compute request
 //!   concurrency,
-//! * [`RecordBatch`] / [`BatchSource`] — columnar (SoA) phase batches and
+//! * [`RecordBatch`] / [`BatchSource`] — run-encoded phase batches and
 //!   streaming trace sources, so huge synthetic grids never materialize a
 //!   full record vector,
 //! * [`WindowedSource`] — fixed-phase/fixed-count windows over a batch

@@ -95,15 +95,15 @@ impl WindowStats {
         self.phases += 1;
         self.requests += batch.len();
         per_file.clear();
-        for (i, (&len, &file)) in batch.lens().iter().zip(batch.files()).enumerate() {
+        for i in 0..batch.len() {
+            let TraceRecord { len, offset, file, op, .. } = batch.record(i);
             self.sizes.push(len as f64);
-            let offset = batch.offsets()[i];
             self.offsets.push(offset as f64);
             self.max_offset = self.max_offset.max(offset);
             self.total_bytes += len;
             self.max_request = self.max_request.max(len);
             self.min_request = if self.min_request == 0 { len } else { self.min_request.min(len) };
-            match batch.ops()[i] {
+            match op {
                 crate::IoOp::Read => {
                     self.reads += 1;
                     self.read_bytes += len;
@@ -113,7 +113,7 @@ impl WindowStats {
                     self.write_bytes += len;
                 }
             }
-            *per_file.entry(file).or_insert(0) += 1;
+            *per_file.entry(file.0).or_insert(0) += 1;
         }
         let batch_max = per_file.values().copied().max().unwrap_or(0);
         self.max_concurrency = self.max_concurrency.max(batch_max);

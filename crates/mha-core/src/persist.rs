@@ -729,6 +729,9 @@ fn decode_fault_plan(key: &[u8], payload: &[u8]) -> Result<FaultPlan, PersistErr
             },
             t => return Err(r.bad(format!("unknown fault tag {t}"))),
         };
+        if let Some(factor) = kind.bad_factor() {
+            return Err(r.bad(format!("fault factor {factor} is not finite or is below 1")));
+        }
         faults.push(ServerFault { server, kind });
     }
     let retry =
@@ -1597,6 +1600,15 @@ mod tests {
             p
         };
         assert!(load(&one_fault(&[4, 1])).expect("a well-formed fault loads").is_some());
+        // A slowdown (tag 0) or slow link (tag 1) with `factor`.
+        let factor_fault = |tag: u8, factor: f64| {
+            let mut t = vec![tag];
+            put_f64(&mut t, factor);
+            one_fault(&t)
+        };
+        for tag in [0, 1] {
+            assert!(load(&factor_fault(tag, 1.0)).expect("factor 1 loads").is_some());
+        }
         let mut many = Vec::new();
         put_u64(&mut many, 0);
         put_u64(&mut many, u64::MAX / 2);
@@ -1613,6 +1625,11 @@ mod tests {
             ]
             .map(|(what, p)| (what.to_string(), p)),
         );
+        for tag in [0, 1] {
+            for factor in [f64::NAN, 0.0, -2.0, 0.5] {
+                cases.push((format!("tag {tag} with factor {factor}"), factor_fault(tag, factor)));
+            }
+        }
         for (what, payload) in &cases {
             match load(payload) {
                 Err(PersistError::Corrupt { .. }) => {}

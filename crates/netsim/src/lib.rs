@@ -14,7 +14,7 @@
 //! shapes the paper's multi-process results while keeping per-transfer
 //! cost O(1).
 
-use simrt::{FifoResource, SimDuration, SimTime};
+use simrt::{SimDuration, SimTime};
 
 /// Identifier of a fabric endpoint (client or server node).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,12 +48,18 @@ impl LinkParams {
     }
 }
 
+/// Index of a node's egress queue in its NIC state.
+const EGRESS: usize = 0;
+/// Index of a node's ingress queue in its NIC state.
+const INGRESS: usize = 1;
+
 /// A star fabric over `n` nodes.
 #[derive(Debug, Clone)]
 pub struct NetFabric {
     params: LinkParams,
-    egress: Vec<FifoResource>,
-    ingress: Vec<FifoResource>,
+    /// Per node, when its `[egress, ingress]` NIC queues next drain: a
+    /// FIFO link's whole state as far as completion times go.
+    nics: Vec<[SimTime; 2]>,
     /// Last `(bytes, wire_time(bytes))` computed: wire time is a pure
     /// function of the request size, and replayed traces repeat a handful
     /// of sizes back to back, so a one-entry memo removes the float
@@ -72,8 +78,7 @@ impl NetFabric {
     pub fn new(nodes: usize, params: LinkParams) -> Self {
         NetFabric {
             params,
-            egress: vec![FifoResource::new(); nodes],
-            ingress: vec![FifoResource::new(); nodes],
+            nics: vec![[SimTime::ZERO; 2]; nodes],
             wire_memo: None,
             degrade: None,
         }
@@ -99,7 +104,7 @@ impl NetFabric {
 
     /// Number of endpoints.
     pub fn nodes(&self) -> usize {
-        self.egress.len()
+        self.nics.len()
     }
 
     /// Link parameters.
@@ -137,30 +142,16 @@ impl NetFabric {
         };
         // The flow cannot start until both NIC queues drain; model this by
         // aligning the start on the later of the two and occupying both.
-        let start = now
-            .max(self.egress[src.0].next_free())
-            .max(self.ingress[dst.0].next_free());
-        let a = self.egress[src.0].submit(start, service);
-        let b = self.ingress[dst.0].submit(start, service);
-        debug_assert_eq!(a, b);
-        a
-    }
-
-    /// Busy time of a node's ingress NIC (server-side receive pressure).
-    pub fn ingress_busy(&self, node: NodeId) -> SimDuration {
-        self.ingress[node.0].busy_time()
-    }
-
-    /// Busy time of a node's egress NIC.
-    pub fn egress_busy(&self, node: NodeId) -> SimDuration {
-        self.egress[node.0].busy_time()
+        let start = now.max(self.nics[src.0][EGRESS]).max(self.nics[dst.0][INGRESS]);
+        let done = start + service;
+        self.nics[src.0][EGRESS] = done;
+        self.nics[dst.0][INGRESS] = done;
+        done
     }
 
     /// Clear all queue state (new measurement window).
     pub fn reset(&mut self) {
-        for r in self.egress.iter_mut().chain(self.ingress.iter_mut()) {
-            r.reset();
-        }
+        self.nics.fill([SimTime::ZERO; 2]);
     }
 }
 
@@ -221,14 +212,21 @@ mod tests {
     }
 
     #[test]
-    fn busy_accounting_tracks_transfers() {
-        let mut f = fabric(2);
-        f.transfer(SimTime::ZERO, NodeId(0), NodeId(1), 117_000_000);
-        assert!(f.egress_busy(NodeId(0)).as_secs_f64() > 0.9);
-        assert!(f.ingress_busy(NodeId(1)).as_secs_f64() > 0.9);
-        assert_eq!(f.ingress_busy(NodeId(0)), SimDuration::ZERO);
+    fn transfers_occupy_sender_egress_and_receiver_ingress() {
+        let bytes = 117_000_000; // 1 s of wire time
+        let solo = fabric(2).transfer(SimTime::ZERO, NodeId(0), NodeId(1), bytes);
+        let queued = SimTime::from_nanos(2 * solo.as_nanos());
+        let mut f = fabric(3);
+        f.transfer(SimTime::ZERO, NodeId(0), NodeId(1), bytes);
+        // Each probe runs on a copy, so probes do not queue behind each other.
+        let probe = |f: &NetFabric, src, dst| {
+            f.clone().transfer(SimTime::ZERO, NodeId(src), NodeId(dst), bytes)
+        };
+        assert_eq!(probe(&f, 0, 2), queued, "node 0's egress is busy");
+        assert_eq!(probe(&f, 2, 1), queued, "node 1's ingress is busy");
+        assert_eq!(probe(&f, 1, 0), solo, "node 0's ingress and node 1's egress are idle");
         f.reset();
-        assert_eq!(f.egress_busy(NodeId(0)), SimDuration::ZERO);
+        assert_eq!(probe(&f, 0, 1), solo, "reset drains every queue");
     }
 
     #[test]
@@ -241,7 +239,7 @@ mod tests {
             let bytes = if i % 3 == 0 { 131_072 } else { 16 };
             let mut cold = fabric(2);
             let solo = cold.transfer(SimTime::ZERO, NodeId(0), NodeId(1), bytes);
-            let start = warm.egress[0].next_free().max(warm.ingress[1].next_free());
+            let start = warm.nics[0][EGRESS].max(warm.nics[1][INGRESS]);
             let queued = warm.transfer(start, NodeId(0), NodeId(1), bytes);
             assert_eq!(
                 (queued.as_nanos() - start.as_nanos()),

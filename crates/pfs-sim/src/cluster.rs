@@ -138,9 +138,12 @@ impl Cluster {
                 return Err(ReplayError::FaultTargetOutOfRange { server: max, servers: n });
             }
         }
-        // Validate profile/medium agreement before touching anything, so
-        // a failed apply leaves the cluster pristine.
+        // Validate factors and profile/medium agreement before touching
+        // anything, so a failed apply leaves the cluster pristine.
         for f in &plan.faults {
+            if let Some(factor) = f.kind.bad_factor() {
+                return Err(ReplayError::InvalidFaultFactor { server: f.server, factor });
+            }
             if let FaultKind::Degraded { profile } = f.kind {
                 let kind = self.servers[f.server].kind();
                 let fits = matches!(
@@ -373,6 +376,40 @@ mod tests {
         let err = c.apply_fault_plan(&FaultPlan::none().slow_server(8, 2.0)).unwrap_err();
         assert_eq!(err, ReplayError::FaultTargetOutOfRange { server: 8, servers: 8 });
         assert!(!c.faults_applied(), "failed apply leaves the cluster pristine");
+    }
+
+    #[test]
+    fn bad_fault_factors_are_rejected_before_anything_applies() {
+        use crate::error::ReplayError;
+        use simrt::{FaultPlan, SimTime};
+        use storage_model::IoOp;
+        let serve = |c: &mut Cluster| {
+            let (s, _, _) = c.parts_mut();
+            s[0].serve(SimTime::ZERO, IoOp::Read, 0, 65536).since(SimTime::ZERO)
+        };
+        let nominal = serve(&mut Cluster::new(ClusterConfig::paper_default()));
+        for factor in [f64::NAN, 0.0, -2.0, 0.5] {
+            // A good fault ahead of the bad one must not apply either.
+            let good = FaultPlan::none().slow_server(0, 3.0);
+            for plan in [good.clone().slow_server(1, factor), good.slow_link(1, factor)] {
+                let mut c = Cluster::new(ClusterConfig::paper_default());
+                match c.apply_fault_plan(&plan) {
+                    Err(ReplayError::InvalidFaultFactor { server: 1, factor: got }) => {
+                        assert_eq!(got.to_bits(), factor.to_bits());
+                    }
+                    other => panic!("factor {factor}: expected InvalidFaultFactor, got {other:?}"),
+                }
+                assert!(!c.faults_applied(), "failed apply leaves the cluster pristine");
+                assert_eq!(serve(&mut c), nominal);
+            }
+        }
+        // Factor 1 is nominal speed: accepted, and a no-op.
+        let mut c = Cluster::new(ClusterConfig::paper_default());
+        c.apply_fault_plan(&FaultPlan::none().slow_server(0, 1.0).slow_link(0, 1.0)).unwrap();
+        assert!(c.faults_applied());
+        assert_eq!(serve(&mut c), nominal);
+        let node = c.servers()[0].node();
+        assert_eq!(c.parts_mut().1.node_factor(node), 1.0);
     }
 
     #[test]

@@ -4,7 +4,7 @@
 use storage_model::DeviceKind;
 
 /// Why a replay (or the setup leading to it) could not run.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
     /// The pinned [`crate::ReplaySchedule`] was built for a trace of a
     /// different shape.
@@ -30,6 +30,14 @@ pub enum ReplayError {
         server: usize,
         /// Number of servers in the cluster.
         servers: usize,
+    },
+    /// A fault plan's slowdown or link factor is not finite or is below
+    /// 1 (see `simrt::FaultKind::bad_factor`).
+    InvalidFaultFactor {
+        /// Target server index.
+        server: usize,
+        /// The rejected factor.
+        factor: f64,
     },
     /// A degraded-device profile was applied to the wrong medium (e.g.
     /// the worn-SSD profile on an HDD-backed server).
@@ -64,6 +72,10 @@ impl std::fmt::Display for ReplayError {
             ReplayError::FaultTargetOutOfRange { server, servers } => write!(
                 f,
                 "fault plan targets server {server}, but the cluster has only {servers}"
+            ),
+            ReplayError::InvalidFaultFactor { server, factor } => write!(
+                f,
+                "fault plan slows server {server} by {factor}; a factor must be finite and ≥ 1"
             ),
             ReplayError::ProfileMismatch { server, profile, kind } => write!(
                 f,

@@ -428,4 +428,15 @@ mod tests {
             .unwrap_err();
         assert_eq!(err, ReplayError::FaultTargetOutOfRange { server: servers, servers });
     }
+
+    #[test]
+    fn bad_fault_factor_surfaces_as_error() {
+        let t = small_ior(IoOp::Write);
+        let mut c = Cluster::new(ClusterConfig::paper_default());
+        let err = ReplaySession::new()
+            .with_fault_plan(FaultPlan::none().slow_server(0, f64::NAN))
+            .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Auto)
+            .unwrap_err();
+        assert!(matches!(err, ReplayError::InvalidFaultFactor { server: 0, .. }), "{err}");
+    }
 }

@@ -70,7 +70,7 @@ const LANE_GRAIN: usize = 64;
 /// sub-requests, regardless of trace length.
 #[derive(Debug, Clone, Default)]
 pub struct ShardedScratch {
-    /// Current phase's records (columnar).
+    /// Current phase's records (run-encoded columns).
     batch: RecordBatch,
     /// Shuffled local record indices of the phase (the deterministic
     /// replay order).

@@ -5,8 +5,10 @@
 //! shuffled order, then walks that order in fixed windows: the
 //! sub-request columns, the per-record columns and the lane partition
 //! hold one window however wide the phase. So the heap a run needs grows
-//! with phase width by the batch (37 B per record) and the shuffle (4 B)
-//! only; a core that staged whole phases grew by about 115 B per record.
+//! with phase width by the batch (at most 37 B per record, 8 B for an IOR
+//! phase whose run-encoded columns keep only the offsets) and the
+//! shuffle (4 B) only; a core that staged whole phases grew by about
+//! 115 B per record.
 //!
 //! This file holds a single test so that nothing else allocates through
 //! the counting allocator while it measures.
@@ -65,8 +67,9 @@ fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (out, PEAK.load(Relaxed) - base)
 }
 
-/// Heap growth allowed per record of phase width: the 37 B record batch,
-/// the 4 B shuffle entry, and slack for the batch's growth by doubling.
+/// Heap growth allowed per record of phase width: the record batch (at
+/// most 37 B), the 4 B shuffle entry, and slack for the batch's growth
+/// by doubling.
 const BYTES_PER_RECORD: usize = 48;
 
 /// Peak heap of one streamed two-phase IOR write replay of `ranks`

@@ -53,13 +53,13 @@ impl DeviceProfile {
 pub enum FaultKind {
     /// Straggler: every device service time is multiplied by `factor`.
     Slowdown {
-        /// Service-time multiplier (> 1 is slower).
+        /// Service-time multiplier (≥ 1; > 1 is slower).
         factor: f64,
     },
     /// Degraded NIC/link: wire times to and from the server's node are
     /// multiplied by `factor`.
     SlowLink {
-        /// Wire-time multiplier (> 1 is slower).
+        /// Wire-time multiplier (≥ 1; > 1 is slower).
         factor: f64,
     },
     /// Transient unavailability: requests arriving inside the window
@@ -82,6 +82,22 @@ pub enum FaultKind {
         /// Which degraded hardware profile to apply.
         profile: DeviceProfile,
     },
+}
+
+impl FaultKind {
+    /// The factor of a `Slowdown` or `SlowLink` that is not finite or is
+    /// below 1 (nominal speed); `None` for a usable factor and for every
+    /// other kind. Consumers reject such a fault rather than apply it.
+    pub fn bad_factor(&self) -> Option<f64> {
+        match *self {
+            FaultKind::Slowdown { factor } | FaultKind::SlowLink { factor }
+                if !(factor.is_finite() && factor >= 1.0) =>
+            {
+                Some(factor)
+            }
+            _ => None,
+        }
+    }
 }
 
 /// A fault attached to a server index (cluster server numbering).

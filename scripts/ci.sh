@@ -91,15 +91,16 @@ printf '1\t4294967297\t0\tread\t0\t16\t0\t0\n' | expect_exit 1 "$trace_tool" sta
 # It builds into its own target dir. The build rewrites
 # perfbench/Cargo.lock, so the lock is copied aside first and put back
 # on exit, leaving perfbench/ byte-identical. One-second runs of
-# service-online and plan-pipeline execute their identity checks
-# (exit 1 on a failed check).
+# service-online, plan-pipeline and stream-1024 execute their identity
+# checks (exit 1 on a failed check); stream-1024's are serial == sharded
+# == streamed and width 1 == full width on an IOR prefix.
 bench_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")/perfbench"
 bench_work=$(mktemp -d)
 bench_lock=$(mktemp)
 cp perfbench/Cargo.lock "$bench_lock"
 trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -rf "$bench_lock" "$bench_work"' EXIT
 (cd perfbench && CARGO_TARGET_DIR="$bench_target" cargo build -q --release --offline)
-for workload in service-online plan-pipeline; do
+for workload in service-online plan-pipeline stream-1024; do
     "$bench_target/release/mha-perfbench" --workload "$workload" --seed 1 \
         --seconds 1 --trace 0 --workdir "$bench_work" >/dev/null
 done
@@ -170,6 +171,12 @@ cargo test -q -p pfs-sim --test replay_memory
 # tenants allocates at most 32 B per job and no bytes per record (a
 # counting allocator); the retag happens at dispatch.
 cargo test -q -p pfs-sim --test service_memory
+# Stream state, by name: a 16,384-rank IOR phase batch holds at most 8 B
+# per record plus 1 KiB (its run-encoded columns keep only the offsets),
+# and building a 768H+256S cluster with 4,096 clients peaks at 16 B per
+# fabric node plus 320 B per server (a counting allocator each).
+cargo test -q -p iotrace --test batch_memory
+cargo test -q -p pfs-sim --test cluster_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
 # serial == sharded == streamed whole-report identity assertion on a
 # materialized prefix — catches panics, identity drift and memory blow-ups at the
