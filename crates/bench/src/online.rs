@@ -9,13 +9,16 @@
 //! the bottom of the file for the first half of the trace and flipped
 //! to the far half at mid-trace (`offset + file_size/2 mod file_size`).
 //!
-//! **Online timeline.** The trace streams through
-//! [`iotrace::WindowedSource`]; each window is replayed under the
-//! layouts published so far (redirects resolve through a
-//! [`mha_core::LazyMigrator`], so planned extents migrate on first
-//! access and the copy is charged to that request), then handed to the
-//! [`mha_core::OnlinePlanner`], whose replans feed the next windows.
-//! Quiet windows cost one signature comparison.
+//! **Online timeline.** The trace is cut into windows of
+//! `WINDOW_PHASES` phases ([`iotrace::Trace::phase_windows`]) and
+//! driven through one [`mha_core::TenantPipeline`] (tenant 0), the
+//! driver the layout service uses for every tenant. Each window is
+//! replayed under the layouts published so far (redirects resolve
+//! through the pipeline's lazy migrator, so planned extents migrate on
+//! first access and the copy is charged to that request), then handed
+//! to `after_job`, whose replans commit a generation, journal the new
+//! redirects and return the layouts the next windows run under. A
+//! quiet window costs one signature rescan and comparison.
 //!
 //! **Baseline timeline.** The same windows replayed with no plan (DEF)
 //! end to end, then one cold offline MHA plan from the full profiled
@@ -38,12 +41,12 @@
 use crate::report::Figure;
 use crate::workloads::{self, Scale};
 use iotrace::gen::skewed::{self, SkewedConfig};
-use iotrace::{TenantId, Trace, TraceBatches, TraceRecord, WindowConfig, WindowedSource};
+use iotrace::{FileId, TenantId, Trace, TraceRecord};
 use mha_core::schemes::{LayoutPlanner, MhaPlanner, PlanResolver};
-use mha_core::{DrtResolver, LazyMigrator, OnlineConfig, OnlinePlanner, PipelineStore, Replan};
+use mha_core::{DrtResolver, LazyMigrator, OnlineConfig, PipelineStore, TenantPipeline};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, IdentityResolver, LayoutSpec, ReplayInput, ReplaySession,
-    Resolver,
+    Resolver, TenantRuntime,
 };
 use simrt::SimDuration;
 use std::time::Instant;
@@ -104,34 +107,45 @@ struct WindowPoint {
     first_phase: u32,
 }
 
-/// Replay `trace` window by window through `resolver`, installing
-/// `layouts` into each window's fresh cluster. Returns the trajectory.
+/// Replay one window on a fresh cluster with `layouts` installed,
+/// resolving through `resolver`. Returns the makespan in simulated
+/// seconds and the window's bandwidth, MB/s.
+fn replay_window(
+    session: &mut ReplaySession,
+    cluster_cfg: &ClusterConfig,
+    layouts: &[(FileId, LayoutSpec)],
+    window: &Trace,
+    resolver: &mut dyn Resolver,
+) -> (f64, f64) {
+    let mut cluster = Cluster::new(cluster_cfg.clone());
+    for (file, layout) in layouts {
+        cluster.mds_mut().set_layout(*file, layout.clone());
+    }
+    let report = session
+        .run(ReplayInput::trace(&mut cluster, window, resolver), CoreSel::Auto)
+        .expect("fault-free replay cannot fail");
+    (report.makespan.as_secs_f64(), report.bandwidth_mbps())
+}
+
+/// Replay `trace` window by window through `resolver` under fixed
+/// `layouts`. Returns the trajectory.
 fn replay_windows(
     trace: &Trace,
     cluster_cfg: &ClusterConfig,
-    layouts: &[(iotrace::FileId, LayoutSpec)],
+    layouts: &[(FileId, LayoutSpec)],
     resolver: &mut dyn Resolver,
 ) -> Vec<WindowPoint> {
-    let mut src = TraceBatches::new(trace);
-    let mut windows =
-        WindowedSource::new(&mut src, WindowConfig { phases: WINDOW_PHASES, max_records: 0 });
     let mut session = ReplaySession::new();
-    let mut points = Vec::new();
     let mut clock = 0.0f64;
-    while let Some(w) = windows.next_window() {
-        let first_phase = w.first_phase;
-        let wtrace = w.into_trace();
-        let mut cluster = Cluster::new(cluster_cfg.clone());
-        for (file, layout) in layouts {
-            cluster.mds_mut().set_layout(*file, layout.clone());
-        }
-        let report = session
-            .run(ReplayInput::trace(&mut cluster, &wtrace, resolver), CoreSel::Auto)
-            .expect("fault-free replay cannot fail");
-        clock += report.makespan.as_secs_f64();
-        points.push(WindowPoint { end_s: clock, mbps: report.bandwidth_mbps(), first_phase });
-    }
-    points
+    trace
+        .phase_windows(WINDOW_PHASES)
+        .map(|window| {
+            let (makespan_s, mbps) =
+                replay_window(&mut session, cluster_cfg, layouts, &window, resolver);
+            clock += makespan_s;
+            WindowPoint { end_s: clock, mbps, first_phase: window.records()[0].phase }
+        })
+        .collect()
 }
 
 /// Run the online study at `scale` and return its three figures.
@@ -181,80 +195,53 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
         std::env::temp_dir().join(format!("mha-online-{}", std::process::id()));
     let _ = std::fs::remove_file(&store_path);
     let store = PipelineStore::open(&store_path).expect("open online store");
-    let store = store.tenant(TenantId(0));
-    let online_cfg = OnlineConfig::builder()
+    let online_cfg = OnlineConfig {
         // Migrate 16 MiB neighborhoods — the workload's region size:
         // each rank's hot region is one block, so a couple of profiled
         // hits cover the whole span the rank keeps sampling, while the
         // Zipf tail never clears the heat gate.
-        .coverage_block(16 << 20)
+        coverage_block: 16 << 20,
         // A block has to earn its copy: one-hit Zipf-tail blocks stay
         // in the original file at the default layout.
-        .coverage_min_hits(2)
-        .build()
-        .expect("static online config is valid");
-    let mut planner = OnlinePlanner::new(ctx.clone(), online_cfg);
-    let mut migrator =
-        LazyMigrator::new(store, mha_core::Drt::new(), &cluster_cfg, LOOKUP);
-    let mut layout_book: Vec<(iotrace::FileId, LayoutSpec)> = Vec::new();
+        coverage_min_hits: 2,
+    };
+    let mut pipeline = TenantPipeline::new(&store, TenantId(0), &cluster_cfg, online_cfg);
+    let mut layout_book: Vec<(FileId, LayoutSpec)> = Vec::new();
     let mut online_points = Vec::new();
     let mut clock = 0.0f64;
     let mut quiet_max_s = 0.0f64;
     let mut replan_max_s = 0.0f64;
-    {
-        let mut src = TraceBatches::new(&trace);
-        let mut windows = WindowedSource::new(
-            &mut src,
-            WindowConfig { phases: WINDOW_PHASES, max_records: 0 },
+    let mut session = ReplaySession::new();
+    for window in trace.phase_windows(WINDOW_PHASES) {
+        // Replay under what is installed *now*; this window's profile
+        // only influences the next ones (true online causality — the
+        // first window runs unplanned).
+        let (makespan_s, mbps) = replay_window(
+            &mut session,
+            &cluster_cfg,
+            &layout_book,
+            &window,
+            pipeline.resolver(),
         );
-        let mut session = ReplaySession::new();
-        while let Some(w) = windows.next_window() {
-            let sig = mha_core::WindowSig::from(&w.stats);
-            let first_phase = w.first_phase;
-            let wtrace = w.into_trace();
-            // Replay under what is installed *now*; this window's
-            // profile only influences the next ones (true online
-            // causality — the first window runs unplanned).
-            let mut cluster = Cluster::new(cluster_cfg.clone());
-            for (file, layout) in &layout_book {
-                cluster.mds_mut().set_layout(*file, layout.clone());
-            }
-            let report = session
-                .run(ReplayInput::trace(&mut cluster, &wtrace, &mut migrator), CoreSel::Auto)
-                .expect("fault-free replay cannot fail");
-            migrator.check().expect("online store never killed");
-            clock += report.makespan.as_secs_f64();
-            online_points.push(WindowPoint {
-                end_s: clock,
-                mbps: report.bandwidth_mbps(),
-                first_phase,
-            });
-            let t = Instant::now();
-            let outcome = planner.observe(&wtrace, sig);
-            let dt = t.elapsed().as_secs_f64();
-            match outcome {
-                Replan::Quiet => quiet_max_s = quiet_max_s.max(dt),
-                Replan::Plan { plan, .. } => {
-                    replan_max_s = replan_max_s.max(dt);
-                    let PlanResolver::Drt(drt) = &plan.resolver else {
-                        panic!("online plans always redirect")
-                    };
-                    migrator
-                        .add_pending(&drt.entries())
-                        .expect("journaling intents cannot fail here");
-                    layout_book.extend(plan.layouts.iter().cloned());
-                }
-            }
+        clock += makespan_s;
+        let first_phase = window.records()[0].phase;
+        online_points.push(WindowPoint { end_s: clock, mbps, first_phase });
+        let replans = pipeline.planner().stats.replans;
+        let t = Instant::now();
+        let layouts = pipeline.after_job(&window);
+        let dt = t.elapsed().as_secs_f64();
+        pipeline.check().expect("online store never killed");
+        if pipeline.planner().stats.replans > replans {
+            replan_max_s = replan_max_s.max(dt);
+        } else {
+            quiet_max_s = quiet_max_s.max(dt);
         }
+        layout_book.extend(layouts);
     }
-    let stats = planner.stats;
-    let on_access = migrator.on_access_migrations();
-    let (drained_bytes, _) = migrator.drain().expect("drain");
-    let migrated_mib = migrator.migrated_bytes() as f64 / (1 << 20) as f64;
-    store
-        .save_tables(migrator.published(), &mha_core::Rst::new())
-        .expect("commit final mapping");
-    store.clear_journal().expect("retire journal");
+    let stats = pipeline.planner().stats;
+    let on_access = pipeline.migrator().on_access_migrations();
+    let (drained_bytes, _) = pipeline.drain().expect("drain");
+    let migrated_mib = pipeline.migrator().migrated_bytes() as f64 / (1 << 20) as f64;
     let _ = std::fs::remove_file(&store_path);
 
     // ---- recovery metric --------------------------------------------

@@ -103,7 +103,9 @@ impl SkewedStream {
         self.cdf.partition_point(|&c| c <= u) as u64
     }
 
-    /// Emit the next phase into `out`; `false` when exhausted.
+    /// Emit the next phase into `out`; `false` when exhausted. Inlined
+    /// into `generate` (see `collect`).
+    #[inline]
     fn emit<S: PhaseSink>(&mut self, out: &mut S) -> bool {
         if self.phase >= self.cfg.phases {
             out.begin(0);

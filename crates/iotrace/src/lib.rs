@@ -7,13 +7,11 @@
 //! * [`TraceRecord`] / [`Trace`] — the record schema IOSIG captures
 //!   (process id, MPI rank, file descriptor, operation, offset, size,
 //!   timestamp) plus an explicit I/O *phase* used to compute request
-//!   concurrency,
+//!   concurrency; [`Trace::phase_windows`] cuts a trace into the
+//!   phase-run windows the online re-planner observes,
 //! * [`RecordBatch`] / [`BatchSource`] — run-encoded phase batches and
 //!   streaming trace sources, so huge synthetic grids never materialize a
 //!   full record vector,
-//! * [`WindowedSource`] — fixed-phase/fixed-count windows over a batch
-//!   stream with incrementally maintained per-window statistics, feeding
-//!   the online re-planner,
 //! * [`Collector`] — the online profiler the middleware drives,
 //! * [`gen`] — six workload generators standing in for the paper's
 //!   benchmarks and application traces (IOR, HPIO, BTIO, LANL App2,
@@ -29,7 +27,6 @@ pub mod record;
 pub mod stats;
 pub mod trace;
 pub mod tsv;
-pub mod window;
 
 pub use batch::{materialize, BatchSource, RecordBatch, TraceBatches};
 pub use collector::Collector;
@@ -37,6 +34,5 @@ pub use error::TraceError;
 pub use record::{FileId, Rank, TenantId, TraceRecord};
 pub use stats::TraceStats;
 pub use trace::Trace;
-pub use window::{Window, WindowConfig, WindowStats, WindowedSource};
 
 pub use storage_model::IoOp;

@@ -254,6 +254,33 @@ impl Trace {
             .map_or(0, |p| p + 1)
     }
 
+    /// The trace cut into consecutive windows of `phases` phase runs. A
+    /// run is a maximal stretch of adjacent records sharing a phase id
+    /// (the batches [`crate::TraceBatches`] yields), so windows never
+    /// split a phase, and an id that recurs after another phase starts a
+    /// new run. The last window may hold fewer runs; concatenating the
+    /// windows reproduces the trace.
+    ///
+    /// # Panics
+    /// If `phases` is 0.
+    pub fn phase_windows(&self, phases: u32) -> impl Iterator<Item = Trace> + '_ {
+        assert!(phases > 0, "a window needs at least one phase");
+        let mut rest = self.records();
+        std::iter::from_fn(move || {
+            if rest.is_empty() {
+                return None;
+            }
+            let mut end = 0;
+            for _ in 0..phases {
+                let Some(first) = rest.get(end) else { break };
+                end += rest[end..].iter().take_while(|r| r.phase == first.phase).count();
+            }
+            let (window, tail) = rest.split_at(end);
+            rest = tail;
+            Some(Trace::from_records(window.to_vec()))
+        })
+    }
+
     /// Records touching `file`, borrowed, in issue order.
     pub fn records_for_file(&self, file: FileId) -> impl Iterator<Item = &TraceRecord> + '_ {
         self.records.iter().filter(move |r| r.file == file)
@@ -500,6 +527,58 @@ mod tests {
         assert_eq!(f0.iter().map(|r| r.len).sum::<u64>(), 40);
         assert!(f0.iter().all(|r| r.file == FileId(0)));
         assert_eq!(t.records_for_file(FileId(9)).count(), 0);
+    }
+
+    /// Each window's phase ids, in order.
+    fn window_phases(t: &Trace, phases: u32) -> Vec<Vec<u32>> {
+        t.phase_windows(phases).map(|w| w.records().iter().map(|r| r.phase).collect()).collect()
+    }
+
+    #[test]
+    fn windows_partition_the_stream_exactly() {
+        let mut cfg = crate::gen::skewed::SkewedConfig::default_run(IoOp::Write);
+        cfg.procs = 4;
+        cfg.phases = 21; // deliberately not a multiple of the window size
+        let trace = crate::gen::skewed::generate(&cfg);
+        let windows: Vec<Trace> = trace.phase_windows(8).collect();
+        let runs = |w: &Trace| {
+            w.records().windows(2).filter(|p| p[0].phase != p[1].phase).count() + 1
+        };
+        assert_eq!(windows.iter().map(runs).collect::<Vec<_>>(), [8, 8, 5], "21 = 8 + 8 + 5");
+        let all: Vec<TraceRecord> =
+            windows.iter().flat_map(|w| w.records().iter().copied()).collect();
+        assert_eq!(all, trace.records(), "concatenated windows reproduce the trace");
+    }
+
+    #[test]
+    fn an_empty_trace_has_no_windows() {
+        assert_eq!(Trace::new().phase_windows(1).count(), 0);
+    }
+
+    #[test]
+    fn windows_count_phase_runs_not_phase_ids() {
+        // Ids that start above 0 and skip values still make one run each.
+        let t = Trace::from_records(
+            [3, 3, 5, 9, 9, 10].map(|p| rec(0, 0, 10, p, IoOp::Read)).to_vec(),
+        );
+        assert_eq!(window_phases(&t, 2), [vec![3, 3, 5], vec![9, 9, 10]]);
+        assert_eq!(window_phases(&t, 3), [vec![3, 3, 5, 9, 9], vec![10]]);
+        assert_eq!(window_phases(&t, 9), [vec![3, 3, 5, 9, 9, 10]]);
+    }
+
+    #[test]
+    fn a_recurring_phase_id_starts_a_new_run() {
+        let t = Trace::from_records(
+            [0, 0, 1, 0, 0, 2].map(|p| rec(0, 0, 10, p, IoOp::Read)).to_vec(),
+        );
+        assert_eq!(window_phases(&t, 1), [vec![0, 0], vec![1], vec![0, 0], vec![2]]);
+        assert_eq!(window_phases(&t, 2), [vec![0, 0, 1], vec![0, 0, 2]]);
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one phase")]
+    fn a_zero_phase_window_is_rejected() {
+        let _ = Trace::new().phase_windows(0);
     }
 
     fn xorshift(state: &mut u64) -> u64 {

@@ -32,20 +32,21 @@ const CHUNK: usize = 4096;
 /// performance knob.
 const PAR_MIN_POINTS: usize = 4 * CHUNK;
 
+/// Refinement iteration cap: Algorithm 1's bound of 3.
+const MAX_ITERS: usize = 3;
+
 /// Grouping configuration.
 #[derive(Debug, Clone)]
 pub struct GroupingConfig {
     /// Upper bound on the number of groups (regions).
     pub k: usize,
-    /// Refinement iteration cap (the paper uses 3).
-    pub max_iters: usize,
     /// Seed for the initial center choice.
     pub seed: u64,
 }
 
 impl Default for GroupingConfig {
     fn default() -> Self {
-        GroupingConfig { k: 8, max_iters: 3, seed: 0x6120 }
+        GroupingConfig { k: 8, seed: 0x6120 }
     }
 }
 
@@ -197,7 +198,7 @@ fn run_from(
     // One partial-sum row per chunk, reused across iterations.
     let mut partials = vec![(0.0f64, 0.0f64, 0usize); n_chunks * k];
     let mut iterations = 0;
-    for _ in 0..cfg.max_iters.max(1) {
+    for _ in 0..MAX_ITERS {
         iterations += 1;
         // Assignment step: nearest center (Eq. 1 distance) per chunk,
         // with per-chunk per-group feature sums.
@@ -465,7 +466,7 @@ mod tests {
         let pts: Vec<ReqFeature> = (0..200)
             .map(|_| f(rng.gen_range(1.0..1e6), rng.gen_range(1.0..32.0)))
             .collect();
-        let g = group_requests(&pts, &GroupingConfig { k: 4, max_iters: 3, seed: 1 });
+        let g = group_requests(&pts, &GroupingConfig { k: 4, seed: 1 });
         assert!(g.iterations <= 3);
     }
 
@@ -591,7 +592,7 @@ mod tests {
                 })
                 .collect();
             let k = 1 + (xorshift(&mut s) % 12) as usize;
-            let cfg = GroupingConfig { k, max_iters: 3, seed: xorshift(&mut s) };
+            let cfg = GroupingConfig { k, seed: xorshift(&mut s) };
             let ser = group_requests_serial(&pts, &cfg);
             let par = group_requests_parallel(&pts, &cfg);
             assert_groupings_bit_identical(&ser, &par, &format!("trial {trial} (n={n}, k={k})"));
@@ -653,7 +654,7 @@ mod tests {
         }
         let mut assignment = vec![0usize; points.len()];
         let mut iterations = 0;
-        for _ in 0..cfg.max_iters.max(1) {
+        for _ in 0..MAX_ITERS {
             iterations += 1;
             for (i, p) in points.iter().enumerate() {
                 assignment[i] = oracle_nearest(&centers, p);
@@ -697,7 +698,7 @@ mod tests {
                 })
                 .collect();
             let k = 1 + (xorshift(&mut s) % 10) as usize;
-            let cfg = GroupingConfig { k, max_iters: 3, seed: xorshift(&mut s) };
+            let cfg = GroupingConfig { k, seed: xorshift(&mut s) };
             let want = group_requests_oracle(&pts, &cfg);
             let got = group_requests(&pts, &cfg);
             assert_groupings_bit_identical(&want, &got, &format!("trial {trial} (n={n}, k={k})"));

@@ -58,10 +58,7 @@ pub mod tenant;
 
 pub use cost::{placement_factors, CostParams, OpFactors, ReqView};
 pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, LazyMigrator};
-pub use online::{
-    OnlineConfig, OnlineConfigBuilder, OnlineConfigError, OnlinePlanner, Replan, ReplanStats,
-    WindowSig,
-};
+pub use online::{OnlineConfig, OnlinePlanner, Replan, ReplanStats};
 pub use persist::{
     recover, CommitPoint, KillSwitch, PersistError, PipelineStore, RecoveryOutcome, TenantStore,
 };

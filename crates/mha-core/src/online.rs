@@ -1,15 +1,17 @@
 //! Online incremental re-planning over windowed traces.
 //!
 //! The offline MHA flow plans once from a full profiled trace. The
-//! online loop instead consumes the trace as a stream of windows
-//! ([`iotrace::WindowedSource`]) and keeps a [`OnlinePlanner`] that
-//! decides, per window:
+//! online loop instead sees the trace as a sequence of windows (a
+//! service job, or a run of phases from [`iotrace::Trace::phase_windows`])
+//! and keeps an [`OnlinePlanner`] that decides, per window:
 //!
 //! 1. **Quiet or drifted?** The window's summary signature (mean
-//!    request size, size CV, peak concurrency) is compared against the
-//!    previous window's; relative movement below `DRIFT_THRESHOLD`
-//!    (0.25) on every component means the current plan still fits and
-//!    the window costs nothing but the comparison.
+//!    request size, size CV, peak concurrency, mean offset over the
+//!    addressed span), computed here from one [`TraceStats`] rescan of
+//!    the window, is compared against the previous window's; relative
+//!    movement below `DRIFT_THRESHOLD` (0.25) on every component means
+//!    the current plan still fits and the window costs nothing but the
+//!    rescan and the comparison.
 //! 2. **Incremental regroup.** A drifted window re-runs Algorithm 1
 //!    *seeded from the previous window's centroids*
 //!    ([`crate::grouping::group_requests_seeded`]): converged seeds
@@ -32,13 +34,17 @@
 //! that were already published carry forward, superseded unmigrated
 //! redirects get cancelled, and the copies happen lazily on first
 //! access.
+//!
+//! [`crate::TenantPipeline`] is the one driver of this loop: it feeds
+//! each window to [`OnlinePlanner::observe`], commits and journals the
+//! plan, and returns its layouts to install.
 
 use crate::grouping::{group_requests_seeded, GroupIndex};
 use crate::pattern::{features_of, FeatureSpace, ReqFeature};
 use crate::region::{build_regions_with_conc, RegionBuild};
 use crate::rssd::{rssd, StripePair};
 use crate::schemes::{Plan, PlanResolver, PlannerContext, Scheme};
-use iotrace::{Trace, TraceStats, WindowStats};
+use iotrace::{Trace, TraceStats};
 
 /// Relative movement of any signature component (mean request, size
 /// CV, peak concurrency) past which a window is *drifted* and triggers a
@@ -54,12 +60,9 @@ const LOAD_TOLERANCE: f64 = 0.5;
 
 /// How the online loop migrates: the two options callers set
 /// differently. The drift trigger and the pair-reuse tolerances are
-/// fixed (`DRIFT_THRESHOLD`, `CENTER_TOLERANCE`, `LOAD_TOLERANCE`).
-///
-/// Construct with [`OnlineConfig::builder`]; the defaults
-/// ([`OnlineConfig::default`]) migrate exact extents. Fields are
-/// validated at [`OnlineConfigBuilder::build`] so a planner never sees
-/// a zero-byte coverage block.
+/// fixed (`DRIFT_THRESHOLD`, `CENTER_TOLERANCE`, `LOAD_TOLERANCE`). The
+/// defaults migrate exact extents; a zero in either field behaves
+/// exactly like 1.
 #[derive(Debug, Clone)]
 pub struct OnlineConfig {
     /// Unit of lazy migration, bytes: every migrated extent is rounded
@@ -70,13 +73,13 @@ pub struct OnlineConfig {
     /// `1` migrates exactly the profiled byte ranges (the offline
     /// planner's behavior, appropriate when the replayed trace is the
     /// profiled trace).
-    coverage_block: u64,
+    pub coverage_block: u64,
     /// Minimum profiled accesses a coverage block needs before it is
     /// migrated (only meaningful with `coverage_block > 1`). Zipf-tail
     /// blocks seen once in a window rarely earn their copy back —
     /// leaving them in place keeps lazy-migration traffic proportional
     /// to the *hot* set. `1` migrates every profiled block.
-    coverage_min_hits: u32,
+    pub coverage_min_hits: u32,
 }
 
 impl Default for OnlineConfig {
@@ -88,110 +91,31 @@ impl Default for OnlineConfig {
     }
 }
 
-impl OnlineConfig {
-    /// A builder seeded with the validated defaults.
-    pub fn builder() -> OnlineConfigBuilder {
-        OnlineConfigBuilder { cfg: OnlineConfig::default() }
-    }
-
-    /// Lazy-migration coverage block, bytes.
-    pub fn coverage_block(&self) -> u64 {
-        self.coverage_block
-    }
-
-    /// Minimum profiled hits before a coverage block migrates.
-    pub fn coverage_min_hits(&self) -> u32 {
-        self.coverage_min_hits
-    }
-}
-
-/// Rejected [`OnlineConfigBuilder`] input, with the reason.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct OnlineConfigError(String);
-
-impl std::fmt::Display for OnlineConfigError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "invalid online config: {}", self.0)
-    }
-}
-
-impl std::error::Error for OnlineConfigError {}
-
-/// Builder for [`OnlineConfig`]. Every setter overwrites a default;
-/// [`build`](OnlineConfigBuilder::build) validates the combination.
-#[derive(Debug, Clone)]
-pub struct OnlineConfigBuilder {
-    cfg: OnlineConfig,
-}
-
-impl OnlineConfigBuilder {
-    /// Lazy-migration coverage block, bytes (`1` = exact extents).
-    #[must_use]
-    pub fn coverage_block(mut self, v: u64) -> Self {
-        self.cfg.coverage_block = v;
-        self
-    }
-
-    /// Minimum profiled hits before a coverage block migrates.
-    #[must_use]
-    pub fn coverage_min_hits(mut self, v: u32) -> Self {
-        self.cfg.coverage_min_hits = v;
-        self
-    }
-
-    /// Validate and produce the config.
-    pub fn build(self) -> Result<OnlineConfig, OnlineConfigError> {
-        let c = self.cfg;
-        if c.coverage_block == 0 {
-            return Err(OnlineConfigError(
-                "coverage_block must be at least 1 byte (1 = exact extents)".into(),
-            ));
-        }
-        if c.coverage_min_hits == 0 {
-            return Err(OnlineConfigError(
-                "coverage_min_hits must be at least 1 (1 = migrate every profiled block)".into(),
-            ));
-        }
-        Ok(c)
-    }
-}
-
-/// A window's drift signature: the three summary statistics the replan
-/// trigger compares. Cheap to build from either the incremental
-/// [`WindowStats`] or a full [`TraceStats`] rescan.
+/// A window's drift signature: the summary statistics the replan
+/// trigger compares, taken from the window's [`TraceStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowSig {
+struct WindowSig {
     /// Mean request size, bytes.
-    pub mean_request: f64,
+    mean_request: f64,
     /// Request-size coefficient of variation.
-    pub size_cv: f64,
+    size_cv: f64,
     /// Peak per-(file, phase) concurrency.
-    pub max_concurrency: u32,
+    max_concurrency: u32,
     /// Mean request start offset, bytes — the spatial component: a
     /// hot-spot move drifts this even when the size mix holds still.
-    pub mean_offset: f64,
+    mean_offset: f64,
     /// Largest request start offset, bytes. Normalizes spatial drift:
     /// the mean's movement is compared against the addressed span, so
     /// Zipf tail sampling noise (large relative to the mean, small
     /// relative to the span) stays quiet while a genuine hot-spot move
     /// (a span-scale jump) drifts.
-    pub max_offset: u64,
+    max_offset: u64,
 }
 
-impl From<&WindowStats> for WindowSig {
-    fn from(s: &WindowStats) -> Self {
-        WindowSig {
-            mean_request: s.mean_request(),
-            size_cv: s.size_cv(),
-            max_concurrency: s.max_concurrency,
-            mean_offset: s.mean_offset(),
-            max_offset: s.max_offset,
-        }
-    }
-}
-
-impl From<&TraceStats> for WindowSig {
-    fn from(s: &TraceStats) -> Self {
+impl WindowSig {
+    /// The signature of `trace` (one full rescan).
+    fn of(trace: &Trace) -> Self {
+        let s = TraceStats::of(trace);
         WindowSig {
             mean_request: s.mean_request,
             size_cv: s.size_cv,
@@ -200,23 +124,14 @@ impl From<&TraceStats> for WindowSig {
             max_offset: s.max_offset,
         }
     }
-}
 
-impl WindowSig {
     /// Has this signature moved past `threshold` relative to `prev` on
     /// any component? (The same test the dynamic optimizer applies to
     /// full epoch statistics.)
     fn drifted_from(&self, prev: &WindowSig, threshold: f64) -> bool {
-        let rel = |a: f64, b: f64| {
-            if a == 0.0 && b == 0.0 {
-                0.0
-            } else {
-                (a - b).abs() / a.abs().max(b.abs())
-            }
-        };
-        rel(self.mean_request, prev.mean_request) > threshold
-            || rel(self.size_cv, prev.size_cv) > threshold
-            || rel(
+        rel_change(self.mean_request, prev.mean_request) > threshold
+            || rel_change(self.size_cv, prev.size_cv) > threshold
+            || rel_change(
                 f64::from(self.max_concurrency),
                 f64::from(prev.max_concurrency),
             ) > threshold
@@ -297,20 +212,10 @@ impl OnlinePlanner {
         }
     }
 
-    /// The planner context in use (the region file counter inside it is
-    /// *not* advanced; [`OnlinePlanner`] tracks generations itself).
-    pub fn context(&self) -> &PlannerContext {
-        &self.ctx
-    }
-
-    /// First region file id the *next* replan will allocate.
-    pub fn next_region_file(&self) -> u32 {
-        self.next_region_file
-    }
-
-    /// Observe one window (its records as `trace`, its summary as
-    /// `sig`) and decide whether to replan.
-    pub fn observe(&mut self, trace: &Trace, sig: WindowSig) -> Replan {
+    /// Observe one window (its records as `trace`) and decide whether
+    /// to replan. The window's signature costs one rescan of `trace`.
+    pub fn observe(&mut self, trace: &Trace) -> Replan {
+        let sig = WindowSig::of(trace);
         self.stats.windows += 1;
         if let Some(prev) = &self.sig {
             if !sig.drifted_from(prev, DRIFT_THRESHOLD) {
@@ -458,7 +363,6 @@ mod tests {
     use super::*;
     use crate::region::Drt;
     use iotrace::gen::skewed::{self, SkewedConfig};
-    use iotrace::{TraceBatches, WindowConfig, WindowedSource};
     use pfs_sim::ClusterConfig;
     use storage_model::IoOp;
 
@@ -479,8 +383,7 @@ mod tests {
     fn first_window_always_plans() {
         let mut planner = OnlinePlanner::new(ctx(), OnlineConfig::default());
         let t = skewed_trace(64 << 10, 8, 1);
-        let sig = WindowSig::from(&TraceStats::of(&t));
-        match planner.observe(&t, sig) {
+        match planner.observe(&t) {
             Replan::Plan { plan, .. } => {
                 assert!(!plan.regions.is_empty());
                 let PlanResolver::Drt(drt) = &plan.resolver else { panic!("MHA redirects") };
@@ -495,11 +398,9 @@ mod tests {
     fn steady_windows_are_quiet_and_reuse_everything_on_a_forced_replan() {
         let mut planner = OnlinePlanner::new(ctx(), OnlineConfig::default());
         let windows = [skewed_trace(64 << 10, 8, 1), skewed_trace(64 << 10, 8, 2)];
-        let sig0 = WindowSig::from(&TraceStats::of(&windows[0]));
-        assert!(matches!(planner.observe(&windows[0], sig0), Replan::Plan { .. }));
-        let sig1 = WindowSig::from(&TraceStats::of(&windows[1]));
+        assert!(matches!(planner.observe(&windows[0]), Replan::Plan { .. }));
         assert!(
-            matches!(planner.observe(&windows[1], sig1), Replan::Quiet),
+            matches!(planner.observe(&windows[1]), Replan::Quiet),
             "same workload shape, different sample: quiet"
         );
         assert_eq!(planner.stats.quiet_windows, 1);
@@ -513,7 +414,7 @@ mod tests {
             max_offset: 0,
         };
         planner.sig = Some(forced);
-        match planner.observe(&windows[1], sig1) {
+        match planner.observe(&windows[1]) {
             Replan::Plan { reused, searched, .. } => {
                 assert!(searched == 0, "unmoved groups must not re-search ({searched} did)");
                 assert!(reused > 0);
@@ -527,10 +428,8 @@ mod tests {
         let mut planner = OnlinePlanner::new(ctx(), OnlineConfig::default());
         let before = skewed_trace(16 << 10, 8, 1);
         let after = skewed_trace(512 << 10, 8, 1);
-        let sig_b = WindowSig::from(&TraceStats::of(&before));
-        assert!(matches!(planner.observe(&before, sig_b), Replan::Plan { .. }));
-        let sig_a = WindowSig::from(&TraceStats::of(&after));
-        match planner.observe(&after, sig_a) {
+        assert!(matches!(planner.observe(&before), Replan::Plan { .. }));
+        match planner.observe(&after) {
             Replan::Plan { searched, .. } => {
                 assert!(searched > 0, "a 32x request-size shift must re-search")
             }
@@ -557,11 +456,9 @@ mod tests {
                 })
                 .collect(),
         );
-        let sig_b = WindowSig::from(&TraceStats::of(&before));
-        assert!(matches!(planner.observe(&before, sig_b), Replan::Plan { .. }));
-        let sig_a = WindowSig::from(&TraceStats::of(&after));
+        assert!(matches!(planner.observe(&before), Replan::Plan { .. }));
         assert!(
-            matches!(planner.observe(&after, sig_a), Replan::Plan { .. }),
+            matches!(planner.observe(&after), Replan::Plan { .. }),
             "a span-scale offset move must replan"
         );
     }
@@ -569,12 +466,11 @@ mod tests {
     #[test]
     fn coverage_block_widens_migrated_extents_without_distorting_regions() {
         let exact = OnlineConfig::default();
-        let block = OnlineConfig::builder().coverage_block(1 << 20).build().unwrap();
+        let block = OnlineConfig { coverage_block: 1 << 20, ..OnlineConfig::default() };
         let t = skewed_trace(64 << 10, 8, 5);
-        let sig = WindowSig::from(&TraceStats::of(&t));
         let plan_of = |cfg: OnlineConfig| {
             let mut p = OnlinePlanner::new(ctx(), cfg);
-            let Replan::Plan { plan, .. } = p.observe(&t, sig) else { panic!("cold plan") };
+            let Replan::Plan { plan, .. } = p.observe(&t) else { panic!("cold plan") };
             plan
         };
         let (pe, pb) = (plan_of(exact), plan_of(block));
@@ -606,8 +502,7 @@ mod tests {
         let mut seen = std::collections::HashSet::new();
         for (i, size) in [16 << 10, 512 << 10, 16 << 10].iter().enumerate() {
             let t = skewed_trace(*size, 8, i as u64 + 1);
-            let sig = WindowSig::from(&TraceStats::of(&t));
-            if let Replan::Plan { plan, .. } = planner.observe(&t, sig) {
+            if let Replan::Plan { plan, .. } = planner.observe(&t) {
                 for r in &plan.regions {
                     assert!(seen.insert(r.file), "region file {:?} reused across plans", r.file);
                 }
@@ -617,41 +512,18 @@ mod tests {
     }
 
     #[test]
-    fn builder_defaults_round_trip_and_bad_inputs_are_rejected() {
-        let built = OnlineConfig::builder().build().unwrap();
-        let dflt = OnlineConfig::default();
-        assert_eq!(built.coverage_block(), dflt.coverage_block());
-        assert_eq!(built.coverage_min_hits(), dflt.coverage_min_hits());
-
-        let custom = OnlineConfig::builder()
-            .coverage_block(16 << 20)
-            .coverage_min_hits(2)
-            .build()
-            .unwrap();
-        assert_eq!(custom.coverage_block(), 16 << 20);
-        assert_eq!(custom.coverage_min_hits(), 2);
-
-        for bad in [
-            OnlineConfig::builder().coverage_block(0),
-            OnlineConfig::builder().coverage_min_hits(0),
-        ] {
-            let err = bad.build().expect_err("invalid config must not build");
-            assert!(err.to_string().starts_with("invalid online config: "), "{err}");
-        }
-    }
-
-    #[test]
-    fn window_sig_matches_between_incremental_and_rescan_paths() {
-        let t = skewed_trace(64 << 10, 8, 7);
-        let mut src = TraceBatches::new(&t);
-        let mut windows =
-            WindowedSource::new(&mut src, WindowConfig { phases: 8, max_records: 0 });
-        let w = windows.next_window().expect("one window");
-        let inc = WindowSig::from(&w.stats);
-        let full = WindowSig::from(&TraceStats::of(&w.into_trace()));
-        assert!((inc.mean_request - full.mean_request).abs() < 1e-6);
-        assert!((inc.size_cv - full.size_cv).abs() < 1e-9);
-        assert_eq!(inc.max_concurrency, full.max_concurrency);
+    fn zero_coverage_knobs_plan_exactly_like_one() {
+        let t = skewed_trace(64 << 10, 8, 5);
+        let plan_of = |coverage_block, coverage_min_hits| {
+            let cfg = OnlineConfig { coverage_block, coverage_min_hits };
+            let Replan::Plan { plan, .. } = OnlinePlanner::new(ctx(), cfg).observe(&t) else {
+                panic!("cold plan")
+            };
+            format!("{plan:?}")
+        };
+        assert_eq!(plan_of(0, 1), plan_of(1, 1), "a zero block migrates exact extents");
+        assert_eq!(plan_of(1 << 20, 0), plan_of(1 << 20, 1), "zero hits migrate every block");
+        assert_ne!(plan_of(1 << 20, 1), plan_of(1 << 20, 2), "the heat gate is live here");
     }
 
     #[test]
@@ -660,8 +532,7 @@ mod tests {
         // the contract add_pending's cancellation logic assumes.
         let mut planner = OnlinePlanner::new(ctx(), OnlineConfig::default());
         let t = skewed_trace(64 << 10, 8, 3);
-        let sig = WindowSig::from(&TraceStats::of(&t));
-        let Replan::Plan { plan, .. } = planner.observe(&t, sig) else { panic!() };
+        let Replan::Plan { plan, .. } = planner.observe(&t) else { panic!() };
         let PlanResolver::Drt(drt) = &plan.resolver else { panic!() };
         let mut probe = Drt::new();
         for e in drt.entries() {

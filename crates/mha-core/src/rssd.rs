@@ -58,15 +58,16 @@ pub struct StripePair {
     pub s: u64,
 }
 
+/// Threshold multiplier for the adaptive bounds: regions with
+/// `r_max < (M + N) * SMALL_REGION_UNIT` use `r_max` as both bounds.
+/// 64 KiB is the paper's value.
+const SMALL_REGION_UNIT: u64 = 64 << 10;
+
 /// RSSD tuning.
 #[derive(Debug, Clone)]
 pub struct RssdConfig {
     /// Search step, bytes (paper default 4 KiB).
     pub step: u64,
-    /// Threshold multiplier for the adaptive bounds: regions with
-    /// `r_max < (M + N) * small_region_unit` use `r_max` as both bounds.
-    /// The paper uses 64 KiB.
-    pub small_region_unit: u64,
     /// Use the adaptive bounds of the paper (true) or the plain
     /// `r_max` bound of HARL (false) — the `ablation_bounds` knob.
     pub adaptive_bounds: bool,
@@ -95,7 +96,6 @@ impl Default for RssdConfig {
     fn default() -> Self {
         RssdConfig {
             step: 4 << 10,
-            small_region_unit: 64 << 10,
             adaptive_bounds: true,
             bound_override: None,
             pruning: true,
@@ -140,7 +140,7 @@ pub struct RssdResult {
 /// request `r_max`.
 pub fn bounds(r_max: u64, params: &CostParams, cfg: &RssdConfig) -> (u64, u64) {
     let servers = (params.m + params.n) as u64;
-    if !cfg.adaptive_bounds || r_max < servers * cfg.small_region_unit {
+    if !cfg.adaptive_bounds || r_max < servers * SMALL_REGION_UNIT {
         (r_max, r_max)
     } else {
         (

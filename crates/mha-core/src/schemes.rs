@@ -109,12 +109,13 @@ pub struct PlannerContext {
     /// layouts and the cost model re-weights by the surviving servers'
     /// slowdowns (failover restriping).
     pub health: Vec<ServerHealth>,
-    /// Slowdown factor at which a degraded server is *excluded* from new
-    /// layouts entirely rather than merely down-weighted. The default 3.0
-    /// excludes permanent-loss servers (infinite), outage-penalized
-    /// servers (4.0) and worn-SSD-class stragglers (≥ 3.0).
-    pub exclude_slowdown: f64,
 }
+
+/// Slowdown factor at which a degraded server is *excluded* from new
+/// layouts entirely rather than merely down-weighted: 3.0 excludes
+/// permanent-loss servers (infinite), outage-penalized servers (4.0) and
+/// worn-SSD-class stragglers (≥ 3.0).
+const EXCLUDE_SLOWDOWN: f64 = 3.0;
 
 impl PlannerContext {
     /// Context calibrated for `cfg` (device probing happens here, once).
@@ -129,7 +130,6 @@ impl PlannerContext {
             region_align: None,
             selective_min_gain: 0.0,
             health: Vec::new(),
-            exclude_slowdown: 3.0,
         }
     }
 
@@ -142,11 +142,11 @@ impl PlannerContext {
     }
 
     /// Is server `i` usable for new layouts under the current health?
-    /// (Not lost, and not slowed past [`Self::exclude_slowdown`].)
+    /// (Not lost, and not slowed past `EXCLUDE_SLOWDOWN`, 3.0.)
     pub fn server_usable(&self, i: usize) -> bool {
         self.health
             .get(i)
-            .is_none_or(|h| !h.down && h.speed_factor < self.exclude_slowdown)
+            .is_none_or(|h| !h.down && h.speed_factor < EXCLUDE_SLOWDOWN)
     }
 
     /// The cost parameters the planners should optimize against: with no

@@ -19,17 +19,22 @@
 //!   [`crate::persist::recover`].
 //! * **Job-as-window.** Each completed job is treated as one profiling
 //!   window: quiet jobs (signature within the drift threshold) cost
-//!   one comparison, drifted jobs replan incrementally and hand the
-//!   new plan's extents to the lazy migrator — copies then happen on
-//!   first access during later jobs.
+//!   one signature rescan and comparison, drifted jobs replan
+//!   incrementally and hand the new plan's extents to the lazy
+//!   migrator — copies then happen on first access during later jobs.
+//!
+//! This is the only driver of the online loop: the `figures online`
+//! study runs one pipeline (tenant 0) over phase windows of a single
+//! trace, feeding each window to `after_job` as the service feeds a job.
 
 use crate::dynamic::LazyMigrator;
-use crate::online::{OnlineConfig, OnlinePlanner, Replan, WindowSig};
+use crate::online::{OnlineConfig, OnlinePlanner, Replan};
 use crate::persist::{PersistError, PipelineStore, TenantStore};
 use crate::region::Drt;
 use crate::schemes::{PlanResolver, PlannerContext};
-use iotrace::{FileId, TenantId, Trace, TraceStats};
+use iotrace::{FileId, TenantId, Trace};
 use pfs_sim::{ClusterConfig, LayoutSpec, Resolver, TenantRuntime};
+use simrt::SimDuration;
 
 /// The crate's online planning + lazy migration stack, packaged as a
 /// [`TenantRuntime`] for [`pfs_sim::LayoutService`]. See the module
@@ -78,6 +83,14 @@ impl<'a> TenantPipeline<'a> {
         &self.migrator
     }
 
+    /// Migrate every redirect still pending (the end-of-run drain, see
+    /// [`LazyMigrator::drain`]). Returns the bytes moved and the modeled
+    /// copy time; the bytes also count in the migrator's
+    /// [`migrated_bytes`](LazyMigrator::migrated_bytes).
+    pub fn drain(&mut self) -> Result<(u64, SimDuration), PersistError> {
+        self.migrator.drain()
+    }
+
     /// Surface any persistence error swallowed by the infallible
     /// [`TenantRuntime`] hooks. A failed pipeline stops planning and
     /// migrating (jobs still replay at their installed layouts) until
@@ -99,8 +112,7 @@ impl TenantRuntime for TenantPipeline<'_> {
         if self.err.is_some() {
             return Vec::new();
         }
-        let sig = WindowSig::from(&TraceStats::of(trace));
-        match self.planner.observe(trace, sig) {
+        match self.planner.observe(trace) {
             Replan::Quiet => Vec::new(),
             Replan::Plan { plan, .. } => {
                 // Commit the generation (published mapping so far + the
@@ -211,6 +223,24 @@ mod tests {
             assert_eq!(f.tenant(), TenantId(5));
         }
         assert_eq!(cluster.mds().tenant_layouts(TenantId(0)).count(), 0);
+    }
+
+    #[test]
+    fn drain_migrates_every_pending_redirect() {
+        let store = store_at("drain");
+        let cluster_cfg = ClusterConfig::paper_default();
+        let mut pipe =
+            TenantPipeline::new(&store, TenantId(1), &cluster_cfg, OnlineConfig::default());
+        let mut retagged = Trace::new();
+        skewed_trace(64 << 10, 3).retag_into(TenantId(1), &mut retagged);
+        assert!(!pipe.after_job(&retagged).is_empty(), "a cold pipeline plans");
+        assert!(pipe.migrator().pending_len() > 0, "an unreplayed plan is all pending");
+        let before = pipe.migrator().migrated_bytes();
+        let (bytes, time) = pipe.drain().unwrap();
+        assert!(bytes > 0 && time > SimDuration::ZERO);
+        assert_eq!(pipe.migrator().pending_len(), 0);
+        assert_eq!(pipe.migrator().migrated_bytes(), before + bytes);
+        assert!(pipe.check().is_ok());
     }
 
     #[test]

@@ -61,8 +61,7 @@ pub mod prelude {
     pub use mha_core::tenant::TenantPipeline;
     pub use mha_core::{
         file_sizes, placement_factors, rebuild_onto_spare, CostParams, DrtResolver,
-        GroupingConfig, OnlineConfig, OnlineConfigBuilder, OnlinePlanner, OpFactors,
-        RebuildOutcome, RssdConfig,
+        GroupingConfig, OnlineConfig, OnlinePlanner, OpFactors, RebuildOutcome, RssdConfig,
     };
     pub use mpiio_sim::{Hints, Middleware, MpiJob};
     pub use pfs_sim::{
