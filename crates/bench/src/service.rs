@@ -11,10 +11,13 @@
 //!
 //! 1. **Determinism** — the same seed reproduces the whole schedule and
 //!    every job report bit-for-bit.
-//! 2. **Isolation** — a tenant's per-job replay reports are identical
-//!    whether it runs alone or among seven co-tenants.
+//! 2. **Isolation** — a tenant's per-job replay reports and its
+//!    per-server totals are identical whether it runs alone or among
+//!    seven co-tenants.
 //! 3. **Degeneracy** — a 1-tenant service run of a single job is
-//!    bit-identical to a plain streaming replay of the same trace.
+//!    bit-identical to a plain streaming replay of the same trace: the
+//!    job's report equals the replay's less its per-server stats, and
+//!    the tenant's per-server totals equal those stats.
 //!
 //! At full scale it also asserts that the service completes at least
 //! 64 jobs.
@@ -113,6 +116,13 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
         solo_reports == with_cotenants,
         "co-tenants must not perturb a tenant's replay reports"
     );
+    let tenant_1 = |r: &ServiceReport| {
+        r.tenants.iter().find(|s| s.tenant == TenantId(1)).expect("tenant 1 ran").per_server.clone()
+    };
+    assert!(
+        tenant_1(&solo) == tenant_1(&report),
+        "co-tenants must not perturb a tenant's per-server totals"
+    );
 
     // -- degeneracy: 1-tenant service == plain streaming replay -------
     let trace = tenant_trace(0, 0, scale);
@@ -121,10 +131,9 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
         let mut svc = LayoutService::new(&mut cluster, ServiceConfig::new(SEED));
         svc.add_tenant(TenantId(0), Box::new(NullRuntime::new()));
         svc.submit(TenantId(0), trace.clone());
-        let mut r = svc.run().expect("fault-free service cannot fail");
-        r.jobs.remove(0).report
+        svc.run().expect("fault-free service cannot fail")
     };
-    let plain_run = {
+    let mut plain_run = {
         let mut cluster = Cluster::new(ClusterConfig::paper_default());
         ReplaySession::new()
             .run(
@@ -137,8 +146,10 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
             )
             .expect("fault-free replay cannot fail")
     };
+    let plain_servers = std::mem::take(&mut plain_run.per_server);
     assert!(
-        service_run == plain_run,
+        service_run.jobs[0].report == plain_run
+            && service_run.tenants[0].per_server == plain_servers,
         "a 1-tenant service must degenerate to a plain streaming replay"
     );
     if scale == Scale::Full {

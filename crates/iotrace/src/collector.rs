@@ -118,7 +118,7 @@ mod tests {
         at_ms(&mut c, 0, 1, 4096);
         at_ms(&mut c, 0, 2, 8192);
         let t = c.finish();
-        assert_eq!(t.phase_count(), 1);
+        assert_eq!(t.phase_span(), 1);
         assert_eq!(t.concurrency(), vec![3, 3, 3]);
     }
 
@@ -129,7 +129,7 @@ mod tests {
         at_ms(&mut c, 10, 0, 4096);
         at_ms(&mut c, 20, 0, 8192);
         let t = c.finish();
-        assert_eq!(t.phase_count(), 3);
+        assert_eq!(t.phase_span(), 3);
     }
 
     #[test]
@@ -142,7 +142,7 @@ mod tests {
         c.record(1, Rank(0), FileId(0), IoOp::Read, 1, 1, SimTime::from_nanos(900_000));
         c.record(1, Rank(0), FileId(0), IoOp::Read, 2, 1, SimTime::from_nanos(1_800_000));
         let t = c.finish();
-        assert_eq!(t.phase_count(), 2);
+        assert_eq!(t.phase_span(), 2);
     }
 
     #[test]

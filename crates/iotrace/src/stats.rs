@@ -28,7 +28,8 @@ pub struct TraceStats {
     /// Request-size coefficient of variation — the paper's notion of
     /// "heterogeneous request sizes" corresponds to a large value here.
     pub size_cv: f64,
-    /// Number of distinct I/O phases.
+    /// Number of I/O phases: runs of adjacent records sharing a phase
+    /// id, the unit [`Trace::phase_windows`] counts.
     pub phases: u32,
     /// Maximum per-phase concurrency.
     pub max_concurrency: u32,
@@ -54,7 +55,13 @@ impl TraceStats {
         let mut distinct: Vec<u64> = Vec::new();
         let mut reads = 0usize;
         let mut writes = 0usize;
+        let mut phases = 0u32;
+        let mut last_phase = None;
         for r in trace.records() {
+            if last_phase != Some(r.phase) {
+                phases += 1;
+                last_phase = Some(r.phase);
+            }
             sizes.push(r.len as f64);
             offsets.push(r.offset as f64);
             hist.record(r.len);
@@ -78,7 +85,7 @@ impl TraceStats {
             min_request: trace.records().iter().map(|r| r.len).min().unwrap_or(0),
             mean_request: mean,
             size_cv: if mean > 0.0 { sizes.stddev() / mean } else { 0.0 },
-            phases: trace.phase_count(),
+            phases,
             max_concurrency: trace.concurrency().into_iter().max().unwrap_or(0),
             mean_offset: offsets.mean(),
             max_offset: trace.records().iter().map(|r| r.offset).max().unwrap_or(0),
@@ -131,6 +138,23 @@ mod tests {
         assert_eq!(s.size_cv, 0.0);
         assert!(!s.is_heterogeneous());
         assert_eq!(s.max_concurrency, 2);
+    }
+
+    #[test]
+    fn phases_count_runs_not_the_largest_id() {
+        // The last 8-phase window of a 21-phase trace holds ids 16..=20.
+        let mut cfg = crate::gen::skewed::SkewedConfig::default_run(IoOp::Write);
+        cfg.procs = 4;
+        cfg.phases = 21;
+        let trace = crate::gen::skewed::generate(&cfg);
+        assert_eq!(TraceStats::of(&trace).phases, 21);
+        let last = trace.phase_windows(8).last().unwrap();
+        assert_eq!(last.phase_span(), 21);
+        assert_eq!(TraceStats::of(&last).phases, 5);
+        // A recurring id starts a new run; an empty trace has none.
+        let t = Trace::from_records([0, 0, 1, 0].map(|p| rec(0, 8, p, IoOp::Read)).to_vec());
+        assert_eq!((TraceStats::of(&t).phases, t.phase_span()), (3, 2));
+        assert_eq!(TraceStats::of(&Trace::new()).phases, 0);
     }
 
     #[test]

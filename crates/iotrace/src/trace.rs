@@ -245,8 +245,11 @@ impl Trace {
             .collect()
     }
 
-    /// Number of distinct phases.
-    pub fn phase_count(&self) -> u32 {
+    /// One past the largest phase id (0 for an empty trace): the shift
+    /// [`Trace::extend_with`] adds to appended phase ids so they stay
+    /// distinct. Not a count of phases when ids start above 0 or skip;
+    /// [`crate::TraceStats::phases`] counts phase runs.
+    pub fn phase_span(&self) -> u32 {
         self.records
             .iter()
             .map(|r| r.phase)
@@ -295,7 +298,7 @@ impl Trace {
     /// loop, which used to pay a full re-sort per appended job) and a
     /// single merge of the two sorted halves otherwise.
     pub fn extend_with(&mut self, other: &Trace) {
-        let shift = self.phase_count();
+        let shift = self.phase_span();
         let records = Arc::make_mut(&mut self.records);
         let split = records.len();
         records.reserve(other.records.len());
@@ -400,7 +403,7 @@ mod tests {
             rec(0, 30, 10, 1, IoOp::Read),
         ]);
         assert_eq!(t.concurrency(), vec![3, 3, 3, 1]);
-        assert_eq!(t.phase_count(), 2);
+        assert_eq!(t.phase_span(), 2);
     }
 
     #[test]
@@ -431,7 +434,7 @@ mod tests {
         let b = Trace::from_records(vec![rec(0, 10, 10, 0, IoOp::Read)]);
         a.extend_with(&b);
         assert_eq!(a.len(), 2);
-        assert_eq!(a.phase_count(), 2);
+        assert_eq!(a.phase_span(), 2);
         // Both singleton phases → concurrency 1 each.
         assert_eq!(a.concurrency(), vec![1, 1]);
     }
@@ -457,7 +460,7 @@ mod tests {
             got.extend_with(&b);
 
             // Oracle: the original implementation.
-            let shift = Trace::from_records(ra.clone()).phase_count();
+            let shift = Trace::from_records(ra.clone()).phase_span();
             let mut all = ra;
             all.extend(rb.into_iter().map(|mut r| {
                 r.phase += shift;
@@ -465,7 +468,7 @@ mod tests {
             }));
             all.sort_by_key(|r| (r.ts, r.phase, r.rank, r.offset));
             assert_eq!(got.records(), &all[..], "trial {trial} (na={na}, nb={nb})");
-            assert!(got.phase_count() >= shift, "phases stay distinct");
+            assert!(got.phase_span() >= shift, "phases stay distinct");
         }
     }
 
@@ -638,7 +641,7 @@ mod tests {
         let t = Trace::new();
         assert!(t.is_empty());
         assert_eq!(t.max_request_size(), 0);
-        assert_eq!(t.phase_count(), 0);
+        assert_eq!(t.phase_span(), 0);
         assert!(t.concurrency().is_empty());
     }
 

@@ -8,7 +8,7 @@
 //! ```
 //! workload ∈ {lanl, lu, hpio} (default: lanl)
 
-use iotrace::Trace;
+use iotrace::{Trace, TraceStats};
 use mha_core::schemes::{Evaluation, PlannerContext, Scheme};
 use pfs_sim::ClusterConfig;
 use storage_model::IoOp;
@@ -33,7 +33,7 @@ fn main() {
     println!(
         "workload {name}: {} requests, {} phases, {} bytes",
         trace.len(),
-        trace.phase_count(),
+        TraceStats::of(&trace).phases,
         trace.total_bytes()
     );
     println!("cost model: {:?}\n", ctx.params);

@@ -210,7 +210,7 @@ mod tests {
             &CollectiveConfig { aggregators: 2 },
         );
         let t = job.finish();
-        assert_eq!(t.phase_count(), 2);
+        assert_eq!(t.phase_span(), 2);
         assert_eq!(t.len(), 4, "two aggregator requests per collective");
         assert!(t.records().iter().all(|r| r.len == 16384));
     }

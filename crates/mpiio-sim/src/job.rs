@@ -129,7 +129,7 @@ mod tests {
         j.barrier();
         j.write_at(0, f, 200, 100);
         let t = j.finish();
-        assert_eq!(t.phase_count(), 2);
+        assert_eq!(t.phase_span(), 2);
         assert_eq!(t.concurrency(), vec![2, 2, 1]);
     }
 
@@ -144,7 +144,7 @@ mod tests {
         j.barrier();
         j.read_at(0, f, 0, 10);
         let t = j.finish();
-        assert_eq!(t.phase_count(), 2);
+        assert_eq!(t.phase_span(), 2);
     }
 
     #[test]

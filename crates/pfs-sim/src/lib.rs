@@ -55,8 +55,8 @@ pub use layout::{LayoutSpec, LoadScratch, Placement, ServerId, SubExtent};
 pub use redundancy::REDUNDANCY_REGION;
 pub use mds::{MdsConfig, MetadataServer};
 pub use replay::{
-    Counters, FileSet, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, ReplayScratch,
-    Resolution, Resolver, ServerIoStat,
+    Counters, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, Resolution, Resolver,
+    ServerIoStat,
 };
 pub use server::StorageServer;
 pub use service::{
@@ -64,7 +64,6 @@ pub use service::{
     TenantSummary,
 };
 pub use session::{CoreSel, ReplayInput, ReplayPayload, ReplaySession};
-pub use sharded::ShardedScratch;
 // Tenancy vocabulary, re-exported so service callers don't need a direct
 // iotrace dependency for ids alone.
 pub use iotrace::TenantId;

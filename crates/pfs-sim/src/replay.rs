@@ -91,35 +91,19 @@ impl Resolver for IdentityResolver {
 /// carry ids past `t << 24 | 1 << 20`, where a dense index would span
 /// megabytes for a handful of files.
 #[derive(Debug, Clone, Default)]
-pub struct FileSet {
+pub(crate) struct FileSet {
     files: HashSet<FileId>,
 }
 
 impl FileSet {
-    /// Empty set.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Remove every file, keeping the allocated capacity.
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         self.files.clear();
     }
 
     /// Insert `file`; returns `true` when it was not already present.
-    pub fn insert(&mut self, file: FileId) -> bool {
+    pub(crate) fn insert(&mut self, file: FileId) -> bool {
         self.files.insert(file)
-    }
-
-    /// True when `file` is present.
-    pub fn contains(&self, file: FileId) -> bool {
-        self.files.contains(&file)
-    }
-
-    /// Slots allocated for files, for footprint assertions.
-    #[cfg(test)]
-    fn capacity(&self) -> usize {
-        self.files.capacity()
     }
 }
 
@@ -187,7 +171,7 @@ impl ReplaySchedule {
 /// experiment grid makes the per-request path allocation-free at steady
 /// state.
 #[derive(Debug, Clone, Default)]
-pub struct ReplayScratch {
+pub(crate) struct ReplayScratch {
     /// Physical extents of the request being replayed.
     extents: Vec<PhysExtent>,
     /// Per-server sub-requests of the extent being decomposed.
@@ -204,11 +188,6 @@ pub struct ReplayScratch {
 }
 
 impl ReplayScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Detach the schedule buffers so they can be borrowed alongside the
     /// rest of the scratch (see [`crate::ReplaySession::run`]).
     pub(crate) fn take_schedule(&mut self) -> ReplaySchedule {
@@ -284,6 +263,30 @@ pub struct ServerIoStat {
     /// Retries, timeouts and degraded-mode work charged to this server
     /// (`deferred_requests` is always 0 here).
     pub counters: Counters,
+}
+
+impl ServerIoStat {
+    /// Add `other`'s work on this server to this one: `busy`, the byte
+    /// counts and `served` sum, and the counters merge. A service run
+    /// folds each job's stats into its tenant's totals this way.
+    ///
+    /// # Panics
+    /// If `other` describes another server, or differs in what one
+    /// service run fixes for a server: its `kind`, `down` and `slowdown`.
+    pub fn merge(&mut self, other: &ServerIoStat) {
+        let fixed = |s: &ServerIoStat| (s.server, s.kind, s.down, s.slowdown);
+        assert!(
+            fixed(self) == fixed(other),
+            "merging server stats {:?} with {:?} (server, kind, down, slowdown)",
+            fixed(self),
+            fixed(other),
+        );
+        self.busy += other.busy;
+        self.bytes_read += other.bytes_read;
+        self.bytes_written += other.bytes_written;
+        self.served += other.served;
+        self.counters.merge(other.counters);
+    }
 }
 
 /// Outcome of a replay run. Two reports compare equal only when every
@@ -634,28 +637,69 @@ mod tests {
     }
 
     #[test]
+    fn merged_server_stats_sum_two_runs_work() {
+        let mut c = Cluster::new(ClusterConfig::paper_default());
+        let (w, r) = (small_ior(IoOp::Write), small_ior(IoOp::Read));
+        let a = run(&mut c, &w, &mut IdentityResolver);
+        let b = run(&mut c, &r, &mut IdentityResolver);
+        for (x, y) in a.per_server.iter().zip(&b.per_server) {
+            let mut m = x.clone();
+            m.merge(y);
+            assert_eq!((m.server, m.kind, m.down, m.slowdown), (x.server, x.kind, false, 1.0));
+            assert_eq!(m.busy, x.busy + y.busy);
+            assert!(x.bytes_written > 0 && y.bytes_read > 0, "server {} idle", x.server);
+            assert_eq!(m.bytes_read, x.bytes_read + y.bytes_read);
+            assert_eq!(m.bytes_written, x.bytes_written + y.bytes_written);
+            assert_eq!(m.served, x.served + y.served);
+            let mut counters = x.counters;
+            counters.merge(y.counters);
+            assert_eq!(m.counters, counters);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "merging server stats (0, ")]
+    fn merging_different_servers_panics() {
+        let mut c = Cluster::new(ClusterConfig::paper_default());
+        let r = run(&mut c, &small_ior(IoOp::Write), &mut IdentityResolver);
+        let mut first = r.per_server[0].clone();
+        first.merge(&r.per_server[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "true, 1.0) (server, kind, down, slowdown)")]
+    fn merging_a_lost_server_into_a_live_one_panics() {
+        let mut c = Cluster::new(ClusterConfig::paper_default());
+        let r = run(&mut c, &small_ior(IoOp::Write), &mut IdentityResolver);
+        let mut lost = r.per_server[0].clone();
+        lost.down = true;
+        let mut live = r.per_server[0].clone();
+        live.merge(&lost);
+    }
+
+    #[test]
     fn file_set_is_sized_by_the_files_inserted() {
-        let mut s = FileSet::new();
-        assert!(!s.contains(FileId(0)));
+        let mut s = FileSet::default();
+        assert!(!s.files.contains(&FileId(0)));
         assert!(s.insert(FileId(0)), "first insert is fresh");
         assert!(!s.insert(FileId(0)), "second insert is not");
-        assert!(s.contains(FileId(0)));
+        assert!(s.files.contains(&FileId(0)));
         // Region-file ids live past 2^20, tenant-namespaced ones past
         // 2^24; the highest id of the last tenant is u32::MAX.
         let top = FileId::with_tenant(TenantId(255), FileId((1 << 24) - 1));
         assert_eq!(top, FileId(u32::MAX));
         for f in [FileId(1 << 20), top] {
             assert!(s.insert(f));
-            assert!(s.contains(f));
+            assert!(s.files.contains(&f));
         }
-        assert!(!s.contains(FileId((1 << 20) + 1)));
-        assert!(!s.contains(FileId(u32::MAX - 1)));
+        assert!(!s.files.contains(&FileId((1 << 20) + 1)));
+        assert!(!s.files.contains(&FileId(u32::MAX - 1)));
         // Three files, however large their ids: storage stays a few
         // slots, not a span of the id space.
-        assert!(s.capacity() < 16, "capacity {} for 3 files", s.capacity());
+        assert!(s.files.capacity() < 16, "capacity {} for 3 files", s.files.capacity());
         s.clear();
         for f in [FileId(0), FileId(1 << 20), top] {
-            assert!(!s.contains(f), "cleared set forgets {f:?}");
+            assert!(!s.files.contains(&f), "cleared set forgets {f:?}");
         }
         assert!(s.insert(top), "cleared set forgets everything");
     }

@@ -38,7 +38,7 @@
 use crate::cluster::Cluster;
 use crate::error::ReplayError;
 use crate::layout::LayoutSpec;
-use crate::replay::{Counters, IdentityResolver, ReplayReport, Resolver};
+use crate::replay::{Counters, IdentityResolver, ReplayReport, Resolver, ServerIoStat};
 use crate::session::{CoreSel, ReplayInput, ReplaySession};
 use iotrace::{FileId, TenantId, Trace, TraceBatches};
 use simrt::{ArrivalProcess, SchedPolicy, SeedSeq, SimDuration, SimTime};
@@ -122,7 +122,10 @@ impl ServiceConfig {
     }
 }
 
-/// One admitted job's lifecycle inside a [`ServiceReport`].
+/// One admitted job's lifecycle inside a [`ServiceReport`]. Its
+/// per-server breakdown is folded into its tenant's
+/// [`TenantSummary::per_server`], so a job record's size does not grow
+/// with the cluster.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRecord {
     /// Submitting tenant.
@@ -135,8 +138,10 @@ pub struct JobRecord {
     pub start: SimTime,
     /// `start + report.makespan`.
     pub completion: SimTime,
-    /// The job's replay report (bit-identical to a standalone replay of
-    /// the same trace against the same installed layouts).
+    /// The job's replay report: bit-identical to a standalone replay of
+    /// the same trace against the same installed layouts, except that
+    /// its `per_server` is empty (the service folds it into
+    /// [`TenantSummary::per_server`]).
     pub report: ReplayReport,
 }
 
@@ -147,7 +152,7 @@ impl JobRecord {
     }
 }
 
-/// Per-tenant roll-up of completion latencies.
+/// Per-tenant roll-up of completion latencies and per-server load.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TenantSummary {
     /// The tenant.
@@ -162,11 +167,18 @@ pub struct TenantSummary {
     pub p95_latency: f64,
     /// 99th-percentile latency, seconds.
     pub p99_latency: f64,
+    /// The tenant's per-server load: every completed job's
+    /// [`ReplayReport::per_server`] merged with [`ServerIoStat::merge`],
+    /// one entry per server in server order (empty if no job completed).
+    pub per_server: Vec<ServerIoStat>,
 }
 
 /// What a service run produces: every admitted job's lifecycle, the
-/// shed-load count, and per-tenant latency summaries. Two reports compare
-/// equal only when every job's lifecycle and replay report match exactly.
+/// shed-load count, and per-tenant summaries. Jobs carry no per-server
+/// stats; each tenant's summary holds their totals, so a report holds
+/// O(jobs + tenants × servers) bytes. Two reports compare equal only
+/// when every job's lifecycle and replay report and every tenant's
+/// summary match exactly.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServiceReport {
     /// Admitted jobs in service (start-time) order.
@@ -321,18 +333,20 @@ impl<'a> LayoutService<'a> {
         schedule.sort_by_key(|p| (p.arrival, p.tenant, p.seq));
 
         let mut free_at = SimTime::ZERO;
+        // Admitted jobs still running at the latest arrival.
         let mut in_flight: Vec<(usize, SimTime)> = Vec::new();
         let mut jobs: Vec<JobRecord> = Vec::new();
         let mut rejected_by_tenant = vec![0usize; self.tenants.len()];
+        let mut per_server: Vec<Vec<ServerIoStat>> = vec![Vec::new(); self.tenants.len()];
         let mut total_bytes = 0u64;
         let mut counters = Counters::default();
         // One retag buffer serves every dispatched job of a non-zero tenant.
         let mut tagged = Trace::new();
         for p in schedule {
-            let backlog = in_flight
-                .iter()
-                .filter(|(ix, done)| *ix == p.tenant_ix && *done > p.arrival)
-                .count();
+            // Arrivals come in order: a job done by this one is done by
+            // every later one too.
+            in_flight.retain(|&(_, done)| done > p.arrival);
+            let backlog = in_flight.iter().filter(|&&(ix, _)| ix == p.tenant_ix).count();
             if backlog >= self.cfg.queue_depth {
                 rejected_by_tenant[p.tenant_ix] += 1;
                 continue;
@@ -345,7 +359,7 @@ impl<'a> LayoutService<'a> {
             }
             let mut batches = TraceBatches::new(trace);
             self.session.set_sched_policy(entry.policy);
-            let report = self.session.run(
+            let mut report = self.session.run(
                 ReplayInput::stream(self.cluster, &mut batches, entry.runtime.resolver()),
                 CoreSel::Sharded,
             )?;
@@ -355,6 +369,15 @@ impl<'a> LayoutService<'a> {
             in_flight.push((p.tenant_ix, completion));
             total_bytes += report.total_bytes;
             counters.merge(report.counters);
+            let servers = std::mem::take(&mut report.per_server);
+            let totals = &mut per_server[p.tenant_ix];
+            if totals.is_empty() {
+                *totals = servers;
+            } else {
+                for (total, s) in totals.iter_mut().zip(&servers) {
+                    total.merge(s);
+                }
+            }
             for (file, layout) in entry.runtime.after_job(trace) {
                 self.cluster.mds_mut().set_layout(file, layout);
             }
@@ -371,8 +394,9 @@ impl<'a> LayoutService<'a> {
         let tenants = self
             .tenants
             .iter()
+            .zip(per_server)
             .enumerate()
-            .map(|(ix, entry)| {
+            .map(|(ix, (entry, per_server))| {
                 let lat: Vec<f64> = jobs
                     .iter()
                     .filter(|j| j.tenant == entry.tenant)
@@ -386,6 +410,7 @@ impl<'a> LayoutService<'a> {
                     p50_latency: pct(0.50),
                     p95_latency: pct(0.95),
                     p99_latency: pct(0.99),
+                    per_server,
                 }
             })
             .collect();
@@ -454,7 +479,7 @@ mod tests {
     #[test]
     fn one_tenant_run_is_bit_identical_to_a_plain_streaming_replay() {
         let t = small_ior(6);
-        let standalone = {
+        let mut standalone = {
             let mut c = cluster();
             ReplaySession::new()
                 .run(
@@ -470,7 +495,11 @@ mod tests {
         let report = svc.run().unwrap();
         assert_eq!(report.jobs.len(), 1);
         assert_eq!(report.rejected, 0);
+        // The job's per-server stats live in its tenant's summary.
+        let per_server = std::mem::take(&mut standalone.per_server);
+        assert_eq!(per_server.len(), 8);
         assert_eq!(report.jobs[0].report, standalone);
+        assert_eq!(report.tenants[0].per_server, per_server);
     }
 
     #[test]
@@ -499,23 +528,31 @@ mod tests {
         assert_eq!(report.jobs.len(), 2);
         assert!(report.counters.failovers > 0, "lost primary must fail over");
         assert_eq!(report.counters.degraded_reads, 0, "replication reconstructs nothing");
-        // Each level is the merge of the one below: a job's counters are
-        // its servers' plus its deferrals, the service's are its jobs'.
-        let mut jobs_total = Counters::default();
-        for j in &report.jobs {
-            assert_eq!(j.report.counters.timeouts, 0, "redundant jobs must complete");
+        // Each level is the merge of the one below: a tenant's jobs'
+        // counters are its servers' totals plus its deferrals, the
+        // service's are its jobs'.
+        let mut service_total = Counters::default();
+        for tenant in &report.tenants {
+            let mut jobs_total = Counters::default();
+            for j in report.jobs.iter().filter(|j| j.tenant == tenant.tenant) {
+                assert_eq!(j.report.counters.timeouts, 0, "redundant jobs must complete");
+                assert!(j.report.per_server.is_empty(), "per-server stats live in the tenant");
+                jobs_total.merge(j.report.counters);
+            }
             let mut servers_total = Counters {
-                deferred_requests: j.report.counters.deferred_requests,
+                deferred_requests: jobs_total.deferred_requests,
                 ..Counters::default()
             };
-            for s in &j.report.per_server {
+            assert_eq!(tenant.per_server.len(), 8);
+            for s in &tenant.per_server {
                 assert_eq!(s.counters.deferred_requests, 0, "deferral is per request");
                 servers_total.merge(s.counters);
             }
-            assert_eq!(j.report.counters, servers_total);
-            jobs_total.merge(j.report.counters);
+            assert!(tenant.per_server[1].down, "the lost server stays marked down");
+            assert_eq!(jobs_total, servers_total);
+            service_total.merge(jobs_total);
         }
-        assert_eq!(report.counters, jobs_total);
+        assert_eq!(report.counters, service_total);
     }
 
     #[test]
@@ -596,6 +633,60 @@ mod tests {
     }
 
     #[test]
+    fn admission_counts_each_tenants_jobs_still_in_flight() {
+        // Three tenants against depth 2, their jobs arriving about as
+        // fast as the shared cluster serves them, so admits and rejects
+        // mix: rebuild the merged arrival schedule and check every admit
+        // or reject against the admitted jobs of its tenant that are
+        // still running when it arrives.
+        const DEPTH: usize = 2;
+        const JOBS: u32 = 16;
+        let (seed, gap) = (21, SimDuration::from_millis(35));
+        let mut c = cluster();
+        let mut svc = LayoutService::new(
+            &mut c,
+            ServiceConfig::new(seed).mean_interarrival(gap).queue_depth(DEPTH),
+        );
+        for t in 1..=3u32 {
+            svc.add_tenant(TenantId(t), Box::new(NullRuntime::new()));
+            for j in 0..JOBS {
+                svc.submit(TenantId(t), small_ior(1 + (t + j) as usize % 3));
+            }
+        }
+        let report = svc.run().unwrap();
+        let mut schedule = Vec::new();
+        for t in 1..=3u32 {
+            let seed = SeedSeq::new(seed).derive_idx("tenant-arrivals", u64::from(t));
+            let mut arrivals = ArrivalProcess::new(seed, gap);
+            schedule.extend((0..JOBS).map(|seq| (arrivals.next_arrival(), TenantId(t), seq)));
+        }
+        schedule.sort();
+        let mut admitted = report.jobs.iter().peekable();
+        let mut done: Vec<&JobRecord> = Vec::new();
+        let mut rejected = [0usize; 3];
+        for (arrival, tenant, seq) in schedule {
+            let backlog =
+                done.iter().filter(|j| j.tenant == tenant && j.completion > arrival).count();
+            let what = format!("tenant {} job {seq} with {backlog} in flight", tenant.0);
+            match admitted.next_if(|j| (j.tenant, j.seq) == (tenant, seq)) {
+                Some(job) => {
+                    assert!(backlog < DEPTH, "{what} admitted over the bound");
+                    assert_eq!(job.arrival, arrival);
+                    done.push(job);
+                }
+                None => {
+                    assert!(backlog >= DEPTH, "{what} rejected under the bound");
+                    rejected[tenant.0 as usize - 1] += 1;
+                }
+            }
+        }
+        assert!(admitted.next().is_none(), "every admitted job is in the schedule");
+        let by_tenant: Vec<usize> = report.tenants.iter().map(|s| s.rejected).collect();
+        assert_eq!(by_tenant, rejected);
+        assert!(report.rejected > 0 && !report.jobs.is_empty(), "the burst both admits and sheds");
+    }
+
+    #[test]
     fn co_tenant_does_not_perturb_a_tenants_replay_reports() {
         // The isolation property: tenant 2's per-job replay reports are
         // bit-identical whether or not tenant 1 shares the service.
@@ -624,6 +715,11 @@ mod tests {
             r.jobs.iter().filter(|j| j.tenant.0 == t).map(|j| j.report.clone()).collect()
         };
         assert!(reports(&solo, 2) == reports(&shared, 2), "co-tenant changed a replay report");
+        let servers = |r: &ServiceReport, t: u32| -> Vec<ServerIoStat> {
+            r.tenants.iter().find(|s| s.tenant.0 == t).unwrap().per_server.clone()
+        };
+        assert_eq!(servers(&solo, 2).len(), 8);
+        assert!(servers(&solo, 2) == servers(&shared, 2), "co-tenant changed per-server totals");
         // Arrivals are also identical (derived from the tenant id, not
         // the tenant set); only start/completion may differ.
         let arrivals = |r: &ServiceReport, t: u32| -> Vec<u64> {

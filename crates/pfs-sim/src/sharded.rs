@@ -69,7 +69,7 @@ const LANE_GRAIN: usize = 64;
 /// memory is therefore the widest phase's records plus one window's
 /// sub-requests, regardless of trace length.
 #[derive(Debug, Clone, Default)]
-pub struct ShardedScratch {
+pub(crate) struct ShardedScratch {
     /// Current phase's records (run-encoded columns).
     batch: RecordBatch,
     /// Shuffled local record indices of the phase (the deterministic
@@ -115,13 +115,6 @@ pub struct ShardedScratch {
     /// Redundancy expansion state: sampled health, degraded-mode
     /// counters, and internal buffers. Reset per run.
     red: RedundancyState,
-}
-
-impl ShardedScratch {
-    /// Empty scratch; buffers grow on first use and are then reused.
-    pub fn new() -> Self {
-        Self::default()
-    }
 }
 
 /// Replay every phase of `source` against `cluster` — the engine behind

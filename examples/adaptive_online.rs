@@ -28,7 +28,7 @@ fn main() {
     println!(
         "workload: {} requests over {} phases (pattern changes mid-run)\n",
         trace.len(),
-        trace.phase_count()
+        TraceStats::of(&trace).phases
     );
 
     let report = run_dynamic(&cluster, &trace, &ctx, &DynamicConfig::default());

@@ -177,6 +177,11 @@ cargo test -q -p pfs-sim --test replay_memory
 # tenants allocates at most 32 B per job and no bytes per record (a
 # counting allocator); the retag happens at dispatch.
 cargo test -q -p pfs-sim --test service_memory
+# Service report, by name: a report of 4 tenants × 32 jobs on 64 servers
+# holds at most 512 B per job plus 128 B per tenant and server plus
+# 4 KiB (a counting allocator); jobs keep no per-server stats, their
+# tenant's summary holds the totals.
+cargo test -q -p pfs-sim --test service_report_memory
 # Stream state, by name: a 16,384-rank IOR phase batch holds at most 8 B
 # per record plus 1 KiB (its run-encoded columns keep only the offsets),
 # and building a 768H+256S cluster with 4,096 clients peaks at 16 B per
