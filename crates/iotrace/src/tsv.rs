@@ -11,6 +11,7 @@
 //! a 16 KiB stack block and appends each filled block to the output.
 //! It writes integers two digits at a time from a digit-pair table, and
 //! splits off eight-digit groups so the rest is `u32` arithmetic. [`from_tsv`]
+//! counts the lines that may hold a record, reserves for them once, and
 //! makes one forward pass: a line in the plain form
 //! the encoder writes (ASCII digits, tabs and `read`/`write`) is cut into
 //! fields and its digits parsed in place. Any other line goes through the
@@ -45,6 +46,10 @@ const LINE_MAX: usize = 7 * 20 + 5 + 8;
 
 /// Bytes [`to_tsv`] encodes on the stack between appends to its output.
 const BLOCK: usize = 16 << 10;
+
+/// The shortest line that can hold a record: seven one-digit integers,
+/// `read`, seven tabs and the newline.
+const SHORTEST_LINE: usize = 7 + 4 + 7 + 1;
 
 /// Serialize a trace to TSV.
 pub fn to_tsv(trace: &Trace) -> String {
@@ -130,13 +135,17 @@ fn put_pair(buf: &mut [u8], i: usize, k: u32) {
 /// [`TraceError::InvalidRecord`].
 ///
 /// One forward pass over the bytes: plain lines parse in place, all
-/// others take the `str` path (see the module docs). The record vector is
-/// reserved from the bytes per record seen so far and trimmed to its
-/// length at the end.
+/// others take the `str` path (see the module docs). A counting pass
+/// before it reserves the record vector once: one record per line that
+/// is neither blank nor a comment, but never more than the text could
+/// hold at 19 bytes (the shortest record line) per record, so garbage
+/// input reserves at most about 2.5 times its length. The encoder's
+/// output reserves exactly; other input is trimmed to its length at the
+/// end.
 pub fn from_tsv(text: &str) -> Result<Trace, TraceError> {
     let bytes = text.as_bytes();
-    let mut records: Vec<TraceRecord> = Vec::new();
-    let mut first_record_at = 0;
+    let mut records: Vec<TraceRecord> =
+        Vec::with_capacity(record_lines(bytes).min(bytes.len() / SHORTEST_LINE + 1));
     let (mut pos, mut lineno) = (0, 0);
     while pos < bytes.len() {
         lineno += 1;
@@ -155,22 +164,35 @@ pub fn from_tsv(text: &str) -> Result<Trace, TraceError> {
                 parse_line(&text[start..end], lineno)?
             }
         };
-        let Some(record) = record else { continue };
-        if records.len() == records.capacity() {
-            // Out of room (or the first record): assume the rest of the
-            // text has the bytes per record seen so far.
-            if records.is_empty() {
-                first_record_at = start;
-            }
-            let per_record = ((pos - first_record_at) / (records.len() + 1)).max(1);
-            records.reserve_exact(bytes.len().saturating_sub(pos) / per_record + 1);
+        if let Some(record) = record {
+            records.push(record);
         }
-        records.push(record);
     }
     records.shrink_to_fit();
     let trace = Trace::from_records(records);
     trace.validate()?;
     Ok(trace)
+}
+
+/// Lines of `b` that may hold a record: those that start with neither a
+/// newline nor `#`. Counts newline pairs 64 at a time into a byte, a
+/// loop the compiler vectorizes, so the pass costs a few percent of the
+/// parse.
+fn record_lines(b: &[u8]) -> usize {
+    let starts = |c: u8| c != b'\n' && c != b'#';
+    let first = usize::from(b.first().is_some_and(|&c| starts(c)));
+    let (before, after) = (&b[..b.len().saturating_sub(1)], &b[b.len().min(1)..]);
+    let (mut before, mut after) = (before.chunks_exact(64), after.chunks_exact(64));
+    let mut lines = first;
+    for (p, c) in (&mut before).zip(&mut after) {
+        let mut n = 0u8;
+        for (&p, &c) in p.iter().zip(c) {
+            n += u8::from(p == b'\n') & u8::from(c != b'\n') & u8::from(c != b'#');
+        }
+        lines += usize::from(n);
+    }
+    let rest = before.remainder().iter().zip(after.remainder());
+    lines + rest.filter(|&(&p, &c)| p == b'\n' && starts(c)).count()
 }
 
 /// Parse the line at `b[i..]` if it has the plain form the encoder
@@ -453,6 +475,28 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         *state
+    }
+
+    /// `record_lines` against a byte-at-a-time count, on texts either
+    /// side of its 64-byte chunks.
+    #[test]
+    fn record_lines_counts_every_line_that_may_hold_a_record() {
+        let count = |b: &[u8]| {
+            let (mut n, mut prev) = (0, b'\n');
+            for &c in b {
+                n += usize::from(prev == b'\n' && c != b'\n' && c != b'#');
+                prev = c;
+            }
+            n
+        };
+        let mut s = 0x7E57_11E5_u64;
+        for len in [0, 1, 2, 63, 64, 65, 127, 128, 129, 1000] {
+            for _ in 0..20 {
+                let b: Vec<u8> =
+                    (0..len).map(|_| [b'\n', b'#', b'1', b'\t'][(xorshift(&mut s) % 4) as usize]).collect();
+                assert_eq!(record_lines(&b), count(&b), "{b:?}");
+            }
+        }
     }
 
     fn random_trace(s: &mut u64, n: usize) -> Trace {

@@ -978,13 +978,12 @@ impl TenantStore<'_> {
         let mut drt = Drt::new();
         let dp = drt_gen_prefix(self.ns, c.gen);
         // The entry count is checksummed but not trusted: check it against
-        // the chunk records present before reserving anything for it.
+        // the chunk records present before loading any of them.
         let mut chunks = 0usize;
         self.kv().scan_keys(&dp, |_| chunks += 1);
-        let Some(mut room) = usize::try_from(c.drt_count)
-            .ok()
-            .filter(|&count| count.div_ceil(DRT_CHUNK_ENTRIES) == chunks)
-        else {
+        if !usize::try_from(c.drt_count)
+            .is_ok_and(|count| count.div_ceil(DRT_CHUNK_ENTRIES) == chunks)
+        {
             return Err(corrupt(
                 &commit_key(self.ns),
                 format!(
@@ -992,7 +991,7 @@ impl TenantStore<'_> {
                     c.drt_count
                 ),
             ));
-        };
+        }
         let mut n = 0u64;
         self.kv().scan_prefix(&dp, |key, raw| {
             if key.len() != dp.len() + 4 {
@@ -1012,9 +1011,8 @@ impl TenantStore<'_> {
                 ));
             }
             for bytes in payload.chunks_exact(ENTRY_BYTES) {
-                drt.push_sorted(entry_from_bytes(key, bytes)?, room)
+                drt.push_sorted(entry_from_bytes(key, bytes)?)
                     .map_err(|why| corrupt(key, format!("DRT entry {n}: {why}")))?;
-                room = room.saturating_sub(1);
                 n += 1;
             }
             Ok(())
@@ -1025,6 +1023,7 @@ impl TenantStore<'_> {
                 format!("{} DRT entries on disk, commit record expects {}", n, c.drt_count),
             ));
         }
+        drt.shrink_to_fit();
         let mut rst = Rst::new();
         let rp = rst_gen_prefix(self.ns, c.gen);
         let mut m = 0u64;

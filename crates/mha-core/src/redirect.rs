@@ -9,7 +9,7 @@
 //! microseconds for a cached entry; we charge a conservative in-memory
 //! hash-lookup cost).
 
-use crate::region::{walk, Drt, RunEntry};
+use crate::region::{Drt, Pos};
 use iotrace::{FileId, TraceRecord};
 use pfs_sim::{PhysExtent, Resolver};
 use simrt::SimDuration;
@@ -18,18 +18,17 @@ use simrt::SimDuration;
 ///
 /// Translates through the [`Drt`] it owns, reusing the caller's extent
 /// buffer on the [`Resolver::resolve_into`] fast path. A last-hit cursor
-/// remembers where the previous translation stopped: region traces
-/// replay in near-sequential offset order, which turns most seeks into
-/// an O(1) neighbour check. Cold seeks interpolate a starting guess from
-/// the file's offset density and gallop out from it. Translations are
-/// byte-for-byte identical to [`Drt::translate`].
+/// remembers where the previous translation stopped, so a request that
+/// starts there — a sequential replay's next one — skips the seek. Any
+/// other request seeks as [`Drt::translate`] does: a binary search over
+/// the file's segment starts, then arithmetic in a repeat or a binary
+/// search in a literal. Translations are byte-for-byte identical to
+/// [`Drt::translate`].
 #[derive(Debug, Clone)]
 pub struct DrtResolver {
     drt: Drt,
-    /// Per file slot: entries per byte over the run's offset range.
-    scales: Vec<f64>,
-    /// `(file slot, entry index)` where the last translation stopped.
-    cursor: (usize, usize),
+    /// `(file slot, position)` where the last translation stopped.
+    cursor: Option<(usize, Pos)>,
     lookup_cost: SimDuration,
     lookups: u64,
     redirected: u64,
@@ -39,28 +38,7 @@ pub struct DrtResolver {
 impl DrtResolver {
     /// Resolver over `drt`, charging `lookup_cost` per request.
     pub fn new(drt: Drt, lookup_cost: SimDuration) -> Self {
-        // Degenerate runs (one entry, or all at one offset) scale to 0,
-        // i.e. "guess the front".
-        let scales = (0..drt.files())
-            .map(|slot| {
-                let run = drt.run(slot);
-                match (run.first(), run.last()) {
-                    (Some(f), Some(l)) if l.o_offset > f.o_offset => {
-                        (run.len() - 1) as f64 / (l.o_offset - f.o_offset) as f64
-                    }
-                    _ => 0.0,
-                }
-            })
-            .collect();
-        DrtResolver {
-            drt,
-            scales,
-            cursor: (usize::MAX, 0),
-            lookup_cost,
-            lookups: 0,
-            redirected: 0,
-            fallbacks: 0,
-        }
+        DrtResolver { drt, cursor: None, lookup_cost, lookups: 0, redirected: 0, fallbacks: 0 }
     }
 
     /// Default lookup cost: an in-memory hash probe plus bookkeeping at
@@ -100,76 +78,14 @@ impl DrtResolver {
             out.push(PhysExtent { file, offset, len });
             return;
         };
-        let run = self.drt.run(slot);
-        let (c_slot, c_idx) = self.cursor;
-        let start = if c_slot == slot && is_start(run, c_idx, offset) {
-            c_idx
-        } else if c_slot == slot && is_start(run, c_idx + 1, offset) {
-            c_idx + 1
-        } else {
-            seek(run, self.scales[slot], offset)
+        let view = self.drt.view(slot);
+        let start = match self.cursor {
+            // A request that starts where the last one stopped.
+            Some((c_slot, c)) if c_slot == slot && view.entry(c).o_offset == offset => c,
+            _ => view.seek(offset),
         };
-        let stop = walk(run, start, file, offset, len, out);
-        self.cursor = (slot, stop.min(run.len() - 1));
-    }
-}
-
-/// Index the walk starts from: the last entry with `o_offset <= offset`,
-/// or `0` when every entry lies above `offset`. Interpolates a guess
-/// from the run's offset density (`scale`, entries per byte) and gallops
-/// out from it — region files pack extents nearly uniformly, so the
-/// guess usually lands within a step or two of the target, beating a
-/// full-width binary search.
-fn seek(run: &[RunEntry], scale: f64, offset: u64) -> usize {
-    let first = run[0].o_offset;
-    if offset <= first {
-        return 0;
-    }
-    let guess = ((offset - first) as f64 * scale) as usize;
-    gallop_partition(run, offset, guess.min(run.len() - 1)).saturating_sub(1)
-}
-
-/// `run.partition_point(|e| e.o_offset <= offset)`, started from an
-/// interpolated `guess` instead of the slice midpoint: double the step
-/// away from the guess until the answer is bracketed, then binary-search
-/// the bracket. Exact for any guess; O(log distance) from the guess
-/// rather than O(log n).
-fn gallop_partition(run: &[RunEntry], offset: u64, guess: usize) -> usize {
-    let n = run.len();
-    let le = |i: usize| run[i].o_offset <= offset;
-    if le(guess) {
-        let mut lo = guess;
-        let mut step = 1usize;
-        let mut hi = guess + step;
-        while hi < n && le(hi) {
-            lo = hi;
-            step <<= 1;
-            hi = guess + step;
-        }
-        let hi = hi.min(n);
-        lo + 1 + run[lo + 1..hi].partition_point(|e| e.o_offset <= offset)
-    } else {
-        let mut hi = guess;
-        let mut step = 1usize;
-        let mut lo = guess.saturating_sub(step);
-        while lo > 0 && !le(lo) {
-            hi = lo;
-            step <<= 1;
-            lo = guess.saturating_sub(step);
-        }
-        if !le(lo) {
-            return 0;
-        }
-        lo + 1 + run[lo + 1..hi].partition_point(|e| e.o_offset <= offset)
-    }
-}
-
-/// Whether the walk for `offset` starts at entry `i`.
-fn is_start(run: &[RunEntry], i: usize, offset: u64) -> bool {
-    match run.get(i) {
-        Some(e) if e.o_offset <= offset => run.get(i + 1).is_none_or(|next| next.o_offset > offset),
-        Some(_) => i == 0,
-        None => false,
+        let stop = view.walk(start, file, offset, len, out);
+        self.cursor = Some((slot, if view.is_end(stop) { view.last() } else { stop }));
     }
 }
 

@@ -137,9 +137,11 @@ done
 cargo test -q -p mha-core grouping_serial_matches_parallel
 cargo test -q -p mha-core drt_builder_equivalence
 # Planner memory, by name: planning a 1024-loop LANL trace peaks under
-# twice its record bytes and reloading its table under 1.25x the table
-# (a counting allocator), and count-then-fill pass 2 matches the
-# per-chunk merge it replaced, views and residuals in order.
+# its record bytes, its table holds at most 4 KiB (one repeat segment)
+# and reloading it peaks under the 256 KiB load slack, while a table of
+# random extents holds at most 32 B per entry plus 64 B per file (a
+# counting allocator); and count-then-fill pass 2 matches the per-chunk
+# merge it replaced, views and residuals in order.
 cargo test -q -p mha-core --test plan_memory
 cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merge
 # Migrator memory, by name: after 38,400 journaled redirects, all but 32
@@ -154,6 +156,10 @@ cargo test -q -p mha-core --test migrator_memory
 cargo test -q -p mha-core --lib tenant::
 # The flat DRT and the resolver's cursor seek must match the map-based reference table.
 cargo test -q -p mha-core drt_oracle
+# The segmented DRT (literal and repeat segments, built by push_sorted,
+# the planner's run builder or insert, then split by inserts) must match
+# the flat table it replaced in every reader, the resolver's cursor too.
+cargo test -q -p mha-core drt_segments_match_the_flat_table
 # A crash at every boundary of a multi-chunk save_tables must leave the old generation loading.
 cargo test -q -p mha-core save_tables_kill_matrix
 # Sharded-replay identity gate, explicitly: the per-server-lane core
@@ -187,6 +193,9 @@ cargo test -q -p pfs-sim --test service_report_memory
 # and building a 768H+256S cluster with 4,096 clients peaks at 16 B per
 # fabric node plus 320 B per server (a counting allocator each).
 cargo test -q -p iotrace --test batch_memory
+# TSV memory, by name: parsing a 1024-loop LANL trace reserves its
+# records once and peaks under 1.1x their bytes (a counting allocator).
+cargo test -q -p iotrace --test tsv_memory
 cargo test -q -p pfs-sim --test cluster_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
 # serial == sharded == streamed whole-report identity assertion on a
