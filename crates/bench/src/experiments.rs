@@ -508,7 +508,7 @@ fn ablations(scale: Scale) -> Vec<Figure> {
                 .records()
                 .iter()
                 .enumerate()
-                .map(|(i, r)| iotrace::TraceRecord { phase: i as u32, ..*r })
+                .map(|(i, r)| iotrace::TraceRecord { phase: i as u32, ..r })
                 .collect(),
         );
         let flat = {

@@ -76,7 +76,7 @@ fn phase_shift_trace(phases: usize, shift_phase: u32) -> Trace {
     };
     let small = skewed::generate(&mk(16 << 10, 0xA1));
     let large = skewed::generate(&mk(512 << 10, 0xB2));
-    let (s, l) = (small.records(), large.records());
+    let (s, l) = (small.records().to_vec(), large.records().to_vec());
     let per = 8usize;
     let mut recs = Vec::with_capacity(s.len() + l.len());
     for ph in 0..phases {
@@ -143,7 +143,7 @@ fn replay_windows(
             let (makespan_s, mbps) =
                 replay_window(&mut session, cluster_cfg, layouts, &window, resolver);
             clock += makespan_s;
-            WindowPoint { end_s: clock, mbps, first_phase: window.records()[0].phase }
+            WindowPoint { end_s: clock, mbps, first_phase: window.records().first().expect("windows are never empty").phase }
         })
         .collect()
 }
@@ -224,7 +224,7 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
             pipeline.resolver(),
         );
         clock += makespan_s;
-        let first_phase = window.records()[0].phase;
+        let first_phase = window.records().first().expect("windows are never empty").phase;
         online_points.push(WindowPoint { end_s: clock, mbps, first_phase });
         let replans = pipeline.planner().stats.replans;
         let t = Instant::now();
@@ -388,7 +388,7 @@ mod tests {
         let lower = |r: &TraceRecord| r.offset < file_size / 2;
         let pre: Vec<_> = t.records().iter().filter(|r| r.phase < 16).collect();
         let post: Vec<_> = t.records().iter().filter(|r| r.phase >= 16).collect();
-        let frac = |v: &[&TraceRecord]| {
+        let frac = |v: &[TraceRecord]| {
             v.iter().filter(|r| lower(r)).count() as f64 / v.len() as f64
         };
         assert!(frac(&pre) > 0.7, "pre-shift traffic is bottom-heavy: {}", frac(&pre));

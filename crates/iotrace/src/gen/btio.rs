@@ -49,6 +49,11 @@ fn is_square(n: u32) -> bool {
 /// interleaved round-robin — BTIO `simple` subtype issues one contiguous
 /// chunk per process per dump.
 pub fn generate(cfg: &BtioConfig) -> Trace {
+    Trace::from_records(records(cfg))
+}
+
+/// The records [`generate`] stores, in issue order.
+pub(super) fn records(cfg: &BtioConfig) -> Vec<TraceRecord> {
     assert!(cfg.procs > 0 && is_square(cfg.procs), "BTIO needs a square process count");
     let p64 = u64::from(cfg.procs);
     let req_b = CLASS_B_BYTES / (u64::from(IO_STEPS) / 2) / p64;
@@ -73,7 +78,7 @@ pub fn generate(cfg: &BtioConfig) -> Trace {
         }
         base += p64 * size;
     }
-    Trace::from_records(records)
+    records
 }
 
 #[cfg(test)]

@@ -54,6 +54,11 @@ fn log_uniform(rng: &mut SmallRng, lo: u64, hi: u64) -> u64 {
 /// append-style per process; offsets are the running per-process cursor,
 /// so requests land at varied, panel-dependent positions.
 pub fn generate(cfg: &CholeskyConfig) -> Trace {
+    Trace::from_records(records(cfg))
+}
+
+/// The records [`generate`] stores, in issue order.
+pub(super) fn records(cfg: &CholeskyConfig) -> Vec<TraceRecord> {
     assert!(cfg.procs > 0 && cfg.panels > 0, "degenerate Cholesky config");
     let mut clock = PhaseClock::new();
     let mut records = Vec::with_capacity(cfg.procs as usize * cfg.panels as usize * 3);
@@ -85,7 +90,7 @@ pub fn generate(cfg: &CholeskyConfig) -> Trace {
             }
         }
     }
-    Trace::from_records(records)
+    records
 }
 
 #[cfg(test)]

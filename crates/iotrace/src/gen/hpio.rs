@@ -48,6 +48,11 @@ impl HpioConfig {
 /// regions are laid out `[r0p0, r0p1, ..., r0pN, r1p0, ...]` with the
 /// region size cycling through `region_sizes` by region index `i`.
 pub fn generate(cfg: &HpioConfig) -> Trace {
+    Trace::from_records(records(cfg))
+}
+
+/// The records [`generate`] stores, in issue order.
+pub(super) fn records(cfg: &HpioConfig) -> Vec<TraceRecord> {
     assert!(!cfg.region_sizes.is_empty(), "empty region size mix");
     assert!(cfg.procs > 0 && cfg.region_count > 0, "degenerate HPIO config");
     let mut clock = PhaseClock::new();
@@ -71,7 +76,7 @@ pub fn generate(cfg: &HpioConfig) -> Trace {
         }
         base += u64::from(cfg.procs) * (size + cfg.region_spacing);
     }
-    Trace::from_records(records)
+    records
 }
 
 #[cfg(test)]

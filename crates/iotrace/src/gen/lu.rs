@@ -53,6 +53,11 @@ pub fn read_size_at(k: u32) -> u64 {
 /// slab's position. Each (step, stage) is one phase across processes —
 /// the application uses synchronous, loosely-coupled I/O.
 pub fn generate(cfg: &LuConfig) -> Trace {
+    Trace::from_records(records(cfg))
+}
+
+/// The records [`generate`] stores, in issue order.
+pub(super) fn records(cfg: &LuConfig) -> Vec<TraceRecord> {
     assert!(cfg.procs > 0 && cfg.steps > 0 && cfg.steps <= STEPS, "bad LU config");
     let mut clock = PhaseClock::new();
     let mut records = Vec::with_capacity(cfg.procs as usize * cfg.steps as usize * 2);
@@ -88,7 +93,7 @@ pub fn generate(cfg: &LuConfig) -> Trace {
             });
         }
     }
-    Trace::from_records(records)
+    records
 }
 
 #[cfg(test)]

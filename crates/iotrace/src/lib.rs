@@ -7,11 +7,13 @@
 //! * [`TraceRecord`] / [`Trace`] — the record schema IOSIG captures
 //!   (process id, MPI rank, file descriptor, operation, offset, size,
 //!   timestamp) plus an explicit I/O *phase* used to compute request
-//!   concurrency; [`Trace::phase_windows`] cuts a trace into the
-//!   phase-run windows the online re-planner observes,
-//! * [`RecordBatch`] / [`BatchSource`] — run-encoded phase batches and
-//!   streaming trace sources, so huge synthetic grids never materialize a
-//!   full record vector,
+//!   concurrency; a trace stores its records as run-encoded columns and
+//!   decodes them by value ([`Trace::records`], [`Trace::phases`]);
+//!   [`Trace::phase_windows`] cuts a trace into the phase-run windows the
+//!   online re-planner observes,
+//! * [`RecordBatch`] / [`BatchSource`] — run-encoded phase batches (the
+//!   same encoding, one phase) and streaming trace sources, so huge
+//!   synthetic grids never materialize a full trace,
 //! * [`Collector`] — the online profiler the middleware drives,
 //! * [`gen`] — six workload generators standing in for the paper's
 //!   benchmarks and application traces (IOR, HPIO, BTIO, LANL App2,
@@ -33,6 +35,6 @@ pub use collector::Collector;
 pub use error::TraceError;
 pub use record::{FileId, Rank, TenantId, TraceRecord};
 pub use stats::TraceStats;
-pub use trace::Trace;
+pub use trace::{Cursor, Iter, Phase, Phases, Records, Trace};
 
 pub use storage_model::IoOp;

@@ -11,14 +11,16 @@
 //! a 16 KiB stack block and appends each filled block to the output.
 //! It writes integers two digits at a time from a digit-pair table, and
 //! splits off eight-digit groups so the rest is `u32` arithmetic. [`from_tsv`]
-//! counts the lines that may hold a record, reserves for them once, and
-//! makes one forward pass: a line in the plain form
+//! makes one forward pass straight into the trace's run-encoded store,
+//! sizing its tables from the share of the text already read: a line in
+//! the plain form
 //! the encoder writes (ASCII digits, tabs and `read`/`write`) is cut into
 //! fields and its digits parsed in place. Any other line goes through the
 //! `str` path — `trim`, a split on tabs, std's integer parsers — which
 //! decides blank and comment lines, `str::trim`'s Unicode whitespace and
 //! every error message.
 
+use crate::batch::{Builder, Pace};
 use crate::error::TraceError;
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
@@ -47,10 +49,6 @@ const LINE_MAX: usize = 7 * 20 + 5 + 8;
 /// Bytes [`to_tsv`] encodes on the stack between appends to its output.
 const BLOCK: usize = 16 << 10;
 
-/// The shortest line that can hold a record: seven one-digit integers,
-/// `read`, seven tabs and the newline.
-const SHORTEST_LINE: usize = 7 + 4 + 7 + 1;
-
 /// Serialize a trace to TSV.
 pub fn to_tsv(trace: &Trace) -> String {
     let mut out = String::with_capacity(trace.len() * 48 + 64);
@@ -62,7 +60,7 @@ pub fn to_tsv(trace: &Trace) -> String {
             out.push_str(ascii(&block[..n]));
             n = 0;
         }
-        n = put_line(&mut block, n, r);
+        n = put_line(&mut block, n, &r);
     }
     out.push_str(ascii(&block[..n]));
     out
@@ -135,19 +133,16 @@ fn put_pair(buf: &mut [u8], i: usize, k: u32) {
 /// [`TraceError::InvalidRecord`].
 ///
 /// One forward pass over the bytes: plain lines parse in place, all
-/// others take the `str` path (see the module docs). A counting pass
-/// before it reserves the record vector once: one record per line that
-/// is neither blank nor a comment, but never more than the text could
-/// hold at 19 bytes (the shortest record line) per record, so garbage
-/// input reserves at most about 2.5 times its length. The encoder's
-/// output reserves exactly; other input is trimmed to its length at the
-/// end.
+/// others take the `str` path (see the module docs). Each record goes
+/// straight into the trace's run-encoded store, whose tables grow to the
+/// size the text read so far extrapolates to (plus a sixteenth), so a
+/// parse sizes them about once and never copies them down at the end.
 pub fn from_tsv(text: &str) -> Result<Trace, TraceError> {
     let bytes = text.as_bytes();
-    let mut records: Vec<TraceRecord> =
-        Vec::with_capacity(record_lines(bytes).min(bytes.len() / SHORTEST_LINE + 1));
+    let total = bytes.len();
+    let mut store = Builder::with_pace(Pace::Input { done: 0, total });
     let (mut pos, mut lineno) = (0, 0);
-    while pos < bytes.len() {
+    while pos < total {
         lineno += 1;
         let start = pos;
         let record = match plain_record(bytes, pos) {
@@ -159,40 +154,19 @@ pub fn from_tsv(text: &str) -> Result<Trace, TraceError> {
                 let end = bytes[pos..]
                     .iter()
                     .position(|&b| b == b'\n')
-                    .map_or(bytes.len(), |n| pos + n);
+                    .map_or(total, |n| pos + n);
                 pos = end + 1;
                 parse_line(&text[start..end], lineno)?
             }
         };
         if let Some(record) = record {
-            records.push(record);
+            store.set_pace(Pace::Input { done: pos.min(total), total });
+            store.push(&record);
         }
     }
-    records.shrink_to_fit();
-    let trace = Trace::from_records(records);
+    let trace = Trace::from_store(store.finish(false));
     trace.validate()?;
     Ok(trace)
-}
-
-/// Lines of `b` that may hold a record: those that start with neither a
-/// newline nor `#`. Counts newline pairs 64 at a time into a byte, a
-/// loop the compiler vectorizes, so the pass costs a few percent of the
-/// parse.
-fn record_lines(b: &[u8]) -> usize {
-    let starts = |c: u8| c != b'\n' && c != b'#';
-    let first = usize::from(b.first().is_some_and(|&c| starts(c)));
-    let (before, after) = (&b[..b.len().saturating_sub(1)], &b[b.len().min(1)..]);
-    let (mut before, mut after) = (before.chunks_exact(64), after.chunks_exact(64));
-    let mut lines = first;
-    for (p, c) in (&mut before).zip(&mut after) {
-        let mut n = 0u8;
-        for (&p, &c) in p.iter().zip(c) {
-            n += u8::from(p == b'\n') & u8::from(c != b'\n') & u8::from(c != b'#');
-        }
-        lines += usize::from(n);
-    }
-    let rest = before.remainder().iter().zip(after.remainder());
-    lines + rest.filter(|&(&p, &c)| p == b'\n' && starts(c)).count()
 }
 
 /// Parse the line at `b[i..]` if it has the plain form the encoder
@@ -475,28 +449,6 @@ mod tests {
         *state ^= *state >> 7;
         *state ^= *state << 17;
         *state
-    }
-
-    /// `record_lines` against a byte-at-a-time count, on texts either
-    /// side of its 64-byte chunks.
-    #[test]
-    fn record_lines_counts_every_line_that_may_hold_a_record() {
-        let count = |b: &[u8]| {
-            let (mut n, mut prev) = (0, b'\n');
-            for &c in b {
-                n += usize::from(prev == b'\n' && c != b'\n' && c != b'#');
-                prev = c;
-            }
-            n
-        };
-        let mut s = 0x7E57_11E5_u64;
-        for len in [0, 1, 2, 63, 64, 65, 127, 128, 129, 1000] {
-            for _ in 0..20 {
-                let b: Vec<u8> =
-                    (0..len).map(|_| [b'\n', b'#', b'1', b'\t'][(xorshift(&mut s) % 4) as usize]).collect();
-                assert_eq!(record_lines(&b), count(&b), "{b:?}");
-            }
-        }
     }
 
     fn random_trace(s: &mut u64, n: usize) -> Trace {

@@ -46,7 +46,7 @@ fn trace_digest(t: &Trace) -> u64 {
     let mut h = Fnv::new();
     h.word(t.len() as u64);
     for r in t.records() {
-        h.record(r);
+        h.record(&r);
     }
     h.0
 }
@@ -63,7 +63,7 @@ fn check_stream<S: BatchSource>(mut src: S, t: &Trace) -> (u64, usize) {
         h.word(batch.len() as u64);
         empty += usize::from(batch.is_empty());
         for i in 0..batch.len() {
-            assert_eq!(batch.record(i), t.records()[cursor], "record {cursor}");
+            assert_eq!(Some(batch.record(i)), t.records().get(cursor), "record {cursor}");
             cursor += 1;
         }
     }

@@ -225,7 +225,7 @@ pub fn run_dynamic(
             None => session.run(ReplayInput::trace(&mut cluster, epoch_trace, &mut IdentityResolver), CoreSel::Auto),
         }
         .expect("unscheduled fault-free replay cannot fail");
-        observed.extend_from_slice(epoch_trace.records());
+        observed.extend(epoch_trace.records());
         report.total_bytes += epoch_report.total_bytes;
         report.total_time += epoch_report.makespan;
 
@@ -385,7 +385,7 @@ fn split_epochs(trace: &Trace, epoch_phases: u32) -> Vec<Trace> {
         while out.len() <= idx {
             out.push(Vec::new());
         }
-        out[idx].push(*rec);
+        out[idx].push(rec);
     }
     out.into_iter()
         .filter(|v| !v.is_empty())
@@ -1383,7 +1383,7 @@ mod tests {
             assert_eq!(mig.on_access_migrations(), 0);
             assert_eq!(mig.published(), &base);
             for rec in access_trace(&to_migrate).records() {
-                let pieces = mig.resolve(rec).extents;
+                let pieces = mig.resolve(&rec).extents;
                 assert_eq!(pieces.len(), 1);
                 assert_eq!((pieces[0].file, pieces[0].offset), (rec.file, rec.offset), "old home");
             }

@@ -272,7 +272,7 @@ impl OnlinePlanner {
                     let start = r.offset / b * b;
                     let end = (r.offset + r.len).div_ceil(b) * b;
                     let len = if hot { end - start } else { 0 };
-                    iotrace::TraceRecord { offset: start, len, ..*r }
+                    iotrace::TraceRecord { offset: start, len, ..r }
                 })
                 .collect();
             build_over(&Trace::from_records(widened))
@@ -286,7 +286,8 @@ impl OnlinePlanner {
         // fresh search — the concurrency-aware cost model is load-
         // sensitive.
         let load_of = |g: usize| -> f64 {
-            index.members(g).iter().map(|&i| trace.records()[i as usize].len as f64).sum()
+            let mut records = trace.records().cursor();
+            index.members(g).iter().map(|&i| records.get(i as usize).len as f64).sum()
         };
 
         let mut reused = 0usize;
@@ -452,7 +453,7 @@ mod tests {
                 .iter()
                 .map(|r| TraceRecord {
                     offset: ((r.offset + span / 2) % span).min(span - r.len),
-                    ..*r
+                    ..r
                 })
                 .collect(),
         );

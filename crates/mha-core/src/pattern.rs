@@ -7,7 +7,7 @@
 //! (small integers) compare on equal footing.
 
 use crate::cost::ReqView;
-use iotrace::TraceRecord;
+use iotrace::Records;
 
 /// A request's clustering features.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -28,7 +28,7 @@ impl ReqFeature {
 /// Features of every record, given the trace's concurrency annotation
 /// ([`iotrace::Trace::concurrency`]): [`ReqFeature::of`] over
 /// [`crate::cost::views_of`], without keeping the views.
-pub(crate) fn features_of(records: &[TraceRecord], conc: &[u32]) -> Vec<ReqFeature> {
+pub(crate) fn features_of(records: Records<'_>, conc: &[u32]) -> Vec<ReqFeature> {
     records
         .iter()
         .zip(conc)

@@ -14,7 +14,7 @@
 use crate::cost::ReqView;
 use crate::grouping::{GroupIndex, Grouping};
 use crate::rssd::StripePair;
-use iotrace::{FileId, Trace, TraceRecord};
+use iotrace::{FileId, Records, Trace};
 use pfs_sim::PhysExtent;
 use storage_model::IoOp;
 use rayon::prelude::*;
@@ -874,7 +874,9 @@ pub(crate) fn build_regions_with_conc(
     order.sort_by_key(|&g| std::cmp::Reverse(group_bytes[g]));
 
     let mut builder = DrtBuilder::new();
-    let mut member_buf: Vec<u32> = Vec::new();
+    // A group's members as (file, offset, index, length), decoded once
+    // in index order (a cursor walks the runs) and then sorted.
+    let mut member_buf: Vec<(FileId, u64, u32, u64)> = Vec::new();
     let mut gap_buf: Vec<(u64, u64)> = Vec::new();
     let mut covered_buf: Vec<(u64, u64)> = Vec::new();
     for &g in &order {
@@ -883,24 +885,24 @@ pub(crate) fn build_regions_with_conc(
         }
         let r_file = FileId(region_file_base + g as u32);
         member_buf.clear();
-        member_buf.extend_from_slice(index.members(g));
+        let mut cursor = records.cursor();
+        member_buf.extend(index.members(g).iter().map(|&i| {
+            let r = cursor.get(i as usize);
+            (r.file, r.offset, i, r.len)
+        }));
         // The index is part of the key, so keys are unique and the
         // unstable sort reproduces the original stable
         // `members().sort_by_key((file, offset, i))` order exactly.
-        member_buf.sort_unstable_by_key(|&i| {
-            let r = &records[i as usize];
-            (r.file, r.offset, i)
-        });
-        for &i in &member_buf {
-            let rec = &records[i as usize];
-            if rec.len == 0 {
+        member_buf.sort_unstable_by_key(|&(file, offset, i, _)| (file, offset, i));
+        for &(file, offset, _, len) in &member_buf {
+            if len == 0 {
                 continue;
             }
             // Migrate only the subranges no region owns yet.
-            builder.gaps_into(rec.file, rec.offset, rec.len, &mut gap_buf, &mut covered_buf);
+            builder.gaps_into(file, offset, len, &mut gap_buf, &mut covered_buf);
             for &(off, len) in &gap_buf {
                 builder.append(
-                    rec.file,
+                    file,
                     RunEntry { o_offset: off, length: len, r_file, r_offset: cursors[g] },
                 );
                 let align = aligns[g].max(1);
@@ -1182,7 +1184,7 @@ const PASS2_PAR_MIN: usize = 4 * PASS2_CHUNK;
 /// view straight into its slot. Views come out in record order, as a
 /// serial scan appends them.
 fn extract_views(
-    records: &[TraceRecord],
+    records: Records<'_>,
     conc: &[u32],
     drt: &Drt,
     region_file_base: u32,
@@ -1191,11 +1193,14 @@ fn extract_views(
     let region_of = |piece: &PhysExtent| {
         piece.file.0.checked_sub(region_file_base).map(|g| g as usize)
     };
-    let count = |ci: usize, recs: &[TraceRecord]| {
+    // Chunk `ci`'s records, walked run by run from one search.
+    let chunk = |ci: usize| records.iter_from(ci * PASS2_CHUNK).take(PASS2_CHUNK);
+    let chunks = records.len().div_ceil(PASS2_CHUNK);
+    let count = |ci: usize| {
         let mut counts = vec![0usize; groups];
         let mut residuals: Vec<usize> = Vec::new();
         let mut pieces: Vec<PhysExtent> = Vec::new();
-        for (j, rec) in recs.iter().enumerate() {
+        for (j, rec) in chunk(ci).enumerate() {
             if rec.len == 0 {
                 continue;
             }
@@ -1213,10 +1218,10 @@ fn extract_views(
         }
         (counts, residuals)
     };
-    let fill = |recs: &[TraceRecord], conc: &[u32], slots: &mut [&mut [ReqView]]| {
+    let fill = |ci: usize, slots: &mut [&mut [ReqView]]| {
         let mut next = vec![0usize; groups];
         let mut pieces: Vec<PhysExtent> = Vec::new();
-        for (rec, &concurrency) in recs.iter().zip(conc) {
+        for (rec, &concurrency) in chunk(ci).zip(&conc[ci * PASS2_CHUNK..]) {
             if rec.len == 0 {
                 continue;
             }
@@ -1234,9 +1239,9 @@ fn extract_views(
     let parallel = records.len() >= PASS2_PAR_MIN;
 
     let counted: Vec<(Vec<usize>, Vec<usize>)> = if parallel {
-        records.par_chunks(PASS2_CHUNK).enumerate().map(|(ci, r)| count(ci, r)).collect()
+        (0..chunks).into_par_iter().map(count).collect()
     } else {
-        records.chunks(PASS2_CHUNK).enumerate().map(|(ci, r)| count(ci, r)).collect()
+        (0..chunks).map(count).collect()
     };
     let mut residuals = Vec::with_capacity(counted.iter().map(|(_, r)| r.len()).sum());
     for (_, r) in &counted {
@@ -1262,15 +1267,10 @@ fn extract_views(
         })
         .collect();
     if parallel {
-        records
-            .par_chunks(PASS2_CHUNK)
-            .zip(conc.par_chunks(PASS2_CHUNK))
-            .zip(slots.par_chunks_mut(1))
-            .for_each(|((r, c), s)| fill(r, c, &mut s[0]));
+        slots.par_chunks_mut(1).enumerate().for_each(|(ci, s)| fill(ci, &mut s[0]));
     } else {
-        for ((r, c), s) in records.chunks(PASS2_CHUNK).zip(conc.chunks(PASS2_CHUNK)).zip(&mut slots)
-        {
-            fill(r, c, s);
+        for (ci, s) in slots.iter_mut().enumerate() {
+            fill(ci, s);
         }
     }
     (region_views, residuals)
@@ -1282,6 +1282,7 @@ mod tests {
     use crate::grouping::{group_requests, GroupingConfig};
     use crate::pattern::ReqFeature;
     use iotrace::gen::lanl::{generate, LanlConfig};
+    use iotrace::TraceRecord;
     use storage_model::IoOp;
 
     fn e(of: u32, oo: u64, rf: u32, ro: u64, len: u64) -> DrtEntry {
@@ -1659,7 +1660,7 @@ mod tests {
         aligns: &[u64],
         include: &[bool],
     ) -> RegionBuild {
-        let records = trace.records();
+        let records = trace.records().to_vec();
         let conc = trace.concurrency();
         let groups = grouping.groups();
         let mut drt = Drt::new();
@@ -1953,7 +1954,7 @@ mod tests {
             let aligns = vec![4096u64; k];
             let include: Vec<bool> = (0..k).map(|g| g == 0 || !xorshift(&mut s).is_multiple_of(3)).collect();
             let build = build_regions_filtered(&trace, &grouping, 1000, &aligns, &include);
-            let want = extract_views_merge_oracle(trace.records(), &conc, &build.drt, 1000, k);
+            let want = extract_views_merge_oracle(&trace.records().to_vec(), &conc, &build.drt, 1000, k);
             let got = extract_views(trace.records(), &conc, &build.drt, 1000, k);
             let ctx = format!("trial {trial} (n={n}, k={k})");
             assert_eq!(got.0, want.0, "{ctx}: views");

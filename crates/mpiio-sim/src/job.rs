@@ -155,7 +155,7 @@ mod tests {
         j.barrier();
         j.write_at(0, f, 1, 1);
         let t = j.finish();
-        assert!(t.records()[1].ts > t.records()[0].ts);
+        assert!(t.records().get(1).unwrap().ts > t.records().get(0).unwrap().ts);
     }
 
     #[test]

@@ -145,13 +145,8 @@ impl ReplaySchedule {
         // server does NOT see sub-requests in rank (= ascending offset)
         // order. Replaying them sorted would hand rotating disks an
         // unrealistically sequential stream.
-        for (i, rec) in trace.records().iter().enumerate() {
-            self.order.push(i);
-            match self.spans.last_mut() {
-                Some((p, _, end)) if *p == rec.phase => *end += 1,
-                _ => self.spans.push((rec.phase, i, i + 1)),
-            }
-        }
+        self.order.extend(0..trace.len());
+        self.spans.extend(trace.phases().map(|p| (p.phase(), p.start(), p.start() + p.len())));
         let shuffle_seed = SeedSeq::new(0x5EED_0F0F);
         for &(phase, start, end) in self.spans.iter() {
             let mut rng = shuffle_seed.derive_idx("phase", u64::from(phase)).rng();
@@ -359,13 +354,15 @@ pub(crate) fn replay_core(
     mut faults: Option<&mut FaultRuntime>,
     sched: &mut SchedRuntime,
 ) -> Result<ReplayReport, ReplayError> {
-    let records = trace.records();
-    if schedule.order.len() != records.len() {
+    if schedule.order.len() != trace.len() {
         return Err(ReplayError::ScheduleMismatch {
             schedule: schedule.order.len(),
-            trace: records.len(),
+            trace: trace.len(),
         });
     }
+    // Spans are phase runs, so the cursor stays in one stored run per
+    // span and decodes each record in O(1).
+    let mut records = trace.records().cursor();
     cluster.reset();
     let n_servers = cluster.servers().len();
     let device_slots = cluster.config().device_slots;
@@ -397,9 +394,9 @@ pub(crate) fn replay_core(
         let span = &order[start..end];
         // Plan the phase from scheduler state frozen at the barrier
         // (stateless layout lookups only — the resolver may mutate).
-        sched.plan_phase(span.iter().map(|&i| records[i].file), cluster.mds());
+        sched.plan_phase(span.iter().map(|&i| records.get(i).file), cluster.mds());
         for (k, &idx) in span.iter().enumerate() {
-            let rec = &records[idx];
+            let rec = &records.get(idx);
             let overhead = resolver.resolve_into(rec, extents);
             debug_assert_eq!(
                 extents.iter().map(|e| e.len).sum::<u64>(),

@@ -887,7 +887,7 @@ mod tests {
                 let records = small_ior(reqs + ix)
                     .records()
                     .iter()
-                    .map(|r| TraceRecord { file: FileId(r.file.0 + 3 * seq as u32 + 1), ..*r })
+                    .map(|r| TraceRecord { file: FileId(r.file.0 + 3 * seq as u32 + 1), ..r })
                     .collect();
                 let job = Trace::from_records(records);
                 assert_eq!(svc.submit(tenant, job.clone()), seq as u32);
@@ -908,7 +908,7 @@ mod tests {
             let expected: Vec<TraceRecord> = submitted[ix][job.seq as usize]
                 .records()
                 .iter()
-                .map(|r| TraceRecord { file: FileId::with_tenant(*tenant, r.file), ..*r })
+                .map(|r| TraceRecord { file: FileId::with_tenant(*tenant, r.file), ..r })
                 .collect();
             assert_eq!(seen, &expected, "tenant {} job {}", tenant.0, job.seq);
             let mut want: Vec<FileId> = expected.iter().map(|r| r.file).collect();

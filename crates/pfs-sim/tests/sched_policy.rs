@@ -55,7 +55,7 @@ fn tagged_trace(phases: u32, per_phase: u32) -> Trace {
 /// record indices by phase, then shuffle each group with the fixed
 /// replay seed. Any change to the default dispatch order breaks this.
 fn expected_offsets(trace: &Trace) -> Vec<u64> {
-    let records = trace.records();
+    let records = trace.records().to_vec();
     let mut order: Vec<usize> = (0..records.len()).collect();
     let mut spans: Vec<(u32, usize, usize)> = Vec::new();
     for (i, rec) in records.iter().enumerate() {

@@ -193,9 +193,15 @@ cargo test -q -p pfs-sim --test service_report_memory
 # and building a 768H+256S cluster with 4,096 clients peaks at 16 B per
 # fabric node plus 320 B per server (a counting allocator each).
 cargo test -q -p iotrace --test batch_memory
-# TSV memory, by name: parsing a 1024-loop LANL trace reserves its
-# records once and peaks under 1.1x their bytes (a counting allocator).
+# TSV memory, by name: parsing a 1024-loop LANL trace peaks at 24 B per
+# record, half a record vector (a counting allocator).
 cargo test -q -p iotrace --test tsv_memory
+# Trace memory, by name: a trace holds its records as run-encoded
+# columns: stream-1024's IOR prefix at most 8 B per record plus 1 KiB
+# per phase, LANL App2 at most 16 B per record, a service-online-shaped
+# skewed trace at most 24 B per record plus 1 KiB, and random one-record
+# phases never more than a record vector's 48 B (a counting allocator).
+cargo test -q -p iotrace --test trace_memory
 cargo test -q -p pfs-sim --test cluster_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
 # serial == sharded == streamed whole-report identity assertion on a
