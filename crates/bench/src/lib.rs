@@ -42,4 +42,4 @@ pub mod service;
 pub mod straggler;
 pub mod workloads;
 
-pub use report::{FigRow, Figure};
+pub use report::Figure;

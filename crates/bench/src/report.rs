@@ -29,7 +29,7 @@ pub struct FigRow {
 
 impl Figure {
     /// New empty figure.
-    pub fn new(id: &str, title: &str, series: &[&str], unit: &str) -> Self {
+    pub(crate) fn new(id: &str, title: &str, series: &[&str], unit: &str) -> Self {
         Figure {
             id: id.to_string(),
             title: title.to_string(),
@@ -43,13 +43,13 @@ impl Figure {
     ///
     /// # Panics
     /// If the value count does not match the series count.
-    pub fn push_row(&mut self, label: impl Into<String>, values: Vec<f64>) {
+    pub(crate) fn push_row(&mut self, label: impl Into<String>, values: Vec<f64>) {
         assert_eq!(values.len(), self.series.len(), "row width mismatch");
         self.rows.push(FigRow { label: label.into(), values });
     }
 
     /// Value at (row label, series name), if present.
-    pub fn value(&self, label: &str, series: &str) -> Option<f64> {
+    pub(crate) fn value(&self, label: &str, series: &str) -> Option<f64> {
         let col = self.series.iter().position(|s| s == series)?;
         let row = self.rows.iter().find(|r| r.label == label)?;
         row.values.get(col).copied()

@@ -19,7 +19,7 @@ pub enum Scale {
 
 impl Scale {
     /// Scale an iteration count.
-    pub fn reqs(self, full: usize) -> usize {
+    pub(crate) fn reqs(self, full: usize) -> usize {
         match self {
             Scale::Full => full,
             Scale::Quick => (full / 4).max(4),
@@ -45,14 +45,14 @@ pub fn ior_mixed_sizes(sizes_kb: &[u64], op: IoOp, scale: Scale) -> Trace {
 }
 
 /// Fig. 9 workload: IOR, 256 KiB requests, mixed process counts.
-pub fn ior_mixed_procs(procs: &[u32], op: IoOp, scale: Scale) -> Trace {
+pub(crate) fn ior_mixed_procs(procs: &[u32], op: IoOp, scale: Scale) -> Trace {
     let mut cfg = ior::IorConfig::mixed_procs(procs, op);
     cfg.reqs_per_proc = scale.reqs(64);
     ior::generate(&cfg)
 }
 
 /// Fig. 14 workload: IOR, small 4 KiB + 64 KiB mix at a process count.
-pub fn ior_overhead(procs: u32, op: IoOp, scale: Scale) -> Trace {
+pub(crate) fn ior_overhead(procs: u32, op: IoOp, scale: Scale) -> Trace {
     let mut cfg = ior::IorConfig::mixed_sizes(&[4 << 10, 64 << 10], op);
     cfg.proc_mix = vec![procs];
     cfg.reqs_per_proc = scale.reqs(64);
@@ -60,14 +60,14 @@ pub fn ior_overhead(procs: u32, op: IoOp, scale: Scale) -> Trace {
 }
 
 /// Fig. 11 workload: HPIO with the paper's parameters.
-pub fn hpio_trace(procs: u32, op: IoOp, scale: Scale) -> Trace {
+pub(crate) fn hpio_trace(procs: u32, op: IoOp, scale: Scale) -> Trace {
     let mut cfg = hpio::HpioConfig::paper(procs, op);
     cfg.region_count = scale.reqs(4096) as u32;
     hpio::generate(&cfg)
 }
 
 /// Fig. 12a workload: BTIO class B + C interleaved.
-pub fn btio_trace(procs: u32, op: IoOp) -> Trace {
+pub(crate) fn btio_trace(procs: u32, op: IoOp) -> Trace {
     btio::generate(&btio::BtioConfig::paper(procs, op))
 }
 
@@ -77,12 +77,12 @@ pub fn lanl_trace(scale: Scale) -> Trace {
 }
 
 /// Fig. 13a workload: out-of-core LU.
-pub fn lu_trace(scale: Scale) -> Trace {
+pub(crate) fn lu_trace(scale: Scale) -> Trace {
     lu::generate(&lu::LuConfig { procs: 8, steps: scale.reqs(128) as u32 })
 }
 
 /// Fig. 13b workload: sparse Cholesky.
-pub fn cholesky_trace(scale: Scale) -> Trace {
+pub(crate) fn cholesky_trace(scale: Scale) -> Trace {
     cholesky::generate(&cholesky::CholeskyConfig {
         panels: scale.reqs(96) as u32,
         ..cholesky::CholeskyConfig::default()

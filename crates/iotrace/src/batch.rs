@@ -23,14 +23,14 @@
 //! implement it directly (emitting each phase as they compute it), so a
 //! 10 M-record grid run never materializes the full trace; a borrowed
 //! [`TraceBatches`] hands each stored phase of an existing [`Trace`] to
-//! the batch without copying a record. [`materialize`] collects any
-//! source back into a `Trace`.
+//! the batch without copying a record.
 //!
 //! The streaming generators write each phase through one emitter that is
 //! generic over a `PhaseSink`: `next_phase` runs it into a
 //! `RecordBatch`, and `generate(cfg)` runs it straight into a trace's
 //! store. Both views come from the same code path, so `generate(cfg)`
-//! equals `materialize(stream(cfg))` bit for bit by construction.
+//! holds exactly the records that draining `stream(cfg)` yields, by
+//! construction.
 
 use crate::record::{FileId, Rank, TraceRecord};
 use crate::trace::Trace;
@@ -359,12 +359,6 @@ impl Runs {
         value(run.file, run.is_literal(FILE), run.file.base as usize, &self.files, k)
     }
 
-    /// Length of record `k` of `run`.
-    #[inline]
-    fn len_of(&self, run: &Run, k: usize) -> u64 {
-        value(run.len, run.is_literal(LEN), run.len.base as usize, &self.lens, k)
-    }
-
     /// Records of `run` from `k` on that share record `k`'s phase id.
     pub(crate) fn phase_len(&self, run: &Run, k: usize) -> usize {
         if run.one_phase() {
@@ -409,17 +403,6 @@ impl Runs {
             grow_to(&mut self.runs, 1, est);
         }
         self.runs.push(run);
-    }
-
-    /// Append `rec` to a trace: it joins the last run when it continues
-    /// that run's phase, or when the last run still costs more than a
-    /// `TraceRecord` per record; otherwise it opens a run.
-    #[inline]
-    pub(crate) fn push(&mut self, rec: &TraceRecord) {
-        if !self.ends_in(rec.phase) && !self.over_budget() {
-            self.open(rec.phase, 1);
-        }
-        self.append(rec);
     }
 
     /// True when the last record belongs to phase `phase`.
@@ -809,7 +792,7 @@ impl Runs {
 /// One barrier phase of trace records, stored as run-encoded columns.
 ///
 /// A batch is a store holding one run. A generator fills its own
-/// ([`RecordBatch::begin`], [`RecordBatch::push`]), whose buffers are
+/// (`begin`, then `push` per record), whose buffers are
 /// retained across `begin` calls, so a streaming loop reusing one batch
 /// is allocation-free at steady state. A [`TraceBatches`] instead points
 /// the batch at a phase of a trace's store, sharing it; a `push` onto
@@ -834,7 +817,7 @@ impl RecordBatch {
 
     /// Clear the batch and start it for `phase`, keeping the allocated
     /// capacity of its own columns.
-    pub fn begin(&mut self, phase: u32) {
+    pub(crate) fn begin(&mut self, phase: u32) {
         self.shared = None;
         self.own.clear();
         self.own.open(phase, 1);
@@ -843,7 +826,7 @@ impl RecordBatch {
 
     /// Append one record. A batch viewing a trace's phase first copies
     /// that phase into its own columns.
-    pub fn push(&mut self, rec: &TraceRecord) {
+    pub(crate) fn push(&mut self, rec: &TraceRecord) {
         debug_assert_eq!(rec.phase, self.phase(), "batch spans exactly one phase");
         if let Some(store) = self.shared.take() {
             self.own_copy(&store);
@@ -895,21 +878,15 @@ impl RecordBatch {
         let store = self.store();
         store.runs.get(self.run).map_or(0, |run| store.phase(run, self.lo))
     }
-
-    /// Bytes moved by this batch.
-    pub fn total_bytes(&self) -> u64 {
-        let store = self.store();
-        let Some(run) = store.runs.get(self.run) else { return 0 };
-        (self.lo..self.lo + self.len).map(|k| store.len_of(run, k)).sum()
-    }
 }
 
 /// Where a generator's phase emitter writes its records.
 ///
 /// A [`RecordBatch`] holds one phase and is cleared by every `begin`; a
-/// trace's store ignores `begin` and appends every phase, opening runs
-/// by the rule of [`Runs::push`], which is how `generate` materializes a
-/// trace directly.
+/// trace's store ignores `begin` and appends every phase: a record joins
+/// the last run when it continues that run's phase, or while that run
+/// still costs more than a `TraceRecord` per record, and opens a run
+/// otherwise. That is how `generate` materializes a trace directly.
 pub(crate) trait PhaseSink {
     /// Start phase `phase`.
     fn begin(&mut self, phase: u32);
@@ -971,7 +948,7 @@ impl PhaseSink for RecordBatch {
 /// ([`Runs::push_phase`]), which costs a fraction of encoding them one by
 /// one; records pushed by rank ([`PhaseSink::push_ranks`]) go straight
 /// to the store ([`Runs::push_ranked`]). The stored runs are the ones
-/// [`Runs::push`] would build.
+/// pushing the records one at a time would build.
 #[derive(Debug, Default)]
 pub(crate) struct Builder {
     store: Runs,
@@ -1100,25 +1077,26 @@ impl BatchSource for TraceBatches<'_> {
     }
 }
 
-/// Collect a whole source into a materialized [`Trace`].
-pub fn materialize<S: BatchSource + ?Sized>(source: &mut S) -> Trace {
-    let pace = source.len_hint().map_or(Pace::Unknown, Pace::Records);
-    let mut store = Builder::with_pace(pace);
-    let mut batch = RecordBatch::new();
-    while source.next_phase(&mut batch) {
-        for i in 0..batch.len() {
-            store.push(&batch.record(i));
-        }
-    }
-    Trace::from_store(store.finish(true))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::gen::ior::{generate, IorConfig};
     use simrt::rng::SmallRng;
     use simrt::SeedSeq;
+
+    impl Runs {
+        /// Append `rec` to a trace one record at a time, the reference
+        /// rule the column encoders must match: it joins the last run
+        /// when it continues that run's phase, or when the last run still
+        /// costs more than a `TraceRecord` per record; otherwise it opens
+        /// a run.
+        pub(crate) fn push(&mut self, rec: &TraceRecord) {
+            if !self.ends_in(rec.phase) && !self.over_budget() {
+                self.open(rec.phase, 1);
+            }
+            self.append(rec);
+        }
+    }
 
     #[test]
     fn push_and_record_round_trip() {
@@ -1138,7 +1116,6 @@ mod tests {
         assert_eq!(b.len(), 1);
         assert_eq!(b.record(0), rec);
         assert_eq!(b.phase(), 2);
-        assert_eq!(b.total_bytes(), 512);
         b.begin(5);
         assert!(b.is_empty(), "begin clears the previous phase");
         assert_eq!(b.phase(), 5);
@@ -1162,7 +1139,6 @@ mod tests {
         let got: Vec<TraceRecord> = (0..b.len()).map(|i| b.record(i)).collect();
         assert_eq!(got, [&phase[..], &[extra]].concat());
         assert_eq!(b.phase(), phase[0].phase);
-        assert_eq!(b.total_bytes(), got.iter().map(|r| r.len).sum::<u64>());
         assert_eq!(trace.records().to_vec(), want, "the viewed trace is unchanged");
         assert!(src.next_phase(&mut b), "the stream continues after the copy");
         assert_eq!(b.record(0), want[first + phase.len()]);
@@ -1224,9 +1200,6 @@ mod tests {
         assert_eq!(batch.phase(), phase);
         let got: Vec<TraceRecord> = (0..batch.len()).map(|i| batch.record(i)).collect();
         assert_eq!(got, recs, "phase {phase}");
-        if let Some(total) = recs.iter().try_fold(0u64, |a, r| a.checked_add(r.len)) {
-            assert_eq!(batch.total_bytes(), total, "phase {phase}");
-        }
     }
 
     #[test]
@@ -1304,18 +1277,10 @@ mod tests {
     }
 
     #[test]
-    fn materialize_round_trips_a_trace() {
-        let t = generate(&IorConfig::default_run(IoOp::Read));
-        let round = materialize(&mut TraceBatches::new(&t));
-        assert_eq!(round.records(), t.records());
-    }
-
-    #[test]
     fn empty_trace_streams_no_batches() {
         let t = Trace::new();
         let mut src = TraceBatches::new(&t);
         let mut batch = RecordBatch::new();
         assert!(!src.next_phase(&mut batch));
-        assert!(materialize(&mut TraceBatches::new(&t)).is_empty());
     }
 }

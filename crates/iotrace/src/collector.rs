@@ -18,19 +18,17 @@ pub struct Collector {
     phase_window: SimDuration,
     phase_start: SimTime,
     phase: u32,
-    enabled: bool,
 }
 
 impl Collector {
     /// Collector with a phase window of `window` (records closer together
     /// than this are one concurrent I/O phase).
-    pub fn new(window: SimDuration) -> Self {
+    pub(crate) fn new(window: SimDuration) -> Self {
         Collector {
             records: Vec::new(),
             phase_window: window,
             phase_start: SimTime::ZERO,
             phase: 0,
-            enabled: true,
         }
     }
 
@@ -40,13 +38,7 @@ impl Collector {
         Self::new(SimDuration::from_millis(1))
     }
 
-    /// Pause/resume collection (the paper's tracer is only active during
-    /// the first run).
-    pub fn set_enabled(&mut self, enabled: bool) {
-        self.enabled = enabled;
-    }
-
-    /// Record one file operation. No-op while disabled.
+    /// Record one file operation.
     #[allow(clippy::too_many_arguments)]
     pub fn record(
         &mut self,
@@ -58,9 +50,6 @@ impl Collector {
         len: u64,
         ts: SimTime,
     ) {
-        if !self.enabled {
-            return;
-        }
         if self.records.is_empty() {
             self.phase_start = ts;
         } else if ts.since(self.phase_start) > self.phase_window {
@@ -77,16 +66,6 @@ impl Collector {
             ts,
             phase: self.phase,
         });
-    }
-
-    /// Number of records captured so far.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// True when nothing has been captured.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
     }
 
     /// Finish collection and hand over the trace.
@@ -146,20 +125,7 @@ mod tests {
     }
 
     #[test]
-    fn disabled_collector_drops_records() {
-        let mut c = Collector::with_default_window();
-        at_ms(&mut c, 0, 0, 0);
-        c.set_enabled(false);
-        at_ms(&mut c, 1, 0, 4096);
-        c.set_enabled(true);
-        at_ms(&mut c, 2, 0, 8192);
-        assert_eq!(c.len(), 2);
-    }
-
-    #[test]
     fn empty_collector_finishes_empty() {
-        let c = Collector::with_default_window();
-        assert!(c.is_empty());
-        assert!(c.finish().is_empty());
+        assert!(Collector::with_default_window().finish().is_empty());
     }
 }

@@ -13,11 +13,11 @@ use crate::trace::Trace;
 use storage_model::IoOp;
 
 /// Class B solution history total, bytes (≈1.69 GB).
-pub const CLASS_B_BYTES: u64 = 1_690_000_000;
+pub(crate) const CLASS_B_BYTES: u64 = 1_690_000_000;
 /// Class C solution history total, bytes (≈6.8 GB).
-pub const CLASS_C_BYTES: u64 = 6_800_000_000;
+pub(crate) const CLASS_C_BYTES: u64 = 6_800_000_000;
 /// Number of solution dumps (BTIO writes every 5th of 200 steps).
-pub const IO_STEPS: u32 = 40;
+pub(crate) const IO_STEPS: u32 = 40;
 
 /// BTIO run configuration.
 #[derive(Debug, Clone)]

@@ -17,11 +17,11 @@ use simrt::SeedSeq;
 use storage_model::IoOp;
 
 /// Smallest read, bytes — from the paper.
-pub const READ_MIN: u64 = 2;
+pub(crate) const READ_MIN: u64 = 2;
 /// Largest read/write, bytes — from the paper.
-pub const SIZE_MAX: u64 = 4_206_976;
+pub(crate) const SIZE_MAX: u64 = 4_206_976;
 /// Smallest write, bytes — from the paper.
-pub const WRITE_MIN: u64 = 131_556;
+pub(crate) const WRITE_MIN: u64 = 131_556;
 
 /// Cholesky trace configuration.
 #[derive(Debug, Clone)]

@@ -16,7 +16,7 @@ use storage_model::IoOp;
 /// The three request sizes of one LANL loop, in issue order.
 pub const LOOP_SIZES: [u64; 3] = [16, 128 * 1024 - 16, 128 * 1024];
 /// Bytes moved by one loop of one process.
-pub const LOOP_BYTES: u64 = 256 * 1024;
+pub(crate) const LOOP_BYTES: u64 = 256 * 1024;
 
 /// Ranks whose offsets are computed before they are emitted together: a
 /// stack buffer small enough that clearing it per phase costs nothing.

@@ -13,20 +13,20 @@ use crate::trace::Trace;
 use storage_model::IoOp;
 
 /// Fixed write (slab flush) size, bytes — from the paper.
-pub const WRITE_SIZE: u64 = 524_544;
+pub(crate) const WRITE_SIZE: u64 = 524_544;
 /// Smallest read (last panel), bytes — from the paper.
-pub const READ_MIN: u64 = 6_272;
+pub(crate) const READ_MIN: u64 = 6_272;
 /// Largest read (first panel), bytes — equals the slab size.
-pub const READ_MAX: u64 = 524_544;
+pub(crate) const READ_MAX: u64 = 524_544;
 /// Number of elimination steps: 8192 columns / 64-column slabs.
-pub const STEPS: u32 = 128;
+pub(crate) const STEPS: u32 = 128;
 
 /// LU trace configuration.
 #[derive(Debug, Clone)]
 pub struct LuConfig {
     /// Number of processes = number of files (the paper uses 8).
     pub procs: u32,
-    /// Number of elimination steps to emit (≤ [`STEPS`]; full run by default).
+    /// Number of elimination steps to emit (≤ 128; full run by default).
     pub steps: u32,
 }
 
@@ -38,7 +38,7 @@ impl Default for LuConfig {
 
 /// Read size at elimination step `k`: shrinks linearly from [`READ_MAX`]
 /// at step 0 to [`READ_MIN`] at the final step.
-pub fn read_size_at(k: u32) -> u64 {
+pub(crate) fn read_size_at(k: u32) -> u64 {
     if STEPS <= 1 {
         return READ_MAX;
     }

@@ -86,7 +86,7 @@ fn zipf_table(regions: u64, theta: f64) -> Arc<[f64]> {
 /// shares a timestamp; consecutive phases are spaced far enough apart that
 /// a collector with the default window would reconstruct them.
 #[derive(Debug, Clone)]
-pub struct PhaseClock {
+pub(crate) struct PhaseClock {
     next_phase: u32,
     gap: SimDuration,
 }
@@ -99,20 +99,15 @@ impl Default for PhaseClock {
 
 impl PhaseClock {
     /// Phases spaced 10 ms apart.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         PhaseClock { next_phase: 0, gap: SimDuration::from_millis(10) }
     }
 
     /// Allocate the next phase; returns `(phase, timestamp)`.
-    pub fn tick(&mut self) -> (u32, SimTime) {
+    pub(crate) fn tick(&mut self) -> (u32, SimTime) {
         let phase = self.next_phase;
         self.next_phase += 1;
         (phase, SimTime::ZERO + self.gap * u64::from(phase))
-    }
-
-    /// Number of phases allocated so far.
-    pub fn phases(&self) -> u32 {
-        self.next_phase
     }
 }
 
@@ -183,7 +178,7 @@ pub(crate) fn every_generator() -> Vec<(String, Trace, Vec<crate::record::TraceR
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::TraceRecord;
+    use crate::trace::tests::phase_runs;
 
     /// Every generator's stored trace decodes to the record vector it
     /// describes. Reads by index, by cursor (backwards, the cursor's slow
@@ -210,8 +205,8 @@ mod tests {
                 assert_eq!(records.iter_from(i).next(), Some(want[i]), "{name}: iter_from({i})");
             }
             assert_eq!(records.get(want.len()), None, "{name}");
-            let phased: Vec<TraceRecord> = trace.phases().flat_map(|p| p.iter()).collect();
-            assert_eq!(phased, *want, "{name}: phases");
+            let spans: Vec<_> = trace.phases().map(|p| (p.start(), p.len(), p.phase())).collect();
+            assert_eq!(spans, phase_runs(want), "{name}: phases");
         }
     }
 
@@ -222,7 +217,7 @@ mod tests {
         let (p1, t1) = c.tick();
         assert_eq!((p0, p1), (0, 1));
         assert!(t1 > t0);
-        assert_eq!(c.phases(), 2);
+        assert_eq!(c.next_phase, 2);
     }
 
     #[test]

@@ -30,11 +30,11 @@ pub mod stats;
 pub mod trace;
 pub mod tsv;
 
-pub use batch::{materialize, BatchSource, RecordBatch, TraceBatches};
+pub use batch::{BatchSource, RecordBatch, TraceBatches};
 pub use collector::Collector;
 pub use error::TraceError;
 pub use record::{FileId, Rank, TenantId, TraceRecord};
 pub use stats::TraceStats;
-pub use trace::{Cursor, Iter, Phase, Phases, Records, Trace};
+pub use trace::{Phase, Phases, Records, Trace};
 
 pub use storage_model::IoOp;

@@ -86,18 +86,8 @@ pub struct TraceRecord {
 impl TraceRecord {
     /// One-past-the-end byte of the request.
     #[inline]
-    pub fn end(&self) -> u64 {
+    pub(crate) fn end(&self) -> u64 {
         self.offset + self.len
-    }
-
-    /// True if this request's byte range overlaps `other`'s on the same
-    /// file. Zero-length requests cover no bytes and never overlap.
-    pub fn overlaps(&self, other: &TraceRecord) -> bool {
-        self.len > 0
-            && other.len > 0
-            && self.file == other.file
-            && self.offset < other.end()
-            && other.offset < self.end()
     }
 }
 
@@ -121,30 +111,6 @@ mod tests {
     #[test]
     fn end_is_exclusive() {
         assert_eq!(rec(0, 10, 5).end(), 15);
-    }
-
-    #[test]
-    fn overlap_requires_same_file() {
-        let a = rec(0, 0, 10);
-        let b = rec(1, 0, 10);
-        assert!(!a.overlaps(&b));
-        let c = rec(0, 5, 10);
-        assert!(a.overlaps(&c));
-    }
-
-    #[test]
-    fn touching_ranges_do_not_overlap() {
-        let a = rec(0, 0, 10);
-        let b = rec(0, 10, 10);
-        assert!(!a.overlaps(&b));
-        assert!(!b.overlaps(&a));
-    }
-
-    #[test]
-    fn zero_length_never_overlaps() {
-        let a = rec(0, 5, 0);
-        let b = rec(0, 0, 10);
-        assert!(!a.overlaps(&b));
     }
 
     #[test]

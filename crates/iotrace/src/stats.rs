@@ -182,13 +182,14 @@ mod tests {
         distinct.sort_unstable();
         distinct.dedup();
         let mean = sizes.mean();
+        let bytes_for = |op| trace.records().iter().filter(|r| r.op == op).map(|r| r.len).sum();
         TraceStats {
             requests: trace.len(),
             reads,
             writes,
             total_bytes: trace.total_bytes(),
-            read_bytes: trace.bytes_for(IoOp::Read),
-            write_bytes: trace.bytes_for(IoOp::Write),
+            read_bytes: bytes_for(IoOp::Read),
+            write_bytes: bytes_for(IoOp::Write),
             max_request: trace.max_request_size(),
             min_request: trace.records().iter().map(|r| r.len).min().unwrap_or(0),
             mean_request: mean,

@@ -15,23 +15,21 @@ use crate::record::{FileId, TenantId, TraceRecord};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
-use storage_model::IoOp;
 
 /// Largest request length [`Trace::validate`] accepts (4 TiB). A length
 /// above this almost certainly came from a negative size reinterpreted
 /// as unsigned during ingestion.
-pub const MAX_REQUEST_LEN: u64 = 1 << 42;
+pub(crate) const MAX_REQUEST_LEN: u64 = 1 << 42;
 
 /// One past the largest MPI rank [`Trace::validate`] accepts.
-pub const MAX_RANK: u32 = 1 << 20;
+pub(crate) const MAX_RANK: u32 = 1 << 20;
 
 /// An application I/O trace in issue order.
 ///
 /// Copy-on-write: the runs live behind one shared allocation, so `clone`
-/// is O(1) and every clone reads the same storage. The mutators
-/// ([`Trace::push`], [`Trace::extend_with`]) copy the storage first when
-/// another clone still shares it, so a change to one clone never shows
-/// in another.
+/// is O(1) and every clone reads the same storage. The mutator
+/// [`Trace::extend_with`] copies the storage first when another clone
+/// still shares it, so a change to one clone never shows in another.
 #[derive(Clone, Default)]
 pub struct Trace {
     store: Arc<Runs>,
@@ -70,15 +68,6 @@ impl Trace {
         &self.store
     }
 
-    /// Append one record (must not be earlier than the last — issue order).
-    pub fn push(&mut self, rec: TraceRecord) {
-        debug_assert!(
-            self.records().last().is_none_or(|l| rec.ts >= l.ts),
-            "trace records must be appended in issue order"
-        );
-        Arc::make_mut(&mut self.store).push(&rec);
-    }
-
     /// Records in issue order, decoded by value.
     pub fn records(&self) -> Records<'_> {
         Records { store: &self.store }
@@ -111,10 +100,9 @@ impl Trace {
     }
 
     /// Check the invariants a well-formed ingested trace must satisfy:
-    /// every request has a positive, plausible length ([`MAX_REQUEST_LEN`])
-    /// and an in-file byte range, ranks are in range ([`MAX_RANK`]), and
-    /// timestamps are non-decreasing (the issue-order rule [`Trace::push`]
-    /// debug-asserts). Ingestion paths ([`crate::tsv::from_tsv`],
+    /// every request has a positive, plausible length (at most 4 TiB) and
+    /// an in-file byte range, ranks are below 2^20, and timestamps are
+    /// non-decreasing (issue order). Ingestion paths ([`crate::tsv::from_tsv`],
     /// `trace-tool`) run this on every trace they accept.
     pub fn validate(&self) -> Result<(), TraceError> {
         let mut last_ts = None;
@@ -171,11 +159,6 @@ impl Trace {
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
         self.records().iter().map(|r| r.len).sum()
-    }
-
-    /// Total bytes moved by `op` requests.
-    pub fn bytes_for(&self, op: IoOp) -> u64 {
-        self.records().iter().filter(|r| r.op == op).map(|r| r.len).sum()
     }
 
     /// Distinct files touched, in id order.
@@ -383,7 +366,7 @@ impl<'a> Records<'a> {
     }
 
     /// The last record.
-    pub fn last(&self) -> Option<TraceRecord> {
+    pub(crate) fn last(&self) -> Option<TraceRecord> {
         self.len().checked_sub(1).and_then(|i| self.get(i))
     }
 
@@ -545,12 +528,6 @@ impl<'a> Phase<'a> {
     pub(crate) fn file(&self, k: usize) -> u32 {
         self.store.file(self.run, self.lo + k)
     }
-
-    /// The phase's records in order.
-    pub fn iter(&self) -> impl Iterator<Item = TraceRecord> + 'a {
-        let Phase { store, run, lo, len } = *self;
-        (lo..lo + len).map(move |k| store.record(run, k))
-    }
 }
 
 impl fmt::Debug for Phase<'_> {
@@ -589,10 +566,11 @@ impl<'a> Iterator for Phases<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use crate::record::Rank;
     use simrt::SimTime;
+    use storage_model::IoOp;
 
     fn rec(file: u32, off: u64, len: u64, phase: u32, op: IoOp) -> TraceRecord {
         TraceRecord {
@@ -607,6 +585,19 @@ mod tests {
         }
     }
 
+    /// `(start, len, phase)` of each maximal stretch of adjacent records
+    /// sharing a phase id: what [`Trace::phases`] must yield.
+    pub(crate) fn phase_runs(records: &[TraceRecord]) -> Vec<(usize, usize, u32)> {
+        let mut at = 0;
+        let chunks = records.chunk_by(|a, b| a.phase == b.phase);
+        chunks
+            .map(|c| {
+                at += c.len();
+                (at - c.len(), c.len(), c[0].phase)
+            })
+            .collect()
+    }
+
     #[test]
     fn totals_and_rmax() {
         let t = Trace::from_records(vec![
@@ -616,8 +607,6 @@ mod tests {
         ]);
         assert_eq!(t.total_bytes(), 600);
         assert_eq!(t.max_request_size(), 300);
-        assert_eq!(t.bytes_for(IoOp::Read), 300);
-        assert_eq!(t.bytes_for(IoOp::Write), 300);
     }
 
     #[test]
@@ -704,23 +693,6 @@ mod tests {
         let b = a.clone();
         assert!(Arc::ptr_eq(a.store(), b.store()));
         assert_eq!(a.records(), b.records());
-    }
-
-    #[test]
-    fn push_on_a_clone_leaves_the_other_unchanged() {
-        let mut a = Trace::from_records(vec![rec(0, 0, 10, 0, IoOp::Read)]);
-        let b = a.clone();
-        a.push(rec(0, 10, 10, 1, IoOp::Write));
-        assert_eq!(a.len(), 2);
-        assert_eq!(b.records().to_vec(), [rec(0, 0, 10, 0, IoOp::Read)]);
-        assert!(!Arc::ptr_eq(a.store(), b.store()));
-        // The other way round: the original shared, the clone mutated.
-        let c = b.clone();
-        let mut d = b.clone();
-        d.push(rec(2, 0, 5, 3, IoOp::Read));
-        assert_eq!(c.records(), b.records());
-        assert!(Arc::ptr_eq(c.store(), b.store()));
-        assert_eq!(d.len(), 2);
     }
 
     #[test]
@@ -892,8 +864,9 @@ mod tests {
     }
 
     /// Every way of building a trace decodes to exactly the records it
-    /// was given: `push`, `from_records`, `from_tsv`, `extend_with`
-    /// (in order and merged), `retag_into` and `phase_windows`.
+    /// was given: `from_records`, `from_tsv`, `extend_with` (in order and
+    /// merged), `retag_into` and `phase_windows`, and `phases` yields its
+    /// phase runs.
     #[test]
     fn every_constructor_decodes_to_the_record_vector_oracle() {
         let mut rng = simrt::SeedSeq::new(0x7ace).rng();
@@ -904,15 +877,10 @@ mod tests {
             let ctx = format!("trial {trial} ({} records)", want.len());
             let built = Trace::from_records(want.clone());
             assert_eq!(built.records().to_vec(), want, "{ctx}: from_records");
-            let mut pushed = Trace::new();
-            for r in &want {
-                pushed.push(*r);
-            }
-            assert_eq!(pushed.records(), built.records(), "{ctx}: push");
             let parsed = crate::tsv::from_tsv(&crate::tsv::to_tsv(&built)).unwrap();
             assert_eq!(parsed.records().to_vec(), want, "{ctx}: from_tsv");
-            let phased: Vec<TraceRecord> = built.phases().flat_map(|p| p.iter()).collect();
-            assert_eq!(phased, want, "{ctx}: phases");
+            let spans: Vec<_> = built.phases().map(|p| (p.start(), p.len(), p.phase())).collect();
+            assert_eq!(spans, phase_runs(&want), "{ctx}: phases");
             assert_eq!(built.concurrency(), built.concurrency_sparse(), "{ctx}: concurrency");
 
             let tenant = TenantId(rng.gen_range(0..256u32));

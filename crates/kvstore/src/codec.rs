@@ -42,7 +42,7 @@ pub fn crc32(data: &[u8]) -> u32 {
 /// Extend `crc`, the CRC32 of some bytes, by `data`: the CRC32 of those
 /// bytes followed by `data`. `crc32_update(0, data) == crc32(data)`, so a
 /// record can be checked as it streams past in pieces.
-pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
+pub(crate) fn crc32_update(crc: u32, data: &[u8]) -> u32 {
     let t = &TABLES;
     let mut c = !crc;
     let mut words = data.chunks_exact(8);
@@ -65,12 +65,12 @@ pub fn crc32_update(crc: u32, data: &[u8]) -> u32 {
 }
 
 /// Append a `u32` little-endian.
-pub fn put_u32(buf: &mut Vec<u8>, v: u32) {
+pub(crate) fn put_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
 }
 
 /// Read a `u32` little-endian at `pos`, if in bounds.
-pub fn get_u32(buf: &[u8], pos: usize) -> Option<u32> {
+pub(crate) fn get_u32(buf: &[u8], pos: usize) -> Option<u32> {
     let bytes = buf.get(pos..pos + 4)?;
     Some(u32::from_le_bytes(bytes.try_into().expect("4-byte slice")))
 }

@@ -33,4 +33,4 @@ pub mod store;
 pub mod wal;
 
 pub use error::{Error, Result};
-pub use store::{Store, StoreOptions, StoreStats};
+pub use store::{Store, StoreOptions};

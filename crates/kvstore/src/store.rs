@@ -256,11 +256,6 @@ impl Store {
         Self::open(path, StoreOptions::default())
     }
 
-    /// Path of the backing log file.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
     /// The store state. Every update leaves it consistent before anything
     /// that can panic runs (a [`Store::scan_prefix`] visitor, say), so
     /// poison is ignored.
@@ -328,11 +323,6 @@ impl Store {
         g.remove(key);
         g.stats.deletes += 1;
         Ok(true)
-    }
-
-    /// Whether `key` is present.
-    pub fn contains(&self, key: &[u8]) -> bool {
-        self.lock().index.contains_key(key)
     }
 
     /// Number of live keys.
@@ -787,9 +777,8 @@ mod tests {
         let path = tmp_path("flags");
         let s = Store::open_default(&path).unwrap();
         assert!(s.is_empty());
-        assert!(!s.contains(b"x"));
+        assert_eq!(s.get(b"x").unwrap(), None);
         s.put(b"x", b"").unwrap();
-        assert!(s.contains(b"x"));
         assert!(!s.is_empty());
         assert_eq!(s.get(b"x").unwrap().as_deref(), Some(&b""[..]), "empty values are legal");
         let _ = std::fs::remove_file(&path);

@@ -15,7 +15,7 @@
 //!
 //! Two walks decode a log. The store recovers with a crate-private
 //! stream that reads the log through a fixed 64 KiB window and keeps only
-//! the current key; [`Walk`] and [`scan`] decode a whole in-memory image
+//! the current key; `Walk` and [`scan`] decode a whole in-memory image
 //! and are the reference that stream is tested against.
 
 use crate::codec::{crc32, crc32_update, get_u32, put_u32};
@@ -23,10 +23,10 @@ use crate::error::{Error, Result};
 use std::io::{self, Read};
 
 /// Sentinel `vlen` marking a delete record.
-pub const TOMBSTONE: u32 = u32::MAX;
+pub(crate) const TOMBSTONE: u32 = u32::MAX;
 
 /// Fixed header size: crc + klen + vlen.
-pub const HEADER: usize = 12;
+pub(crate) const HEADER: usize = 12;
 
 /// One decoded log record, copied out of the log image.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -40,7 +40,7 @@ pub struct WalRecord {
 }
 
 /// Encode a put record.
-pub fn encode_put(key: &[u8], value: &[u8]) -> Result<Vec<u8>> {
+pub(crate) fn encode_put(key: &[u8], value: &[u8]) -> Result<Vec<u8>> {
     if key.len() >= u32::MAX as usize || value.len() >= u32::MAX as usize {
         return Err(Error::TooLarge);
     }
@@ -48,7 +48,7 @@ pub fn encode_put(key: &[u8], value: &[u8]) -> Result<Vec<u8>> {
 }
 
 /// Encode a delete record.
-pub fn encode_delete(key: &[u8]) -> Result<Vec<u8>> {
+pub(crate) fn encode_delete(key: &[u8]) -> Result<Vec<u8>> {
     if key.len() >= u32::MAX as usize {
         return Err(Error::TooLarge);
     }
@@ -207,7 +207,7 @@ impl<R: Read> Stream<R> {
 
 /// One record borrowed from a log image.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RecordRef<'a> {
+pub(crate) struct RecordRef<'a> {
     /// Byte offset of the record header in the log.
     pub offset: u64,
     /// The key.
@@ -216,19 +216,11 @@ pub struct RecordRef<'a> {
     pub value: Option<&'a [u8]>,
 }
 
-impl RecordRef<'_> {
-    /// Byte offset where this record's value bytes start (meaningful only
-    /// for puts).
-    pub fn value_offset(&self) -> u64 {
-        self.offset + HEADER as u64 + self.key.len() as u64
-    }
-}
-
 /// The valid records of a log image in log order, borrowed from it. The
 /// walk stops at the end of the image or at the first record that fails
 /// its CRC or runs past the end, which is the torn tail.
 #[derive(Debug)]
-pub struct Walk<'a> {
+pub(crate) struct Walk<'a> {
     buf: &'a [u8],
     pos: usize,
     torn: bool,
@@ -236,19 +228,19 @@ pub struct Walk<'a> {
 
 impl<'a> Walk<'a> {
     /// Walk `buf` from its first record.
-    pub fn new(buf: &'a [u8]) -> Self {
+    pub(crate) fn new(buf: &'a [u8]) -> Self {
         Walk { buf, pos: 0, torn: false }
     }
 
     /// Length of the valid prefix walked so far; once the walk is done,
     /// bytes past this are a torn tail.
-    pub fn valid_len(&self) -> u64 {
+    pub(crate) fn valid_len(&self) -> u64 {
         self.pos as u64
     }
 
     /// True once the walk has stopped at a torn tail (which should be
     /// truncated).
-    pub fn torn(&self) -> bool {
+    pub(crate) fn torn(&self) -> bool {
         self.torn
     }
 
@@ -298,7 +290,7 @@ pub struct ScanResult {
 }
 
 /// Scan a full log image, stopping at the first invalid record: a
-/// [`Walk`] with every record copied out.
+/// `Walk` with every record copied out.
 pub fn scan(buf: &[u8]) -> ScanResult {
     let mut walk = Walk::new(buf);
     let records = walk.by_ref().map(WalRecord::from).collect();
@@ -377,10 +369,12 @@ mod tests {
     fn value_offset_points_at_value_bytes() {
         let mut log = encode_put(b"head", b"x").unwrap();
         log.extend(encode_put(b"kk", b"PAYLOAD").unwrap());
-        let r = Walk::new(&log).nth(1).unwrap();
+        let mut stream = Stream::new(&log[..], log.len() as u64);
+        stream.next_record().unwrap();
+        let r = stream.next_record().unwrap().unwrap();
         let vo = r.value_offset() as usize;
         assert_eq!(&log[vo..vo + 7], b"PAYLOAD");
-        assert_eq!(r.value, Some(&b"PAYLOAD"[..]));
+        assert_eq!(r.value_len, Some(7));
     }
 
     /// splitmix64: a deterministic case generator for the seeded loops.

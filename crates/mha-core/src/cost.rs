@@ -53,7 +53,7 @@ impl CostParams {
     /// Calibrate the parameters by probing fresh device models — the
     /// in-simulation analogue of the paper measuring its servers. `m`/`n`
     /// give the cluster shape; `t` comes from the NIC parameters.
-    pub fn calibrate(m: usize, n: usize, hdd: &HddParams, ssd: &SsdParams, link: &LinkParams) -> Self {
+    pub(crate) fn calibrate(m: usize, n: usize, hdd: &HddParams, ssd: &SsdParams, link: &LinkParams) -> Self {
         let sizes = calibrate::default_probe_sizes();
         let seed = SeedSeq::new(0xCA11B);
         let extent = 64 << 30;
@@ -105,7 +105,7 @@ impl CostParams {
     }
 
     /// Startup time on a server of the given class for `op`.
-    pub fn alpha(&self, hserver: bool, op: IoOp) -> f64 {
+    pub(crate) fn alpha(&self, hserver: bool, op: IoOp) -> f64 {
         match (hserver, op) {
             (true, _) => self.alpha_h,
             (false, IoOp::Read) => self.alpha_sr,
@@ -115,7 +115,7 @@ impl CostParams {
 
     /// Per-byte service time (network + storage) on a server class:
     /// Eq. 2's `t + β` serial transfer term.
-    pub fn unit_time(&self, hserver: bool, op: IoOp) -> f64 {
+    pub(crate) fn unit_time(&self, hserver: bool, op: IoOp) -> f64 {
         let beta = match (hserver, op) {
             (true, _) => self.beta_h,
             (false, IoOp::Read) => self.beta_sr,
@@ -126,7 +126,7 @@ impl CostParams {
 
     /// Build the layout a `<h, s>` pair denotes for this cluster shape.
     /// Returns `None` for the degenerate all-zero pair.
-    pub fn layout_for(&self, h: u64, s: u64) -> Option<LayoutSpec> {
+    pub(crate) fn layout_for(&self, h: u64, s: u64) -> Option<LayoutSpec> {
         if (h == 0 || self.m == 0) && (s == 0 || self.n == 0) {
             return None;
         }
@@ -136,7 +136,7 @@ impl CostParams {
     }
 
     /// Is server `i` (in the layout numbering) an HServer?
-    pub fn is_hserver(&self, server: ServerId) -> bool {
+    pub(crate) fn is_hserver(&self, server: ServerId) -> bool {
         server.0 < self.m
     }
 
@@ -150,7 +150,7 @@ impl CostParams {
     }
 
     /// Eq. 2 evaluated against an explicit layout.
-    pub fn request_cost_on(&self, layout: &LayoutSpec, req: &ReqView) -> f64 {
+    pub(crate) fn request_cost_on(&self, layout: &LayoutSpec, req: &ReqView) -> f64 {
         let round = layout.round_size() as f64;
         let mates = req.concurrency.saturating_sub(1) as f64;
         // Mate load depends only on a server's class stripe, and every
@@ -177,22 +177,6 @@ impl CostParams {
         }
         debug_assert!(round > 0.0);
         worst
-    }
-
-    /// Eq. 2 extended with the layout's redundancy: the base cost of
-    /// [`Self::request_cost_on`] scaled by the placement's per-op factor
-    /// (see [`placement_factors`]). `p_loss` is the probability a read
-    /// finds its home unit permanently lost. Striped layouts (and
-    /// `p_loss = 0` reads) are priced bit-identically to the base model.
-    pub fn request_cost_redundant(&self, layout: &LayoutSpec, req: &ReqView, p_loss: f64) -> f64 {
-        let factors = placement_factors(layout.placement(), p_loss);
-        let factor = factors.for_op(req.op);
-        let base = self.request_cost_on(layout, req);
-        if factor == 1.0 {
-            base
-        } else {
-            base * factor
-        }
     }
 
     /// Precompute the per-class mate loads for one request: `Some(load)`
@@ -289,22 +273,16 @@ impl Default for OpFactors {
 
 impl OpFactors {
     /// The identity factors (striped layouts, the pre-redundancy model).
-    pub fn neutral() -> Self {
+    pub(crate) fn neutral() -> Self {
         Self::default()
     }
 
     /// The factor for one operation.
-    pub fn for_op(&self, op: IoOp) -> f64 {
+    pub(crate) fn for_op(&self, op: IoOp) -> f64 {
         match op {
             IoOp::Read => self.read,
             IoOp::Write => self.write,
         }
-    }
-
-    /// Both factors are exactly 1 — scoring with them is bit-identical
-    /// to the unfactored model.
-    pub fn is_neutral(&self) -> bool {
-        self.read == 1.0 && self.write == 1.0
     }
 }
 
@@ -520,7 +498,7 @@ mod tests {
     #[test]
     fn placement_factors_cover_the_grid() {
         let f = placement_factors(Placement::Striped, 0.7);
-        assert!(f.is_neutral());
+        assert_eq!((f.read, f.write), (1.0, 1.0));
         let f = placement_factors(Placement::Replicated(3), 0.5);
         assert_eq!((f.read, f.write), (1.0, 3.0));
         // EC(4+2): writes always pay 6/4; reads pay k-fold only on the
@@ -534,29 +512,6 @@ mod tests {
         // p_loss clamps rather than extrapolating.
         let over = placement_factors(Placement::ErasureCoded(4, 2), 7.0);
         assert_eq!(over.read, 4.0);
-    }
-
-    #[test]
-    fn redundant_cost_scales_writes_and_degraded_reads() {
-        let p = params();
-        let layout = p.layout_for(64 << 10, 64 << 10).unwrap();
-        let w = req(32 << 10, IoOp::Write, 4);
-        let r = req(32 << 10, IoOp::Read, 4);
-        let base_w = p.request_cost_on(&layout, &w);
-        let base_r = p.request_cost_on(&layout, &r);
-
-        // Striped pricing is bit-identical to the base model.
-        assert_eq!(p.request_cost_redundant(&layout, &w, 0.5).to_bits(), base_w.to_bits());
-
-        let rep = layout.clone().with_placement(Placement::Replicated(3));
-        assert_eq!(p.request_cost_redundant(&rep, &w, 0.0).to_bits(), (base_w * 3.0).to_bits());
-        // Replicated reads never amplify, lost or not.
-        assert_eq!(p.request_cost_redundant(&rep, &r, 1.0).to_bits(), base_r.to_bits());
-
-        let ec = layout.clone().with_placement(Placement::ErasureCoded(2, 2));
-        assert_eq!(p.request_cost_redundant(&ec, &w, 0.0).to_bits(), (base_w * 2.0).to_bits());
-        assert_eq!(p.request_cost_redundant(&ec, &r, 0.0).to_bits(), base_r.to_bits());
-        assert_eq!(p.request_cost_redundant(&ec, &r, 1.0).to_bits(), (base_r * 2.0).to_bits());
     }
 
     #[test]

@@ -72,7 +72,7 @@ impl Grouping {
 /// over the assignment replaces every O(n) `members(g)` rescan with a
 /// borrowed slice lookup.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GroupIndex {
+pub(crate) struct GroupIndex {
     /// Per group `g`: `starts[g]..starts[g + 1]` slices `members`.
     starts: Vec<u32>,
     /// Point indices grouped by group id, ascending within each group.
@@ -81,12 +81,12 @@ pub struct GroupIndex {
 
 impl GroupIndex {
     /// Index a grouping.
-    pub fn new(grouping: &Grouping) -> Self {
+    pub(crate) fn new(grouping: &Grouping) -> Self {
         Self::from_assignment(&grouping.assignment, grouping.groups())
     }
 
     /// Index a raw assignment over dense group ids `0..groups`.
-    pub fn from_assignment(assignment: &[usize], groups: usize) -> Self {
+    pub(crate) fn from_assignment(assignment: &[usize], groups: usize) -> Self {
         assert!(assignment.len() < u32::MAX as usize, "group index is u32-sized");
         let mut starts = vec![0u32; groups + 1];
         for &a in assignment {
@@ -105,23 +105,8 @@ impl GroupIndex {
         GroupIndex { starts, members }
     }
 
-    /// Number of groups indexed.
-    pub fn groups(&self) -> usize {
-        self.starts.len() - 1
-    }
-
-    /// Total points indexed.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    /// True when no points were indexed.
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
-
     /// Point indices of group `g`, ascending — borrowed, no allocation.
-    pub fn members(&self, g: usize) -> &[u32] {
+    pub(crate) fn members(&self, g: usize) -> &[u32] {
         &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
 }
@@ -131,17 +116,6 @@ impl GroupIndex {
 /// the `grouping_serial_matches_parallel_*` property tests).
 pub fn group_requests(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
     run(points, cfg, points.len() >= PAR_MIN_POINTS)
-}
-
-/// [`group_requests`] pinned to the serial path — the reference the
-/// serial==parallel property tests compare against.
-pub fn group_requests_serial(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
-    run(points, cfg, false)
-}
-
-/// [`group_requests`] pinned to the rayon-parallel path.
-pub fn group_requests_parallel(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
-    run(points, cfg, true)
 }
 
 /// Algorithm 1 re-seeded from a previous window's centers — the
@@ -155,7 +129,7 @@ pub fn group_requests_parallel(points: &[ReqFeature], cfg: &GroupingConfig) -> G
 /// the new points, the first update step changes nothing, and the loop
 /// exits after a single assignment pass — that is what makes a quiet
 /// window cost near zero. Empty `seeds` falls back to the cold path.
-pub fn group_requests_seeded(
+pub(crate) fn group_requests_seeded(
     points: &[ReqFeature],
     cfg: &GroupingConfig,
     seeds: &[ReqFeature],
@@ -484,11 +458,10 @@ mod tests {
         let pts = lanl_points(5);
         let g = group_requests(&pts, &GroupingConfig { k: 3, ..Default::default() });
         let idx = GroupIndex::new(&g);
-        assert_eq!(idx.groups(), g.groups());
-        assert_eq!(idx.len(), pts.len());
-        assert!(!idx.is_empty());
+        assert_eq!(idx.starts.len(), g.groups() + 1);
+        assert_eq!(idx.members.len(), pts.len());
         let mut seen = vec![false; pts.len()];
-        for grp in 0..idx.groups() {
+        for grp in 0..g.groups() {
             let mut prev = None;
             for &m in idx.members(grp) {
                 assert!(!seen[m as usize], "point in two groups");
@@ -524,8 +497,8 @@ mod tests {
     fn group_index_handles_empty_grouping() {
         let g = group_requests(&[], &GroupingConfig::default());
         let idx = GroupIndex::new(&g);
-        assert_eq!(idx.groups(), 0);
-        assert!(idx.is_empty());
+        assert_eq!(idx.starts, [0]);
+        assert!(idx.members.is_empty());
     }
 
     #[test]
@@ -593,8 +566,8 @@ mod tests {
                 .collect();
             let k = 1 + (xorshift(&mut s) % 12) as usize;
             let cfg = GroupingConfig { k, seed: xorshift(&mut s) };
-            let ser = group_requests_serial(&pts, &cfg);
-            let par = group_requests_parallel(&pts, &cfg);
+            let ser = run(&pts, &cfg, false);
+            let par = run(&pts, &cfg, true);
             assert_groupings_bit_identical(&ser, &par, &format!("trial {trial} (n={n}, k={k})"));
             // And the dispatching entry point picks one of the two.
             let auto = group_requests(&pts, &cfg);

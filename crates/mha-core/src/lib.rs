@@ -41,7 +41,7 @@
 //!
 //! [`schemes::Evaluation`] wraps the whole flow in one builder — and can
 //! inject a [`pfs_sim::FaultPlan`] and re-plan around the degraded
-//! servers it implies ([`schemes::PlannerContext::with_health`]).
+//! servers it implies (`schemes::PlannerContext::with_health`).
 
 pub mod cost;
 pub mod dynamic;
@@ -58,21 +58,13 @@ pub mod tenant;
 
 pub use cost::{placement_factors, CostParams, OpFactors, ReqView};
 pub use dynamic::{run_dynamic, DynamicConfig, DynamicReport, LazyMigrator};
-pub use online::{OnlineConfig, OnlinePlanner, Replan, ReplanStats};
-pub use persist::{
-    recover, CommitPoint, KillSwitch, PersistError, PipelineStore, RecoveryOutcome, TenantStore,
-};
-pub use grouping::{
-    group_requests, group_requests_parallel, group_requests_seeded, group_requests_serial,
-    GroupIndex, Grouping, GroupingConfig,
-};
-pub use pattern::{FeatureSpace, ReqFeature};
+pub use online::{OnlineConfig, OnlinePlanner};
+pub use persist::{recover, KillSwitch, PersistError, PipelineStore, TenantStore};
+pub use grouping::{group_requests, Grouping, GroupingConfig};
+pub use pattern::ReqFeature;
 pub use rebuild::{file_sizes, rebuild_onto_spare, RebuildOutcome};
 pub use redirect::DrtResolver;
 pub use region::{Drt, DrtEntry, Rst};
-pub use rssd::{
-    region_cost, region_cost_bounded, region_cost_factored, rssd, CostScratch, RssdConfig,
-    RssdResult, StripePair,
-};
+pub use rssd::{region_cost, rssd, RssdConfig, RssdResult, StripePair};
 pub use schemes::{apply_plan, Evaluation, LayoutPlanner, Plan, PlanResolver, PlannerContext, Scheme};
 pub use tenant::TenantPipeline;

@@ -14,7 +14,7 @@
 //!    rescan and the comparison.
 //! 2. **Incremental regroup.** A drifted window re-runs Algorithm 1
 //!    *seeded from the previous window's centroids*
-//!    ([`crate::grouping::group_requests_seeded`]): converged seeds
+//!    (`crate::grouping::group_requests_seeded`): converged seeds
 //!    make the k-means exit after one assignment pass, so the regroup
 //!    cost tracks how far the workload actually moved.
 //! 3. **Selective RSSD.** Each new group is matched to the nearest
@@ -36,7 +36,7 @@
 //! access.
 //!
 //! [`crate::TenantPipeline`] is the one driver of this loop: it feeds
-//! each window to [`OnlinePlanner::observe`], commits and journals the
+//! each window to `OnlinePlanner::observe`, commits and journals the
 //! plan, and returns its layouts to install.
 
 use crate::grouping::{group_requests_seeded, GroupIndex};
@@ -158,20 +158,16 @@ pub struct ReplanStats {
 }
 
 /// What [`OnlinePlanner::observe`] decided for a window.
-pub enum Replan {
+pub(crate) enum Replan {
     /// The window's signature is within the drift threshold of the
     /// previous one — keep the installed plan.
     Quiet,
-    /// A fresh plan. `reused` of its `reused + searched` region stripe
-    /// pairs were carried over from the previous plan's cache.
+    /// A fresh plan; [`ReplanStats`] counts how many of its region
+    /// stripe pairs were carried over from the previous plan's cache.
     Plan {
         /// The new MHA-shaped plan (hand its DRT entries to the lazy
         /// migrator, install its layouts and RST).
         plan: Plan,
-        /// Stripe pairs reused from the cache.
-        reused: usize,
-        /// Stripe pairs found by a fresh RSSD search.
-        searched: usize,
     },
 }
 
@@ -199,7 +195,7 @@ pub struct OnlinePlanner {
 
 impl OnlinePlanner {
     /// A fresh planner; the first observed window always plans.
-    pub fn new(ctx: PlannerContext, cfg: OnlineConfig) -> Self {
+    pub(crate) fn new(ctx: PlannerContext, cfg: OnlineConfig) -> Self {
         let next_region_file = ctx.region_file_base;
         OnlinePlanner {
             ctx,
@@ -214,7 +210,7 @@ impl OnlinePlanner {
 
     /// Observe one window (its records as `trace`) and decide whether
     /// to replan. The window's signature costs one rescan of `trace`.
-    pub fn observe(&mut self, trace: &Trace) -> Replan {
+    pub(crate) fn observe(&mut self, trace: &Trace) -> Replan {
         let sig = WindowSig::of(trace);
         self.stats.windows += 1;
         if let Some(prev) = &self.sig {
@@ -344,8 +340,6 @@ impl OnlinePlanner {
                 rst,
                 regions,
             },
-            reused,
-            searched,
         }
     }
 }
@@ -415,13 +409,12 @@ mod tests {
             max_offset: 0,
         };
         planner.sig = Some(forced);
-        match planner.observe(&windows[1]) {
-            Replan::Plan { reused, searched, .. } => {
-                assert!(searched == 0, "unmoved groups must not re-search ({searched} did)");
-                assert!(reused > 0);
-            }
-            Replan::Quiet => panic!("cooked signature must drift"),
-        }
+        let before = planner.stats;
+        let replan = planner.observe(&windows[1]);
+        assert!(matches!(replan, Replan::Plan { .. }), "cooked signature must drift");
+        let searched = planner.stats.searches_run - before.searches_run;
+        assert!(searched == 0, "unmoved groups must not re-search ({searched} did)");
+        assert!(planner.stats.searches_reused > before.searches_reused);
     }
 
     #[test]
@@ -430,12 +423,10 @@ mod tests {
         let before = skewed_trace(16 << 10, 8, 1);
         let after = skewed_trace(512 << 10, 8, 1);
         assert!(matches!(planner.observe(&before), Replan::Plan { .. }));
-        match planner.observe(&after) {
-            Replan::Plan { searched, .. } => {
-                assert!(searched > 0, "a 32x request-size shift must re-search")
-            }
-            Replan::Quiet => panic!("32x request-size shift must drift"),
-        }
+        let searched = planner.stats.searches_run;
+        let replan = planner.observe(&after);
+        assert!(matches!(replan, Replan::Plan { .. }), "32x request-size shift must drift");
+        assert!(planner.stats.searches_run > searched, "a 32x request-size shift must re-search");
         assert_eq!(planner.stats.replans, 2);
     }
 

@@ -40,7 +40,7 @@ pub(crate) fn features_of(records: Records<'_>, conc: &[u32]) -> Vec<ReqFeature>
 
 /// The normalization context of Eq. 1: per-dimension observed ranges.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct FeatureSpace {
+pub(crate) struct FeatureSpace {
     size_span: f64,
     conc_span: f64,
 }
@@ -48,7 +48,7 @@ pub struct FeatureSpace {
 impl FeatureSpace {
     /// Fit the space to a set of points. Zero-span dimensions (all points
     /// equal) are given unit span so they simply contribute 0 distance.
-    pub fn fit(points: &[ReqFeature]) -> Self {
+    pub(crate) fn fit(points: &[ReqFeature]) -> Self {
         let span = |f: fn(&ReqFeature) -> f64| -> f64 {
             let mut lo = f64::INFINITY;
             let mut hi = f64::NEG_INFINITY;
@@ -68,14 +68,14 @@ impl FeatureSpace {
     }
 
     /// Eq. 1: normalized Euclidean distance between two request points.
-    pub fn distance(&self, a: &ReqFeature, b: &ReqFeature) -> f64 {
+    pub(crate) fn distance(&self, a: &ReqFeature, b: &ReqFeature) -> f64 {
         self.distance_sq(a, b).sqrt()
     }
 
     /// Squared Eq. 1 distance. `sqrt` is monotone, so comparisons over
     /// squared distances order the same way — the grouping hot loops use
     /// this to drop one sqrt per candidate center.
-    pub fn distance_sq(&self, a: &ReqFeature, b: &ReqFeature) -> f64 {
+    pub(crate) fn distance_sq(&self, a: &ReqFeature, b: &ReqFeature) -> f64 {
         let dx = (a.size - b.size) / self.size_span;
         let dy = (a.concurrency - b.concurrency) / self.conc_span;
         dx * dx + dy * dy

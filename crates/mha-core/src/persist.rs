@@ -38,9 +38,9 @@
 //!    commit record's entry count then catches a missing one. RST
 //!    records stay one record per row.
 //!
-//!    Plan metadata (one record per generation) and named fault plans
-//!    are little-endian binary payloads too, laid out in the meta and
-//!    fault payload section below; a malformed one is
+//!    Plan metadata (one record per generation) is a little-endian
+//!    binary payload too, laid out in the meta payload section below; a
+//!    malformed one is
 //!    [`PersistError::Corrupt`], never a panic or an oversized
 //!    allocation.
 //! 3. **Write-ahead migration journal.** Region migration writes its
@@ -71,7 +71,6 @@ use iotrace::{FileId, TenantId};
 use kvstore::codec::crc32;
 use kvstore::{Store, StoreOptions};
 use pfs_sim::{LayoutSpec, Placement, ServerId};
-use simrt::{DeviceProfile, FaultKind, FaultPlan, RetryPolicy, ServerFault};
 use std::cell::Cell;
 use std::fmt;
 use std::fmt::Write as _;
@@ -90,7 +89,6 @@ const ENTRY_BYTES: usize = 32;
 const TAG_DRT: u8 = b'D';
 const TAG_RST: u8 = b'R';
 const TAG_META: u8 = b'P';
-const TAG_FAULT: u8 = b'F';
 const TAG_JOURNAL: u8 = b'J';
 const TAG_COMMIT: u8 = b'C';
 
@@ -215,7 +213,7 @@ pub struct KillSwitch {
 
 impl KillSwitch {
     /// A disarmed switch.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         KillSwitch::default()
     }
 
@@ -311,10 +309,6 @@ fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-fn put_f64(out: &mut Vec<u8>, v: f64) {
-    put_u64(out, v.to_bits());
-}
-
 /// Bounds-checked little-endian reader over one payload. Every failure
 /// is [`PersistError::Corrupt`] against `key`.
 struct Reader<'a> {
@@ -348,10 +342,6 @@ impl Reader<'_> {
 
     fn u64(&mut self) -> Result<u64, PersistError> {
         Ok(u64::from_le_bytes(self.take()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, PersistError> {
-        Ok(f64::from_bits(self.u64()?))
     }
 
     fn usize(&mut self) -> Result<usize, PersistError> {
@@ -452,13 +442,6 @@ fn table_prefix(ns: u32, table: &[u8]) -> Vec<u8> {
     k
 }
 
-fn fault_key(name: &str) -> Vec<u8> {
-    let mut k = Vec::with_capacity(6 + name.len());
-    k.extend_from_slice(b"fault:");
-    k.extend_from_slice(name.as_bytes());
-    k
-}
-
 /// Key of the intent record whose first entry owns batch `first`.
 fn journal_key(ns: u32, first: u32) -> Vec<u8> {
     let mut k = ns_prefix(ns);
@@ -528,7 +511,7 @@ fn pair_from_bytes(key: &[u8], v: &[u8]) -> Result<StripePair, PersistError> {
     Ok(pair)
 }
 
-// -------------------------------------------- meta and fault payloads --
+// ------------------------------------------------------ meta payload --
 //
 // Plan metadata, in order:
 //   scheme u8 (0 DEF, 1 AAL, 2 HARL, 3 MHA)
@@ -541,14 +524,6 @@ fn pair_from_bytes(key: &[u8], v: &[u8]) -> Result<StripePair, PersistError> {
 // Segment starts, the round size and its cached reciprocal are derived
 // and not stored.
 //
-// Fault plan, in order:
-//   seed u64
-//   fault count u64, then per fault: server u64, kind u8 and its fields:
-//     0 slowdown factor, 1 slow link factor, 2 outage start_s
-//     duration_s, 3 down at_s (each an f64 as its IEEE-754 bits, u64),
-//     4 degraded profile u8 (0 worn SSD, 1 aged HDD)
-//   retry policy: backoff_s f64 bits, max_retries u32, timeout_s f64 bits
-//
 // All integers are little-endian. Nothing follows the last field.
 
 /// Encoded bytes of the smallest layout: file, segment count, one
@@ -558,9 +533,6 @@ const MIN_LAYOUT_BYTES: usize = 4 + 8 + 16 + 1;
 const SEGMENT_BYTES: usize = 16;
 /// Encoded bytes of one region: file, len, group and extents.
 const REGION_BYTES: usize = 4 + 3 * 8;
-/// Encoded bytes of the smallest fault: server, kind tag, profile tag.
-const MIN_FAULT_BYTES: usize = 8 + 1 + 1;
-
 fn encode_meta(plan: &Plan) -> Vec<u8> {
     let mut out = vec![match plan.scheme {
         Scheme::Def => 0,
@@ -669,77 +641,6 @@ fn decode_layout(r: &mut Reader) -> Result<LayoutSpec, PersistError> {
         .map_err(|why| r.bad(why))
 }
 
-fn encode_fault_plan(plan: &FaultPlan) -> Vec<u8> {
-    let mut out = Vec::new();
-    put_u64(&mut out, plan.seed);
-    put_u64(&mut out, plan.faults.len() as u64);
-    for f in &plan.faults {
-        put_u64(&mut out, f.server as u64);
-        match f.kind {
-            FaultKind::Slowdown { factor } => {
-                out.push(0);
-                put_f64(&mut out, factor);
-            }
-            FaultKind::SlowLink { factor } => {
-                out.push(1);
-                put_f64(&mut out, factor);
-            }
-            FaultKind::Outage { start_s, duration_s } => {
-                out.push(2);
-                put_f64(&mut out, start_s);
-                put_f64(&mut out, duration_s);
-            }
-            FaultKind::Down { at_s } => {
-                out.push(3);
-                put_f64(&mut out, at_s);
-            }
-            FaultKind::Degraded { profile } => {
-                out.push(4);
-                out.push(match profile {
-                    DeviceProfile::WornSsd => 0,
-                    DeviceProfile::AgedHdd => 1,
-                });
-            }
-        }
-    }
-    put_f64(&mut out, plan.retry.backoff_s);
-    put_u32(&mut out, plan.retry.max_retries);
-    put_f64(&mut out, plan.retry.timeout_s);
-    out
-}
-
-fn decode_fault_plan(key: &[u8], payload: &[u8]) -> Result<FaultPlan, PersistError> {
-    let mut r = Reader { key, rest: payload };
-    let seed = r.u64()?;
-    let n = r.count(MIN_FAULT_BYTES, "faults")?;
-    let mut faults = Vec::with_capacity(n);
-    for _ in 0..n {
-        let server = r.usize()?;
-        let kind = match r.u8()? {
-            0 => FaultKind::Slowdown { factor: r.f64()? },
-            1 => FaultKind::SlowLink { factor: r.f64()? },
-            2 => FaultKind::Outage { start_s: r.f64()?, duration_s: r.f64()? },
-            3 => FaultKind::Down { at_s: r.f64()? },
-            4 => FaultKind::Degraded {
-                profile: match r.u8()? {
-                    0 => DeviceProfile::WornSsd,
-                    1 => DeviceProfile::AgedHdd,
-                    t => return Err(r.bad(format!("unknown device profile tag {t}"))),
-                },
-            },
-            t => return Err(r.bad(format!("unknown fault tag {t}"))),
-        };
-        if let Some(factor) = kind.bad_factor() {
-            return Err(r.bad(format!("fault factor {factor} is not finite or is below 1")));
-        }
-        faults.push(ServerFault { server, kind });
-    }
-    let retry =
-        RetryPolicy { backoff_s: r.f64()?, max_retries: r.u32()?, timeout_s: r.f64()? };
-    r.finish()?;
-    Ok(FaultPlan { seed, faults, retry })
-}
-
 // ------------------------------------------------------ pipeline store --
 
 /// The committed-generation record.
@@ -762,7 +663,7 @@ pub struct JournalBatch {
 }
 
 /// Crash-consistent store for the pipeline's durable state: DRT, RST,
-/// planner outputs, fault plans, and the migration journal.
+/// planner outputs and the migration journal.
 ///
 /// All writes go through a single kvstore WAL, so intra-file ordering is
 /// physical: a commit record can only survive a crash if everything
@@ -802,18 +703,12 @@ impl PipelineStore {
         &self.store
     }
 
-    /// Flush buffered writes to disk.
-    pub fn sync(&self) -> Result<(), PersistError> {
-        self.store.sync()?;
-        Ok(())
-    }
-
     /// The view of `tenant`'s namespace within this store.
     pub fn tenant(&self, tenant: TenantId) -> TenantStore<'_> {
         TenantStore { store: self, ns: tenant.0 }
     }
 
-    /// [`TenantStore::save_tables`] for tenant 0.
+    /// `TenantStore::save_tables` for tenant 0.
     pub fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
         self.tenant(TenantId(0)).save_tables(drt, rst)
     }
@@ -821,24 +716,6 @@ impl PipelineStore {
     /// [`TenantStore::load_tables`] for tenant 0.
     pub fn load_tables(&self) -> Result<Option<(Drt, Rst)>, PersistError> {
         self.tenant(TenantId(0)).load_tables()
-    }
-
-    // ------------------------------------------------------ fault plans --
-
-    /// Persist a named [`FaultPlan`] (scenario library for degraded-mode
-    /// experiments). Overwrites a previous plan of the same name.
-    pub fn save_fault_plan(&self, name: &str, plan: &FaultPlan) -> Result<(), PersistError> {
-        self.kill.check(CommitPoint::TableEntry)?;
-        self.store.put(&fault_key(name), &seal(TAG_FAULT, &encode_fault_plan(plan)))?;
-        self.store.sync()?;
-        Ok(())
-    }
-
-    /// Load a named [`FaultPlan`], validating its envelope.
-    pub fn load_fault_plan(&self, name: &str) -> Result<Option<FaultPlan>, PersistError> {
-        let k = fault_key(name);
-        let Some(raw) = self.store.get(&k)? else { return Ok(None) };
-        Ok(Some(decode_fault_plan(&k, unseal(&k, TAG_FAULT, &raw)?)?))
     }
 }
 
@@ -858,11 +735,6 @@ pub struct TenantStore<'a> {
 }
 
 impl TenantStore<'_> {
-    /// The tenant this view belongs to.
-    pub fn tenant(&self) -> TenantId {
-        TenantId(self.ns)
-    }
-
     fn kv(&self) -> &Store {
         &self.store.store
     }
@@ -951,7 +823,7 @@ impl TenantStore<'_> {
     /// Atomically commit a new generation holding `drt` and `rst`.
     /// Returns the committed generation index. A crash at any point
     /// before the commit record leaves the previous generation intact.
-    pub fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
+    pub(crate) fn save_tables(&self, drt: &Drt, rst: &Rst) -> Result<u64, PersistError> {
         self.save_generation(drt, rst, None)
     }
 
@@ -1091,7 +963,7 @@ impl TenantStore<'_> {
     /// one kill boundary, whatever the number of entries. Entry `i` is
     /// batch `first + i`, committed on its own by
     /// [`TenantStore::commit_batch`].
-    pub fn journal_intents(&self, first: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
+    pub(crate) fn journal_intents(&self, first: u32, entries: &[DrtEntry]) -> Result<(), PersistError> {
         debug_assert!(!entries.is_empty(), "an intent record holds at least one entry");
         debug_assert!(entries.iter().all(|e| bad_intent(e).is_none()), "unreadable intent");
         debug_assert!(u64::from(first) + entries.len() as u64 <= u64::from(u32::MAX));
@@ -1108,7 +980,7 @@ impl TenantStore<'_> {
     /// traffic completed, and synced so the commit is durable. From this
     /// record on, recovery rolls the batch forward instead of
     /// discarding it.
-    pub fn commit_batch(&self, batch: u32) -> Result<(), PersistError> {
+    pub(crate) fn commit_batch(&self, batch: u32) -> Result<(), PersistError> {
         self.check(CommitPoint::BatchCommit)?;
         self.kv().put(&journal_commit_key(self.ns, batch), &seal(TAG_COMMIT, &[]))?;
         self.kv().sync()?;
@@ -1182,7 +1054,7 @@ impl TenantStore<'_> {
     /// committed entries the final save already published, or
     /// intent-less markers; recovery re-skips the former and ignores
     /// the latter).
-    pub fn clear_journal(&self) -> Result<(), PersistError> {
+    pub(crate) fn clear_journal(&self) -> Result<(), PersistError> {
         self.check(CommitPoint::JournalClear)?;
         for table in [&b"mig:"[..], b"migc:"] {
             for key in self.kv().keys_with_prefix(&table_prefix(self.ns, table)) {
@@ -1443,39 +1315,6 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
-    /// A fault plan holding every [`FaultKind`] and a non-default
-    /// [`RetryPolicy`].
-    fn every_fault_plan() -> FaultPlan {
-        FaultPlan::none()
-            .slow_server(6, 8.0)
-            .slow_link(1, 2.5)
-            .outage(2, 0.125, 0.5)
-            .down(3, 1.75)
-            .degraded(4, DeviceProfile::WornSsd)
-            .degraded(5, DeviceProfile::AgedHdd)
-            .with_retry(RetryPolicy { backoff_s: 0.02, max_retries: 3, timeout_s: 0.75 })
-    }
-
-    #[test]
-    fn fault_plans_round_trip_by_name() {
-        let path = tmp_path("fault-rt");
-        let store = PipelineStore::open(&path).expect("open");
-        let plans = [
-            ("stragglers", FaultPlan::random_stragglers(3, 8, 2, (2.0, 4.0)).outage(7, 0.1, 0.2)),
-            ("every-kind", every_fault_plan()),
-            ("empty", FaultPlan::none()),
-        ];
-        for (name, plan) in &plans {
-            store.save_fault_plan(name, plan).expect("save");
-        }
-        for (name, plan) in &plans {
-            let loaded = store.load_fault_plan(name).expect("load").expect("present");
-            assert_eq!(&loaded, plan, "{name}");
-        }
-        assert!(store.load_fault_plan("absent").expect("load").is_none());
-        let _ = std::fs::remove_file(&path);
-    }
-
     /// Meta payload of a DEF plan with one layout of `segments` followed
     /// by the raw `placement` bytes, no regions and no DRT.
     fn one_layout_meta(segments: &[(u64, u64)], placement: &[u8]) -> Vec<u8> {
@@ -1573,72 +1412,6 @@ mod tests {
             let mut p = good.clone();
             p[i / 8] ^= 1 << (i % 8);
             let _ = decode_plan(&mk, &p, Drt::new(), Rst::new());
-        }
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn malformed_fault_payloads_under_a_valid_crc_are_corrupt() {
-        let path = tmp_path("fault-malformed");
-        let store = PipelineStore::open(&path).expect("open");
-        let k = fault_key("f");
-        let load = |payload: &[u8]| {
-            store.store().put(&k, &seal(TAG_FAULT, payload)).expect("put");
-            store.load_fault_plan("f")
-        };
-        let good = encode_fault_plan(&every_fault_plan());
-        assert_eq!(load(&good).expect("load").expect("present"), every_fault_plan());
-        // seed, one fault on server 0, then `tail`.
-        let one_fault = |tail: &[u8]| {
-            let mut p = Vec::new();
-            put_u64(&mut p, 0);
-            put_u64(&mut p, 1);
-            put_u64(&mut p, 0);
-            p.extend_from_slice(tail);
-            p.extend_from_slice(&good[good.len() - 20..]);
-            p
-        };
-        assert!(load(&one_fault(&[4, 1])).expect("a well-formed fault loads").is_some());
-        // A slowdown (tag 0) or slow link (tag 1) with `factor`.
-        let factor_fault = |tag: u8, factor: f64| {
-            let mut t = vec![tag];
-            put_f64(&mut t, factor);
-            one_fault(&t)
-        };
-        for tag in [0, 1] {
-            assert!(load(&factor_fault(tag, 1.0)).expect("factor 1 loads").is_some());
-        }
-        let mut many = Vec::new();
-        put_u64(&mut many, 0);
-        put_u64(&mut many, u64::MAX / 2);
-        many.extend_from_slice(&[0; 64]);
-        let mut cases: Vec<(String, Vec<u8>)> = (0..good.len())
-            .map(|cut| (format!("truncated to {cut} bytes"), good[..cut].to_vec()))
-            .collect();
-        cases.extend(
-            [
-                ("one trailing byte", [good.clone(), vec![0]].concat()),
-                ("an unknown fault tag", one_fault(&[5])),
-                ("an unknown device profile tag", one_fault(&[4, 2])),
-                ("a fault count past the payload", many),
-            ]
-            .map(|(what, p)| (what.to_string(), p)),
-        );
-        for tag in [0, 1] {
-            for factor in [f64::NAN, 0.0, -2.0, 0.5] {
-                cases.push((format!("tag {tag} with factor {factor}"), factor_fault(tag, factor)));
-            }
-        }
-        for (what, payload) in &cases {
-            match load(payload) {
-                Err(PersistError::Corrupt { .. }) => {}
-                other => panic!("{what}: expected Corrupt, got {other:?}"),
-            }
-        }
-        for i in 0..good.len() * 8 {
-            let mut p = good.clone();
-            p[i / 8] ^= 1 << (i % 8);
-            let _ = decode_fault_plan(&k, &p);
         }
         let _ = std::fs::remove_file(&path);
     }

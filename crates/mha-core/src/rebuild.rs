@@ -10,7 +10,7 @@
 //! before).
 //!
 //! The rebuild rides the migration write-ahead journal
-//! ([`TenantStore::journal_intents`] / [`TenantStore::commit_batch`]):
+//! (`TenantStore::journal_intents` / `TenantStore::commit_batch`):
 //! one batch per affected file, in
 //! `FileId` order, each a one-entry intent record whose [`DrtEntry`]
 //! `length` is the byte count being reconstructed for that file

@@ -30,42 +30,18 @@ pub struct DrtResolver {
     /// `(file slot, position)` where the last translation stopped.
     cursor: Option<(usize, Pos)>,
     lookup_cost: SimDuration,
-    lookups: u64,
     redirected: u64,
-    fallbacks: u64,
 }
 
 impl DrtResolver {
     /// Resolver over `drt`, charging `lookup_cost` per request.
     pub fn new(drt: Drt, lookup_cost: SimDuration) -> Self {
-        DrtResolver { drt, cursor: None, lookup_cost, lookups: 0, redirected: 0, fallbacks: 0 }
-    }
-
-    /// Default lookup cost: an in-memory hash probe plus bookkeeping at
-    /// the MPI-IO layer (~5 µs, consistent with the paper's "acceptable"
-    /// Fig. 14 overhead on a 2008-era Opteron).
-    pub fn with_default_cost(drt: Drt) -> Self {
-        Self::new(drt, SimDuration::from_micros(5))
-    }
-
-    /// Total lookups performed.
-    pub fn lookups(&self) -> u64 {
-        self.lookups
+        DrtResolver { drt, cursor: None, lookup_cost, redirected: 0 }
     }
 
     /// Requests that were (at least partially) redirected to a region.
     pub fn redirected(&self) -> u64 {
         self.redirected
-    }
-
-    /// Requests served entirely from their original file.
-    pub fn fallbacks(&self) -> u64 {
-        self.fallbacks
-    }
-
-    /// The table this resolver consults.
-    pub fn drt(&self) -> &Drt {
-        &self.drt
     }
 
     /// [`Drt::translate_into`], seeded from the cursor.
@@ -91,13 +67,9 @@ impl DrtResolver {
 
 impl Resolver for DrtResolver {
     fn resolve_into(&mut self, rec: &TraceRecord, out: &mut Vec<PhysExtent>) -> SimDuration {
-        self.lookups += 1;
         self.translate_into(rec.file, rec.offset, rec.len, out);
-        let any_moved = out.iter().any(|e| e.file != rec.file);
-        if any_moved {
+        if out.iter().any(|e| e.file != rec.file) {
             self.redirected += 1;
-        } else {
-            self.fallbacks += 1;
         }
         self.lookup_cost
     }
@@ -113,11 +85,13 @@ pub struct NullRedirectResolver {
 
 impl NullRedirectResolver {
     /// Charge `lookup_cost` per request, redirect nothing.
-    pub fn new(lookup_cost: SimDuration) -> Self {
+    pub(crate) fn new(lookup_cost: SimDuration) -> Self {
         NullRedirectResolver { lookup_cost }
     }
 
-    /// The default redirection cost (see [`DrtResolver::with_default_cost`]).
+    /// The default lookup cost: an in-memory hash probe plus bookkeeping
+    /// at the MPI-IO layer (~5 µs, consistent with the paper's
+    /// "acceptable" Fig. 14 overhead on a 2008-era Opteron).
     pub fn with_default_cost() -> Self {
         Self::new(SimDuration::from_micros(5))
     }
@@ -161,7 +135,7 @@ mod tests {
             r_offset: 0,
             length: 500,
         });
-        DrtResolver::with_default_cost(drt)
+        DrtResolver::new(drt, SimDuration::from_micros(5))
     }
 
     #[test]
@@ -171,7 +145,6 @@ mod tests {
         assert_eq!(res.extents, vec![PhysExtent { file: FileId(50), offset: 0, len: 500 }]);
         assert_eq!(res.overhead, SimDuration::from_micros(5));
         assert_eq!(r.redirected(), 1);
-        assert_eq!(r.fallbacks(), 0);
     }
 
     #[test]
@@ -179,7 +152,7 @@ mod tests {
         let mut r = resolver();
         let res = r.resolve(&rec(0, 100));
         assert_eq!(res.extents[0].file, FileId(0));
-        assert_eq!(r.fallbacks(), 1);
+        assert_eq!(r.redirected(), 0);
     }
 
     #[test]
@@ -203,15 +176,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_counter_advances() {
-        let mut r = resolver();
-        for i in 0..10 {
-            r.resolve(&rec(i * 100, 50));
-        }
-        assert_eq!(r.lookups(), 10);
-    }
-
-    #[test]
     fn resolve_into_matches_resolve() {
         // Two independent resolvers over a multi-entry table; every
         // request pattern (full hit, partial, gap-straddling, miss,
@@ -229,8 +193,8 @@ mod tests {
                 length: len,
             });
         }
-        let mut a = DrtResolver::with_default_cost(drt.clone());
-        let mut b = DrtResolver::with_default_cost(drt);
+        let mut a = DrtResolver::new(drt.clone(), SimDuration::from_micros(5));
+        let mut b = DrtResolver::new(drt, SimDuration::from_micros(5));
         let mut out = vec![PhysExtent { file: FileId(99), offset: 7, len: 7 }];
         let cases =
             [(1000, 500), (900, 300), (1900, 800), (0, 100), (2450, 200), (1200, 0), (3000, 64)];
@@ -240,9 +204,7 @@ mod tests {
             assert_eq!(out, want.extents, "extents for [{offset}, +{len})");
             assert_eq!(overhead, want.overhead);
         }
-        assert_eq!(a.lookups(), b.lookups());
         assert_eq!(a.redirected(), b.redirected());
-        assert_eq!(a.fallbacks(), b.fallbacks());
 
         let mut n = NullRedirectResolver::with_default_cost();
         let want = n.resolve(&rec(1000, 500));

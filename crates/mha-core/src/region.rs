@@ -282,7 +282,7 @@ impl<'a> FileView<'a> {
 /// A translation is a binary search for the file, one over its segment
 /// starts, then arithmetic in a repeat or a binary search in a literal,
 /// then a walk. Readers address an entry by its segment, repetition
-/// and member, so [`Drt::len`], [`Drt::iter`] and every translation see
+/// and member, so [`Drt::len`], `Drt::iter` and every translation see
 /// the expanded entries, and `==` compares them, not the segmentation.
 /// [`crate::DrtResolver`] translates through the table without copying
 /// it.
@@ -637,7 +637,7 @@ impl Drt {
 
     /// [`Drt::translate`] into a reusable buffer (cleared first). Holds no
     /// cursor, so threads can translate through one shared table.
-    pub fn translate_into(&self, file: FileId, offset: u64, len: u64, out: &mut Vec<PhysExtent>) {
+    pub(crate) fn translate_into(&self, file: FileId, offset: u64, len: u64, out: &mut Vec<PhysExtent>) {
         out.clear();
         if len == 0 {
             return;
@@ -651,7 +651,7 @@ impl Drt {
     }
 
     /// All entries, ordered by (original file, offset).
-    pub fn iter(&self) -> impl Iterator<Item = DrtEntry> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = DrtEntry> + '_ {
         (0..self.files.len()).flat_map(move |slot| {
             let o_file = self.files[slot].file;
             self.view(slot).iter().map(move |e| DrtEntry {
@@ -778,15 +778,10 @@ pub struct RegionBuild {
     pub residuals: Vec<usize>,
 }
 
-/// Build regions from a grouping over `trace`, aligning each migrated
-/// extent to a 4 KiB boundary in its region file. Region files get ids
-/// `region_file_base`, `region_file_base + 1`, … (callers pick a base
-/// beyond every original file id).
-pub fn build_regions(trace: &Trace, grouping: &Grouping, region_file_base: u32) -> RegionBuild {
-    build_regions_aligned(trace, grouping, region_file_base, 4 << 10)
-}
-
-/// [`build_regions`] with an explicit packing alignment.
+/// Build regions from a grouping over `trace`, packing each migrated
+/// extent at an `align`-byte boundary in its region file. Region files
+/// get ids `region_file_base`, `region_file_base + 1`, … (callers pick a
+/// base beyond every original file id).
 ///
 /// Alignment matters: stripe sizes are multiples of the search step, so
 /// packing odd-sized extents back-to-back would make *every* request
@@ -814,27 +809,17 @@ pub fn build_regions_aligned(
     region_file_base: u32,
     align: u64,
 ) -> RegionBuild {
-    build_regions_per_group(trace, grouping, region_file_base, &vec![align; grouping.groups()])
+    let (aligns, include) = (vec![align; grouping.groups()], vec![true; grouping.groups()]);
+    build_regions_filtered(trace, grouping, region_file_base, &aligns, &include)
 }
 
-/// [`build_regions_aligned`] with a per-group packing alignment — used by
-/// the MHA planner's second pass, which repacks each region aligned to
-/// the stripe size RSSD chose for it so extents decompose on the stripe
-/// grid.
-pub fn build_regions_per_group(
-    trace: &Trace,
-    grouping: &Grouping,
-    region_file_base: u32,
-    aligns: &[u64],
-) -> RegionBuild {
-    build_regions_filtered(trace, grouping, region_file_base, aligns, &vec![true; grouping.groups()])
-}
-
-/// [`build_regions_per_group`] with a per-group include mask: excluded
-/// groups migrate nothing (their requests stay in the original files,
-/// reported as residuals) — the mechanism behind *selective* MHA, which
-/// the paper motivates by applying the scheme only to critical data
-/// sections.
+/// [`build_regions_aligned`] with a per-group packing alignment and a
+/// per-group include mask. The MHA planner's second pass repacks each
+/// region aligned to the stripe size RSSD chose for it, so extents
+/// decompose on the stripe grid. Excluded groups migrate nothing (their
+/// requests stay in the original files, reported as residuals) — the
+/// mechanism behind *selective* MHA, which the paper motivates by
+/// applying the scheme only to critical data sections.
 pub fn build_regions_filtered(
     trace: &Trace,
     grouping: &Grouping,
@@ -1555,7 +1540,6 @@ mod tests {
                 assert_eq!(d.insert(cand), r.insert(cand));
             }
             let mut res = DrtResolver::new(d.clone(), SimDuration::from_micros(5));
-            assert_eq!(res.drt(), &d, "the resolver holds the table itself");
             let mut out = vec![PhysExtent { file: FileId(77), offset: 1, len: 1 }];
             let mut check = |res: &mut DrtResolver, file: FileId, offset: u64, len: u64| {
                 res.resolve_into(&rec(file, offset, len), &mut out);
@@ -1588,7 +1572,7 @@ mod tests {
         let views = crate::cost::views_of(&trace);
         let feats: Vec<ReqFeature> = views.iter().map(ReqFeature::of).collect();
         let grouping = group_requests(&feats, &GroupingConfig { k: 2, ..Default::default() });
-        let build = build_regions(&trace, &grouping, 1000);
+        let build = build_regions_aligned(&trace, &grouping, 1000, 4 << 10);
         (trace, build)
     }
 
@@ -2027,7 +2011,7 @@ mod tests {
         let views = crate::cost::views_of(&trace);
         let feats: Vec<ReqFeature> = views.iter().map(ReqFeature::of).collect();
         let grouping = group_requests(&feats, &GroupingConfig { k: 4, ..Default::default() });
-        let build = build_regions(&trace, &grouping, 100);
+        let build = build_regions_aligned(&trace, &grouping, 100, 4 << 10);
         assert_eq!(build.drt.len(), 1);
         let total_views: usize = build.region_views.iter().map(Vec::len).sum();
         assert_eq!(total_views, 5);

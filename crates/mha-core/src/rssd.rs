@@ -29,7 +29,7 @@
 //! * requests decompose through the closed-form
 //!   [`pfs_sim::LayoutSpec::per_server_load_into`] (O(servers) per
 //!   request instead of O(len/stripe) stripe-unit walking),
-//! * each rayon worker threads one [`CostScratch`] through the whole
+//! * each rayon worker threads one `CostScratch` through the whole
 //!   candidate scan — candidate layouts are rebuilt in place and all
 //!   accumulators are reused, so steady-state scoring performs no heap
 //!   allocation,
@@ -107,14 +107,8 @@ impl Default for RssdConfig {
 
 impl RssdConfig {
     /// The per-op factors this config scores with.
-    pub fn factors(&self) -> OpFactors {
+    pub(crate) fn factors(&self) -> OpFactors {
         OpFactors { read: self.read_factor, write: self.write_factor }
-    }
-
-    /// This config with a placement's factors installed (see
-    /// [`crate::cost::placement_factors`]).
-    pub fn with_factors(self, factors: OpFactors) -> Self {
-        RssdConfig { read_factor: factors.read, write_factor: factors.write, ..self }
     }
 }
 
@@ -138,7 +132,7 @@ pub struct RssdResult {
 
 /// Compute the search bounds `(B_h, B_s)` for a region with largest
 /// request `r_max`.
-pub fn bounds(r_max: u64, params: &CostParams, cfg: &RssdConfig) -> (u64, u64) {
+pub(crate) fn bounds(r_max: u64, params: &CostParams, cfg: &RssdConfig) -> (u64, u64) {
     let servers = (params.m + params.n) as u64;
     if !cfg.adaptive_bounds || r_max < servers * SMALL_REGION_UNIT {
         (r_max, r_max)
@@ -248,7 +242,7 @@ pub fn rssd(requests: &[ReqView], params: &CostParams, cfg: &RssdConfig) -> Opti
 /// per-server phase accumulators. One instance per rayon worker makes the
 /// entire scan allocation-free at steady state.
 #[derive(Debug, Clone)]
-pub struct CostScratch {
+pub(crate) struct CostScratch {
     /// Candidate layout, rebuilt in place for each `<h, s>` pair.
     layout: LayoutSpec,
     /// Closed-form per-request decomposition buffers.
@@ -261,7 +255,7 @@ pub struct CostScratch {
 
 impl CostScratch {
     /// Fresh scratch; all buffers grow on first use and are then reused.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         CostScratch {
             // Placeholder — overwritten by `rebuild` before first use.
             layout: LayoutSpec::fixed(&[ServerId(0)], 1),
@@ -307,7 +301,7 @@ pub fn region_cost(requests: &[ReqView], params: &CostParams, pair: StripePair) 
 /// `region_cost` — same arithmetic in the same order, bit-identical
 /// totals. Degenerate pairs (no participating server) cost
 /// `Some(f64::INFINITY)`.
-pub fn region_cost_bounded(
+pub(crate) fn region_cost_bounded(
     requests: &[ReqView],
     params: &CostParams,
     pair: StripePair,
@@ -321,7 +315,7 @@ pub fn region_cost_bounded(
 /// per-server cost is scaled by `factors.for_op(op)` before the phase
 /// max. Neutral factors multiply by exactly 1.0, which is bit-identical
 /// to the unfactored kernel.
-pub fn region_cost_factored(
+pub(crate) fn region_cost_factored(
     requests: &[ReqView],
     params: &CostParams,
     pair: StripePair,
@@ -708,7 +702,7 @@ mod tests {
         let neutral = rssd(
             &rs,
             &p,
-            &RssdConfig::default().with_factors(OpFactors { read: 1.0, write: 1.0 }),
+            &RssdConfig { read_factor: 1.0, write_factor: 1.0, ..RssdConfig::default() },
         )
         .unwrap();
         assert_eq!(plain.pair, neutral.pair);
@@ -726,7 +720,7 @@ mod tests {
         let amp = rssd(
             &rs,
             &p,
-            &RssdConfig::default().with_factors(OpFactors { read: 1.0, write: 3.0 }),
+            &RssdConfig { read_factor: 1.0, write_factor: 3.0, ..RssdConfig::default() },
         )
         .unwrap();
         assert_eq!(base.pair, amp.pair);
@@ -736,7 +730,7 @@ mod tests {
         let inert = rssd(
             &rs,
             &p,
-            &RssdConfig::default().with_factors(OpFactors { read: 5.0, write: 1.0 }),
+            &RssdConfig { read_factor: 5.0, write_factor: 1.0, ..RssdConfig::default() },
         )
         .unwrap();
         assert_eq!(base.pair, inert.pair);
@@ -755,13 +749,9 @@ mod tests {
             })
             .collect();
         let factors = OpFactors { read: 2.5, write: 1.5 };
-        let pruned = rssd(&rs, &p, &RssdConfig::default().with_factors(factors)).unwrap();
-        let plain = rssd(
-            &rs,
-            &p,
-            &RssdConfig { pruning: false, ..RssdConfig::default() }.with_factors(factors),
-        )
-        .unwrap();
+        let factored = RssdConfig { read_factor: 2.5, write_factor: 1.5, ..RssdConfig::default() };
+        let pruned = rssd(&rs, &p, &factored).unwrap();
+        let plain = rssd(&rs, &p, &RssdConfig { pruning: false, ..factored }).unwrap();
         assert_eq!(pruned.pair, plain.pair);
         assert_eq!(pruned.cost.to_bits(), plain.cost.to_bits());
         // The scaled floor stays below every scaled exact cost.
@@ -793,7 +783,7 @@ mod tests {
         let amp = rssd(
             &rs,
             &p,
-            &RssdConfig::default().with_factors(OpFactors { read: 1.0, write: 4.0 }),
+            &RssdConfig { read_factor: 1.0, write_factor: 4.0, ..RssdConfig::default() },
         )
         .unwrap();
         assert!(amp.cost >= base.cost, "amp={} base={}", amp.cost, base.cost);

@@ -136,14 +136,14 @@ impl PlannerContext {
     /// Attach per-server health (e.g. `plan.health_view(servers)`), for
     /// planning around a degraded cluster. Returns `self` for chaining.
     #[must_use]
-    pub fn with_health(mut self, health: Vec<ServerHealth>) -> Self {
+    pub(crate) fn with_health(mut self, health: Vec<ServerHealth>) -> Self {
         self.health = health;
         self
     }
 
     /// Is server `i` usable for new layouts under the current health?
     /// (Not lost, and not slowed past `EXCLUDE_SLOWDOWN`, 3.0.)
-    pub fn server_usable(&self, i: usize) -> bool {
+    pub(crate) fn server_usable(&self, i: usize) -> bool {
         self.health
             .get(i)
             .is_none_or(|h| !h.down && h.speed_factor < EXCLUDE_SLOWDOWN)
@@ -290,7 +290,7 @@ pub fn apply_plan(cluster: &mut Cluster, plan: &Plan) {
 // ---------------------------------------------------------------- DEF --
 
 /// The file system default: nothing to plan.
-pub struct DefPlanner;
+pub(crate) struct DefPlanner;
 
 impl LayoutPlanner for DefPlanner {
     fn name(&self) -> &'static str {
@@ -312,7 +312,7 @@ impl LayoutPlanner for DefPlanner {
 
 /// Application-aware layout: one traced-pattern-optimized stripe size per
 /// file, uniform across all servers (server heterogeneity ignored).
-pub struct AalPlanner;
+pub(crate) struct AalPlanner;
 
 impl LayoutPlanner for AalPlanner {
     fn name(&self) -> &'static str {
@@ -394,7 +394,7 @@ impl LayoutPlanner for AalPlanner {
 
 /// Heterogeneity-aware region-level layout: fixed offset regions, per-
 /// region stripe search on the inherent order, no migration.
-pub struct HarlPlanner;
+pub(crate) struct HarlPlanner;
 
 impl LayoutPlanner for HarlPlanner {
     fn name(&self) -> &'static str {

@@ -68,11 +68,6 @@ impl<'a> TenantPipeline<'a> {
         }
     }
 
-    /// The tenant this pipeline plans for.
-    pub fn tenant(&self) -> TenantId {
-        self.store.tenant()
-    }
-
     /// The online planner (for its replan counters).
     pub fn planner(&self) -> &OnlinePlanner {
         &self.planner

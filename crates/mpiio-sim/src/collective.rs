@@ -43,7 +43,7 @@ impl Default for CollectiveConfig {
 
 /// A contiguous file domain assigned to one aggregator.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FileDomain {
+pub(crate) struct FileDomain {
     /// Aggregator rank that issues the I/O.
     pub aggregator: u32,
     /// Domain start offset.
@@ -55,7 +55,7 @@ pub struct FileDomain {
 /// Merge pieces into maximal contiguous runs (holes are preserved — no
 /// data sieving), then split each run across aggregators into balanced
 /// contiguous domains.
-pub fn lower_collective(pieces: &[Piece], cfg: &CollectiveConfig) -> Vec<FileDomain> {
+pub(crate) fn lower_collective(pieces: &[Piece], cfg: &CollectiveConfig) -> Vec<FileDomain> {
     if pieces.is_empty() {
         return Vec::new();
     }
@@ -111,14 +111,6 @@ impl MpiJob {
     pub fn write_at_all(&mut self, fh: FileHandle, pieces: &[Piece], cfg: &CollectiveConfig) {
         for d in lower_collective(pieces, cfg) {
             self.write_at(d.aggregator % self.world_size(), fh, d.offset, d.len);
-        }
-        self.barrier();
-    }
-
-    /// Collective read (see [`MpiJob::write_at_all`]).
-    pub fn read_at_all(&mut self, fh: FileHandle, pieces: &[Piece], cfg: &CollectiveConfig) {
-        for d in lower_collective(pieces, cfg) {
-            self.read_at(d.aggregator % self.world_size(), fh, d.offset, d.len);
         }
         self.barrier();
     }
@@ -213,21 +205,6 @@ mod tests {
         assert_eq!(t.phase_span(), 2);
         assert_eq!(t.len(), 4, "two aggregator requests per collective");
         assert!(t.records().iter().all(|r| r.len == 16384));
-    }
-
-    #[test]
-    fn read_at_all_mirrors_write_at_all() {
-        use storage_model::IoOp;
-        let mut job = MpiJob::new(4);
-        let f = job.open("readback");
-        let pieces: Vec<Piece> = (0..4)
-            .map(|r| Piece { rank: r, offset: u64::from(r) * 8192, len: 8192 })
-            .collect();
-        job.read_at_all(f, &pieces, &CollectiveConfig { aggregators: 2 });
-        let t = job.finish();
-        assert_eq!(t.len(), 2);
-        assert!(t.records().iter().all(|r| r.op == IoOp::Read));
-        assert_eq!(t.total_bytes(), 4 * 8192);
     }
 
     #[test]

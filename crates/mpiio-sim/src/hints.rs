@@ -26,12 +26,12 @@ impl Hints {
     }
 
     /// Raw lookup.
-    pub fn get(&self, key: &str) -> Option<&str> {
+    pub(crate) fn get(&self, key: &str) -> Option<&str> {
         self.map.get(key).map(String::as_str)
     }
 
     /// `mha_scheme`: one of `def`, `aal`, `harl`, `mha` (default `mha`).
-    pub fn scheme(&self) -> Scheme {
+    pub(crate) fn scheme(&self) -> Scheme {
         match self.get("mha_scheme").unwrap_or("mha") {
             "def" => Scheme::Def,
             "aal" => Scheme::Aal,
@@ -41,30 +41,30 @@ impl Hints {
     }
 
     /// `mha_group_bound`: the k cap of Algorithm 1 (default 8).
-    pub fn group_bound(&self) -> usize {
+    pub(crate) fn group_bound(&self) -> usize {
         self.parsed("mha_group_bound", 8)
     }
 
     /// `mha_step`: the RSSD search step in bytes (default 4096).
-    pub fn step(&self) -> u64 {
+    pub(crate) fn step(&self) -> u64 {
         self.parsed("mha_step", 4096)
     }
 
     /// `mha_harl_regions`: HARL's fixed region count (default 8).
-    pub fn harl_regions(&self) -> u32 {
+    pub(crate) fn harl_regions(&self) -> u32 {
         self.parsed("mha_harl_regions", 8)
     }
 
     /// `mha_lookup_us`: redirection lookup cost in microseconds
     /// (default 5).
-    pub fn lookup_us(&self) -> u64 {
+    pub(crate) fn lookup_us(&self) -> u64 {
         self.parsed("mha_lookup_us", 5)
     }
 
     /// `mha_selective_gain`: minimum predicted cost improvement (as a
     /// fraction) a request group must show before its data is migrated
     /// (default 0 = migrate all groups).
-    pub fn selective_gain(&self) -> f64 {
+    pub(crate) fn selective_gain(&self) -> f64 {
         self.parsed("mha_selective_gain", 0.0)
     }
 

@@ -46,7 +46,7 @@ impl MpiJob {
     }
 
     /// Number of ranks.
-    pub fn world_size(&self) -> u32 {
+    pub(crate) fn world_size(&self) -> u32 {
         self.world_size
     }
 
@@ -77,11 +77,6 @@ impl MpiJob {
             self.phase += 1;
             self.phase_dirty = false;
         }
-    }
-
-    /// Number of operations recorded so far.
-    pub fn ops(&self) -> usize {
-        self.records.len()
     }
 
     /// Finish the job, producing its trace.

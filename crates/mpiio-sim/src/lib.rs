@@ -18,7 +18,7 @@ pub mod hints;
 pub mod job;
 pub mod middleware;
 
-pub use collective::{lower_collective, CollectiveConfig, Piece};
+pub use collective::{CollectiveConfig, Piece};
 pub use hints::Hints;
-pub use job::{FileHandle, MpiJob};
-pub use middleware::{Middleware, RunOutcome};
+pub use job::MpiJob;
+pub use middleware::Middleware;

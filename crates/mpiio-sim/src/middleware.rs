@@ -60,21 +60,6 @@ impl Middleware {
         self
     }
 
-    /// Hints in effect.
-    pub fn hints(&self) -> &Hints {
-        &self.hints
-    }
-
-    /// The trace captured by the profiling run, if any.
-    pub fn profile(&self) -> Option<&Trace> {
-        self.profile.as_ref()
-    }
-
-    /// The computed plan, if planning has happened.
-    pub fn plan(&self) -> Option<&Plan> {
-        self.plan.as_ref()
-    }
-
     /// Phase 1: the application's first run. Executes `trace` against the
     /// cluster's default layout with the collector armed, stores the
     /// captured profile, and returns the (unoptimized) measurements.
@@ -139,24 +124,6 @@ impl Middleware {
     pub fn load_tables(&self) -> Result<Option<(Drt, Rst)>, PersistError> {
         let Some(path) = &self.table_path else { return Ok(None) };
         PipelineStore::open(path)?.load_tables()
-    }
-
-    /// Reload the whole committed plan — tables plus scheme, layouts and
-    /// region descriptors — with the same `Ok(None)` and error cases as
-    /// [`Middleware::load_tables`].
-    pub fn load_plan(&self) -> Result<Option<Plan>, PersistError> {
-        let Some(path) = &self.table_path else { return Ok(None) };
-        PipelineStore::open(path)?.tenant(TenantId(0)).load_plan()
-    }
-
-    /// Restart path: adopt the committed plan from the table store as the
-    /// active plan, as a middleware restarted after a crash (or a clean
-    /// exit) would. `Ok(false)` when the store holds no committed plan;
-    /// an error, leaving the active plan untouched, when it is damaged.
-    pub fn resume_from_store(&mut self) -> Result<bool, PersistError> {
-        let Some(plan) = self.load_plan()? else { return Ok(false) };
-        self.plan = Some(plan);
-        Ok(true)
     }
 
     fn context(&self, cluster_cfg: &ClusterConfig) -> PlannerContext {
@@ -262,9 +229,10 @@ mod tests {
         // plan and must replay identically — the acceptance bar for the
         // persisted format.
         let mut mw2 = Middleware::new(Hints::new()).with_table_store(&path);
-        assert!(mw2.profile().is_none(), "fresh middleware has no profile");
-        let resumed = mw2.resume_from_store().expect("store readable");
-        assert!(resumed, "committed plan must be adoptable");
+        assert!(mw2.profile.is_none(), "fresh middleware has no profile");
+        let store = PipelineStore::open(&path).expect("open");
+        let plan = store.tenant(TenantId(0)).load_plan().expect("store readable");
+        mw2.plan = Some(plan.expect("committed plan must be adoptable"));
         let second = mw2.optimized_run(&cfg, &trace);
         assert_eq!(second.scheme, first.scheme);
         assert_eq!(second.redirected, first.redirected);
@@ -290,12 +258,12 @@ mod tests {
             kv.put(&keys[0], &raw).expect("flip one byte");
             kv.sync().expect("sync");
         }
-        let mut restarted = Middleware::new(Hints::new()).with_table_store(&path);
-        match restarted.resume_from_store() {
+        let restarted = Middleware::new(Hints::new()).with_table_store(&path);
+        let store = PipelineStore::open(&path).expect("open");
+        match store.tenant(TenantId(0)).load_plan() {
             Err(PersistError::Corrupt { .. }) => {}
             other => panic!("a flipped meta byte must surface as Corrupt, got {other:?}"),
         }
-        assert!(restarted.plan().is_none(), "no plan adopted from a damaged store");
         assert!(restarted.load_tables().is_ok(), "the tables themselves are intact");
         let _ = std::fs::remove_file(&path);
     }

@@ -43,7 +43,7 @@ impl LinkParams {
     }
 
     /// Wire time for `bytes` on an uncontended link.
-    pub fn wire_time(&self, bytes: u64) -> SimDuration {
+    pub(crate) fn wire_time(&self, bytes: u64) -> SimDuration {
         SimDuration::from_secs_f64(self.latency_s + bytes as f64 / self.bandwidth_bps)
     }
 }
@@ -103,13 +103,8 @@ impl NetFabric {
     }
 
     /// Number of endpoints.
-    pub fn nodes(&self) -> usize {
+    pub(crate) fn nodes(&self) -> usize {
         self.nics.len()
-    }
-
-    /// Link parameters.
-    pub fn params(&self) -> &LinkParams {
-        &self.params
     }
 
     /// Transfer `bytes` from `src` to `dst` starting no earlier than `now`.

@@ -131,7 +131,7 @@ impl Cluster {
     /// Applying is idempotent per cluster life: sessions check
     /// [`Cluster::faults_applied`] first. [`Cluster::reset`] keeps the
     /// degradation (it models hardware, not queue state).
-    pub fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ReplayError> {
+    pub(crate) fn apply_fault_plan(&mut self, plan: &FaultPlan) -> Result<(), ReplayError> {
         let n = self.servers.len();
         if let Some(max) = plan.max_server() {
             if max >= n {
@@ -193,18 +193,13 @@ impl Cluster {
     }
 
     /// True once [`Cluster::apply_fault_plan`] has run on this cluster.
-    pub fn faults_applied(&self) -> bool {
+    pub(crate) fn faults_applied(&self) -> bool {
         self.faulted
     }
 
     /// Cluster configuration.
-    pub fn config(&self) -> &ClusterConfig {
+    pub(crate) fn config(&self) -> &ClusterConfig {
         &self.config
-    }
-
-    /// All server ids.
-    pub fn server_ids(&self) -> Vec<ServerId> {
-        self.servers.iter().map(StorageServer::id).collect()
     }
 
     /// HServer ids.
@@ -217,14 +212,9 @@ impl Cluster {
         (self.config.hservers..self.config.servers()).map(ServerId).collect()
     }
 
-    /// Kind of server `id`.
-    pub fn server_kind(&self, id: ServerId) -> DeviceKind {
-        self.servers[id.0].kind()
-    }
-
     /// Fabric node of the client with rank `rank` (ranks wrap around the
     /// compute nodes, as when running more processes than nodes).
-    pub fn client_node(&self, rank: u32) -> NodeId {
+    pub(crate) fn client_node(&self, rank: u32) -> NodeId {
         NodeId(rank as usize % self.config.clients)
     }
 
@@ -234,7 +224,7 @@ impl Cluster {
     }
 
     /// Mutable pieces for the replay driver: servers, fabric, MDS.
-    pub fn parts_mut(&mut self) -> (&mut [StorageServer], &mut NetFabric, &mut MetadataServer) {
+    pub(crate) fn parts_mut(&mut self) -> (&mut [StorageServer], &mut NetFabric, &mut MetadataServer) {
         (&mut self.servers, &mut self.fabric, &mut self.mds)
     }
 
@@ -250,7 +240,7 @@ impl Cluster {
 
     /// Reset all queues and device state, keeping installed layouts —
     /// start a fresh measurement run on the same configuration.
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         for s in &mut self.servers {
             s.reset();
         }
@@ -266,11 +256,11 @@ mod tests {
     #[test]
     fn paper_default_shape() {
         let c = Cluster::new(ClusterConfig::paper_default());
-        assert_eq!(c.server_ids().len(), 8);
+        assert_eq!(c.servers().len(), 8);
         assert_eq!(c.hserver_ids().len(), 6);
         assert_eq!(c.sserver_ids(), vec![ServerId(6), ServerId(7)]);
-        assert_eq!(c.server_kind(ServerId(0)), DeviceKind::Hdd);
-        assert_eq!(c.server_kind(ServerId(7)), DeviceKind::Ssd);
+        assert_eq!(c.servers()[0].kind(), DeviceKind::Hdd);
+        assert_eq!(c.servers()[7].kind(), DeviceKind::Ssd);
     }
 
     #[test]

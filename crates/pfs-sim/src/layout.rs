@@ -46,7 +46,7 @@ impl Placement {
 
     /// Physical bytes written per logical byte: 1 for striping, `k` for
     /// `k`-way replication, `(k + m)/k` for erasure coding.
-    pub fn write_amplification(&self) -> f64 {
+    pub(crate) fn write_amplification(&self) -> f64 {
         match *self {
             Placement::Striped => 1.0,
             Placement::Replicated(k) => k as f64,
@@ -55,27 +55,9 @@ impl Placement {
     }
 
     /// Physical bytes stored per logical byte — numerically the same as
-    /// [`Self::write_amplification`], named for the capacity question.
+    /// `Self::write_amplification`, named for the capacity question.
     pub fn storage_overhead(&self) -> f64 {
         self.write_amplification()
-    }
-
-    /// Permanent server losses the placement survives without data loss.
-    pub fn loss_tolerance(&self) -> usize {
-        match *self {
-            Placement::Striped => 0,
-            Placement::Replicated(k) => k - 1,
-            Placement::ErasureCoded(_, m) => m,
-        }
-    }
-
-    /// Short label for reports (e.g. `3x`, `EC(4+2)`).
-    pub fn label(&self) -> String {
-        match *self {
-            Placement::Striped => "striped".to_string(),
-            Placement::Replicated(k) => format!("{k}x"),
-            Placement::ErasureCoded(k, m) => format!("EC({k}+{m})"),
-        }
     }
 }
 
@@ -152,18 +134,8 @@ impl LoadScratch {
             .map(|&i| (ServerId(i), self.bytes[i], self.runs[i]))
     }
 
-    /// Number of servers touched by the last decomposition.
-    pub fn len(&self) -> usize {
-        self.touched.len()
-    }
-
-    /// True when the last decomposition touched no server.
-    pub fn is_empty(&self) -> bool {
-        self.touched.is_empty()
-    }
-
     /// Reset all accumulators (O(touched)).
-    pub fn clear(&mut self) {
+    pub(crate) fn clear(&mut self) {
         for &i in &self.touched {
             self.bytes[i] = 0;
             self.runs[i] = 0;
@@ -301,7 +273,7 @@ impl LayoutSpec {
     ///
     /// # Panics
     /// If `idx` is out of range.
-    pub fn server_at(&self, idx: usize) -> ServerId {
+    pub(crate) fn server_at(&self, idx: usize) -> ServerId {
         self.segments[idx].server
     }
 
@@ -309,7 +281,7 @@ impl LayoutSpec {
     ///
     /// # Panics
     /// If `idx` is out of range.
-    pub fn stripe_at(&self, idx: usize) -> u64 {
+    pub(crate) fn stripe_at(&self, idx: usize) -> u64 {
         self.segments[idx].stripe
     }
 
@@ -692,7 +664,6 @@ mod tests {
         assert!(l.per_server_load(5, 0).is_empty());
         let mut scratch = LoadScratch::new();
         l.per_server_load_into(5, 0, &mut scratch);
-        assert!(scratch.is_empty());
         assert_eq!(scratch.entries().count(), 0);
     }
 
@@ -752,7 +723,7 @@ mod tests {
         let mut scratch = LoadScratch::new();
         let a = LayoutSpec::fixed(&ids(0..4), 8 << 10);
         a.per_server_load_into(0, 64 << 10, &mut scratch);
-        assert_eq!(scratch.len(), 4);
+        assert_eq!(scratch.entries().count(), 4);
         let b = LayoutSpec::hybrid(&ids(0..6), 0, &ids(6..8), 16 << 10);
         b.per_server_load_into(0, 64 << 10, &mut scratch);
         let servers: Vec<ServerId> = scratch.entries().map(|e| e.0).collect();
@@ -819,10 +790,6 @@ mod tests {
         assert_eq!(Placement::Replicated(3).write_amplification(), 3.0);
         assert_eq!(Placement::ErasureCoded(4, 2).write_amplification(), 1.5);
         assert_eq!(Placement::ErasureCoded(4, 2).storage_overhead(), 1.5);
-        assert_eq!(Placement::Striped.loss_tolerance(), 0);
-        assert_eq!(Placement::Replicated(3).loss_tolerance(), 2);
-        assert_eq!(Placement::ErasureCoded(4, 2).loss_tolerance(), 2);
-        assert_eq!(Placement::ErasureCoded(4, 2).label(), "EC(4+2)");
     }
 
     #[test]

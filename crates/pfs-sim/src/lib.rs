@@ -51,9 +51,7 @@ pub mod sharded;
 
 pub use cluster::{Cluster, ClusterConfig};
 pub use error::ReplayError;
-pub use layout::{LayoutSpec, LoadScratch, Placement, ServerId, SubExtent};
-pub use redundancy::REDUNDANCY_REGION;
-pub use mds::{MdsConfig, MetadataServer};
+pub use layout::{LayoutSpec, LoadScratch, Placement, ServerId};
 pub use replay::{
     Counters, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, Resolution, Resolver,
     ServerIoStat,
@@ -63,7 +61,7 @@ pub use service::{
     JobRecord, LayoutService, NullRuntime, ServiceConfig, ServiceReport, TenantRuntime,
     TenantSummary,
 };
-pub use session::{CoreSel, ReplayInput, ReplayPayload, ReplaySession};
+pub use session::{CoreSel, ReplayInput, ReplaySession};
 // Tenancy vocabulary, re-exported so service callers don't need a direct
 // iotrace dependency for ids alone.
 pub use iotrace::TenantId;

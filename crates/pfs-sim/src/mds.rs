@@ -21,18 +21,8 @@ use simrt::{FifoResource, SimDuration, SimTime};
 use std::cell::Cell;
 
 /// Builder for a [`MetadataServer`] with validated defaults.
-///
-/// ```
-/// use pfs_sim::{LayoutSpec, MdsConfig, ServerId};
-/// use simrt::SimDuration;
-/// let mds = MdsConfig::new(LayoutSpec::fixed(&[ServerId(0)], 64 << 10))
-///     .lookup_cost(SimDuration::from_micros(300))
-///     .build()
-///     .unwrap();
-/// assert_eq!(mds.lookups(), 0);
-/// ```
 #[derive(Debug, Clone)]
-pub struct MdsConfig {
+pub(crate) struct MdsConfig {
     default_layout: LayoutSpec,
     lookup_cost: SimDuration,
 }
@@ -41,13 +31,13 @@ impl MdsConfig {
     /// Configuration serving `default_layout` for files without an
     /// explicit entry. The lookup cost defaults to 300 µs — an OrangeFS
     /// getattr round trip on Gigabit Ethernet.
-    pub fn new(default_layout: LayoutSpec) -> Self {
+    pub(crate) fn new(default_layout: LayoutSpec) -> Self {
         MdsConfig { default_layout, lookup_cost: SimDuration::from_micros(300) }
     }
 
     /// Per-lookup service time charged through the MDS queue.
     #[must_use]
-    pub fn lookup_cost(mut self, cost: SimDuration) -> Self {
+    pub(crate) fn lookup_cost(mut self, cost: SimDuration) -> Self {
         self.lookup_cost = cost;
         self
     }
@@ -57,7 +47,7 @@ impl MdsConfig {
     /// deserialized spec — every unregistered file would be unreachable)
     /// or the lookup cost exceeds 60 s (almost certainly a unit mixup:
     /// the paper-scale cost is hundreds of microseconds).
-    pub fn build(self) -> Result<MetadataServer, ReplayError> {
+    pub(crate) fn build(self) -> Result<MetadataServer, ReplayError> {
         if self.default_layout.servers().count() == 0 {
             return Err(ReplayError::InvalidCluster(
                 "MDS default layout must span at least one server".into(),
@@ -146,45 +136,25 @@ impl MetadataServer {
     }
 
     /// Layout of `file` without charging a lookup (planner-side access).
-    pub fn layout(&self, file: FileId) -> &LayoutSpec {
+    pub(crate) fn layout(&self, file: FileId) -> &LayoutSpec {
         match self.shard(file.tenant()).and_then(|s| s.slot(file).map(|i| &s.layouts[i].1)) {
             Some(l) => l,
             None => &self.default_layout,
         }
     }
 
-    /// Perform a client lookup at `now`: returns `(layout, completion)`.
-    /// Lookups serialize through the MDS queue.
-    pub fn lookup(&mut self, now: SimTime, file: FileId) -> (LayoutSpec, SimTime) {
-        let (layout, done) = self.lookup_ref(now, file);
-        (layout.clone(), done)
-    }
-
     /// [`Self::lookup`] without cloning the layout: the replay fast path
     /// borrows the installed spec for the duration of one request instead
     /// of copying its segment table per open. Queue accounting is
     /// identical to [`Self::lookup`].
-    pub fn lookup_ref(&mut self, now: SimTime, file: FileId) -> (&LayoutSpec, SimTime) {
+    pub(crate) fn lookup_ref(&mut self, now: SimTime, file: FileId) -> (&LayoutSpec, SimTime) {
         let done = self.queue.submit(now, self.lookup_cost);
         (self.layout(file), done)
     }
 
     /// Number of lookups served.
-    pub fn lookups(&self) -> u64 {
+    pub(crate) fn lookups(&self) -> u64 {
         self.queue.served()
-    }
-
-    /// Files with explicit layout entries, across all tenants, in
-    /// global file-id order.
-    pub fn files(&self) -> impl Iterator<Item = FileId> + '_ {
-        self.shards.iter().flat_map(|s| s.layouts.iter().map(|e| e.0))
-    }
-
-    /// The installed `(file, layout)` rows, sorted by file id — the
-    /// snapshot a persistence layer needs to re-install the MDS state
-    /// after a restart.
-    pub fn layouts(&self) -> impl Iterator<Item = (FileId, &LayoutSpec)> + '_ {
-        self.shards.iter().flat_map(|s| s.layouts.iter().map(|e| (e.0, &e.1)))
     }
 
     /// `tenant`'s installed `(file, layout)` rows, sorted by file id.
@@ -198,13 +168,8 @@ impl MetadataServer {
             .flat_map(|s| s.layouts.iter().map(|e| (e.0, &e.1)))
     }
 
-    /// Tenants with at least one registered layout.
-    pub fn tenants(&self) -> impl Iterator<Item = TenantId> + '_ {
-        self.shards.iter().map(|s| s.tenant)
-    }
-
     /// Clear queue statistics (keeps layouts).
-    pub fn reset_queue(&mut self) {
+    pub(crate) fn reset_queue(&mut self) {
         self.queue.reset();
     }
 }
@@ -245,9 +210,9 @@ mod tests {
     #[test]
     fn builder_defaults_and_validation() {
         let m = MdsConfig::new(LayoutSpec::fixed(&[ServerId(0)], 4 << 10)).build().unwrap();
-        let (_, done) = {
+        let done = {
             let mut m = m;
-            m.lookup(SimTime::ZERO, FileId(0))
+            m.lookup_ref(SimTime::ZERO, FileId(0)).1
         };
         assert_eq!(done.as_nanos(), 300_000, "default lookup cost is 300 µs");
     }
@@ -258,20 +223,9 @@ mod tests {
         m.set_layout(FileId(1), LayoutSpec::fixed(&[ServerId(0)], 4 << 10));
         assert_eq!(m.layout(FileId(1)).round_size(), 4 << 10);
         assert_eq!(m.layout(FileId(2)).round_size(), 128 << 10);
-        assert_eq!(m.files().collect::<Vec<_>>(), vec![FileId(1)]);
-        let rows: Vec<(FileId, u64)> = m.layouts().map(|(f, l)| (f, l.round_size())).collect();
+        let rows: Vec<(FileId, u64)> =
+            m.tenant_layouts(TenantId(0)).map(|(f, l)| (f, l.round_size())).collect();
         assert_eq!(rows, vec![(FileId(1), 4 << 10)]);
-    }
-
-    #[test]
-    fn lookup_ref_matches_lookup() {
-        let mut m = mds();
-        m.set_layout(FileId(1), LayoutSpec::fixed(&[ServerId(0)], 4 << 10));
-        let (by_clone, t1) = m.lookup(SimTime::ZERO, FileId(1));
-        let (by_ref, t2) = m.lookup_ref(SimTime::ZERO, FileId(1));
-        assert_eq!(&by_clone, by_ref);
-        assert_eq!(t2.as_nanos(), t1.as_nanos() + 300_000, "same queue accounting");
-        assert_eq!(m.lookups(), 2);
     }
 
     #[test]
@@ -291,14 +245,14 @@ mod tests {
         // Replacement through the sorted table keeps ordering intact.
         m.set_layout(FileId(5), LayoutSpec::fixed(&[ServerId(1)], 77 << 10));
         assert_eq!(m.layout(FileId(5)).round_size(), 77 << 10);
-        assert_eq!(m.files().collect::<Vec<_>>().len(), 5);
+        assert_eq!(m.tenant_layouts(TenantId(0)).count(), 5);
     }
 
     #[test]
     fn lookups_serialize_and_cost_time() {
         let mut m = mds();
-        let (_, t1) = m.lookup(SimTime::ZERO, FileId(0));
-        let (_, t2) = m.lookup(SimTime::ZERO, FileId(0));
+        let t1 = m.lookup_ref(SimTime::ZERO, FileId(0)).1;
+        let t2 = m.lookup_ref(SimTime::ZERO, FileId(0)).1;
         assert_eq!(t1.as_nanos(), 300_000);
         assert_eq!(t2.as_nanos(), 600_000);
         assert_eq!(m.lookups(), 2);
@@ -317,8 +271,8 @@ mod tests {
         assert_eq!(m.layout(b).round_size(), 8 << 10);
         // The other tenant's local 42 (tenant 0) still gets the default.
         assert_eq!(m.layout(FileId(42)).round_size(), 128 << 10);
-        assert_eq!(m.tenants().collect::<Vec<_>>(), vec![TenantId(1), TenantId(2)]);
         assert_eq!(m.tenant_layouts(TenantId(1)).count(), 1);
+        assert_eq!(m.tenant_layouts(TenantId(2)).count(), 1);
         assert_eq!(m.tenant_layouts(TenantId(3)).count(), 0);
     }
 
@@ -335,7 +289,8 @@ mod tests {
         for f in ids {
             m.set_layout(f, LayoutSpec::fixed(&[ServerId(0)], 4 << 10));
         }
-        let got: Vec<FileId> = m.files().collect();
+        let got: Vec<FileId> =
+            (0..3).flat_map(|t| m.tenant_layouts(TenantId(t)).map(|(f, _)| f)).collect();
         let mut want = ids.to_vec();
         want.sort();
         assert_eq!(got, want, "tenant-major order equals global file-id order");

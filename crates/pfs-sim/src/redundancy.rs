@@ -26,7 +26,7 @@
 //! and the serial/sharded bit-identity invariant survives.
 //!
 //! Redundant objects (replica copies, parity units) live in the second
-//! half of the file's 6 GiB device slot, [`REDUNDANCY_REGION`] bytes in.
+//! half of the file's 6 GiB device slot, `REDUNDANCY_REGION` bytes in.
 //! Distinct source segments may collide there; in a timing simulator a
 //! collision just means two redundant objects share a block range, which
 //! costs exactly as much as being adjacent, so the scheme stays simple.
@@ -42,7 +42,7 @@ use storage_model::IoOp;
 /// parity units `[3 GiB, 6 GiB)`. The split keeps redundant writes from
 /// aliasing primary data while preserving the per-file seek locality the
 /// slot scheme models.
-pub const REDUNDANCY_REGION: u64 = 3 << 30;
+pub(crate) const REDUNDANCY_REGION: u64 = 3 << 30;
 
 /// Client-side erasure-decode throughput in bytes/second. A degraded
 /// read pays `k · reconstructed_bytes / DECODE_BW` of extra latency on
@@ -66,7 +66,7 @@ fn bump(v: &mut Vec<u64>, idx: usize, by: u64) {
 /// health map, degraded-mode counters, and internal expansion buffers.
 /// Reset once per run; allocation-free at steady state.
 #[derive(Debug, Clone, Default)]
-pub struct RedundancyState {
+pub(crate) struct RedundancyState {
     /// Health sampled at run start, indexed by server id.
     health: Vec<ServerHealth>,
     /// Degraded (reconstruction) reads, charged to the *lost* server.

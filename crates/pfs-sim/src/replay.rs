@@ -136,7 +136,7 @@ impl ReplaySchedule {
     }
 
     /// Recompute for `trace` in place, reusing the buffers.
-    pub fn rebuild(&mut self, trace: &Trace) {
+    pub(crate) fn rebuild(&mut self, trace: &Trace) {
         self.order.clear();
         self.spans.clear();
         // Group records into phases (consecutive runs of one phase id),
@@ -152,11 +152,6 @@ impl ReplaySchedule {
             let mut rng = shuffle_seed.derive_idx("phase", u64::from(phase)).rng();
             rng.shuffle(&mut self.order[start..end]);
         }
-    }
-
-    /// Number of barrier phases.
-    pub fn phases(&self) -> usize {
-        self.spans.len()
     }
 }
 
@@ -197,7 +192,7 @@ impl ReplayScratch {
 
 /// The fault, redundancy and scheduler counters of a replay. A server,
 /// a run and a service each carry one, and each rolls its parts up with
-/// [`Counters::merge`], so the three levels can never count differently.
+/// `Counters::merge`, so the three levels can never count differently.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct Counters {
     /// Client retries spent waiting out outages (0 without faults).
@@ -222,7 +217,7 @@ pub struct Counters {
 
 impl Counters {
     /// Add every count of `other` to this one.
-    pub fn merge(&mut self, other: Counters) {
+    pub(crate) fn merge(&mut self, other: Counters) {
         self.retries += other.retries;
         self.timeouts += other.timeouts;
         self.degraded_reads += other.degraded_reads;
@@ -268,7 +263,7 @@ impl ServerIoStat {
     /// # Panics
     /// If `other` describes another server, or differs in what one
     /// service run fixes for a server: its `kind`, `down` and `slowdown`.
-    pub fn merge(&mut self, other: &ServerIoStat) {
+    pub(crate) fn merge(&mut self, other: &ServerIoStat) {
         let fixed = |s: &ServerIoStat| (s.server, s.kind, s.down, s.slowdown);
         assert!(
             fixed(self) == fixed(other),
@@ -759,7 +754,7 @@ mod tests {
         // inline-built ordering exactly.
         for t in [small_ior(IoOp::Write), small_ior(IoOp::Read)] {
             let schedule = ReplaySchedule::for_trace(&t);
-            assert_eq!(schedule.phases(), 8);
+            assert_eq!(schedule.spans.len(), 8);
             let mut pinned = ReplaySession::new().with_schedule(schedule);
             let mut c1 = Cluster::new(ClusterConfig::paper_default());
             let inline = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto).unwrap();

@@ -17,7 +17,7 @@ pub struct StorageServer {
 
 impl StorageServer {
     /// Server `id` on fabric node `node` backed by `device`.
-    pub fn new(id: ServerId, node: NodeId, device: BoxedDevice) -> Self {
+    pub(crate) fn new(id: ServerId, node: NodeId, device: BoxedDevice) -> Self {
         StorageServer {
             id,
             node,
@@ -29,17 +29,17 @@ impl StorageServer {
     }
 
     /// Server id.
-    pub fn id(&self) -> ServerId {
+    pub(crate) fn id(&self) -> ServerId {
         self.id
     }
 
     /// Fabric node hosting this server.
-    pub fn node(&self) -> NodeId {
+    pub(crate) fn node(&self) -> NodeId {
         self.node
     }
 
     /// Backing medium.
-    pub fn kind(&self) -> DeviceKind {
+    pub(crate) fn kind(&self) -> DeviceKind {
         self.device.kind()
     }
 
@@ -49,7 +49,7 @@ impl StorageServer {
     /// actual serviced sequence. A request arriving after the queue has
     /// drained is flagged as an idle arrival (synchronous writes pay a
     /// rotational miss there — see [`storage_model::Device`]).
-    pub fn serve(&mut self, arrival: SimTime, op: IoOp, offset: u64, len: u64) -> SimTime {
+    pub(crate) fn serve(&mut self, arrival: SimTime, op: IoOp, offset: u64, len: u64) -> SimTime {
         let idle_arrival = arrival >= self.queue.next_free();
         let service = self.device.service_time_arrival(op, offset, len, idle_arrival);
         match op {
@@ -60,43 +60,38 @@ impl StorageServer {
     }
 
     /// Accumulated device busy time — the per-server "I/O time" of Fig. 8.
-    pub fn busy_time(&self) -> SimDuration {
+    pub(crate) fn busy_time(&self) -> SimDuration {
         self.queue.busy_time()
     }
 
-    /// Time the server becomes idle.
-    pub fn next_free(&self) -> SimTime {
-        self.queue.next_free()
-    }
-
     /// Number of sub-requests served.
-    pub fn served(&self) -> u64 {
+    pub(crate) fn served(&self) -> u64 {
         self.queue.served()
     }
 
     /// Bytes read from the device.
-    pub fn bytes_read(&self) -> u64 {
+    pub(crate) fn bytes_read(&self) -> u64 {
         self.bytes_read
     }
 
     /// Bytes written to the device.
-    pub fn bytes_written(&self) -> u64 {
+    pub(crate) fn bytes_written(&self) -> u64 {
         self.bytes_written
     }
 
     /// Clone the backing device (used when wrapping it in a degraded
     /// profile — see [`crate::Cluster::apply_fault_plan`]).
-    pub fn clone_device(&self) -> BoxedDevice {
+    pub(crate) fn clone_device(&self) -> BoxedDevice {
         self.device.clone_box()
     }
 
     /// Replace the backing device, keeping queue state and byte counters.
-    pub fn set_device(&mut self, device: BoxedDevice) {
+    pub(crate) fn set_device(&mut self, device: BoxedDevice) {
         self.device = device;
     }
 
     /// Clear queue state and device state (fresh measurement window).
-    pub fn reset(&mut self) {
+    pub(crate) fn reset(&mut self) {
         self.queue.reset();
         self.device.reset();
         self.bytes_read = 0;

@@ -18,7 +18,7 @@
 //!   (open-loop systems shed load instead of slowing the submitter).
 //! * **Execution** is FIFO over the shared cluster: each admitted job
 //!   replays through the sharded streaming core, and the service clock
-//!   advances by the job's makespan. [`crate::cluster::Cluster::reset`]
+//!   advances by the job's makespan. `crate::cluster::Cluster::reset`
 //!   at each replay keeps device/queue state from leaking across jobs
 //!   while installed MDS layouts persist — exactly the composition model
 //!   the single-shot pipeline already used for sequential runs.
@@ -41,7 +41,7 @@ use crate::layout::LayoutSpec;
 use crate::replay::{Counters, IdentityResolver, ReplayReport, Resolver, ServerIoStat};
 use crate::session::{CoreSel, ReplayInput, ReplaySession};
 use iotrace::{FileId, TenantId, Trace, TraceBatches};
-use simrt::{ArrivalProcess, SchedPolicy, SeedSeq, SimDuration, SimTime};
+use simrt::{ArrivalProcess, SeedSeq, SimDuration, SimTime};
 
 /// Per-tenant planning hook: how a tenant's jobs resolve requests, and
 /// what layout updates each completed job feeds back into the shared
@@ -96,17 +96,6 @@ impl ServiceConfig {
             mean_interarrival: SimDuration::from_millis(50),
             queue_depth: 4,
         }
-    }
-
-    /// Mean interarrival gap of each tenant's Poisson job stream.
-    ///
-    /// # Panics
-    /// If zero (the arrival process would never advance).
-    #[must_use]
-    pub fn mean_interarrival(mut self, gap: SimDuration) -> Self {
-        assert!(!gap.is_zero(), "mean interarrival must be positive");
-        self.mean_interarrival = gap;
-        self
     }
 
     /// Per-tenant admission bound: a job arriving with this many of its
@@ -168,7 +157,7 @@ pub struct TenantSummary {
     /// 99th-percentile latency, seconds.
     pub p99_latency: f64,
     /// The tenant's per-server load: every completed job's
-    /// [`ReplayReport::per_server`] merged with [`ServerIoStat::merge`],
+    /// [`ReplayReport::per_server`] merged with `ServerIoStat::merge`,
     /// one entry per server in server order (empty if no job completed).
     pub per_server: Vec<ServerIoStat>,
 }
@@ -212,7 +201,6 @@ struct TenantEntry<'a> {
     tenant: TenantId,
     runtime: Box<dyn TenantRuntime + 'a>,
     jobs: Vec<Trace>,
-    policy: SchedPolicy,
 }
 
 /// The multi-tenant layout service (see the module docs for the model).
@@ -244,25 +232,9 @@ impl<'a> LayoutService<'a> {
                     tenant,
                     runtime,
                     jobs: Vec::new(),
-                    policy: SchedPolicy::default(),
                 },
             ),
         }
-    }
-
-    /// Set the dispatch policy used while replaying `tenant`'s jobs
-    /// (default [`SchedPolicy::SeededShuffle`]). Per-tenant: a latency-
-    /// sensitive tenant can opt into straggler-aware dispatch while its
-    /// neighbours keep the bit-stable blind shuffle.
-    ///
-    /// # Panics
-    /// If the tenant is unknown.
-    pub fn set_tenant_policy(&mut self, tenant: TenantId, policy: SchedPolicy) {
-        let i = self
-            .tenants
-            .binary_search_by_key(&tenant, |e| e.tenant)
-            .unwrap_or_else(|_| panic!("tenant {} not registered", tenant.0));
-        self.tenants[i].policy = policy;
     }
 
     /// Submit one job for `tenant` and return its submission index.
@@ -289,17 +261,6 @@ impl<'a> LayoutService<'a> {
         let entry = &mut self.tenants[i];
         entry.jobs.push(trace);
         (entry.jobs.len() - 1) as u32
-    }
-
-    /// Registered tenants, in id order.
-    pub fn tenants(&self) -> Vec<TenantId> {
-        self.tenants.iter().map(|e| e.tenant).collect()
-    }
-
-    /// Inject `plan` into every job replay — degraded-mode service runs
-    /// (lost servers, stragglers) against redundant layouts.
-    pub fn set_fault_plan(&mut self, plan: simrt::FaultPlan) {
-        self.session.set_fault_plan(plan);
     }
 
     /// Run the service to completion over every submitted job.
@@ -358,7 +319,6 @@ impl<'a> LayoutService<'a> {
                 trace = &tagged;
             }
             let mut batches = TraceBatches::new(trace);
-            self.session.set_sched_policy(entry.policy);
             let mut report = self.session.run(
                 ReplayInput::stream(self.cluster, &mut batches, entry.runtime.resolver()),
                 CoreSel::Sharded,
@@ -520,7 +480,7 @@ mod tests {
             LayoutSpec::fixed(&all, 64 << 10).with_placement(crate::Placement::Replicated(3)),
         );
         let mut svc = LayoutService::new(&mut c, ServiceConfig::new(7));
-        svc.set_fault_plan(simrt::FaultPlan::none().down(1, 0.0));
+        svc.session.set_fault_plan(simrt::FaultPlan::none().down(1, 0.0));
         svc.add_tenant(TenantId(0), Box::new(NullRuntime::new()));
         svc.submit(TenantId(0), t.clone());
         svc.submit(TenantId(0), t);
@@ -561,7 +521,10 @@ mod tests {
             let mut c = cluster();
             let mut svc = LayoutService::new(
                 &mut c,
-                ServiceConfig::new(42).mean_interarrival(SimDuration::from_millis(5)),
+                ServiceConfig {
+                    mean_interarrival: SimDuration::from_millis(5),
+                    ..ServiceConfig::new(42)
+                },
             );
             for t in 0..3u32 {
                 svc.add_tenant(TenantId(t), Box::new(NullRuntime::new()));
@@ -613,9 +576,11 @@ mod tests {
             let mut c = cluster();
             let mut svc = LayoutService::new(
                 &mut c,
-                ServiceConfig::new(3)
-                    .mean_interarrival(SimDuration::from_micros(1))
-                    .queue_depth(depth),
+                ServiceConfig {
+                    mean_interarrival: SimDuration::from_micros(1),
+                    ..ServiceConfig::new(3)
+                }
+                .queue_depth(depth),
             );
             svc.add_tenant(TenantId(1), Box::new(NullRuntime::new()));
             for _ in 0..6 {
@@ -645,7 +610,7 @@ mod tests {
         let mut c = cluster();
         let mut svc = LayoutService::new(
             &mut c,
-            ServiceConfig::new(seed).mean_interarrival(gap).queue_depth(DEPTH),
+            ServiceConfig { mean_interarrival: gap, ..ServiceConfig::new(seed) }.queue_depth(DEPTH),
         );
         for t in 1..=3u32 {
             svc.add_tenant(TenantId(t), Box::new(NullRuntime::new()));
@@ -763,7 +728,10 @@ mod tests {
         let mut c = cluster();
         let mut svc = LayoutService::new(
             &mut c,
-            ServiceConfig::new(2).mean_interarrival(SimDuration::from_micros(10)),
+            ServiceConfig {
+                mean_interarrival: SimDuration::from_micros(10),
+                ..ServiceConfig::new(2)
+            },
         );
         svc.add_tenant(TenantId(0), Box::new(NullRuntime::new()));
         for _ in 0..8 {
@@ -776,37 +744,6 @@ mod tests {
         assert!(s.p50_latency <= s.p95_latency && s.p95_latency <= s.p99_latency);
         assert!(r.aggregate_mbps() > 0.0);
         assert_eq!(r.makespan, r.jobs.last().unwrap().completion);
-    }
-
-    #[test]
-    fn fault_free_straggler_aware_tenant_is_bit_identical_to_default() {
-        // With no fault no server ever turns suspect, so a straggler-
-        // aware tenant replays the exact blind-shuffle schedule and the
-        // scheduler counters stay zero.
-        let run = |aware: bool| {
-            let mut c = cluster();
-            let mut svc = LayoutService::new(&mut c, ServiceConfig::new(13));
-            for t in 0..2u32 {
-                svc.add_tenant(TenantId(t), Box::new(NullRuntime::new()));
-                svc.submit(TenantId(t), small_ior(3));
-            }
-            if aware {
-                svc.set_tenant_policy(TenantId(1), SchedPolicy::straggler_aware());
-            }
-            svc.run().unwrap()
-        };
-        let base = run(false);
-        let aware = run(true);
-        assert!(base == aware, "fault-free straggler-aware dispatch changed the report");
-        assert_eq!(aware.counters.deferred_requests, 0);
-    }
-
-    #[test]
-    #[should_panic(expected = "not registered")]
-    fn policy_for_unknown_tenant_rejected() {
-        let mut c = cluster();
-        let mut svc = LayoutService::new(&mut c, ServiceConfig::new(0));
-        svc.set_tenant_policy(TenantId(3), SchedPolicy::straggler_aware());
     }
 
     #[test]

@@ -24,7 +24,7 @@ use iotrace::{BatchSource, Trace, TraceBatches};
 use simrt::{FaultPlan, SchedPolicy};
 
 /// What a replay consumes: a materialized trace or a phase stream.
-pub enum ReplayPayload<'a> {
+pub(crate) enum ReplayPayload<'a> {
     /// A fully materialized trace (replayable by either core).
     Trace(&'a Trace),
     /// A streaming phase source (sharded core only; the full trace
@@ -152,21 +152,11 @@ impl ReplaySession {
         self.sched.set_policy(policy);
     }
 
-    /// The active dispatch policy.
-    pub fn sched_policy(&self) -> SchedPolicy {
-        self.sched.policy()
-    }
-
-    /// The pinned schedule, if any.
-    pub fn schedule(&self) -> Option<&ReplaySchedule> {
-        self.schedule.as_ref()
-    }
-
     /// Replay `input` on the core picked by `core`.
     ///
     /// When the session carries a non-empty fault plan, the plan's
     /// device/link faults are materialized into the cluster first (once —
-    /// [`Cluster::apply_fault_plan`] is skipped if faults were already
+    /// `Cluster::apply_fault_plan` is skipped if faults were already
     /// applied, so repeated runs don't stack slowdowns), and its temporal
     /// faults drive per-sub-request admission during the run. Retry,
     /// timeout and health accounting land in the returned

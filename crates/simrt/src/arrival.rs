@@ -42,11 +42,6 @@ impl ArrivalProcess {
         self.now += SimDuration::from_secs_f64(gap.max(1e-9));
         self.now
     }
-
-    /// The most recent arrival instant (`ZERO` before the first draw).
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
 }
 
 #[cfg(test)]

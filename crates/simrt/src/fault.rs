@@ -1,7 +1,7 @@
 //! Deterministic fault injection: the shared vocabulary for describing
 //! degraded clusters.
 //!
-//! A [`FaultPlan`] is a seeded, persistable description of everything
+//! A [`FaultPlan`] is a deterministic description of everything
 //! that is wrong with a cluster during one measurement window: per-server
 //! slowdown factors (stragglers), degraded-device profiles, transient
 //! unavailability windows, and permanent server loss. The plan itself is
@@ -15,8 +15,6 @@
 //! consumers convert to nanosecond ticks at the boundary. An **empty
 //! plan is a guarantee**: every consumer must behave bit-for-bit
 //! identically to the fault-free code path when handed one.
-
-use crate::rng::SeedSeq;
 
 /// What kind of degraded hardware a server pretends to be.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,7 +38,7 @@ impl DeviceProfile {
 
     /// Pessimistic service-time inflation this profile implies, used when
     /// summarizing a plan into per-server health factors.
-    pub fn slowdown_estimate(self) -> f64 {
+    pub(crate) fn slowdown_estimate(self) -> f64 {
         match self {
             DeviceProfile::WornSsd => 3.0,
             DeviceProfile::AgedHdd => 1.5,
@@ -151,8 +149,6 @@ impl ServerHealth {
 /// reports to not passing a plan at all.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct FaultPlan {
-    /// Seed this plan was generated from (0 for hand-written plans).
-    pub seed: u64,
     /// The injected faults.
     pub faults: Vec<ServerFault>,
     /// Retry/timeout behaviour of clients facing unavailable servers.
@@ -207,36 +203,6 @@ impl FaultPlan {
         self
     }
 
-    /// A seeded straggler scenario: `count` distinct servers out of
-    /// `servers`, each slowed by a factor drawn uniformly from
-    /// `factors.0..=factors.1`. The same seed always yields the same plan
-    /// (server choice and factors), so faulted experiments replicate.
-    pub fn random_stragglers(
-        seed: u64,
-        servers: usize,
-        count: usize,
-        factors: (f64, f64),
-    ) -> Self {
-        let mut rng = SeedSeq::new(seed).derive("stragglers").rng();
-        let mut ids: Vec<usize> = (0..servers).collect();
-        rng.shuffle(&mut ids);
-        let mut plan = FaultPlan { seed, ..Self::default() };
-        ids.truncate(count.min(servers));
-        // Deterministic order: factors are drawn in shuffled order (that
-        // is what the RNG stream dictates), then the list is sorted so the
-        // plan itself reads in server order.
-        let mut faults: Vec<ServerFault> = ids
-            .into_iter()
-            .map(|server| ServerFault {
-                server,
-                kind: FaultKind::Slowdown { factor: rng.gen_range(factors.0..=factors.1) },
-            })
-            .collect();
-        faults.sort_by_key(|f| f.server);
-        plan.faults = faults;
-        plan
-    }
-
     /// Summarize the plan into per-server health, the planner-facing
     /// view: slowdowns, slow links and degraded profiles multiply into a
     /// `speed_factor`; outages apply `outage_penalty` (they make a server
@@ -287,20 +253,6 @@ mod tests {
         assert_eq!(p.faults.len(), 4);
         assert_eq!(p.max_server(), Some(7));
         assert!(!p.is_empty());
-    }
-
-    #[test]
-    fn random_stragglers_is_seed_deterministic() {
-        let a = FaultPlan::random_stragglers(7, 8, 3, (2.0, 8.0));
-        let b = FaultPlan::random_stragglers(7, 8, 3, (2.0, 8.0));
-        assert_eq!(a, b);
-        assert_eq!(a.faults.len(), 3);
-        let c = FaultPlan::random_stragglers(8, 8, 3, (2.0, 8.0));
-        assert_ne!(a, c, "different seed, different plan");
-        for f in &a.faults {
-            let FaultKind::Slowdown { factor } = f.kind else { panic!() };
-            assert!((2.0..=8.0).contains(&factor));
-        }
     }
 
     #[test]

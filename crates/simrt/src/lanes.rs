@@ -51,11 +51,6 @@ pub struct LanePartition {
 }
 
 impl LanePartition {
-    /// Empty partition; buffers grow on first [`LanePartition::build`].
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Partition items `0..keys.len()` by `keys[i]` into `lanes` groups.
     ///
     /// # Panics
@@ -163,16 +158,6 @@ impl<'a, T> DisjointSlice<'a, T> {
         DisjointSlice { cells }
     }
 
-    /// Number of elements.
-    pub fn len(&self) -> usize {
-        self.cells.len()
-    }
-
-    /// True when the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.cells.is_empty()
-    }
-
     /// Write `value` at `index`.
     ///
     /// # Safety
@@ -208,7 +193,7 @@ mod tests {
     #[test]
     fn partition_groups_stably() {
         let keys = [2u32, 0, 1, 2, 0, 2];
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(3, &keys);
         assert_eq!(
             grouped(&p),
@@ -224,9 +209,9 @@ mod tests {
         // Same keys partitioned under a huge lane count (sorted path) and
         // a tight one (counted path) must group identically.
         let keys: Vec<u32> = (0..64u32).map(|i| (i * 37) % 100).collect();
-        let mut sparse = LanePartition::new();
+        let mut sparse = LanePartition::default();
         sparse.build(100_000, &keys); // 64 items ≪ lanes → sorted
-        let mut dense = LanePartition::new();
+        let mut dense = LanePartition::default();
         dense.build(100, &keys); // items ≥ lanes/4 → counted
         assert_eq!(sparse.spans(), dense.spans());
         assert_eq!(grouped(&sparse), grouped(&dense));
@@ -235,7 +220,7 @@ mod tests {
     #[test]
     fn spans_cover_only_active_lanes_in_order() {
         let keys = [7u32, 3, 7, 900_000];
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(1_000_000, &keys);
         assert_eq!(
             grouped(&p),
@@ -246,14 +231,14 @@ mod tests {
 
     #[test]
     fn idle_lanes_get_no_span() {
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(4, &[3u32, 3]);
         assert_eq!(grouped(&p), vec![(3, vec![0, 1])]);
     }
 
     #[test]
     fn rebuild_reuses_buffers_and_forgets_history() {
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(2, &[0u32, 1, 0]);
         p.build(2, &[1u32]);
         assert_eq!(grouped(&p), vec![(1, vec![0])]);
@@ -261,7 +246,7 @@ mod tests {
 
     #[test]
     fn zero_items_zero_lanes() {
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(0, &[]);
         assert!(p.spans().is_empty());
     }
@@ -270,7 +255,7 @@ mod tests {
     fn disjoint_slice_scatters() {
         let mut data = vec![0u64; 6];
         let keys = [1u32, 0, 1, 0, 1, 1];
-        let mut p = LanePartition::new();
+        let mut p = LanePartition::default();
         p.build(2, &keys);
         {
             let out = DisjointSlice::new(&mut data);
@@ -281,8 +266,7 @@ mod tests {
                     unsafe { out.write(i as usize, value) };
                 }
             }
-            assert_eq!(out.len(), 6);
-            assert!(!out.is_empty());
+            assert_eq!(out.cells.len(), 6);
         }
         assert_eq!(data, vec![200, 101, 202, 103, 204, 205]);
     }

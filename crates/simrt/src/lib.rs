@@ -32,7 +32,7 @@ pub mod time;
 
 pub use arrival::ArrivalProcess;
 pub use fault::{DeviceProfile, FaultKind, FaultPlan, RetryPolicy, ServerFault, ServerHealth};
-pub use lanes::{DisjointSlice, LanePartition, LaneSpan};
+pub use lanes::{DisjointSlice, LanePartition};
 pub use resource::FifoResource;
 pub use rng::SeedSeq;
 pub use sched::{SchedPolicy, SchedState, ServerLat};

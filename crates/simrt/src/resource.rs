@@ -15,10 +15,6 @@ pub struct FifoResource {
     next_free: SimTime,
     busy: SimDuration,
     served: u64,
-    /// Completion time of the most recent request (for makespan queries).
-    last_completion: SimTime,
-    /// Sum of queueing delays (time between arrival and service start).
-    total_wait: SimDuration,
 }
 
 impl Default for FifoResource {
@@ -34,8 +30,6 @@ impl FifoResource {
             next_free: SimTime::ZERO,
             busy: SimDuration::ZERO,
             served: 0,
-            last_completion: SimTime::ZERO,
-            total_wait: SimDuration::ZERO,
         }
     }
 
@@ -44,11 +38,9 @@ impl FifoResource {
     pub fn submit(&mut self, arrival: SimTime, service: SimDuration) -> SimTime {
         let start = arrival.max(self.next_free);
         let completion = start + service;
-        self.total_wait += start.since(arrival);
         self.busy += service;
         self.next_free = completion;
         self.served += 1;
-        self.last_completion = self.last_completion.max(completion);
         completion
     }
 
@@ -68,26 +60,6 @@ impl FifoResource {
     #[inline]
     pub fn served(&self) -> u64 {
         self.served
-    }
-
-    /// Completion time of the latest-finishing request so far.
-    #[inline]
-    pub fn last_completion(&self) -> SimTime {
-        self.last_completion
-    }
-
-    /// Accumulated queueing delay across all requests.
-    #[inline]
-    pub fn total_wait(&self) -> SimDuration {
-        self.total_wait
-    }
-
-    /// Utilization over `[0, horizon]`; 0.0 for a zero horizon.
-    pub fn utilization(&self, horizon: SimTime) -> f64 {
-        if horizon == SimTime::ZERO {
-            return 0.0;
-        }
-        self.busy.as_secs_f64() / horizon.as_secs_f64()
     }
 
     /// Forget all history (start a fresh measurement window at time zero).
@@ -112,7 +84,6 @@ mod tests {
         let mut r = FifoResource::new();
         let done = r.submit(ns(100), d(50));
         assert_eq!(done, ns(150));
-        assert_eq!(r.total_wait(), SimDuration::ZERO);
     }
 
     #[test]
@@ -121,7 +92,6 @@ mod tests {
         assert_eq!(r.submit(ns(0), d(100)), ns(100));
         // Arrives while busy: waits 50.
         assert_eq!(r.submit(ns(50), d(100)), ns(200));
-        assert_eq!(r.total_wait(), d(50));
         assert_eq!(r.busy_time(), d(200));
         assert_eq!(r.served(), 2);
     }
@@ -133,15 +103,6 @@ mod tests {
         let done = r.submit(ns(1000), d(10));
         assert_eq!(done, ns(1010));
         assert_eq!(r.busy_time(), d(20));
-        // Utilization over the horizon reflects the idle gap.
-        let u = r.utilization(ns(1010));
-        assert!((u - 20.0 / 1010.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn utilization_zero_horizon_is_zero() {
-        let r = FifoResource::new();
-        assert_eq!(r.utilization(SimTime::ZERO), 0.0);
     }
 
     #[test]

@@ -45,11 +45,6 @@ impl SeedSeq {
         SeedSeq { root }
     }
 
-    /// Root seed value.
-    pub const fn root(self) -> u64 {
-        self.root
-    }
-
     /// Derive a child seed for a labelled component.
     pub fn derive(self, label: &str) -> SeedSeq {
         let mut h = self.root ^ 0x9e37_79b9_7f4a_7c15;
@@ -331,7 +326,7 @@ mod tests {
     #[test]
     fn indexed_children_diverge() {
         let s = SeedSeq::new(7);
-        let seeds: Vec<u64> = (0..64).map(|i| s.derive_idx("rank", i).root()).collect();
+        let seeds: Vec<u64> = (0..64).map(|i| s.derive_idx("rank", i).root).collect();
         let mut uniq = seeds.clone();
         uniq.sort_unstable();
         uniq.dedup();

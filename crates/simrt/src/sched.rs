@@ -15,7 +15,7 @@
 //! heterogeneous cluster an HDD is always slower than an SSD, so any
 //! cross-server baseline would misfire permanently. Self-relative
 //! triggering also guarantees the fault-free no-op: without a fault, the
-//! fast EWMA never exceeds [`STRAGGLER_TRIGGER`]× the server's own mean
+//! fast EWMA never exceeds `STRAGGLER_TRIGGER`× the server's own mean
 //! (the worst within-phase queue ramp tops out near 2×), no server is
 //! ever suspect and every issue delay is zero — the schedule is
 //! bit-identical to the blind shuffle.
@@ -27,7 +27,7 @@ use crate::stats::OnlineStats;
 /// is half its peak), so 4× keeps a 2× safety margin for the fault-free
 /// identity while still firing on any real straggler (outage retries and
 /// timeouts inflate observations by orders of magnitude).
-pub const STRAGGLER_TRIGGER: f64 = 4.0;
+pub(crate) const STRAGGLER_TRIGGER: f64 = 4.0;
 
 /// Minimum observations a server needs before it can be suspect: below
 /// this the Welford mean is too noisy to trust as a baseline.
@@ -112,14 +112,9 @@ impl ServerLat {
         self.baseline.count()
     }
 
-    /// Long-run mean latency of this server (its own baseline).
-    pub fn long_run_mean(&self) -> f64 {
-        self.baseline.mean()
-    }
-
     /// True when this server currently looks like a straggler: at least
     /// [`MIN_OBS`] observations and a fast EWMA above
-    /// [`STRAGGLER_TRIGGER`]× its own long-run mean.
+    /// `STRAGGLER_TRIGGER`× its own long-run mean.
     pub fn is_suspect(&self) -> bool {
         self.baseline.count() >= MIN_OBS
             && self.fast > STRAGGLER_TRIGGER * self.baseline.mean()
@@ -133,11 +128,6 @@ pub struct SchedState {
 }
 
 impl SchedState {
-    /// Empty state.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Reset for a run over `n` servers: every tracker starts cold, so
     /// reruns of the same input are bit-identical.
     pub fn reset(&mut self, n: usize) {
@@ -218,7 +208,7 @@ mod tests {
         for _ in 0..4 {
             lat.observe(0.5, 100.0);
         }
-        assert!(lat.is_suspect(), "fast={} mean={}", lat.fast(), lat.long_run_mean());
+        assert!(lat.is_suspect(), "fast={} mean={}", lat.fast(), lat.baseline.mean());
         // Below MIN_OBS the flag must stay off regardless of ratio.
         let mut young = ServerLat::default();
         for _ in 0..(MIN_OBS - 1) {
@@ -237,19 +227,18 @@ mod tests {
             lat.observe(0.3, i as f64);
         }
         assert!(lat.count() >= MIN_OBS);
-        assert!(!lat.is_suspect(), "fast={} mean={}", lat.fast(), lat.long_run_mean());
+        assert!(!lat.is_suspect(), "fast={} mean={}", lat.fast(), lat.baseline.mean());
     }
 
     #[test]
     fn state_reset_forgets_history() {
-        let mut s = SchedState::new();
+        let mut s = SchedState::default();
         s.reset(3);
         s.server_mut(1).observe(0.3, 5.0);
         assert_eq!(s.server(1).count(), 1);
         s.reset(3);
         assert_eq!(s.server(1).count(), 0);
         assert_eq!(s.len(), 3);
-        assert!(!s.is_empty());
     }
 
     #[test]
@@ -264,6 +253,6 @@ mod tests {
             b.observe(0.3, x);
         }
         assert_eq!(a.fast().to_bits(), b.fast().to_bits());
-        assert_eq!(a.long_run_mean().to_bits(), b.long_run_mean().to_bits());
+        assert_eq!(a.baseline.mean().to_bits(), b.baseline.mean().to_bits());
     }
 }

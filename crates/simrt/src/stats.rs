@@ -49,7 +49,7 @@ impl OnlineStats {
     }
 
     /// Number of observations.
-    pub fn count(&self) -> u64 {
+    pub(crate) fn count(&self) -> u64 {
         self.n
     }
 
@@ -68,7 +68,7 @@ impl OnlineStats {
     }
 
     /// Population variance (0 for fewer than 2 observations).
-    pub fn variance(&self) -> f64 {
+    pub(crate) fn variance(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
@@ -79,45 +79,6 @@ impl OnlineStats {
     /// Population standard deviation.
     pub fn stddev(&self) -> f64 {
         self.variance().sqrt()
-    }
-
-    /// Smallest observation (NaN when empty).
-    pub fn min(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.min
-        }
-    }
-
-    /// Largest observation (NaN when empty).
-    pub fn max(&self) -> f64 {
-        if self.n == 0 {
-            f64::NAN
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one (parallel reduction).
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.n as f64;
-        let n2 = other.n as f64;
-        let delta = other.mean - self.mean;
-        let n = n1 + n2;
-        self.mean += delta * n2 / n;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / n;
-        self.n += other.n;
-        self.sum += other.sum;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -149,21 +110,6 @@ impl Log2Histogram {
     /// Total observations.
     pub fn total(&self) -> u64 {
         self.total
-    }
-
-    /// Count in bucket `i` (0 beyond the populated range).
-    pub fn bucket(&self, i: usize) -> u64 {
-        self.buckets.get(i).copied().unwrap_or(0)
-    }
-
-    /// Number of populated buckets (highest index + 1).
-    pub fn len(&self) -> usize {
-        self.buckets.len()
-    }
-
-    /// True if nothing was recorded.
-    pub fn is_empty(&self) -> bool {
-        self.total == 0
     }
 
     /// Iterator over `(bucket_floor_value, count)` for non-empty buckets.
@@ -220,8 +166,7 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
+        assert_eq!((s.min, s.max), (2.0, 9.0));
         assert!((s.sum() - 40.0).abs() < 1e-12);
     }
 
@@ -240,7 +185,7 @@ mod tests {
         // Same count, sum, mean, min and max; only `m2` (8 vs 10) differs.
         let (a, b) = (of(&[0.0, 2.0, 2.0, 4.0]), of(&[0.0, 1.0, 3.0, 4.0]));
         assert_eq!((a.count(), a.sum(), a.mean()), (b.count(), b.sum(), b.mean()));
-        assert_eq!((a.min(), a.max()), (b.min(), b.max()));
+        assert_eq!((a.min, a.max), (b.min, b.max));
         assert_ne!(a.variance(), b.variance());
         assert_ne!(a, b);
     }
@@ -250,41 +195,6 @@ mod tests {
         let s = OnlineStats::new();
         assert_eq!(s.mean(), 0.0);
         assert_eq!(s.variance(), 0.0);
-        assert!(s.min().is_nan());
-        assert!(s.max().is_nan());
-    }
-
-    #[test]
-    fn merge_equals_sequential() {
-        let data: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = OnlineStats::new();
-        for &x in &data {
-            whole.push(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &data[..37] {
-            a.push(x);
-        }
-        for &x in &data[37..] {
-            b.push(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), whole.count());
-        assert!((a.mean() - whole.mean()).abs() < 1e-9);
-        assert!((a.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = OnlineStats::new();
-        a.push(3.0);
-        let before = a.mean();
-        a.merge(&OnlineStats::new());
-        assert_eq!(a.mean(), before);
-        let mut e = OnlineStats::new();
-        e.merge(&a);
-        assert_eq!(e.count(), 1);
     }
 
     #[test]
@@ -296,10 +206,6 @@ mod tests {
         h.record(3); // bucket 1
         h.record(1024); // bucket 10
         assert_eq!(h.total(), 5);
-        assert_eq!(h.bucket(0), 2);
-        assert_eq!(h.bucket(1), 2);
-        assert_eq!(h.bucket(10), 1);
-        assert_eq!(h.bucket(99), 0);
         let nonempty: Vec<_> = h.iter().collect();
         assert_eq!(nonempty, vec![(1, 2), (2, 2), (1024, 1)]);
     }
@@ -323,12 +229,11 @@ mod tests {
     #[test]
     fn histogram_empty_flags() {
         let h = Log2Histogram::new();
-        assert!(h.is_empty());
-        assert_eq!(h.len(), 0);
+        assert_eq!((h.total(), h.buckets.len()), (0, 0));
         let mut h2 = Log2Histogram::new();
         h2.record(5);
-        assert!(!h2.is_empty());
-        assert_eq!(h2.len(), 3, "floor(log2 5) = 2 → 3 buckets allocated");
+        assert_eq!(h2.total(), 1);
+        assert_eq!(h2.buckets.len(), 3, "floor(log2 5) = 2 → 3 buckets allocated");
     }
 
     #[test]

@@ -20,8 +20,6 @@ pub struct SimDuration(u64);
 impl SimTime {
     /// Simulation start.
     pub const ZERO: SimTime = SimTime(0);
-    /// The largest representable instant; used as an "infinitely far" sentinel.
-    pub const MAX: SimTime = SimTime(u64::MAX);
 
     /// Construct from raw nanoseconds.
     #[inline]
@@ -51,18 +49,8 @@ impl SimTime {
 
     /// The later of two instants.
     #[inline]
-    pub fn max(self, other: SimTime) -> SimTime {
+    pub(crate) fn max(self, other: SimTime) -> SimTime {
         if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// The earlier of two instants.
-    #[inline]
-    pub fn min(self, other: SimTime) -> SimTime {
-        if self.0 <= other.0 {
             self
         } else {
             other
@@ -90,12 +78,6 @@ impl SimDuration {
     #[inline]
     pub const fn from_millis(ms: u64) -> Self {
         SimDuration(ms * 1_000_000)
-    }
-
-    /// Construct from whole seconds.
-    #[inline]
-    pub const fn from_secs(s: u64) -> Self {
-        SimDuration(s * 1_000_000_000)
     }
 
     /// Construct from fractional seconds, rounding to the nearest
@@ -126,22 +108,6 @@ impl SimDuration {
     #[inline]
     pub const fn is_zero(self) -> bool {
         self.0 == 0
-    }
-
-    /// The larger of two spans.
-    #[inline]
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        if self.0 >= other.0 {
-            self
-        } else {
-            other
-        }
-    }
-
-    /// Saturating subtraction.
-    #[inline]
-    pub fn saturating_sub(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.saturating_sub(other.0))
     }
 }
 
@@ -263,7 +229,7 @@ mod tests {
 
     #[test]
     fn duration_constructors_agree() {
-        assert_eq!(SimDuration::from_secs(1).as_nanos(), 1_000_000_000);
+        assert_eq!(SimDuration::from_millis(1_000).as_nanos(), 1_000_000_000);
         assert_eq!(SimDuration::from_millis(1).as_nanos(), 1_000_000);
         assert_eq!(SimDuration::from_micros(1).as_nanos(), 1_000);
         assert_eq!(SimDuration::from_secs_f64(0.5).as_nanos(), 500_000_000);
@@ -281,26 +247,22 @@ mod tests {
         assert_eq!(SimDuration::from_nanos(12).to_string(), "12ns");
         assert_eq!(SimDuration::from_micros(12).to_string(), "12.000us");
         assert_eq!(SimDuration::from_millis(12).to_string(), "12.000ms");
-        assert_eq!(SimDuration::from_secs(12).to_string(), "12.000s");
+        assert_eq!(SimDuration::from_millis(12_000).to_string(), "12.000s");
     }
 
     #[test]
-    fn min_max_behave() {
+    fn max_picks_the_later_instant() {
         let a = SimTime::from_nanos(1);
         let b = SimTime::from_nanos(2);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
-        assert_eq!(
-            SimDuration::from_nanos(3).max(SimDuration::from_nanos(4)).as_nanos(),
-            4
-        );
+        assert_eq!(b.max(a), b);
     }
 
     #[test]
     fn saturating_ops_do_not_wrap() {
-        let m = SimTime::MAX;
-        assert_eq!(m + SimDuration::from_secs(1), SimTime::MAX);
+        let m = SimTime::from_nanos(u64::MAX);
+        assert_eq!(m + SimDuration::from_millis(1_000), m);
         let z = SimDuration::ZERO;
-        assert_eq!(z.saturating_sub(SimDuration::from_secs(1)), SimDuration::ZERO);
+        assert_eq!(z - SimDuration::from_millis(1_000), SimDuration::ZERO);
     }
 }

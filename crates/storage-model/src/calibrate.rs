@@ -23,13 +23,6 @@ pub struct LinearFit {
     pub r2: f64,
 }
 
-impl LinearFit {
-    /// Predicted service time for `bytes`, seconds.
-    pub fn predict(&self, bytes: u64) -> f64 {
-        self.alpha + self.beta * bytes as f64
-    }
-}
-
 /// Probe `device` with `reps` requests of each size in `sizes` at uniformly
 /// random offsets within `extent` bytes, and least-squares fit
 /// `time = alpha + beta * size`.
@@ -178,13 +171,6 @@ mod tests {
         let w = calibrate(&mut ssd, IoOp::Write, &sizes, 4, 1 << 30, SeedSeq::new(2));
         assert!(w.alpha > r.alpha);
         assert!(w.beta > r.beta);
-    }
-
-    #[test]
-    fn predict_is_affine() {
-        let f = LinearFit { alpha: 1.0, beta: 2.0, r2: 1.0 };
-        assert_eq!(f.predict(0), 1.0);
-        assert_eq!(f.predict(3), 7.0);
     }
 
     #[test]

@@ -24,11 +24,6 @@ impl ScaledDevice {
         ScaledDevice { inner, factor }
     }
 
-    /// The slowdown factor.
-    pub fn factor(&self) -> f64 {
-        self.factor
-    }
-
     fn scale(&self, d: SimDuration) -> SimDuration {
         if self.factor == 1.0 {
             return d;
@@ -81,7 +76,7 @@ mod tests {
         let b = slow.service_time(IoOp::Read, 0, 65536).as_secs_f64();
         assert!((b - 3.0 * a).abs() < 1e-9, "a={a} b={b}");
         assert_eq!(slow.kind(), DeviceKind::Ssd);
-        assert_eq!(slow.factor(), 3.0);
+        assert_eq!(slow.factor, 3.0);
     }
 
     #[test]

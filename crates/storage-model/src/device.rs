@@ -31,16 +31,6 @@ pub enum DeviceKind {
     Ssd,
 }
 
-impl DeviceKind {
-    /// Short name ("hdd"/"ssd").
-    pub fn name(self) -> &'static str {
-        match self {
-            DeviceKind::Hdd => "hdd",
-            DeviceKind::Ssd => "ssd",
-        }
-    }
-}
-
 /// A storage device that can estimate the service time of one request.
 ///
 /// Implementations are *stateful*: an HDD remembers its head position so
@@ -98,7 +88,5 @@ mod tests {
     fn names_are_stable() {
         assert_eq!(IoOp::Read.name(), "read");
         assert_eq!(IoOp::Write.name(), "write");
-        assert_eq!(DeviceKind::Hdd.name(), "hdd");
-        assert_eq!(DeviceKind::Ssd.name(), "ssd");
     }
 }

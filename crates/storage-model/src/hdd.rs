@@ -100,11 +100,6 @@ impl HddModel {
         Self::new(HddParams::sata2_250gb())
     }
 
-    /// Access to the parameters (for calibration reports).
-    pub fn params(&self) -> &HddParams {
-        &self.params
-    }
-
     /// Seek time for a head move of `dist` bytes.
     ///
     /// Uses the classic square-root seek curve: short moves cost the

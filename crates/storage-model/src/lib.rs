@@ -22,7 +22,7 @@ pub mod device;
 pub mod hdd;
 pub mod ssd;
 
-pub use calibrate::{calibrate, LinearFit};
+pub use calibrate::calibrate;
 pub use degrade::ScaledDevice;
 pub use device::{BoxedDevice, Device, DeviceKind, IoOp};
 pub use hdd::{HddModel, HddParams};

@@ -91,11 +91,6 @@ impl SsdModel {
         Self::new(SsdParams::pcie_100gb())
     }
 
-    /// Access to the parameters (for calibration reports).
-    pub fn params(&self) -> &SsdParams {
-        &self.params
-    }
-
     /// Effective transfer rate for a request of `len` bytes: ramps from
     /// `min_rate_frac * peak` (one channel) to `peak` at saturation.
     fn effective_rate(&self, peak: f64, len: u64) -> f64 {

@@ -66,7 +66,7 @@ pub mod prelude {
     pub use mpiio_sim::{Hints, Middleware, MpiJob};
     pub use pfs_sim::{
         Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutService, LayoutSpec,
-        MdsConfig, NullRuntime, Placement, ReplayError, ReplayInput, ReplaySession, SchedPolicy,
+        NullRuntime, Placement, ReplayError, ReplayInput, ReplaySession, SchedPolicy,
         ServiceConfig, ServiceReport, ServerId, TenantId, TenantRuntime,
     };
     pub use simrt::{SimDuration, SimTime};
