@@ -42,7 +42,7 @@ use pfs_sim::{
     ReplaySession, Resolver,
 };
 use simrt::{SimDuration, SimTime};
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use storage_model::IoOp;
 
 /// Online placement state carried across epochs: the evolving DRT plus
@@ -495,8 +495,8 @@ fn migrate(
 // ------------------------------------------------------------------
 
 /// A live redirect: a DRT entry journaled for migration whose bytes have
-/// not moved yet, keyed in [`LazyMigrator`] by its original file and
-/// offset.
+/// not moved yet. [`LazyMigrator`] keeps each original file's redirects
+/// in one vector sorted by `o_offset`, 32 bytes each.
 ///
 /// The entry's write-ahead intent (`mig:`) is already on disk; the copy
 /// itself is deferred to the first replayed access of the extent (or to
@@ -504,17 +504,27 @@ fn migrate(
 /// is written, lookups keep resolving to the old — still valid — home.
 #[derive(Debug, Clone, Copy)]
 struct LiveRedirect {
-    /// Region file the extent will live in.
-    r_file: FileId,
+    /// Offset in the original file.
+    o_offset: u64,
     /// Offset in the region file.
     r_offset: u64,
     /// Extent length, bytes.
     length: u64,
+    /// Region file the extent will live in.
+    r_file: FileId,
     /// Journal batch of this entry's write-ahead intent (one batch per
     /// entry, so an extent either migrated atomically or not at all —
     /// there is no half-migrated region). The intent record itself is
     /// shared by every entry of one [`LazyMigrator::add_pending`] call.
     batch: u32,
+}
+
+const _: () = assert!(std::mem::size_of::<LiveRedirect>() == 32);
+
+impl LiveRedirect {
+    fn end(&self) -> u64 {
+        self.o_offset + self.length
+    }
 }
 
 /// Resolver that migrates pending extents on first access instead of in
@@ -532,10 +542,11 @@ struct LiveRedirect {
 /// 3. every later access resolves through the published mapping at
 ///    plain lookup cost.
 ///
-/// Only live redirects are held: an entry leaves the migrator's map when
-/// it migrates (into the published DRT) or when a newer plan cancels it,
-/// so the migrator's memory follows the redirects still waiting, not the
-/// number ever journaled.
+/// Only live redirects are held: an entry leaves the migrator's live set
+/// when it migrates (into the published DRT) or when a newer plan
+/// cancels it, so the migrator's memory follows the redirects still
+/// waiting (32 bytes each, in vectors grown by doubling), not the number
+/// ever journaled.
 ///
 /// A crash between the copy and the commit record leaves an uncommitted
 /// journal batch that [`crate::persist::recover`] discards — the copy
@@ -548,10 +559,10 @@ struct LiveRedirect {
 pub struct LazyMigrator<'a> {
     store: TenantStore<'a>,
     published: Drt,
-    /// Live redirects: per original file, `o_offset -> redirect`. A
-    /// file's map leaves with its last redirect, and extents never
-    /// overlap.
-    live: HashMap<FileId, BTreeMap<u64, LiveRedirect>>,
+    /// Live redirects: per original file, one vector sorted by
+    /// `o_offset`. A file's vector leaves with its last redirect, and
+    /// extents never overlap.
+    live: HashMap<FileId, Vec<LiveRedirect>>,
     lookup: SimDuration,
     /// Fixed per-copy setup time (two network round trips).
     copy_latency: SimDuration,
@@ -634,14 +645,22 @@ impl<'a> LazyMigrator<'a> {
             .expect("journal batch ids fit a u32");
         self.store.journal_intents(first, &kept)?;
         self.next_batch = next;
-        for (e, batch) in kept.into_iter().zip(first..) {
+        // Entry by entry, in call order: an entry cancels the live
+        // redirects it overlaps (one run of the sorted, disjoint vector)
+        // and takes their place.
+        for (e, batch) in kept.iter().zip(first..) {
+            let live = self.live.entry(e.o_file).or_default();
             let end = e.o_offset + e.length;
-            while let Some((offset, _)) = self.last_overlapping(e.o_file, e.o_offset, end) {
-                self.remove(e.o_file, offset);
-            }
-            let redirect =
-                LiveRedirect { r_file: e.r_file, r_offset: e.r_offset, length: e.length, batch };
-            self.live.entry(e.o_file).or_default().insert(e.o_offset, redirect);
+            let lo = live.partition_point(|r| r.end() <= e.o_offset);
+            let hi = live.partition_point(|r| r.o_offset < end);
+            let redirect = LiveRedirect {
+                o_offset: e.o_offset,
+                r_offset: e.r_offset,
+                length: e.length,
+                r_file: e.r_file,
+                batch,
+            };
+            live.splice(lo..hi, [redirect]);
         }
         Ok(())
     }
@@ -653,7 +672,7 @@ impl<'a> LazyMigrator<'a> {
 
     /// Redirects still waiting for their first access.
     pub fn pending_len(&self) -> usize {
-        self.live.values().map(BTreeMap::len).sum()
+        self.live.values().map(Vec::len).sum()
     }
 
     /// Extents migrated by an access (not by [`LazyMigrator::drain`]).
@@ -683,21 +702,32 @@ impl<'a> LazyMigrator<'a> {
         if let Some(e) = self.err.take() {
             return Err(e);
         }
-        let mut order: Vec<(u32, (FileId, u64))> = self
+        // Nothing leaves the vectors before the loop ends, so each
+        // index stays valid.
+        let mut order: Vec<(u32, FileId, usize)> = self
             .live
             .iter()
-            .flat_map(|(&file, map)| map.iter().map(move |(&offset, r)| (r.batch, (file, offset))))
+            .flat_map(|(&file, live)| live.iter().enumerate().map(move |(i, r)| (r.batch, file, i)))
             .collect();
         order.sort_unstable();
         let mut bytes = 0u64;
         let mut time = SimDuration::ZERO;
-        for (batch, (file, offset)) in order {
-            self.store.commit_batch(batch)?;
-            let length = self.publish(file, offset);
-            self.migrated_bytes += length;
-            bytes += length;
-            time += self.copy_cost(length);
+        for (batch, file, i) in order {
+            if let Err(e) = self.store.commit_batch(batch) {
+                // Exactly the redirects of earlier batches were published.
+                for live in self.live.values_mut() {
+                    live.retain(|l| l.batch >= batch);
+                }
+                self.live.retain(|_, live| !live.is_empty());
+                return Err(e);
+            }
+            let r = self.live[&file][i];
+            self.publish(file, r);
+            self.migrated_bytes += r.length;
+            bytes += r.length;
+            time += self.copy_cost(r.length);
         }
+        self.live.clear();
         Ok((bytes, time))
     }
 
@@ -707,58 +737,54 @@ impl<'a> LazyMigrator<'a> {
             + SimDuration::from_nanos((len as f64 * self.copy_secs_per_byte * 1e9) as u64)
     }
 
-    /// Drop the live redirect at `(file, offset)`, and its file's map
-    /// with its last entry.
-    fn remove(&mut self, file: FileId, offset: u64) -> LiveRedirect {
-        let map = self.live.get_mut(&file).expect("removed redirect's file is live");
-        let r = map.remove(&offset).expect("removed redirect is live");
-        if map.is_empty() {
+    /// Drop the live redirect at `index` of `file`'s vector, and the
+    /// vector with its last redirect.
+    fn remove(&mut self, file: FileId, index: usize) -> LiveRedirect {
+        let live = self.live.get_mut(&file).expect("removed redirect's file is live");
+        let r = live.remove(index);
+        if live.is_empty() {
             self.live.remove(&file);
         }
         r
     }
 
-    /// Move the live redirect at `(file, offset)` into the published
-    /// mapping, returning its length.
-    fn publish(&mut self, file: FileId, offset: u64) -> u64 {
-        let r = self.remove(file, offset);
+    /// Insert a redirect of `file` into the published mapping.
+    fn publish(&mut self, file: FileId, r: LiveRedirect) {
         let inserted = self.published.insert(DrtEntry {
             o_file: file,
-            o_offset: offset,
+            o_offset: r.o_offset,
             r_file: r.r_file,
             r_offset: r.r_offset,
             length: r.length,
         });
         debug_assert!(inserted, "pending redirects never overlap the published mapping");
-        r.length
     }
 
-    /// The live redirect of `file` starting highest below `end`, with its
-    /// offset, if it overlaps `[offset, end)`. Live extents are disjoint,
-    /// so taking this one until none is left visits every overlapping
-    /// one, downwards, as long as each leaves the map.
-    fn last_overlapping(&self, file: FileId, offset: u64, end: u64) -> Option<(u64, LiveRedirect)> {
-        let (&off, &r) = self.live.get(&file)?.range(..end).next_back()?;
-        (off + r.length > offset).then_some((off, r))
+    /// The index of `file`'s live redirect starting highest below `end`,
+    /// if it overlaps `[offset, end)`. Live extents are disjoint, so
+    /// taking this one until none is left visits every overlapping one,
+    /// downwards, as long as each leaves the vector.
+    fn last_overlapping(&self, file: FileId, offset: u64, end: u64) -> Option<usize> {
+        let live = self.live.get(&file)?;
+        let i = live.partition_point(|r| r.o_offset < end).checked_sub(1)?;
+        (live[i].end() > offset).then_some(i)
     }
 
     /// First-access hook: migrate every live redirect overlapping the
     /// accessed range, returning the copy time charged to this request.
     fn touch(&mut self, file: FileId, offset: u64, len: u64) -> SimDuration {
         let mut charged = SimDuration::ZERO;
-        while let Some((off, r)) = self.last_overlapping(file, offset, offset + len) {
-            match self.store.commit_batch(r.batch) {
-                Ok(()) => {
-                    self.publish(file, off);
-                    self.on_access_migrations += 1;
-                    self.migrated_bytes += r.length;
-                    charged += self.copy_cost(r.length);
-                }
-                Err(e) => {
-                    self.err = Some(e);
-                    break;
-                }
+        while let Some(i) = self.last_overlapping(file, offset, offset + len) {
+            let batch = self.live[&file][i].batch;
+            if let Err(e) = self.store.commit_batch(batch) {
+                self.err = Some(e);
+                break;
             }
+            let r = self.remove(file, i);
+            self.publish(file, r);
+            self.on_access_migrations += 1;
+            self.migrated_bytes += r.length;
+            charged += self.copy_cost(r.length);
         }
         charged
     }
@@ -785,6 +811,7 @@ mod tests {
     use iotrace::gen::ior::{generate as gen_ior, IorConfig};
     use iotrace::gen::lanl::{generate as gen_lanl, LanlConfig};
     use iotrace::{FileId, TenantId};
+    use std::collections::BTreeMap;
 
     fn ctx(cfg: &ClusterConfig) -> PlannerContext {
         PlannerContext::for_cluster(cfg)
@@ -1311,6 +1338,40 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// A drain killed at a batch's commit record has published exactly
+    /// the earlier batches; that batch and every later one stay live, and
+    /// a second drain moves them.
+    #[test]
+    fn a_drain_killed_midway_keeps_the_rest_live() {
+        let cluster = ClusterConfig::paper_default();
+        let (base, rst) = base_tables();
+        let to_migrate = to_migrate_entries();
+        let path = tmp_store("lazy-drain-kill");
+        let store = PipelineStore::open(&path).expect("open");
+        store.save_tables(&base, &rst).expect("save base");
+        let mut mig =
+            LazyMigrator::new(t0(&store), base.clone(), &cluster, SimDuration::from_micros(5));
+        mig.add_pending(&to_migrate).expect("journal intents");
+        store.kill_switch().reset();
+        store.kill_switch().arm(5);
+        match mig.drain() {
+            Err(PersistError::Killed(CommitPoint::BatchCommit)) => {}
+            other => panic!("expected a kill at the sixth commit record, got {other:?}"),
+        }
+        store.kill_switch().disarm();
+        let (moved, rest) = to_migrate.split_at(5);
+        assert_eq!(mig.pending_len(), rest.len());
+        assert_eq!(mig.migrated_bytes(), moved.iter().map(|e| e.length).sum::<u64>());
+        for (e, published) in to_migrate.iter().map(|e| (e, moved.contains(e))) {
+            let home = mig.published().lookup_exact(e.o_file, e.o_offset, e.length);
+            assert_eq!(home.is_some(), published, "{e:?}");
+        }
+        let (bytes, _) = mig.drain().expect("drain");
+        assert_eq!(bytes, rest.iter().map(|e| e.length).sum::<u64>());
+        assert_eq!(mig.pending_len(), 0);
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn superseded_pending_redirects_are_cancelled_not_committed() {
         let cluster = ClusterConfig::paper_default();
@@ -1491,5 +1552,245 @@ mod tests {
             let _ = std::fs::remove_file(&path);
         }
         assert_every_kind_killed(&kinds);
+    }
+
+    // ------------------------------------------- live-set oracle --
+
+    /// The migrator as it was with a `BTreeMap` of live redirects per
+    /// file, driven entry by entry: each kept entry cancels what it
+    /// overlaps and inserts, each access migrates its overlaps downwards,
+    /// a drain goes in batch order. It journals nothing; it lists the
+    /// intents and commits the store should hold.
+    struct LiveModel {
+        published: Drt,
+        live: HashMap<FileId, BTreeMap<u64, LiveRedirect>>,
+        next_batch: u32,
+        intents: Vec<(u32, DrtEntry)>,
+        committed: std::collections::HashSet<u32>,
+        on_access_migrations: usize,
+        migrated_bytes: u64,
+        /// Kept entries that cancelled an entry of their own call, and
+        /// entries skipped over a published range: the draws must reach
+        /// both.
+        cancelled_in_call: usize,
+        skipped_published: usize,
+    }
+
+    impl LiveModel {
+        fn new(base: Drt) -> Self {
+            LiveModel {
+                published: base,
+                live: HashMap::new(),
+                next_batch: 0,
+                intents: Vec::new(),
+                committed: std::collections::HashSet::new(),
+                on_access_migrations: 0,
+                migrated_bytes: 0,
+                cancelled_in_call: 0,
+                skipped_published: 0,
+            }
+        }
+
+        fn add_pending(&mut self, entries: &[DrtEntry]) {
+            let first = self.next_batch;
+            for e in entries {
+                let pieces = self.published.translate(e.o_file, e.o_offset, e.length);
+                let over_published = pieces.iter().any(|p| p.file != e.o_file);
+                self.skipped_published += usize::from(over_published);
+                if e.length == 0 || over_published {
+                    continue;
+                }
+                let batch = self.next_batch;
+                self.next_batch += 1;
+                self.intents.push((batch, *e));
+                let end = e.o_offset + e.length;
+                while let Some(off) = self.last_overlapping(e.o_file, e.o_offset, end) {
+                    let gone = self.live.get_mut(&e.o_file).unwrap().remove(&off).unwrap();
+                    self.cancelled_in_call += usize::from(gone.batch >= first);
+                }
+                let r = LiveRedirect {
+                    o_offset: e.o_offset,
+                    r_offset: e.r_offset,
+                    length: e.length,
+                    r_file: e.r_file,
+                    batch,
+                };
+                self.live.entry(e.o_file).or_default().insert(e.o_offset, r);
+            }
+        }
+
+        fn last_overlapping(&self, file: FileId, offset: u64, end: u64) -> Option<u64> {
+            let (&off, r) = self.live.get(&file)?.range(..end).next_back()?;
+            (r.end() > offset).then_some(off)
+        }
+
+        fn publish(&mut self, file: FileId, offset: u64) -> u64 {
+            let r = self.live.get_mut(&file).unwrap().remove(&offset).unwrap();
+            assert!(self.committed.insert(r.batch), "batch {} commits once", r.batch);
+            assert!(self.published.insert(DrtEntry {
+                o_file: file,
+                o_offset: offset,
+                r_file: r.r_file,
+                r_offset: r.r_offset,
+                length: r.length,
+            }));
+            self.migrated_bytes += r.length;
+            r.length
+        }
+
+        /// The lengths an access to `[offset, offset + len)` migrates.
+        fn touch(&mut self, file: FileId, offset: u64, len: u64) -> Vec<u64> {
+            let mut moved = Vec::new();
+            while let Some(off) = self.last_overlapping(file, offset, offset + len) {
+                moved.push(self.publish(file, off));
+                self.on_access_migrations += 1;
+            }
+            moved
+        }
+
+        fn drain(&mut self) -> u64 {
+            let mut order: Vec<(u32, FileId, u64)> = self
+                .live
+                .iter()
+                .flat_map(|(&f, m)| m.values().map(move |r| (r.batch, f, r.o_offset)))
+                .collect();
+            order.sort_unstable();
+            order.into_iter().map(|(_, file, offset)| self.publish(file, offset)).sum()
+        }
+
+        fn pending_len(&self) -> usize {
+            self.live.values().map(BTreeMap::len).sum()
+        }
+    }
+
+    /// A draw of one plan's entries over three 1 MiB files: overlapping,
+    /// duplicate, zero-length and self-overlapping entries, and some that
+    /// land on ranges already published.
+    fn draw_entries(
+        rng: &mut simrt::rng::SmallRng,
+        published: &Drt,
+        next_r: &mut u64,
+    ) -> Vec<DrtEntry> {
+        let n = rng.gen_range(1usize..=12);
+        let mut entries: Vec<DrtEntry> = Vec::with_capacity(n);
+        let published = published.entries();
+        for _ in 0..n {
+            let mut e = DrtEntry {
+                o_file: FileId(rng.gen_range(0u32..3)),
+                o_offset: rng.gen_range(0u64..2048) * 512,
+                r_file: FileId(100),
+                r_offset: 0,
+                length: rng.gen_range(1u64..=8) * 512,
+            };
+            match rng.gen_range(0u32..10) {
+                0 => e.length = 0,
+                1 if !entries.is_empty() => {
+                    let i = rng.gen_range(0..entries.len());
+                    e = entries[i];
+                }
+                2 if !published.is_empty() => {
+                    let p = published[rng.gen_range(0..published.len())];
+                    e.o_file = p.o_file;
+                    e.o_offset = p.o_offset + rng.gen_range(0u64..2) * 256;
+                }
+                _ => {}
+            }
+            e.r_file = FileId(100 + e.o_file.0);
+            e.r_offset = *next_r;
+            *next_r += e.length;
+            entries.push(e);
+        }
+        entries
+    }
+
+    /// The sorted live vectors behave as the `BTreeMap` live set did,
+    /// step for step: the same pending count, published mapping, copy
+    /// charges, counters and committed journal batches.
+    #[test]
+    fn live_vectors_match_the_btree_live_set() {
+        let cluster = ClusterConfig::paper_default();
+        let lookup = SimDuration::from_micros(5);
+        let mut base = Drt::new();
+        assert!(base.insert(DrtEntry {
+            o_file: FileId(1),
+            o_offset: 8192,
+            r_file: FileId(99),
+            r_offset: 0,
+            length: 4096,
+        }));
+        let (mut drains, mut cancelled_in_call, mut skipped_published) = (0, 0, 0);
+        for seed in 0..8u64 {
+            let path = tmp_store(&format!("live-oracle-{seed}"));
+            let store = PipelineStore::open(&path).expect("open");
+            let mut mig = LazyMigrator::new(t0(&store), base.clone(), &cluster, lookup);
+            let mut model = LiveModel::new(base.clone());
+            let mut rng = simrt::SeedSeq::new(0x11FE).derive_idx("oracle", seed).rng();
+            let mut next_r = 0u64;
+            let mut out = Vec::new();
+            for step in 0..300 {
+                let what = rng.gen_range(0u32..100);
+                if what < 45 {
+                    let entries = draw_entries(&mut rng, &model.published, &mut next_r);
+                    mig.add_pending(&entries).expect("journal");
+                    model.add_pending(&entries);
+                } else if what < 97 {
+                    // Most accesses keep to the extents' 512 B grid, so
+                    // an access often ends just where a redirect starts.
+                    let mut offset = rng.gen_range(0u64..2064) * 512;
+                    let mut len = rng.gen_range(1u64..=32) * 512 * if what < 90 { 1 } else { 16 };
+                    if rng.gen_bool(0.25) {
+                        offset += rng.gen_range(1u64..512);
+                        len -= rng.gen_range(0u64..512);
+                    }
+                    let rec = TraceRecord {
+                        pid: 1,
+                        rank: Rank(0),
+                        file: FileId(rng.gen_range(0u32..3)),
+                        op: IoOp::Read,
+                        offset,
+                        len,
+                        ts: SimTime::ZERO,
+                        phase: 0,
+                    };
+                    let charged = mig.resolve_into(&rec, &mut out);
+                    let moved = model.touch(rec.file, rec.offset, rec.len);
+                    let expect = moved.iter().fold(lookup, |t, &len| t + mig.copy_cost(len));
+                    assert_eq!(charged, expect, "seed {seed} step {step}: charge of {rec:?}");
+                    mig.check().expect("no store error");
+                } else {
+                    drains += 1;
+                    let (bytes, _) = mig.drain().expect("drain");
+                    assert_eq!(bytes, model.drain(), "seed {seed} step {step}: drained bytes");
+                }
+                assert_eq!(mig.pending_len(), model.pending_len(), "seed {seed} step {step}");
+                assert_eq!(
+                    mig.published().entries(),
+                    model.published.entries(),
+                    "seed {seed} step {step}"
+                );
+                assert_eq!(mig.on_access_migrations(), model.on_access_migrations);
+                assert_eq!(mig.migrated_bytes(), model.migrated_bytes);
+                let mut journal: Vec<(u32, bool, DrtEntry)> = t0(&store)
+                    .journal()
+                    .expect("journal")
+                    .into_iter()
+                    .map(|b| (b.batch, b.committed, b.entry))
+                    .collect();
+                journal.sort_by_key(|b| b.0);
+                let expect: Vec<(u32, bool, DrtEntry)> = model
+                    .intents
+                    .iter()
+                    .map(|&(batch, e)| (batch, model.committed.contains(&batch), e))
+                    .collect();
+                assert_eq!(journal, expect, "seed {seed} step {step}: journal");
+            }
+            assert!(model.on_access_migrations > 0, "seed {seed}: accesses migrate");
+            cancelled_in_call += model.cancelled_in_call;
+            skipped_published += model.skipped_published;
+            drop(mig);
+            drop(store);
+            let _ = std::fs::remove_file(&path);
+        }
+        assert!(drains > 0 && cancelled_in_call > 0 && skipped_published > 0);
     }
 }

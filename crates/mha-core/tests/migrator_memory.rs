@@ -53,10 +53,11 @@ const EXTENTS: u64 = 64;
 const EXTENT: u64 = 64 << 10;
 /// Plans journaled before and after the accesses.
 const ROUNDS: u64 = 400;
-/// Heap allowed per live redirect or published entry: a 32 B B-tree
-/// slot in nodes at least five elevenths full, and a 32 B DRT entry
-/// with room for growth by doubling.
-const BYTES_PER_ENTRY: usize = 192;
+/// Heap allowed per live redirect or published entry. The 32 live
+/// redirects are 32 B each in a sorted vector that keeps the capacity of
+/// the 64 it once held, 64 B per redirect; a published 32 B DRT entry
+/// has room for growth by doubling.
+const BYTES_PER_ENTRY: usize = 64;
 
 /// Round `round`'s plan: every extent to a fresh place in a region file.
 fn plan(round: u64) -> Vec<DrtEntry> {

@@ -150,10 +150,18 @@ cargo test -q -p mha-core drt_builder_equivalence
 # merge it replaced, views and residuals in order.
 cargo test -q -p mha-core --test plan_memory
 cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merge
-# Migrator memory, by name: after 38,400 journaled redirects, all but 32
-# cancelled or migrated, the lazy migrator holds at most 192 B per live
-# redirect or published entry (a counting allocator).
+# Migrator memory, by name (counting allocators): after 38,400 journaled
+# redirects, all but 32 cancelled or migrated, the lazy migrator holds at
+# most 64 B per live redirect or published entry. Its sorted vectors
+# hold 32 B per redirect and grow by doubling: at 2,049, 3,000 and 4,096
+# live redirects from plans of 64 scattered extents it owns at most 65 B
+# per redirect (just past a doubling, about what the BTreeMap it
+# replaced owned) and at most 48 B on average. The live vectors must
+# match the BTreeMap live set they replaced, step for step, on seeded
+# draws of overlapping plans, accesses and drains.
 cargo test -q -p mha-core --test migrator_memory
+cargo test -q -p mha-core --test migrator_live_memory
+cargo test -q -p mha-core --lib live_vectors_match_the_btree_live_set
 # The online driver, by name: co-tenant pipelines keep their region
 # files, MDS shards and generations apart, a dead store parks the
 # pipeline instead of panicking, and `drain` leaves nothing pending.
