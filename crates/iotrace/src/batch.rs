@@ -41,7 +41,7 @@ use storage_model::IoOp;
 
 /// A column value: an unsigned word under wrapping arithmetic, so one
 /// run form covers constant, rising and falling (wrapping step) columns.
-trait Word: Copy + Default + PartialEq {
+pub(crate) trait Word: Copy + Default + PartialEq {
     fn plus(self, other: Self) -> Self;
     fn minus(self, other: Self) -> Self;
     fn times(self, i: usize) -> Self;
@@ -73,7 +73,7 @@ word!(u8, u32, u64);
 /// of its first value in the column's arena instead (the op column keeps
 /// that index in [`Run::op_at`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-struct Col<W> {
+pub(crate) struct Col<W> {
     base: W,
     step: W,
 }
@@ -203,6 +203,36 @@ impl Run {
     #[inline]
     fn one_phase(&self) -> bool {
         !self.is_literal(PHASE) && self.phase.step == 0
+    }
+}
+
+/// One run's length column, read without the other seven
+/// ([`Runs::run_lens`]).
+#[derive(Debug, Clone, Copy)]
+pub(crate) enum RunLens<'a> {
+    /// The run's lengths, stored literally.
+    Literal(&'a [u64]),
+    /// Length `i` is `base + i·step`.
+    Step(Col<u64>),
+}
+
+impl RunLens<'_> {
+    /// Length `k` of the run.
+    #[inline(always)]
+    pub(crate) fn at(self, k: usize) -> u64 {
+        match self {
+            RunLens::Literal(v) => v[k],
+            RunLens::Step(col) => col.at(k),
+        }
+    }
+
+    /// Fold lengths `from..to` of the run into `acc`, one tight loop.
+    #[inline]
+    pub(crate) fn fold<B>(self, from: usize, to: usize, acc: B, f: &mut impl FnMut(B, u64) -> B) -> B {
+        match self {
+            RunLens::Literal(v) => v[from..to].iter().fold(acc, |a, &len| f(a, len)),
+            RunLens::Step(col) => (from..to).fold(acc, |a, k| f(a, col.at(k))),
+        }
     }
 }
 
@@ -351,6 +381,17 @@ impl Runs {
     #[inline]
     pub(crate) fn phase(&self, run: &Run, k: usize) -> u32 {
         value(run.phase, run.is_literal(PHASE), run.phase.base as usize, &self.phases, k)
+    }
+
+    /// The length column of `run`.
+    #[inline]
+    pub(crate) fn run_lens(&self, run: &Run) -> RunLens<'_> {
+        if run.is_literal(LEN) {
+            let at = run.len.base as usize;
+            RunLens::Literal(&self.lens[at..at + run.len()])
+        } else {
+            RunLens::Step(run.len)
+        }
     }
 
     /// File id of record `k` of `run`.

@@ -210,6 +210,38 @@ mod tests {
         }
     }
 
+    /// The length column walk reads what a full decode reads, from every
+    /// start, through `nth` skips that cross runs, and folded.
+    #[test]
+    fn every_generator_length_walk_matches_the_decoded_lengths() {
+        for (name, trace, _) in &every_generator() {
+            let records = trace.records();
+            let want: Vec<u64> = records.iter().map(|r| r.len).collect();
+            assert_eq!(records.lens().collect::<Vec<_>>(), want, "{name}");
+            assert_eq!(records.lens().len(), want.len(), "{name}: size hint");
+            assert_eq!(trace.total_bytes(), want.iter().sum::<u64>(), "{name}: total_bytes");
+            assert_eq!(trace.max_request_size(), want.iter().copied().max().unwrap_or(0), "{name}");
+            for i in (0..=want.len()).step_by(want.len() / 9 + 1).chain([want.len() - 1, want.len()]) {
+                let tail: Vec<u64> = records.lens_from(i).collect();
+                assert_eq!(tail, want[i..], "{name}: lens_from({i})");
+                let sum = records.lens_from(i).fold(0u64, |a, l| a.wrapping_add(l));
+                assert_eq!(sum, want[i..].iter().sum::<u64>(), "{name}: fold from {i}");
+            }
+            for step in [0usize, 1, 2, 6, 31, 500] {
+                let mut lens = records.lens();
+                let mut at = 0;
+                while let Some(len) = lens.nth(step) {
+                    at += step;
+                    assert_eq!(len, want[at], "{name}: nth({step}) reaching {at}");
+                    at += 1;
+                    assert_eq!(lens.len(), want.len() - at, "{name}: size hint at {at}");
+                }
+                assert!(at + step >= want.len(), "{name}: nth({step}) stopped early at {at}");
+                assert_eq!(lens.next(), None, "{name}: exhausted");
+            }
+        }
+    }
+
     #[test]
     fn phase_clock_monotone() {
         let mut c = PhaseClock::new();

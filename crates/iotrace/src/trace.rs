@@ -9,7 +9,7 @@
 //! [`Trace::phases`] or a [`Cursor`] and decode each record in O(1) from
 //! its run.
 
-use crate::batch::{Pace, Run, Runs};
+use crate::batch::{Pace, Run, RunLens, Runs};
 use crate::error::TraceError;
 use crate::record::{FileId, TenantId, TraceRecord};
 use std::collections::BTreeMap;
@@ -153,12 +153,12 @@ impl Trace {
     /// Largest request size in the trace (the `r_max` of Algorithm 2);
     /// zero for an empty trace.
     pub fn max_request_size(&self) -> u64 {
-        self.records().iter().map(|r| r.len).max().unwrap_or(0)
+        self.records().lens().max().unwrap_or(0)
     }
 
     /// Total bytes moved.
     pub fn total_bytes(&self) -> u64 {
-        self.records().iter().map(|r| r.len).sum()
+        self.records().lens().sum()
     }
 
     /// Distinct files touched, in id order.
@@ -389,6 +389,31 @@ impl<'a> Records<'a> {
         Iter { store: self.store, run, k, len, rest, left: self.len().saturating_sub(i) }
     }
 
+    /// Every record's length in issue order, read run by run from the
+    /// length column alone: cheaper than [`Records::iter`], which
+    /// decodes all eight columns, for a loop that needs only lengths.
+    pub fn lens(&self) -> impl ExactSizeIterator<Item = u64> + Clone + 'a {
+        self.lens_from(0)
+    }
+
+    /// The lengths of records `i..` ([`Records::lens`]); one search finds
+    /// the first, and `nth` skips whole runs without reading them.
+    pub fn lens_from(&self, i: usize) -> impl ExactSizeIterator<Item = u64> + Clone + 'a {
+        let runs = self.store.runs();
+        let (first, k) = if i < self.len() {
+            let run = self.store.find(i);
+            (run, i - runs[run].start())
+        } else {
+            (runs.len(), 0)
+        };
+        let mut rest = runs[first..].iter();
+        let (col, len) = match rest.next() {
+            Some(run) => (self.store.run_lens(run), run.len()),
+            None => (RunLens::Literal(&[]), 0),
+        };
+        Lens { store: self.store, col, k, len, rest, left: self.len().saturating_sub(i) }
+    }
+
     /// A cursor for reads by index that mostly move forward.
     pub fn cursor(&self) -> Cursor<'a> {
         Cursor { store: self.store, run: 0 }
@@ -455,6 +480,72 @@ impl Iterator for Iter<'_> {
 }
 
 impl ExactSizeIterator for Iter<'_> {}
+
+/// Record lengths from the length column alone ([`Records::lens_from`]).
+#[derive(Clone)]
+struct Lens<'a> {
+    store: &'a Runs,
+    /// The current run's lengths, `k` of its `len` read.
+    col: RunLens<'a>,
+    k: usize,
+    len: usize,
+    /// The runs after the current one.
+    rest: std::slice::Iter<'a, Run>,
+    left: usize,
+}
+
+impl Lens<'_> {
+    /// Step into the next run; false at the end.
+    #[inline]
+    fn next_run(&mut self) -> bool {
+        let Some(run) = self.rest.next() else { return false };
+        (self.col, self.k, self.len) = (self.store.run_lens(run), 0, run.len());
+        true
+    }
+}
+
+impl Iterator for Lens<'_> {
+    type Item = u64;
+
+    #[inline]
+    fn next(&mut self) -> Option<u64> {
+        if self.k == self.len && !self.next_run() {
+            return None;
+        }
+        let len = self.col.at(self.k);
+        self.k += 1;
+        self.left -= 1;
+        Some(len)
+    }
+
+    fn nth(&mut self, mut n: usize) -> Option<u64> {
+        while n >= self.len - self.k {
+            n -= self.len - self.k;
+            self.left -= self.len - self.k;
+            self.k = self.len;
+            if !self.next_run() {
+                return None;
+            }
+        }
+        self.k += n;
+        self.left -= n;
+        self.next()
+    }
+
+    fn fold<B, F: FnMut(B, u64) -> B>(self, init: B, mut f: F) -> B {
+        let mut acc = self.col.fold(self.k, self.len, init, &mut f);
+        for run in self.rest {
+            acc = self.store.run_lens(run).fold(0, run.len(), acc, &mut f);
+        }
+        acc
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.left, Some(self.left))
+    }
+}
+
+impl ExactSizeIterator for Lens<'_> {}
 
 /// Reads records by index, keeping the run of the last read: a read in
 /// the same run decodes in O(1), a read ahead gallops forward from it,

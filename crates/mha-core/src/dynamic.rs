@@ -494,6 +494,16 @@ fn migrate(
 // Lazy on-access migration
 // ------------------------------------------------------------------
 
+/// Halve a live vector a removal left at most a quarter full. Halving
+/// leaves room to double again before it reallocates, so a vector that
+/// shrinks and regrows around one size does not reallocate on every
+/// call, as sizing it exactly would.
+fn shrink_sparse(live: &mut Vec<LiveRedirect>) {
+    if live.len() <= live.capacity() / 4 {
+        live.shrink_to(live.capacity() / 2);
+    }
+}
+
 /// A live redirect: a DRT entry journaled for migration whose bytes have
 /// not moved yet. [`LazyMigrator`] keeps each original file's redirects
 /// in one vector sorted by `o_offset`, 32 bytes each.
@@ -661,6 +671,7 @@ impl<'a> LazyMigrator<'a> {
                 batch,
             };
             live.splice(lo..hi, [redirect]);
+            shrink_sparse(live);
         }
         Ok(())
     }
@@ -744,6 +755,8 @@ impl<'a> LazyMigrator<'a> {
         let r = live.remove(index);
         if live.is_empty() {
             self.live.remove(&file);
+        } else {
+            shrink_sparse(live);
         }
         r
     }
@@ -1341,6 +1354,59 @@ mod tests {
     /// A drain killed at a batch's commit record has published exactly
     /// the earlier batches; that batch and every later one stay live, and
     /// a second drain moves them.
+    /// A file's live vector halves once removals leave it a quarter
+    /// full, and only then: migrating 64 of 128 redirects keeps its
+    /// capacity, 96 halve it once and 112 twice.
+    #[test]
+    fn live_vectors_halve_at_a_quarter_full() {
+        let path = tmp_store("lazy-shrink");
+        let store = PipelineStore::open(&path).expect("open");
+        let mut mig = LazyMigrator::new(
+            t0(&store),
+            Drt::new(),
+            &ClusterConfig::paper_default(),
+            SimDuration::from_micros(5),
+        );
+        let entries: Vec<DrtEntry> = (0..128u64)
+            .map(|k| DrtEntry {
+                o_file: FileId(0),
+                o_offset: k << 16,
+                r_file: FileId(1 << 20),
+                r_offset: k << 16,
+                length: 1 << 16,
+            })
+            .collect();
+        mig.add_pending(&entries).expect("journal intents");
+        let capacity = |mig: &LazyMigrator<'_>| mig.live[&FileId(0)].capacity();
+        assert_eq!(capacity(&mig), 128);
+        let mut out = Vec::new();
+        let mut access = |mig: &mut LazyMigrator<'_>, ks: std::ops::Range<u64>| {
+            for k in ks {
+                let rec = TraceRecord {
+                    pid: 1,
+                    rank: iotrace::Rank(0),
+                    file: FileId(0),
+                    op: IoOp::Read,
+                    offset: k << 16,
+                    len: 1 << 16,
+                    ts: simrt::SimTime::ZERO,
+                    phase: 0,
+                };
+                mig.resolve_into(&rec, &mut out);
+            }
+            mig.check().expect("no store error");
+        };
+        access(&mut mig, 0..64);
+        assert_eq!((mig.pending_len(), capacity(&mig)), (64, 128), "half full keeps its room");
+        access(&mut mig, 64..96);
+        assert_eq!((mig.pending_len(), capacity(&mig)), (32, 64), "a quarter full halves");
+        access(&mut mig, 96..112);
+        assert_eq!((mig.pending_len(), capacity(&mig)), (16, 32), "and halves again");
+        access(&mut mig, 112..128);
+        assert!(mig.live.is_empty(), "the emptied vector is freed");
+        let _ = std::fs::remove_file(&path);
+    }
+
     #[test]
     fn a_drain_killed_midway_keeps_the_rest_live() {
         let cluster = ClusterConfig::paper_default();

@@ -18,7 +18,8 @@
 //! arithmetic — and therefore the grouping — independent of worker
 //! count and bit-identical between the serial and parallel paths.
 
-use crate::pattern::{FeatureSpace, ReqFeature};
+use crate::pattern::{FeatureSpace, Points, ReqFeature};
+use iotrace::Records;
 use rayon::prelude::*;
 use simrt::SeedSeq;
 
@@ -31,6 +32,9 @@ const CHUNK: usize = 4096;
 /// the work. Both paths are bit-identical, so the cutover is purely a
 /// performance knob.
 const PAR_MIN_POINTS: usize = 4 * CHUNK;
+
+/// One chunk's partial sums for one group: `(Σsize, Σconcurrency, count)`.
+type Partial = (f64, f64, usize);
 
 /// Refinement iteration cap: Algorithm 1's bound of 3.
 const MAX_ITERS: usize = 3;
@@ -109,17 +113,45 @@ impl GroupIndex {
     pub(crate) fn members(&self, g: usize) -> &[u32] {
         &self.members[self.starts[g] as usize..self.starts[g + 1] as usize]
     }
+
+    /// Number of groups.
+    pub(crate) fn groups(&self) -> usize {
+        self.starts.len() - 1
+    }
+
+    /// Each group's request bytes over `records` (the points indexed),
+    /// its members' lengths summed in index order, read from the length
+    /// column alone.
+    pub(crate) fn bytes(&self, records: Records<'_>) -> Vec<u64> {
+        assert_eq!(records.len(), self.members.len(), "one record per point");
+        (0..self.groups())
+            .map(|g| {
+                let mut lens = records.lens();
+                let mut next = 0;
+                self.members(g)
+                    .iter()
+                    .map(|&i| {
+                        let len = lens.nth(i as usize - next).expect("members index records");
+                        next = i as usize + 1;
+                        len
+                    })
+                    .sum()
+            })
+            .collect()
+    }
 }
 
 /// Run Algorithm 1 on `points`. Dispatches to the rayon-parallel path on
 /// large inputs; both paths are bit-identical (see the module docs and
 /// the `grouping_serial_matches_parallel_*` property tests).
 pub fn group_requests(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
-    run(points, cfg, points.len() >= PAR_MIN_POINTS)
+    group_requests_seeded(points, cfg, &[])
 }
 
 /// Algorithm 1 re-seeded from a previous window's centers — the
-/// incremental path of the online re-planner.
+/// incremental path of the online re-planner — over any point source:
+/// the planners stream a trace's points ([`TracePoints`]) instead of
+/// building a feature vector.
 ///
 /// Instead of the k-means++-style farthest-point seeding, refinement
 /// starts from `seeds` (a previous [`Grouping::centers`]), extended by
@@ -128,35 +160,37 @@ pub fn group_requests(points: &[ReqFeature], cfg: &GroupingConfig) -> Grouping {
 /// fresh group). On a quiet window the seeds are already converged for
 /// the new points, the first update step changes nothing, and the loop
 /// exits after a single assignment pass — that is what makes a quiet
-/// window cost near zero. Empty `seeds` falls back to the cold path.
-pub(crate) fn group_requests_seeded(
-    points: &[ReqFeature],
+/// window cost near zero. Empty `seeds` is the cold path.
+///
+/// [`TracePoints`]: crate::pattern::TracePoints
+pub(crate) fn group_requests_seeded<P: Points + ?Sized>(
+    points: &P,
     cfg: &GroupingConfig,
     seeds: &[ReqFeature],
 ) -> Grouping {
     run_from(points, cfg, seeds, points.len() >= PAR_MIN_POINTS)
 }
 
-fn run(points: &[ReqFeature], cfg: &GroupingConfig, parallel: bool) -> Grouping {
-    run_from(points, cfg, &[], parallel)
-}
-
-fn run_from(
-    points: &[ReqFeature],
+/// The k-means core. Every pass reads the points chunk by chunk from
+/// `points`, each chunk from its own start, so a streamed source needs
+/// no copy of them.
+fn run_from<P: Points + ?Sized>(
+    points: &P,
     cfg: &GroupingConfig,
     seeds: &[ReqFeature],
     parallel: bool,
 ) -> Grouping {
     assert!(cfg.k > 0, "need at least one group");
-    if points.is_empty() {
+    let n = points.len();
+    if n == 0 {
         return Grouping { assignment: Vec::new(), centers: Vec::new(), iterations: 0 };
     }
-    let space = FeatureSpace::fit(points);
-    if points.len() <= cfg.k {
+    let space = FeatureSpace::fit(points.iter_from(0));
+    if n <= cfg.k {
         // Fewer points than groups: each point is its own group.
         return Grouping {
-            assignment: (0..points.len()).collect(),
-            centers: points.to_vec(),
+            assignment: (0..n).collect(),
+            centers: points.iter_from(0).collect(),
             iterations: 0,
         };
     }
@@ -167,8 +201,8 @@ fn run_from(
         extend_centers(points, seeds.to_vec(), cfg.k, &space, parallel)
     };
     let k = centers.len();
-    let mut assignment = vec![0usize; points.len()];
-    let n_chunks = points.len().div_ceil(CHUNK);
+    let mut assignment = vec![0usize; n];
+    let n_chunks = n.div_ceil(CHUNK);
     // One partial-sum row per chunk, reused across iterations.
     let mut partials = vec![(0.0f64, 0.0f64, 0usize); n_chunks * k];
     let mut iterations = 0;
@@ -176,22 +210,17 @@ fn run_from(
         iterations += 1;
         // Assignment step: nearest center (Eq. 1 distance) per chunk,
         // with per-chunk per-group feature sums.
+        let assign = |(ci, (a_chunk, sums)): (usize, (&mut [usize], &mut [Partial]))| {
+            assign_chunk(points.iter_from(ci * CHUNK), &centers, &space, a_chunk, sums)
+        };
         if parallel {
             assignment
                 .par_chunks_mut(CHUNK)
-                .zip(points.par_chunks(CHUNK))
                 .zip(partials.par_chunks_mut(k))
-                .for_each(|((a_chunk, p_chunk), sums)| {
-                    assign_chunk(p_chunk, &centers, &space, a_chunk, sums)
-                });
+                .enumerate()
+                .for_each(assign);
         } else {
-            for ((a_chunk, p_chunk), sums) in assignment
-                .chunks_mut(CHUNK)
-                .zip(points.chunks(CHUNK))
-                .zip(partials.chunks_mut(k))
-            {
-                assign_chunk(p_chunk, &centers, &space, a_chunk, sums);
-            }
+            assignment.chunks_mut(CHUNK).zip(partials.chunks_mut(k)).enumerate().for_each(assign);
         }
         // Update step: centroid of each group, from the chunk partials
         // folded in chunk index order (deterministic reduction).
@@ -221,20 +250,22 @@ fn run_from(
     compact(assignment, centers, iterations)
 }
 
-/// Assign each point of one chunk to its nearest center and accumulate
-/// the chunk's per-group `(Σsize, Σconcurrency, count)` partials.
+/// Assign each point of one chunk (`points` from the chunk's start; the
+/// chunk is as long as `assignment`) to its nearest center and
+/// accumulate the chunk's per-group `(Σsize, Σconcurrency, count)`
+/// partials.
 fn assign_chunk(
-    points: &[ReqFeature],
+    points: impl Iterator<Item = ReqFeature>,
     centers: &[ReqFeature],
     space: &FeatureSpace,
     assignment: &mut [usize],
-    sums: &mut [(f64, f64, usize)],
+    sums: &mut [Partial],
 ) {
     for s in sums.iter_mut() {
         *s = (0.0, 0.0, 0);
     }
     for (a, p) in assignment.iter_mut().zip(points) {
-        let g = nearest(centers, p, space);
+        let g = nearest(centers, &p, space);
         *a = g;
         let s = &mut sums[g];
         s.0 += p.size;
@@ -249,23 +280,23 @@ fn assign_chunk(
 /// the seed. Each point's minimum distance is maintained incrementally
 /// against the newest center instead of rescanned over all centers —
 /// `min` is exact, so the maintained value equals the rescan's.
-fn initial_centers(
-    points: &[ReqFeature],
+fn initial_centers<P: Points + ?Sized>(
+    points: &P,
     k: usize,
     seed: u64,
     space: &FeatureSpace,
     parallel: bool,
 ) -> Vec<ReqFeature> {
     let mut rng = SeedSeq::new(seed).derive("grouping").rng();
-    extend_centers(points, vec![points[rng.gen_range(0..points.len())]], k, space, parallel)
+    extend_centers(points, vec![points.get(rng.gen_range(0..points.len()))], k, space, parallel)
 }
 
 /// Grow a nonempty center set to `k` by farthest-point selection (the
 /// loop of [`initial_centers`], shared with the seeded path). Centers
 /// beyond `k` are dropped; with one starting center this is exactly the
 /// original seeding loop, bit for bit.
-fn extend_centers(
-    points: &[ReqFeature],
+fn extend_centers<P: Points + ?Sized>(
+    points: &P,
     mut centers: Vec<ReqFeature>,
     k: usize,
     space: &FeatureSpace,
@@ -278,8 +309,8 @@ fn extend_centers(
     // no-op for the cold single-center start); the loop below folds the
     // newest one exactly as the original seeding did.
     for c in &centers[..centers.len() - 1] {
-        for (p, m) in points.iter().zip(min_sq.iter_mut()) {
-            let d = space.distance_sq(p, c);
+        for (p, m) in points.iter_from(0).zip(min_sq.iter_mut()) {
+            let d = space.distance_sq(&p, c);
             if d < *m {
                 *m = d;
             }
@@ -287,11 +318,11 @@ fn extend_centers(
     }
     while centers.len() < k {
         let newest = *centers.last().expect("centers nonempty");
-        let scan = |(ci, (p_chunk, m_chunk)): (usize, (&[ReqFeature], &mut [f64]))| {
+        let scan = |(ci, m_chunk): (usize, &mut [f64])| {
             let mut best = f64::NEG_INFINITY;
             let mut best_i = 0usize;
-            for (j, (p, m)) in p_chunk.iter().zip(m_chunk.iter_mut()).enumerate() {
-                let d = space.distance_sq(p, &newest);
+            for (j, (p, m)) in points.iter_from(ci * CHUNK).zip(m_chunk.iter_mut()).enumerate() {
+                let d = space.distance_sq(&p, &newest);
                 if d < *m {
                     *m = d;
                 }
@@ -303,19 +334,9 @@ fn extend_centers(
             (best, best_i)
         };
         let parts: Vec<(f64, usize)> = if parallel {
-            points
-                .par_chunks(CHUNK)
-                .zip(min_sq.par_chunks_mut(CHUNK))
-                .enumerate()
-                .map(scan)
-                .collect()
+            min_sq.par_chunks_mut(CHUNK).enumerate().map(scan).collect()
         } else {
-            points
-                .chunks(CHUNK)
-                .zip(min_sq.chunks_mut(CHUNK))
-                .enumerate()
-                .map(scan)
-                .collect()
+            min_sq.chunks_mut(CHUNK).enumerate().map(scan).collect()
         };
         let mut far_sq = f64::NEG_INFINITY;
         let mut far_i = 0usize;
@@ -328,7 +349,7 @@ fn extend_centers(
         if far_sq.sqrt() <= 1e-12 {
             break; // all remaining points coincide with a center
         }
-        centers.push(points[far_i]);
+        centers.push(points.get(far_i));
     }
     centers
 }
@@ -566,8 +587,8 @@ mod tests {
                 .collect();
             let k = 1 + (xorshift(&mut s) % 12) as usize;
             let cfg = GroupingConfig { k, seed: xorshift(&mut s) };
-            let ser = run(&pts, &cfg, false);
-            let par = run(&pts, &cfg, true);
+            let ser = run_from(&pts[..], &cfg, &[], false);
+            let par = run_from(&pts[..], &cfg, &[], true);
             assert_groupings_bit_identical(&ser, &par, &format!("trial {trial} (n={n}, k={k})"));
             // And the dispatching entry point picks one of the two.
             let auto = group_requests(&pts, &cfg);
@@ -584,7 +605,7 @@ mod tests {
         if points.is_empty() {
             return Grouping { assignment: Vec::new(), centers: Vec::new(), iterations: 0 };
         }
-        let space = FeatureSpace::fit(points);
+        let space = FeatureSpace::fit(points.iter().copied());
         if points.len() <= cfg.k {
             return Grouping {
                 assignment: (0..points.len()).collect(),
@@ -678,12 +699,77 @@ mod tests {
         }
     }
 
+    /// A trace of `n` records in phases of 1 to 24, with lengths from a
+    /// few size classes plus noise, over three files.
+    fn random_trace(s: &mut u64, n: usize) -> iotrace::Trace {
+        use iotrace::{FileId, IoOp, Rank, TraceRecord};
+        let mut phase = 0u32;
+        let mut left = 0u64;
+        let records = (0..n)
+            .map(|i| {
+                if left == 0 {
+                    phase += 1;
+                    left = 1 + xorshift(s) % 24;
+                }
+                left -= 1;
+                let class = [16u64, 4096, 131_072, 1 << 20][(xorshift(s) % 4) as usize];
+                TraceRecord {
+                    pid: 0,
+                    rank: Rank((i % 64) as u32),
+                    file: FileId((xorshift(s) % 3) as u32),
+                    op: IoOp::Read,
+                    offset: (xorshift(s) % 4096) * 4096,
+                    len: class + xorshift(s) % 64,
+                    ts: simrt::SimTime::from_nanos(i as u64),
+                    phase,
+                }
+            })
+            .collect();
+        iotrace::Trace::from_records(records)
+    }
+
+    /// The k-means streamed from a trace's length column and concurrency
+    /// annotation must reproduce the one over its feature vector bit for
+    /// bit — centers, assignment and iterations — on both sides of the
+    /// parallel cutover, cold and seeded (seeds fewer than, equal to and
+    /// more than `k`), and fit the same space.
+    #[test]
+    fn streamed_grouping_matches_the_feature_vector() {
+        use crate::pattern::TracePoints;
+        let mut s = 0x57EA_3ED0_0000_0003u64;
+        let sizes = [1, 2, 9, 3000, PAR_MIN_POINTS - 1, PAR_MIN_POINTS, PAR_MIN_POINTS + CHUNK + 7];
+        for (trial, &n) in sizes.iter().enumerate() {
+            let trace = random_trace(&mut s, n);
+            let conc = trace.concurrency();
+            let feats: Vec<ReqFeature> =
+                crate::cost::views_of(&trace).iter().map(ReqFeature::of).collect();
+            let streamed = TracePoints::new(trace.records(), &conc);
+            assert_eq!(
+                FeatureSpace::fit(streamed.iter_from(0)),
+                FeatureSpace::fit(feats.iter().copied()),
+                "n={n}: space"
+            );
+            for k in [1usize, 3, 8] {
+                let cfg = GroupingConfig { k, seed: xorshift(&mut s) };
+                let ctx = format!("trial {trial} (n={n}, k={k})");
+                let want = group_requests(&feats, &cfg);
+                let got = group_requests_seeded(&streamed, &cfg, &[]);
+                assert_groupings_bit_identical(&want, &got, &format!("{ctx} cold"));
+                for seeds in [&want.centers[..1], &want.centers[..], &feats[..feats.len().min(k + 2)]] {
+                    let want = group_requests_seeded(&feats[..], &cfg, seeds);
+                    let got = group_requests_seeded(&streamed, &cfg, seeds);
+                    assert_groupings_bit_identical(&want, &got, &format!("{ctx} {} seeds", seeds.len()));
+                }
+            }
+        }
+    }
+
     #[test]
     fn seeded_with_empty_seeds_is_the_cold_path() {
         let pts = lanl_points(30);
         let cfg = GroupingConfig::default();
         let cold = group_requests(&pts, &cfg);
-        let seeded = group_requests_seeded(&pts, &cfg, &[]);
+        let seeded = group_requests_seeded(&pts[..], &cfg, &[]);
         assert_groupings_bit_identical(&cold, &seeded, "empty seeds");
     }
 
@@ -692,7 +778,7 @@ mod tests {
         let pts = lanl_points(40);
         let cfg = GroupingConfig { k: 3, ..Default::default() };
         let cold = group_requests(&pts, &cfg);
-        let warm = group_requests_seeded(&pts, &cfg, &cold.centers);
+        let warm = group_requests_seeded(&pts[..], &cfg, &cold.centers);
         assert_eq!(warm.iterations, 1, "converged seeds stop after one assignment pass");
         assert_eq!(warm.assignment, cold.assignment);
         assert_eq!(warm.groups(), cold.groups());
@@ -705,7 +791,7 @@ mod tests {
         let mut pts = vec![f(16.0, 8.0); 40];
         pts.extend(vec![f(1_048_576.0, 8.0); 40]);
         let cfg = GroupingConfig { k: 2, ..Default::default() };
-        let warm = group_requests_seeded(&pts, &cfg, &[f(20.0, 8.0)]);
+        let warm = group_requests_seeded(&pts[..], &cfg, &[f(20.0, 8.0)]);
         assert_eq!(warm.groups(), 2, "farthest-point extension finds the far cluster");
         assert_ne!(warm.assignment[0], warm.assignment[79]);
     }
@@ -720,7 +806,7 @@ mod tests {
         let seeds: Vec<ReqFeature> =
             (0..8).map(|i| f(1e6 * (i + 1) as f64, 4.0 * (i + 1) as f64)).collect();
         for k in [1, 2, 4] {
-            let g = group_requests_seeded(&pts, &GroupingConfig { k, ..Default::default() }, &seeds);
+            let g = group_requests_seeded(&pts[..], &GroupingConfig { k, ..Default::default() }, &seeds);
             assert!(g.groups() <= k, "k={k} got {}", g.groups());
             assert_eq!(g.assignment.len(), pts.len());
         }
@@ -736,7 +822,7 @@ mod tests {
         let g1 = group_requests(&w1, &cfg);
         let mut w2 = vec![f(8192.0, 6.0); 50];
         w2.extend(vec![f(524_288.0, 24.0); 50]);
-        let g2 = group_requests_seeded(&w2, &cfg, &g1.centers);
+        let g2 = group_requests_seeded(&w2[..], &cfg, &g1.centers);
         assert_eq!(g2.groups(), 2);
         assert_ne!(g2.assignment[0], g2.assignment[99]);
         assert!(g2.assignment[..50].iter().all(|&a| a == g2.assignment[0]));

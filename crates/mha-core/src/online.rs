@@ -39,9 +39,9 @@
 //! each window to `OnlinePlanner::observe`, commits and journals the
 //! plan, and returns its layouts to install.
 
-use crate::grouping::{group_requests_seeded, GroupIndex};
-use crate::pattern::{features_of, FeatureSpace, ReqFeature};
-use crate::region::{build_regions_with_conc, RegionBuild};
+use crate::grouping::{group_requests_seeded, GroupIndex, Grouping};
+use crate::pattern::{FeatureSpace, Points, ReqFeature, TracePoints};
+use crate::region::{migrate, RegionViews};
 use crate::rssd::{rssd, StripePair};
 use crate::schemes::{Plan, PlanResolver, PlannerContext, Scheme};
 use iotrace::{Trace, TraceStats};
@@ -229,18 +229,23 @@ impl OnlinePlanner {
     /// stripe pairs for groups that did not move.
     fn replan(&mut self, trace: &Trace) -> Replan {
         let params = self.ctx.effective_params();
-        // One concurrency annotation serves the grouping and both region
-        // builds: widening keeps every record's file and phase.
+        let records = trace.records();
+        // One concurrency annotation serves the grouping and the views:
+        // widening keeps every record's file and phase. The k-means
+        // streams its points from the trace, and one group index serves
+        // both region builds and the load gate.
         let conc = trace.concurrency();
-        let feats = features_of(trace.records(), &conc);
-        let grouping = group_requests_seeded(&feats, &self.ctx.grouping, &self.centers);
+        let points = TracePoints::new(records, &conc);
+        let grouping = group_requests_seeded(&points, &self.ctx.grouping, &self.centers);
+        let space = FeatureSpace::fit(points.iter_from(0));
+        let index = GroupIndex::new(&grouping);
+        let Grouping { centers, .. } = grouping;
+        let groups = centers.len();
+        let base = self.next_region_file;
         let base_align = self.ctx.region_align.unwrap_or(self.ctx.rssd.step.max(4096));
-        let aligns = vec![base_align; grouping.groups()];
-        let include = vec![true; grouping.groups()];
-        let build_over = |t: &Trace| {
-            build_regions_with_conc(t, &conc, &grouping, self.next_region_file, &aligns, &include)
-        };
-        let exact = build_over(trace);
+        let aligns = vec![base_align; groups];
+        let include = vec![true; groups];
+        let exact = migrate(records, &index, base, &aligns, &include);
         // With a coverage block, the *migrated* extents are the profiled
         // extents rounded outward to block granularity in the original
         // file — one window's sample then redirects its whole spatial
@@ -271,29 +276,30 @@ impl OnlinePlanner {
                     iotrace::TraceRecord { offset: start, len, ..r }
                 })
                 .collect();
-            build_over(&Trace::from_records(widened))
+            migrate(Trace::from_records(widened).records(), &index, base, &aligns, &include)
         });
-        let build = widened.as_ref().unwrap_or(&exact);
-        let index = GroupIndex::new(&grouping);
-        let space = FeatureSpace::fit(&feats);
+        let regions = &widened.as_ref().unwrap_or(&exact).0;
 
         // Per-group byte load: the second reuse gate. A group whose
         // centroid held still but whose traffic doubled deserves a
         // fresh search — the concurrency-aware cost model is load-
         // sensitive.
         let load_of = |g: usize| -> f64 {
-            let mut records = trace.records().cursor();
+            let mut records = records.cursor();
             index.members(g).iter().map(|&i| records.get(i as usize).len as f64).sum()
         };
 
+        // The exact views are counted only once a region needs a search,
+        // and each searched region's views live only for its search.
+        let mut views: Option<RegionViews<'_>> = None;
         let mut reused = 0usize;
         let mut searched = 0usize;
-        let mut new_cache: Vec<GroupCache> = Vec::with_capacity(build.regions.len());
+        let mut new_cache: Vec<GroupCache> = Vec::with_capacity(regions.len());
         let mut layouts = Vec::new();
         let mut rst = crate::region::Rst::new();
-        for (region, region_views) in build.regions.iter().zip(&exact.region_views) {
+        for region in regions {
             let g = region.group;
-            let center = grouping.centers[g];
+            let center = centers[g];
             let load = load_of(g);
             let cached = self
                 .cache
@@ -314,7 +320,10 @@ impl OnlinePlanner {
                 }
                 _ => {
                     searched += 1;
-                    rssd(region_views, &params, &self.ctx.rssd).map(|r| r.pair)
+                    let views = views.get_or_insert_with(|| {
+                        RegionViews::new(records, &conc, &exact.1, base, groups)
+                    });
+                    rssd(&views.region(g), &params, &self.ctx.rssd).map(|r| r.pair)
                 }
             };
             if let Some(p) = pair {
@@ -325,12 +334,13 @@ impl OnlinePlanner {
             }
             new_cache.push(GroupCache { center, load, pair });
         }
+        drop(views);
         self.stats.searches_run += searched;
         self.stats.searches_reused += reused;
-        self.centers = grouping.centers;
+        self.centers = centers;
         self.cache = new_cache;
-        self.next_region_file += build.regions.len() as u32;
-        let RegionBuild { regions, drt, .. } = widened.unwrap_or(exact);
+        self.next_region_file += regions.len() as u32;
+        let (regions, drt) = widened.unwrap_or(exact);
 
         Replan::Plan {
             plan: Plan {

@@ -820,6 +820,10 @@ pub fn build_regions_aligned(
 /// requests stay in the original files, reported as residuals) — the
 /// mechanism behind *selective* MHA, which the paper motivates by
 /// applying the scheme only to critical data sections.
+///
+/// This collects every region's views at once. The planners run the
+/// same two passes, `migrate` and `RegionViews`, one region's views
+/// at a time.
 pub fn build_regions_filtered(
     trace: &Trace,
     grouping: &Grouping,
@@ -827,34 +831,35 @@ pub fn build_regions_filtered(
     aligns: &[u64],
     include: &[bool],
 ) -> RegionBuild {
-    build_regions_with_conc(trace, &trace.concurrency(), grouping, region_file_base, aligns, include)
+    let records = trace.records();
+    assert_eq!(grouping.assignment.len(), records.len(), "one assignment per record");
+    let index = GroupIndex::new(grouping);
+    let (regions, drt) = migrate(records, &index, region_file_base, aligns, include);
+    drop(index);
+    let conc = trace.concurrency();
+    let (region_views, residuals) =
+        extract_views(records, &conc, &drt, region_file_base, grouping.groups());
+    RegionBuild { regions, drt, region_views, residuals }
 }
 
-/// [`build_regions_filtered`] with the trace's concurrency annotation
-/// ([`Trace::concurrency`]) computed once by the caller, who also needs
-/// it for grouping.
-pub(crate) fn build_regions_with_conc(
-    trace: &Trace,
-    conc: &[u32],
-    grouping: &Grouping,
+/// Pass 1 of a region build ([`build_regions_aligned`]): migrate the
+/// included groups of `index` (a grouping of `records`), bulk groups
+/// first, and freeze the table. Returns the regions, in group order, and
+/// the table.
+pub(crate) fn migrate(
+    records: Records<'_>,
+    index: &GroupIndex,
     region_file_base: u32,
     aligns: &[u64],
     include: &[bool],
-) -> RegionBuild {
-    assert_eq!(aligns.len(), grouping.groups(), "one alignment per group");
-    assert_eq!(include.len(), grouping.groups(), "one include flag per group");
-    let records = trace.records();
-    assert_eq!(conc.len(), records.len(), "one concurrency per record");
-    let groups = grouping.groups();
-    let index = GroupIndex::new(grouping);
+) -> (Vec<RegionInfo>, Drt) {
+    let groups = index.groups();
+    assert_eq!(aligns.len(), groups, "one alignment per group");
+    assert_eq!(include.len(), groups, "one include flag per group");
     let mut cursors = vec![0u64; groups];
     let mut extent_counts = vec![0usize; groups];
 
-    // Pass 1 — migration, bulk groups first.
-    let mut group_bytes = vec![0u64; groups];
-    for (i, rec) in records.iter().enumerate() {
-        group_bytes[grouping.assignment[i]] += rec.len;
-    }
+    let group_bytes = index.bytes(records);
     let mut order: Vec<usize> = (0..groups).collect();
     order.sort_by_key(|&g| std::cmp::Reverse(group_bytes[g]));
 
@@ -897,12 +902,9 @@ pub(crate) fn build_regions_with_conc(
         }
         builder.seal_group();
     }
-    // Pass 1's scratch is spent: free it before pass 2 allocates.
-    drop((index, member_buf, gap_buf, covered_buf));
+    // The scratch is spent: free it before the table is merged.
+    drop((member_buf, gap_buf, covered_buf));
     let drt = builder.freeze();
-
-    // Pass 2 — planner views from the finished table.
-    let (region_views, residuals) = extract_views(records, conc, &drt, region_file_base, groups);
 
     let regions = (0..groups)
         .map(|g| RegionInfo {
@@ -912,8 +914,7 @@ pub(crate) fn build_regions_with_conc(
             extents: extent_counts[g],
         })
         .collect();
-
-    RegionBuild { regions, drt, region_views, residuals }
+    (regions, drt)
 }
 
 /// One group's arithmetic run of migrated extents in one file: `count`
@@ -1150,24 +1151,160 @@ impl DrtBuilder {
     }
 }
 
-/// Pass 2 chunk size; each chunk writes its views into its own slice of
-/// every region's vector, in index order, so the result is identical to
-/// the serial scan no matter how rayon schedules the chunks (the work is
+/// Pass 2 chunk size. Each chunk writes its views into its own slice of
+/// a region's vector, in index order, so the result is identical to the
+/// serial scan no matter how rayon schedules the chunks (the work is
 /// pure integer bookkeeping — no floats).
 const PASS2_CHUNK: usize = 1024;
-/// Below this many records the chunk fan-out costs more than it saves.
+/// Below this many records to walk, fanning the chunks out costs more
+/// than it saves.
 const PASS2_PAR_MIN: usize = 4 * PASS2_CHUNK;
 
-/// Pass 2 of [`build_regions_filtered`]: translate every record through
-/// the finished table; pieces landing in a region become that region's
-/// planner views, records with any piece left in an original file are
-/// residuals.
+/// Pass 2 of a region build, one region at a time: every record is
+/// translated through the finished table; pieces landing in a region
+/// become that region's planner views, and records with any piece left
+/// in an original file are residuals.
 ///
-/// Count, then fill: a first scan counts each chunk's views per region
-/// and collects its residuals, each region's vector is allocated once at
-/// its exact length, and a second scan translates again and writes every
-/// view straight into its slot. Views come out in record order, as a
-/// serial scan appends them.
+/// Count, then fill: construction scans every chunk of records once,
+/// counting each region's views per chunk and collecting the residuals.
+/// [`RegionViews::region`] then allocates one region's vector at its
+/// exact length and translates again only the chunks that hold its
+/// views, writing each view straight into its slot. Views come out in
+/// record order, as a serial scan appends them, and a caller holds one
+/// region's views at a time.
+pub(crate) struct RegionViews<'a> {
+    records: Records<'a>,
+    conc: &'a [u32],
+    drt: &'a Drt,
+    region_file_base: u32,
+    groups: usize,
+    /// `counts[ci * groups + g]`: region `g`'s views in chunk `ci`.
+    counts: Vec<u32>,
+    /// Indices of the records with a piece left in an original file.
+    residuals: Vec<usize>,
+}
+
+impl<'a> RegionViews<'a> {
+    /// Count the views of regions `0..groups` (files
+    /// `region_file_base + g`) in `records` translated through `drt`;
+    /// `conc` is the records' concurrency annotation.
+    pub(crate) fn new(
+        records: Records<'a>,
+        conc: &'a [u32],
+        drt: &'a Drt,
+        region_file_base: u32,
+        groups: usize,
+    ) -> Self {
+        assert_eq!(conc.len(), records.len(), "one concurrency per record");
+        let mut views = RegionViews {
+            records,
+            conc,
+            drt,
+            region_file_base,
+            groups,
+            counts: Vec::new(),
+            residuals: Vec::new(),
+        };
+        let count = |ci: usize| {
+            let mut counts = vec![0u32; groups];
+            let mut residuals: Vec<usize> = Vec::new();
+            let mut pieces: Vec<PhysExtent> = Vec::new();
+            for (j, rec) in views.chunk(ci).enumerate() {
+                if rec.len == 0 {
+                    continue;
+                }
+                drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
+                let mut any_original = false;
+                for piece in &pieces {
+                    match views.region_of(piece) {
+                        Some(g) => counts[g] += 1,
+                        None => any_original = true,
+                    }
+                }
+                if any_original {
+                    residuals.push(ci * PASS2_CHUNK + j);
+                }
+            }
+            (counts, residuals)
+        };
+        let chunks = records.len().div_ceil(PASS2_CHUNK);
+        let counted: Vec<(Vec<u32>, Vec<usize>)> = if records.len() >= PASS2_PAR_MIN {
+            (0..chunks).into_par_iter().map(count).collect()
+        } else {
+            (0..chunks).map(count).collect()
+        };
+        let mut counts = Vec::with_capacity(chunks * groups);
+        let mut residuals = Vec::with_capacity(counted.iter().map(|(_, r)| r.len()).sum());
+        for (c, r) in &counted {
+            counts.extend_from_slice(c);
+            residuals.extend_from_slice(r);
+        }
+        (views.counts, views.residuals) = (counts, residuals);
+        views
+    }
+
+    /// Chunk `ci`'s records, walked run by run from one search.
+    fn chunk(&self, ci: usize) -> impl Iterator<Item = iotrace::TraceRecord> + 'a {
+        self.records.iter_from(ci * PASS2_CHUNK).take(PASS2_CHUNK)
+    }
+
+    /// The region a translated piece lands in; `None` for an original file.
+    fn region_of(&self, piece: &PhysExtent) -> Option<usize> {
+        piece.file.0.checked_sub(self.region_file_base).map(|g| g as usize)
+    }
+
+    /// Region `g`'s planner views, in record order, sized exactly.
+    pub(crate) fn region(&self, g: usize) -> Vec<ReqView> {
+        assert!(g < self.groups, "region {g} of {}", self.groups);
+        // The chunks holding the region's views, and how many each holds.
+        let held: Vec<(usize, usize)> = self
+            .counts
+            .chunks(self.groups)
+            .map(|c| c[g] as usize)
+            .enumerate()
+            .filter(|&(_, n)| n > 0)
+            .collect();
+        let blank = ReqView { offset: 0, len: 0, op: IoOp::Read, concurrency: 0 };
+        let mut views = vec![blank; held.iter().map(|&(_, n)| n).sum()];
+        // Carve the vector into consecutive per-chunk slots.
+        let mut rest = views.as_mut_slice();
+        let mut slots: Vec<(usize, &mut [ReqView])> = held
+            .iter()
+            .map(|&(ci, n)| {
+                let (head, tail) = std::mem::take(&mut rest).split_at_mut(n);
+                rest = tail;
+                (ci, head)
+            })
+            .collect();
+        let fill = |(ci, slot): &mut (usize, &mut [ReqView])| {
+            let mut next = 0;
+            let mut pieces: Vec<PhysExtent> = Vec::new();
+            for (rec, &concurrency) in self.chunk(*ci).zip(&self.conc[*ci * PASS2_CHUNK..]) {
+                if rec.len == 0 {
+                    continue;
+                }
+                self.drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
+                for piece in &pieces {
+                    if self.region_of(piece) == Some(g) {
+                        slot[next] =
+                            ReqView { offset: piece.offset, len: piece.len, op: rec.op, concurrency };
+                        next += 1;
+                    }
+                }
+            }
+            debug_assert_eq!(next, slot.len(), "fill matches count");
+        };
+        if slots.len() * PASS2_CHUNK >= PASS2_PAR_MIN {
+            slots.par_chunks_mut(1).for_each(|s| fill(&mut s[0]));
+        } else {
+            slots.iter_mut().for_each(fill);
+        }
+        views
+    }
+}
+
+/// Pass 2 of [`build_regions_filtered`], every region at once: the
+/// views of regions `0..groups` and the residuals ([`RegionViews`]).
 fn extract_views(
     records: Records<'_>,
     conc: &[u32],
@@ -1175,90 +1312,9 @@ fn extract_views(
     region_file_base: u32,
     groups: usize,
 ) -> (Vec<Vec<ReqView>>, Vec<usize>) {
-    let region_of = |piece: &PhysExtent| {
-        piece.file.0.checked_sub(region_file_base).map(|g| g as usize)
-    };
-    // Chunk `ci`'s records, walked run by run from one search.
-    let chunk = |ci: usize| records.iter_from(ci * PASS2_CHUNK).take(PASS2_CHUNK);
-    let chunks = records.len().div_ceil(PASS2_CHUNK);
-    let count = |ci: usize| {
-        let mut counts = vec![0usize; groups];
-        let mut residuals: Vec<usize> = Vec::new();
-        let mut pieces: Vec<PhysExtent> = Vec::new();
-        for (j, rec) in chunk(ci).enumerate() {
-            if rec.len == 0 {
-                continue;
-            }
-            drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
-            let mut any_original = false;
-            for piece in &pieces {
-                match region_of(piece) {
-                    Some(g) => counts[g] += 1,
-                    None => any_original = true,
-                }
-            }
-            if any_original {
-                residuals.push(ci * PASS2_CHUNK + j);
-            }
-        }
-        (counts, residuals)
-    };
-    let fill = |ci: usize, slots: &mut [&mut [ReqView]]| {
-        let mut next = vec![0usize; groups];
-        let mut pieces: Vec<PhysExtent> = Vec::new();
-        for (rec, &concurrency) in chunk(ci).zip(&conc[ci * PASS2_CHUNK..]) {
-            if rec.len == 0 {
-                continue;
-            }
-            drt.translate_into(rec.file, rec.offset, rec.len, &mut pieces);
-            for piece in &pieces {
-                if let Some(g) = region_of(piece) {
-                    slots[g][next[g]] =
-                        ReqView { offset: piece.offset, len: piece.len, op: rec.op, concurrency };
-                    next[g] += 1;
-                }
-            }
-        }
-        debug_assert!(slots.iter().zip(&next).all(|(s, &n)| s.len() == n), "fill matches count");
-    };
-    let parallel = records.len() >= PASS2_PAR_MIN;
-
-    let counted: Vec<(Vec<usize>, Vec<usize>)> = if parallel {
-        (0..chunks).into_par_iter().map(count).collect()
-    } else {
-        (0..chunks).map(count).collect()
-    };
-    let mut residuals = Vec::with_capacity(counted.iter().map(|(_, r)| r.len()).sum());
-    for (_, r) in &counted {
-        residuals.extend_from_slice(r);
-    }
-    let blank = ReqView { offset: 0, len: 0, op: IoOp::Read, concurrency: 0 };
-    let mut region_views: Vec<Vec<ReqView>> = (0..groups)
-        .map(|g| vec![blank; counted.iter().map(|(counts, _)| counts[g]).sum()])
-        .collect();
-    // Carve every region's vector into consecutive per-chunk slots.
-    let mut rest: Vec<&mut [ReqView]> = region_views.iter_mut().map(Vec::as_mut_slice).collect();
-    let mut slots: Vec<Vec<&mut [ReqView]>> = counted
-        .iter()
-        .map(|(counts, _)| {
-            rest.iter_mut()
-                .zip(counts)
-                .map(|(r, &n)| {
-                    let (head, tail) = std::mem::take(r).split_at_mut(n);
-                    *r = tail;
-                    head
-                })
-                .collect()
-        })
-        .collect();
-    if parallel {
-        slots.par_chunks_mut(1).enumerate().for_each(|(ci, s)| fill(ci, &mut s[0]));
-    } else {
-        for (ci, s) in slots.iter_mut().enumerate() {
-            fill(ci, s);
-        }
-    }
-    (region_views, residuals)
+    let views = RegionViews::new(records, conc, drt, region_file_base, groups);
+    let region_views = (0..groups).map(|g| views.region(g)).collect();
+    (region_views, views.residuals)
 }
 
 #[cfg(test)]

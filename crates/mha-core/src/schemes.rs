@@ -23,17 +23,16 @@
 //!   redirect at runtime through the DRT.
 
 use crate::cost::{views_of, CostParams, ReqView};
-use crate::grouping::{group_requests, GroupingConfig};
-use crate::pattern::features_of;
+use crate::grouping::{group_requests_seeded, GroupIndex, GroupingConfig};
+use crate::pattern::TracePoints;
 use crate::redirect::DrtResolver;
-use crate::region::{build_regions_with_conc, Drt, DrtEntry, RegionInfo, Rst};
+use crate::region::{migrate, Drt, DrtEntry, RegionInfo, RegionViews, Rst};
 use crate::rssd::{region_cost, rssd, RssdConfig, StripePair};
 use iotrace::{FileId, Trace};
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, FaultPlan, IdentityResolver, LayoutSpec, Placement,
     ReplayError, ReplayInput, ReplayReport, ReplaySession, Resolver, ServerHealth, ServerId,
 };
-use rayon::prelude::*;
 use simrt::{SchedPolicy, SimDuration};
 
 /// The schemes compared in the evaluation.
@@ -487,110 +486,76 @@ impl LayoutPlanner for MhaPlanner {
 
     fn plan(&self, trace: &Trace, ctx: &PlannerContext) -> Plan {
         let params = ctx.effective_params();
-        // One concurrency annotation serves the grouping and both region
-        // builds. The features feed only the grouping, so they die with it.
+        let records = trace.records();
+        // One concurrency annotation serves the grouping and both passes'
+        // views. The k-means streams its points from the trace's length
+        // column beside it, and only the group index outlives it.
         let conc = trace.concurrency();
-        let grouping = group_requests(&features_of(trace.records(), &conc), &ctx.grouping);
-        let groups = grouping.groups();
+        let grouping =
+            group_requests_seeded(&TracePoints::new(records, &conc), &ctx.grouping, &[]);
+        let index = GroupIndex::new(&grouping);
+        drop(grouping);
+        let groups = index.groups();
+        let base = ctx.region_file_base;
         let base_align = ctx.region_align.unwrap_or(ctx.rssd.step.max(4096));
 
-        // Pass 1: pack step-aligned, search stripe pairs per region.
-        // Regions are independent searches, so they fan out across cores
-        // (rayon) instead of serializing k stripe searches; the indexed
-        // collect keeps region order — and therefore the plan — exactly
-        // deterministic. Each search is itself data-parallel; rayon's
-        // work-stealing composes the two levels.
-        let build = build_regions_with_conc(
-            trace,
-            &conc,
-            &grouping,
-            ctx.region_file_base,
-            &vec![base_align; groups],
-            &vec![true; groups],
-        );
-        let pairs: Vec<Option<StripePair>> = build
-            .region_views
-            .par_iter()
-            .map(|v| rssd(v, &params, &ctx.rssd).map(|r| r.pair))
-            .collect();
-
-        // Selective application: keep only groups whose optimized layout
-        // beats DEF's fixed 64 KB striping by the configured margin
-        // (under the cost model, on the pass-1 region offsets).
-        let include: Vec<bool> = build
-            .region_views
-            .par_iter()
-            .zip(&pairs)
-            .map(|(region_views, pair)| {
-                if ctx.selective_min_gain <= 0.0 {
-                    return true;
-                }
-                let Some(p) = pair else { return false };
-                let def_cost = region_cost(
-                    region_views,
-                    &params,
-                    StripePair { h: 64 << 10, s: 64 << 10 },
-                );
-                let opt_cost = region_cost(region_views, &params, *p);
+        // Pass 1: pack step-aligned and search a stripe pair per region,
+        // one region's views at a time (each search is data-parallel on
+        // its own). From each search follow the region's selective
+        // inclusion and its pass-2 alignment.
+        let (_, drt) =
+            migrate(records, &index, base, &vec![base_align; groups], &vec![true; groups]);
+        let views = RegionViews::new(records, &conc, &drt, base, groups);
+        let mut include = Vec::with_capacity(groups);
+        let mut aligns = Vec::with_capacity(groups);
+        for g in 0..groups {
+            let region_views = views.region(g);
+            let pair = rssd(&region_views, &params, &ctx.rssd).map(|r| r.pair);
+            // Selective application: keep only groups whose optimized
+            // layout beats DEF's fixed 64 KB striping by the configured
+            // margin (under the cost model, on the pass-1 region offsets).
+            let gains = |p: StripePair| {
+                let def = StripePair { h: 64 << 10, s: 64 << 10 };
+                let def_cost = region_cost(&region_views, &params, def);
+                let opt_cost = region_cost(&region_views, &params, p);
                 def_cost.is_finite()
                     && def_cost > 0.0
                     && (def_cost - opt_cost) / def_cost >= ctx.selective_min_gain
-            })
-            .collect();
-
-        // Pass 2: repack each region aligned to its chosen SServer stripe
-        // (when extents are at least that big), so the extent pitch sits
-        // on the stripe grid and requests decompose without ragged tails;
-        // then re-run the search on the final offsets.
-        let aligns: Vec<u64> = build
-            .region_views
-            .iter()
-            .zip(&pairs)
-            .map(|(region_views, pair)| {
-                let max_len = region_views.iter().map(|v| v.len).max().unwrap_or(0);
-                match pair {
-                    Some(p) if ctx.region_align.is_none() && p.s > 0 && max_len >= p.s => p.s,
-                    _ => base_align,
-                }
-            })
-            .collect();
-        // Pass 1's table and views are spent: free them before pass 2
+            };
+            include.push(ctx.selective_min_gain <= 0.0 || pair.is_some_and(gains));
+            // Pass 2 repacks the region aligned to its chosen SServer
+            // stripe (when extents are at least that big), so the extent
+            // pitch sits on the stripe grid and requests decompose
+            // without ragged tails.
+            let max_len = region_views.iter().map(|v| v.len).max().unwrap_or(0);
+            aligns.push(match pair {
+                Some(p) if ctx.region_align.is_none() && p.s > 0 && max_len >= p.s => p.s,
+                _ => base_align,
+            });
+        }
+        // Pass 1's table and counts are spent: free them before pass 2
         // builds its own.
-        drop(build);
-        let build = build_regions_with_conc(
-            trace,
-            &conc,
-            &grouping,
-            ctx.region_file_base,
-            &aligns,
-            &include,
-        );
+        drop(views);
+        drop(drt);
 
-        // Final searches on the repacked offsets, again region-parallel;
-        // the table/layout installation below stays sequential in region
-        // order so the plan is reproducible run to run.
-        let results: Vec<Option<crate::rssd::RssdResult>> = build
-            .region_views
-            .par_iter()
-            .map(|region_views| rssd(region_views, &params, &ctx.rssd))
-            .collect();
+        // Pass 2: repack, then the final searches on the repacked
+        // offsets, again one region at a time; installation follows
+        // region order, so the plan is reproducible run to run.
+        let (regions, drt) = migrate(records, &index, base, &aligns, &include);
+        drop(index);
+        let views = RegionViews::new(records, &conc, &drt, base, groups);
         let mut layouts = Vec::new();
         let mut rst = Rst::new();
-        for (region, result) in build.regions.iter().zip(results) {
-            if let Some(result) = result {
+        for region in &regions {
+            if let Some(result) = rssd(&views.region(region.group), &params, &ctx.rssd) {
                 rst.set(region.file, result.pair);
                 if let Some(layout) = ctx.layout_for(result.pair.h, result.pair.s) {
                     layouts.push((region.file, layout));
                 }
             }
         }
-        Plan {
-            scheme: Scheme::Mha,
-            layouts,
-            resolver: PlanResolver::Drt(build.drt),
-            rst,
-            regions: build.regions,
-        }
+        drop(views);
+        Plan { scheme: Scheme::Mha, layouts, resolver: PlanResolver::Drt(drt), rst, regions }
     }
 }
 
@@ -1037,6 +1002,168 @@ mod tests {
             .replan_around_faults(true)
             .report();
         assert_eq!(plain, faultless);
+    }
+
+    /// `MhaPlanner::plan` as it was before it searched one region at a
+    /// time: a feature vector for the grouping, and every region's views
+    /// at once from the collect-all builders. Kept as the oracle for the
+    /// planner's body.
+    fn collect_all_plan(trace: &Trace, ctx: &PlannerContext) -> Plan {
+        use crate::grouping::group_requests;
+        use crate::pattern::ReqFeature;
+        use crate::region::{build_regions_aligned, build_regions_filtered};
+        let params = ctx.effective_params();
+        let feats: Vec<ReqFeature> = views_of(trace).iter().map(ReqFeature::of).collect();
+        let grouping = group_requests(&feats, &ctx.grouping);
+        let base_align = ctx.region_align.unwrap_or(ctx.rssd.step.max(4096));
+        let build = build_regions_aligned(trace, &grouping, ctx.region_file_base, base_align);
+        let pairs: Vec<Option<StripePair>> = build
+            .region_views
+            .iter()
+            .map(|v| rssd(v, &params, &ctx.rssd).map(|r| r.pair))
+            .collect();
+        let include: Vec<bool> = build
+            .region_views
+            .iter()
+            .zip(&pairs)
+            .map(|(region_views, pair)| {
+                if ctx.selective_min_gain <= 0.0 {
+                    return true;
+                }
+                let Some(p) = pair else { return false };
+                let def_cost = region_cost(
+                    region_views,
+                    &params,
+                    StripePair { h: 64 << 10, s: 64 << 10 },
+                );
+                let opt_cost = region_cost(region_views, &params, *p);
+                def_cost.is_finite()
+                    && def_cost > 0.0
+                    && (def_cost - opt_cost) / def_cost >= ctx.selective_min_gain
+            })
+            .collect();
+        let aligns: Vec<u64> = build
+            .region_views
+            .iter()
+            .zip(&pairs)
+            .map(|(region_views, pair)| {
+                let max_len = region_views.iter().map(|v| v.len).max().unwrap_or(0);
+                match pair {
+                    Some(p) if ctx.region_align.is_none() && p.s > 0 && max_len >= p.s => p.s,
+                    _ => base_align,
+                }
+            })
+            .collect();
+        let build =
+            build_regions_filtered(trace, &grouping, ctx.region_file_base, &aligns, &include);
+        let mut layouts = Vec::new();
+        let mut rst = Rst::new();
+        for (region, region_views) in build.regions.iter().zip(&build.region_views) {
+            if let Some(result) = rssd(region_views, &params, &ctx.rssd) {
+                rst.set(region.file, result.pair);
+                if let Some(layout) = ctx.layout_for(result.pair.h, result.pair.s) {
+                    layouts.push((region.file, layout));
+                }
+            }
+        }
+        Plan {
+            scheme: Scheme::Mha,
+            layouts,
+            resolver: PlanResolver::Drt(build.drt),
+            rst,
+            regions: build.regions,
+        }
+    }
+
+    fn assert_plans_equal(got: &Plan, want: &Plan, what: &str) {
+        assert_eq!(got.scheme, want.scheme, "{what}: scheme");
+        assert!(got.layouts == want.layouts, "{what}: layouts");
+        assert_eq!(got.rst, want.rst, "{what}: RST");
+        let (PlanResolver::Drt(g), PlanResolver::Drt(w)) = (&got.resolver, &want.resolver) else {
+            panic!("{what}: MHA plans redirect")
+        };
+        assert_eq!(g, w, "{what}: DRT");
+        assert_eq!(got.regions, want.regions, "{what}: regions");
+    }
+
+    /// Small traces of every generator, by name.
+    fn generator_traces() -> Vec<(&'static str, Trace)> {
+        use iotrace::gen::{btio, burst, cholesky, hpio, lu, skewed};
+        let mut hpio_cfg = hpio::HpioConfig::paper(4, IoOp::Read);
+        hpio_cfg.region_count = 256;
+        let mut skewed_cfg = skewed::SkewedConfig::default_run(IoOp::Read);
+        skewed_cfg.phases = 16;
+        vec![
+            ("lanl", gen_lanl(&LanlConfig::paper(12, IoOp::Write))),
+            ("ior mixed", mixed_ior()),
+            ("ior default", gen_ior(&IorConfig::default_run(IoOp::Read))),
+            ("hpio", hpio::generate(&hpio_cfg)),
+            ("btio", btio::generate(&btio::BtioConfig::paper(4, IoOp::Write))),
+            ("lu", lu::generate(&lu::LuConfig { procs: 3, steps: 8 })),
+            (
+                "cholesky",
+                cholesky::generate(&cholesky::CholeskyConfig { procs: 4, panels: 12, seed: 3 }),
+            ),
+            ("skewed", skewed::generate(&skewed_cfg)),
+            ("burst", burst::generate(&burst::BurstConfig::default_run(IoOp::Write))),
+        ]
+    }
+
+    /// Records whose extents overlap across size classes, so groups
+    /// migrate pieces of each other's requests and leave residuals.
+    fn overlapping_trace() -> Trace {
+        use iotrace::{Rank, TraceRecord};
+        let mut s = 0x0DDB_A11Eu64;
+        let mut next = move || {
+            s ^= s << 13;
+            s ^= s >> 7;
+            s ^= s << 17;
+            s
+        };
+        let records = (0..600u32)
+            .map(|i| TraceRecord {
+                pid: 0,
+                rank: Rank(i % 8),
+                file: FileId(next() as u32 % 2),
+                op: if next() % 2 == 0 { IoOp::Read } else { IoOp::Write },
+                offset: (next() % 256) * 4096,
+                len: [16, 4096, 65_536, 300_000][(next() % 4) as usize],
+                ts: simrt::SimTime::from_nanos(u64::from(i)),
+                phase: i / 8,
+            })
+            .collect();
+        Trace::from_records(records)
+    }
+
+    /// The one-region-at-a-time planner against the collect-all oracle:
+    /// every generator, selective application with excluded groups, a set
+    /// alignment, one group, cross-group overlaps and an empty trace.
+    #[test]
+    fn one_region_planner_matches_the_collect_all_oracle() {
+        let base = ctx();
+        let mut cases: Vec<(String, Trace, PlannerContext)> = generator_traces()
+            .into_iter()
+            .map(|(name, t)| (name.to_string(), t.clone(), base.clone().with_step_for(&t)))
+            .collect();
+        let lanl = gen_lanl(&LanlConfig::paper(12, IoOp::Write));
+        let selective = PlannerContext { selective_min_gain: 0.3, ..base.clone() };
+        cases.push(("lanl selective".into(), lanl.clone(), selective));
+        let aligned = PlannerContext { region_align: Some(8192), ..base.clone() };
+        cases.push(("lanl aligned".into(), lanl.clone(), aligned));
+        let one = PlannerContext { grouping: GroupingConfig { k: 1, ..Default::default() }, ..base.clone() };
+        cases.push(("lanl k = 1".into(), lanl, one));
+        cases.push(("overlaps".into(), overlapping_trace(), base.clone()));
+        let picky = PlannerContext { selective_min_gain: 0.5, ..base.clone() };
+        cases.push(("overlaps selective".into(), overlapping_trace(), picky));
+        cases.push(("empty".into(), Trace::new(), base.clone()));
+        let mut excluded = 0;
+        for (name, trace, c) in &cases {
+            let got = MhaPlanner.plan(trace, c);
+            let want = collect_all_plan(trace, c);
+            assert_plans_equal(&got, &want, name);
+            excluded += got.regions.iter().filter(|r| r.extents == 0).count();
+        }
+        assert!(excluded > 0, "some case must exclude a group");
     }
 
     #[test]

@@ -143,16 +143,24 @@ done
 cargo test -q -p mha-core grouping_serial_matches_parallel
 cargo test -q -p mha-core drt_builder_equivalence
 # Planner memory, by name: planning a 1024-loop LANL trace peaks under
-# its record bytes, its table holds at most 4 KiB (one repeat segment)
-# and reloading it peaks under the 256 KiB load slack, while a table of
-# random extents holds at most 32 B per entry plus 64 B per file (a
-# counting allocator); and count-then-fill pass 2 matches the per-chunk
-# merge it replaced, views and residuals in order.
+# half its record bytes (one region's views at a time, k-means points
+# streamed from the trace), its table holds at most 4 KiB (one repeat
+# segment) and reloading it peaks under the 256 KiB load slack, while a
+# table of random extents holds at most 32 B per entry plus 64 B per
+# file (a counting allocator); count-then-fill pass 2 matches the
+# per-chunk merge it replaced, views and residuals in order; the
+# one-region planner matches the collect-all planner it replaced (every
+# generator, excluded groups, a set alignment, k = 1, overlaps, an
+# empty trace); and the streamed k-means matches the one over a feature
+# vector bit for bit, either side of the parallel cutover, cold and
+# seeded.
 cargo test -q -p mha-core --test plan_memory
-cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merge
+cargo test -q -p mha-core --lib -- pass2_count_then_fill_matches_the_per_chunk_merge \
+    one_region_planner_matches_the_collect_all_oracle streamed_grouping_matches_the_feature_vector
 # Migrator memory, by name (counting allocators): after 38,400 journaled
 # redirects, all but 32 cancelled or migrated, the lazy migrator holds at
-# most 64 B per live redirect or published entry. Its sorted vectors
+# most 54 B per live redirect or published entry, and a live vector
+# halves once removals leave it a quarter full. Its sorted vectors
 # hold 32 B per redirect and grow by doubling: at 2,049, 3,000 and 4,096
 # live redirects from plans of 64 scattered extents it owns at most 65 B
 # per redirect (just past a doubling, about what the BTreeMap it
@@ -161,7 +169,7 @@ cargo test -q -p mha-core --lib pass2_count_then_fill_matches_the_per_chunk_merg
 # draws of overlapping plans, accesses and drains.
 cargo test -q -p mha-core --test migrator_memory
 cargo test -q -p mha-core --test migrator_live_memory
-cargo test -q -p mha-core --lib live_vectors_match_the_btree_live_set
+cargo test -q -p mha-core --lib -- live_vectors_match_the_btree_live_set live_vectors_halve_at_a_quarter_full
 # The online driver, by name: co-tenant pipelines keep their region
 # files, MDS shards and generations apart, a dead store parks the
 # pipeline instead of panicking, and `drain` leaves nothing pending.
