@@ -5,6 +5,17 @@ use crate::trace::Trace;
 use simrt::stats::{Log2Histogram, OnlineStats};
 use storage_model::IoOp;
 
+/// Bins of [`TraceStats::heat`]; offsets below `1 << HEAT_SHIFT` share
+/// bin 0.
+const HEAT_BINS: usize = 8;
+const HEAT_SHIFT: u32 = 29;
+
+/// The heat bin of a request starting at `offset`: the octave of
+/// `offset >> HEAT_SHIFT`, the last bin taking every larger one.
+fn heat_bin(offset: u64) -> usize {
+    ((u64::BITS - (offset >> HEAT_SHIFT).leading_zeros()) as usize).min(HEAT_BINS - 1)
+}
+
 /// Summary statistics of a trace.
 #[derive(Debug, Clone)]
 pub struct TraceStats {
@@ -34,13 +45,11 @@ pub struct TraceStats {
     pub phases: u32,
     /// Maximum per-phase concurrency.
     pub max_concurrency: u32,
-    /// Mean request start offset, bytes — the cheap spatial signature
-    /// online drift detection compares across windows (a hot-spot move
-    /// shifts it even when the size mix is unchanged).
-    pub mean_offset: f64,
-    /// Largest request start offset, bytes — the span that normalizes
-    /// spatial drift comparisons.
-    pub max_offset: u64,
+    /// Where the heat is: records per octave of start offset, in bins
+    /// fixed for every trace. Bin 0 counts offsets below 512 MiB, bin `k`
+    /// those in `[2^(28+k), 2^(29+k))`, the last everything from 32 GiB.
+    /// Online drift detection compares it across windows.
+    pub heat: [u64; HEAT_BINS],
     /// log2 histogram of request sizes.
     pub size_histogram: Log2Histogram,
     /// Number of distinct request sizes.
@@ -57,12 +66,12 @@ impl TraceStats {
     /// when the keys already ascend, as they do in issue order).
     pub fn of(trace: &Trace) -> TraceStats {
         let mut sizes = OnlineStats::new();
-        let mut offsets = OnlineStats::new();
+        let mut heat = [0u64; HEAT_BINS];
         let mut hist = Log2Histogram::new();
         let mut distinct: Vec<u64> = Vec::new();
         let (mut reads, mut writes) = (0usize, 0usize);
         let (mut total_bytes, mut read_bytes, mut write_bytes) = (0u64, 0u64, 0u64);
-        let (mut max_request, mut min_request, mut max_offset) = (0u64, u64::MAX, 0u64);
+        let (mut max_request, mut min_request) = (0u64, u64::MAX);
         let mut phases = 0u32;
         let mut last_phase = None;
         // (file, phase id) and the length of each stretch of records.
@@ -73,7 +82,7 @@ impl TraceStats {
                 last_phase = Some(r.phase);
             }
             sizes.push(r.len as f64);
-            offsets.push(r.offset as f64);
+            heat[heat_bin(r.offset)] += 1;
             hist.record(r.len);
             distinct.push(r.len);
             total_bytes += r.len;
@@ -89,7 +98,6 @@ impl TraceStats {
             }
             max_request = max_request.max(r.len);
             min_request = min_request.min(r.len);
-            max_offset = max_offset.max(r.offset);
             match stretches.last_mut() {
                 Some((key, n)) if *key == (r.file, r.phase) => *n += 1,
                 _ => stretches.push(((r.file, r.phase), 1)),
@@ -119,8 +127,7 @@ impl TraceStats {
             size_cv: if mean > 0.0 { sizes.stddev() / mean } else { 0.0 },
             phases,
             max_concurrency,
-            mean_offset: offsets.mean(),
-            max_offset,
+            heat,
             size_histogram: hist,
             distinct_sizes: distinct.len(),
         }
@@ -153,12 +160,11 @@ mod tests {
     }
 
     /// The multi-pass body `TraceStats::of` replaced: its own loop, then
-    /// a pass each for the byte totals, `r_max`, the smallest request
-    /// and the largest offset, and the whole concurrency vector for its
-    /// maximum.
+    /// a pass each for the byte totals, `r_max` and the smallest
+    /// request, and the whole concurrency vector for its maximum.
     fn of_multi_pass(trace: &Trace) -> TraceStats {
         let mut sizes = OnlineStats::new();
-        let mut offsets = OnlineStats::new();
+        let mut heat = [0u64; HEAT_BINS];
         let mut hist = Log2Histogram::new();
         let mut distinct: Vec<u64> = Vec::new();
         let mut reads = 0usize;
@@ -171,7 +177,7 @@ mod tests {
                 last_phase = Some(r.phase);
             }
             sizes.push(r.len as f64);
-            offsets.push(r.offset as f64);
+            heat[heat_bin(r.offset)] += 1;
             hist.record(r.len);
             distinct.push(r.len);
             match r.op {
@@ -196,8 +202,7 @@ mod tests {
             size_cv: if mean > 0.0 { sizes.stddev() / mean } else { 0.0 },
             phases,
             max_concurrency: trace.concurrency().into_iter().max().unwrap_or(0),
-            mean_offset: offsets.mean(),
-            max_offset: trace.records().iter().map(|r| r.offset).max().unwrap_or(0),
+            heat,
             size_histogram: hist,
             distinct_sizes: distinct.len(),
         }
@@ -218,12 +223,11 @@ mod tests {
             s.size_cv.to_bits(),
             u64::from(s.phases),
             u64::from(s.max_concurrency),
-            s.mean_offset.to_bits(),
-            s.max_offset,
             s.distinct_sizes as u64,
             s.size_histogram.total(),
         ];
         v.extend(s.size_histogram.iter().flat_map(|(a, b)| [a, b]));
+        v.extend(s.heat);
         v
     }
 
@@ -261,6 +265,17 @@ mod tests {
         assert_eq!(s.size_cv, 0.0);
         assert!(!s.is_heterogeneous());
         assert_eq!(s.max_concurrency, 2);
+    }
+
+    #[test]
+    fn heat_bins_are_fixed_octaves_from_512_mib() {
+        let edges = [0, (1 << 29) - 1, 1 << 29, (1 << 30) - 1, 1 << 30];
+        assert_eq!(edges.map(heat_bin), [0, 0, 1, 1, 2]);
+        assert_eq!([(1 << 35) - 1, 1 << 35, u64::MAX].map(heat_bin), [6, 7, 7]);
+        let offsets = [0, 1 << 29, 3 << 29, 5 << 30];
+        let t = Trace::from_records(offsets.map(|o| rec(o, 8, 0, IoOp::Read)).to_vec());
+        assert_eq!(TraceStats::of(&t).heat, [1, 1, 1, 0, 1, 0, 0, 0]);
+        assert_eq!(TraceStats::of(&Trace::new()).heat, [0; HEAT_BINS]);
     }
 
     #[test]

@@ -11,39 +11,10 @@
 
 use iotrace::gen::ior::{stream, IorConfig};
 use iotrace::{BatchSource, IoOp, RecordBatch};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::heap;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 const RANKS: usize = 16_384;
 /// Bytes a batch may hold per record: the offset column.
@@ -58,12 +29,12 @@ fn an_ior_phase_batch_holds_its_offsets_only() {
     cfg.reqs_per_proc = 2;
     cfg.file_size = 64 << 30;
     let mut source = stream(&cfg);
-    let before = LIVE.load(Relaxed);
+    let before = heap::live();
     let mut batch = RecordBatch::new();
     for _ in 0..2 {
         assert!(source.next_phase(&mut batch));
         assert_eq!(batch.len(), RANKS);
-        let held = LIVE.load(Relaxed) - before;
+        let held = heap::live() - before;
         assert!(
             held <= BYTES_PER_RECORD * RANKS + CONSTANT,
             "a {RANKS}-record IOR phase batch holds {held} bytes: {:.1} B per record, \

@@ -16,41 +16,11 @@ use iotrace::gen::ior::{self, IorConfig};
 use iotrace::gen::lanl::{self, LanlConfig};
 use iotrace::gen::skewed::{self, SkewedConfig};
 use iotrace::{FileId, IoOp, Rank, Trace, TraceRecord};
-use simrt::SimTime;
-use std::alloc::{GlobalAlloc, Layout, System};
+use simrt::{heap, SimTime};
 use std::mem::size_of;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Bytes any trace may hold besides its per-record budget.
 const CONSTANT: usize = 1024;
@@ -58,9 +28,9 @@ const CONSTANT: usize = 1024;
 /// Live bytes `build` leaves behind, less `freed`: what the input it
 /// consumed held.
 fn held(freed: usize, build: impl FnOnce() -> Trace) -> (Trace, usize) {
-    let before = LIVE.load(Relaxed);
+    let before = heap::live();
     let trace = build();
-    (trace, LIVE.load(Relaxed) + freed - before)
+    (trace, heap::live() + freed - before)
 }
 
 fn check(name: &str, trace: &Trace, held: usize, budget: usize) {

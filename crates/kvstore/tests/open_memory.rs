@@ -5,55 +5,11 @@
 //! the counting allocator while it measures.
 
 use kvstore::{Store, StoreOptions};
-use std::alloc::{GlobalAlloc, Layout, System};
+use simrt::heap;
 use std::io::Write;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes and their high-water mark.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(size: usize) {
-    let now = LIVE.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Run `f`, returning its result and the most bytes it held allocated at
-/// once beyond what was live before it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - base)
-}
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 const KEYS: u32 = 64;
 const VALUE: usize = 64 << 10;
@@ -89,7 +45,7 @@ fn open_allocates_for_keys_not_for_the_log() {
             assert_eq!(s.get(format!("key{k:02}").as_bytes()).unwrap().unwrap(), value(k, 3));
         }
     };
-    let (s, peak) = peak_during(|| Store::open(&path, opts.clone()).unwrap());
+    let (s, peak) = heap::peak_during(|| Store::open(&path, opts.clone()).unwrap());
     assert!(peak < BOUND, "open of a {log_len}-byte log peaked at {peak} bytes");
     check(&s);
     drop(s);
@@ -106,7 +62,7 @@ fn open_allocates_for_keys_not_for_the_log() {
         tail.extend_from_slice(&[0x5A; 100]);
         f.write_all(&tail).unwrap();
     }
-    let (s, peak) = peak_during(|| Store::open(&path, opts.clone()).unwrap());
+    let (s, peak) = heap::peak_during(|| Store::open(&path, opts.clone()).unwrap());
     assert!(peak < BOUND, "open with a huge torn header peaked at {peak} bytes");
     assert_eq!(std::fs::metadata(&path).unwrap().len(), log_len, "truncated at the header");
     check(&s);

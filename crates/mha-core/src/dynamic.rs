@@ -396,13 +396,7 @@ fn split_epochs(trace: &Trace, epoch_phases: u32) -> Vec<Trace> {
 /// Has the observed pattern drifted relative to the stats the current
 /// plan was built from?
 fn drifted(prev: &TraceStats, now: &TraceStats, threshold: f64) -> bool {
-    let rel = |a: f64, b: f64| -> f64 {
-        if a == 0.0 && b == 0.0 {
-            0.0
-        } else {
-            (a - b).abs() / a.abs().max(b.abs())
-        }
-    };
+    let rel = crate::online::rel_change;
     rel(prev.mean_request, now.mean_request) > threshold
         || rel(prev.size_cv, now.size_cv) > threshold
         || rel(f64::from(prev.max_concurrency), f64::from(now.max_concurrency)) > threshold

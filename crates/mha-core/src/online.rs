@@ -6,12 +6,12 @@
 //! and keeps an [`OnlinePlanner`] that decides, per window:
 //!
 //! 1. **Quiet or drifted?** The window's summary signature (mean
-//!    request size, size CV, peak concurrency, mean offset over the
-//!    addressed span), computed here from one [`TraceStats`] rescan of
-//!    the window, is compared against the previous window's; relative
-//!    movement below `DRIFT_THRESHOLD` (0.25) on every component means
-//!    the current plan still fits and the window costs nothing but the
-//!    rescan and the comparison.
+//!    request size, size CV, peak concurrency, offset heat), computed
+//!    here from one [`TraceStats`] rescan of the window, is compared
+//!    against the previous window's; movement below `DRIFT_THRESHOLD`
+//!    (0.25) on every component (relative change, and total-variation
+//!    distance for the heat) means the current plan still fits and the
+//!    window costs nothing but the rescan and the comparison.
 //! 2. **Incremental regroup.** A drifted window re-runs Algorithm 1
 //!    *seeded from the previous window's centroids*
 //!    (`crate::grouping::group_requests_seeded`): converged seeds
@@ -46,9 +46,10 @@ use crate::rssd::{rssd, StripePair};
 use crate::schemes::{Plan, PlanResolver, PlannerContext, Scheme};
 use iotrace::{Trace, TraceStats};
 
-/// Relative movement of any signature component (mean request, size
-/// CV, peak concurrency) past which a window is *drifted* and triggers a
-/// replan. Matches the dynamic optimizer's default.
+/// Movement of any signature component past which a window is
+/// *drifted* and triggers a replan: relative change of the mean request,
+/// size CV or peak concurrency, or total-variation distance between the
+/// offset heat histograms. Matches the dynamic optimizer's default.
 const DRIFT_THRESHOLD: f64 = 0.25;
 
 /// Normalized Eq. 1 distance below which a group's centroid is
@@ -91,6 +92,9 @@ impl Default for OnlineConfig {
     }
 }
 
+/// Records per octave of start offset, as [`TraceStats::heat`] bins them.
+type Heat = [u64; 8];
+
 /// A window's drift signature: the summary statistics the replan
 /// trigger compares, taken from the window's [`TraceStats`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -101,15 +105,9 @@ struct WindowSig {
     size_cv: f64,
     /// Peak per-(file, phase) concurrency.
     max_concurrency: u32,
-    /// Mean request start offset, bytes — the spatial component: a
-    /// hot-spot move drifts this even when the size mix holds still.
-    mean_offset: f64,
-    /// Largest request start offset, bytes. Normalizes spatial drift:
-    /// the mean's movement is compared against the addressed span, so
-    /// Zipf tail sampling noise (large relative to the mean, small
-    /// relative to the span) stays quiet while a genuine hot-spot move
-    /// (a span-scale jump) drifts.
-    max_offset: u64,
+    /// Offset heat — the spatial component: a hot-spot move drifts it
+    /// even when the size mix holds still.
+    heat: Heat,
 }
 
 impl WindowSig {
@@ -120,8 +118,7 @@ impl WindowSig {
             mean_request: s.mean_request,
             size_cv: s.size_cv,
             max_concurrency: s.max_concurrency,
-            mean_offset: s.mean_offset,
-            max_offset: s.max_offset,
+            heat: s.heat,
         }
     }
 
@@ -135,10 +132,7 @@ impl WindowSig {
                 f64::from(self.max_concurrency),
                 f64::from(prev.max_concurrency),
             ) > threshold
-            || {
-                let span = (self.max_offset.max(prev.max_offset) as f64).max(1.0);
-                (self.mean_offset - prev.mean_offset).abs() / span > threshold
-            }
+            || heat_distance(&self.heat, &prev.heat) > threshold
     }
 }
 
@@ -354,8 +348,21 @@ impl OnlinePlanner {
     }
 }
 
+/// Total-variation distance between two heat histograms: half the L1
+/// distance between their normalized bins, 0 for the same shape and 1
+/// for disjoint ones. An empty histogram normalizes to all zeros.
+fn heat_distance(a: &Heat, b: &Heat) -> f64 {
+    let total = |h: &Heat| h.iter().sum::<u64>().max(1) as f64;
+    let (na, nb) = (total(a), total(b));
+    let mut l1 = 0.0;
+    for (&x, &y) in a.iter().zip(b) {
+        l1 += (x as f64 / na - y as f64 / nb).abs();
+    }
+    l1 / 2.0
+}
+
 /// Relative change between two magnitudes (0 when both are zero).
-fn rel_change(a: f64, b: f64) -> f64 {
+pub(crate) fn rel_change(a: f64, b: f64) -> f64 {
     if a == 0.0 && b == 0.0 {
         0.0
     } else {
@@ -415,8 +422,7 @@ mod tests {
             mean_request: 1.0,
             size_cv: 0.0,
             max_concurrency: 1,
-            mean_offset: 0.0,
-            max_offset: 0,
+            heat: [0; 8],
         };
         planner.sig = Some(forced);
         let before = planner.stats;

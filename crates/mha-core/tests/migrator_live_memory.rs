@@ -17,40 +17,10 @@
 use iotrace::{FileId, TenantId};
 use mha_core::{Drt, DrtEntry, LazyMigrator, PipelineStore};
 use pfs_sim::ClusterConfig;
-use simrt::SimDuration;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::{heap, SimDuration};
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Extents per plan, the extent size, and the slots the extents are
 /// scattered over.
@@ -103,9 +73,9 @@ fn bytes_per_redirect(count: u64) -> f64 {
     assert_eq!(live, count as usize, "no extent cancels another");
     assert_eq!(mig.published().len(), 0);
 
-    let held = LIVE.load(Relaxed);
+    let held = heap::live();
     drop(mig);
-    let owned = held - LIVE.load(Relaxed);
+    let owned = held - heap::live();
     drop(store);
     let _ = std::fs::remove_file(&path);
     owned as f64 / live as f64

@@ -13,40 +13,10 @@
 use iotrace::{FileId, IoOp, Rank, TenantId, TraceRecord};
 use mha_core::{Drt, DrtEntry, LazyMigrator, PipelineStore};
 use pfs_sim::{ClusterConfig, Resolver};
-use simrt::{SimDuration, SimTime};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::{heap, SimDuration, SimTime};
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Extents of the one original file every plan redirects.
 const EXTENTS: u64 = 64;
@@ -121,9 +91,9 @@ fn migrator_heap_follows_live_redirects_not_journal_history() {
 
     // What dropping the migrator frees is what it held; the store's own
     // growth from the journal records stays live.
-    let held = LIVE.load(Relaxed);
+    let held = heap::live();
     drop(mig);
-    let owned = held - LIVE.load(Relaxed);
+    let owned = held - heap::live();
     let journaled = ROUNDS * EXTENTS + ROUNDS * EXTENTS / 2;
     assert!(
         owned <= (live + published) * BYTES_PER_ENTRY,

@@ -22,61 +22,10 @@ use iotrace::FileId;
 use mha_core::region::{Drt, DrtEntry};
 use mha_core::{PipelineStore, PlanResolver, PlannerContext};
 use pfs_sim::ClusterConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes and their high-water mark.
-/// A `realloc` counts as the default one behaves: the new block is
-/// allocated before the old one is freed.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(size: usize) {
-    let now = LIVE.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::heap;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Bytes live now.
-fn live() -> usize {
-    LIVE.load(Relaxed)
-}
-
-/// Run `f`, returning its result and the most bytes it held allocated at
-/// once beyond what was live before it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - base)
-}
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Bytes of one DRT entry in memory: original offset, length, region
 /// file and region offset.
@@ -100,7 +49,7 @@ fn planning_and_loading_hold_one_copy_of_each_table() {
     let warm = MhaPlanner.plan(&trace, &ctx);
     drop(warm);
 
-    let (plan, peak) = peak_during(|| MhaPlanner.plan(&trace, &ctx));
+    let (plan, peak) = heap::peak_during(|| MhaPlanner.plan(&trace, &ctx));
     let PlanResolver::Drt(drt) = &plan.resolver else { panic!("MHA plans redirect") };
     assert!(
         peak < 2 * record_bytes,
@@ -119,7 +68,7 @@ fn planning_and_loading_hold_one_copy_of_each_table() {
     PipelineStore::open(&path).unwrap().save_tables(drt, &plan.rst).unwrap();
     let store = PipelineStore::open(&path).unwrap();
     let table = drt.len() * DRT_ENTRY_BYTES;
-    let ((loaded, rst), peak) = peak_during(|| store.load_tables().unwrap().unwrap());
+    let ((loaded, rst), peak) = heap::peak_during(|| store.load_tables().unwrap().unwrap());
     assert!(
         peak < table + table / 4 + LOAD_SLACK,
         "loading {} entries ({table} bytes) peaked at {peak} bytes",
@@ -133,9 +82,9 @@ fn planning_and_loading_hold_one_copy_of_each_table() {
 
     let entries = drt.len();
     let PlanResolver::Drt(drt) = plan.resolver else { unreachable!("matched above") };
-    let before = live();
+    let before = heap::live();
     drop(drt);
-    let held = before - live();
+    let held = before - heap::live();
     assert!(
         held <= LANL_TABLE_MAX,
         "the LANL plan's table of {entries} entries holds {held} bytes, over {LANL_TABLE_MAX}"
@@ -170,12 +119,12 @@ fn planning_and_loading_hold_one_copy_of_each_table() {
     for i in (1..extents.len()).rev() {
         extents.swap(i, (rand() % (i as u64 + 1)) as usize);
     }
-    let before = live();
+    let before = heap::live();
     let mut random = Drt::new();
     for e in &extents {
         assert!(random.insert(*e), "disjoint extents insert");
     }
-    let held = live() - before;
+    let held = heap::live() - before;
     let budget = extents.len() * DRT_ENTRY_BYTES + files as usize * FILE_BYTES;
     assert!(
         held <= budget,

@@ -11,47 +11,10 @@
 //! the counting allocator while it measures.
 
 use pfs_sim::{Cluster, ClusterConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes and their high-water mark.
-/// A `realloc` counts as the default one behaves: the new block is
-/// allocated before the old one is freed.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(size: usize) {
-    let now = LIVE.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::heap;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Bytes allowed per fabric node: its egress and ingress drain times.
 const BYTES_PER_NODE: usize = 16;
@@ -63,10 +26,7 @@ const BYTES_PER_SERVER: usize = 320;
 fn cluster_fabric_holds_one_word_pair_per_node() {
     let cfg = ClusterConfig { clients: 4096, ..ClusterConfig::with_ratio(768, 256) };
     let (nodes, servers) = (cfg.clients + cfg.servers() + 1, cfg.servers());
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let cluster = Cluster::new(cfg);
-    let peak = PEAK.load(Relaxed) - base;
+    let (cluster, peak) = heap::peak_during(|| Cluster::new(cfg));
     assert_eq!(cluster.servers().len(), servers);
     let bound = BYTES_PER_NODE * nodes + BYTES_PER_SERVER * servers;
     assert!(

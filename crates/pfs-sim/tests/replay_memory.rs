@@ -16,56 +16,10 @@
 use iotrace::gen::ior::{stream, IorConfig};
 use iotrace::IoOp;
 use pfs_sim::{Cluster, ClusterConfig, CoreSel, IdentityResolver, ReplayInput, ReplaySession};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes and their high-water mark.
-/// A `realloc` counts as the default one behaves: the new block is
-/// allocated before the old one is freed.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(size: usize) {
-    let now = LIVE.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::heap;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Run `f`, returning its result and the most bytes it held allocated at
-/// once beyond what was live before it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - base)
-}
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 /// Heap growth allowed per record of phase width: the record batch (at
 /// most 37 B), the 4 B shuffle entry, and slack for the batch's growth
@@ -87,7 +41,7 @@ fn replay_peak(ranks: u32) -> usize {
     });
     let mut session = ReplaySession::new();
     let mut source = stream(&cfg);
-    let (report, peak) = peak_during(|| {
+    let (report, peak) = heap::peak_during(|| {
         session
             .run(
                 ReplayInput::stream(&mut cluster, &mut source, &mut IdentityResolver),

@@ -13,56 +13,10 @@
 use iotrace::gen::ior::{generate, IorConfig};
 use iotrace::{IoOp, TenantId, Trace, TraceRecord};
 use pfs_sim::{Cluster, ClusterConfig, LayoutService, NullRuntime, ServiceConfig};
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes and their high-water mark.
-/// A `realloc` counts as the default one behaves: the new block is
-/// allocated before the old one is freed.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-static PEAK: AtomicUsize = AtomicUsize::new(0);
-
-fn grew(size: usize) {
-    let now = LIVE.fetch_add(size, Relaxed) + size;
-    PEAK.fetch_max(now, Relaxed);
-}
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            grew(layout.size());
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
+use simrt::heap;
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
-
-/// Run `f`, returning its result and the most bytes it held allocated at
-/// once beyond what was live before it started.
-fn peak_during<T>(f: impl FnOnce() -> T) -> (T, usize) {
-    let base = LIVE.load(Relaxed);
-    PEAK.store(base, Relaxed);
-    let out = f();
-    (out, PEAK.load(Relaxed) - base)
-}
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 const TENANTS: u32 = 8;
 const JOBS: usize = 256;
@@ -86,7 +40,7 @@ fn submitting_jobs_allocates_no_per_record_bytes() {
     for t in 1..=TENANTS {
         svc.add_tenant(TenantId(t), Box::new(NullRuntime::new()));
     }
-    let ((), peak) = peak_during(|| {
+    let ((), peak) = heap::peak_during(|| {
         for (i, job) in jobs.iter().enumerate() {
             svc.submit(TenantId(1 + i as u32 % TENANTS), job.clone());
         }

@@ -15,40 +15,11 @@ use iotrace::{IoOp, TenantId, Trace};
 use pfs_sim::{
     Cluster, ClusterConfig, JobRecord, LayoutService, NullRuntime, ServerIoStat, ServiceConfig,
 };
-use std::alloc::{GlobalAlloc, Layout, System};
+use simrt::heap;
 use std::mem::size_of;
-use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
-
-/// The system allocator, counting live bytes.
-struct Counting;
-
-static LIVE: AtomicUsize = AtomicUsize::new(0);
-
-unsafe impl GlobalAlloc for Counting {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        let p = System.alloc_zeroed(layout);
-        if !p.is_null() {
-            LIVE.fetch_add(layout.size(), Relaxed);
-        }
-        p
-    }
-
-    unsafe fn dealloc(&self, p: *mut u8, layout: Layout) {
-        System.dealloc(p, layout);
-        LIVE.fetch_sub(layout.size(), Relaxed);
-    }
-}
 
 #[global_allocator]
-static ALLOC: Counting = Counting;
+static A: simrt::heap::Counting = simrt::heap::Counting;
 
 const TENANTS: u32 = 4;
 const JOBS_PER_TENANT: usize = 32;
@@ -87,9 +58,9 @@ fn a_service_report_holds_per_job_and_per_tenant_server_bytes() {
     let jobs = TENANTS as usize * JOBS_PER_TENANT;
     assert_eq!(report.jobs.len(), jobs, "the queue depth admits every job");
 
-    let before = LIVE.load(Relaxed);
+    let before = heap::live();
     drop(report);
-    let held = before - LIVE.load(Relaxed);
+    let held = before - heap::live();
     let bound =
         BYTES_PER_JOB * jobs + BYTES_PER_TENANT_SERVER * TENANTS as usize * SERVERS + FIXED_BYTES;
     assert!(

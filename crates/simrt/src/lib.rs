@@ -23,6 +23,8 @@
 
 pub mod arrival;
 pub mod fault;
+#[doc(hidden)]
+pub mod heap;
 pub mod lanes;
 pub mod resource;
 pub mod rng;

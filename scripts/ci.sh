@@ -29,33 +29,27 @@ if git ls-files -- ':(glob)**/Cargo.toml' ':(exclude)perfbench/stubs' \
     echo "error: a Cargo.toml names serde, serde_json, proptest or rand" >&2
     exit 1
 fi
+# The memory gates share one counting allocator, `simrt::heap`; no
+# other file may define its own.
+if git grep -ln 'impl GlobalAlloc' -- '*.rs' ':(exclude)crates/simrt/src/heap.rs'; then
+    echo "error: a .rs file other than crates/simrt/src/heap.rs implements GlobalAlloc" >&2
+    exit 1
+fi
 
+# `workspace.default-members` lists every crate, so these two build and
+# test the whole workspace.
 cargo build --release
 cargo test -q
-# Store gate, explicitly: root `cargo test -q` tests only the `mha`
-# facade, so kvstore's own unit tests (WAL walk vs scan on random cut
-# logs, exact LRU order, prefix scans, compaction after eviction) run
-# only when named.
-cargo test -q -p kvstore
+# The counting allocator every memory gate below reads, by name: the
+# peak above the entry's live bytes, a grow holding old and new block,
+# alloc_zeroed counted, every byte back after a drop.
+cargo test -q -p simrt --test heap
 # Bounded recovery, by name: opening a 16 MiB log allocates under
 # 256 KiB, a tail header claiming a 4 GiB value truncates without
 # allocating it, and the streamed walk matches the in-memory scan at
 # every cut and byte flip around each read-window edge.
 cargo test -q -p kvstore --test open_memory
 cargo test -q -p kvstore --lib stream_and_scan_agree_across_window_edges
-# Replay gate, explicitly: pfs-sim's own unit tests (the sparse
-# opened-file set, both replay cores, faults, redundancy) likewise run
-# only when named.
-cargo test -q -p pfs-sim
-# The middleware (plan persistence and restart), the simulation runtime
-# (fault plans, scheduling) and the trace crate (TSV parser, generators,
-# trace-tool) likewise run only when named.
-cargo test -q -p mpiio-sim
-cargo test -q -p simrt
-cargo test -q -p iotrace
-# The device models (whose calibration draws from `simrt::rng`), the
-# network model and the figure harness likewise run only when named.
-cargo test -q -p storage-model -p netsim -p mha-bench
 # trace-tool smoke: a generated trace reads back through `stats`, a zero
 # or unparsable `gen` option (a count, a `--sizes` entry, an `--op`) is
 # a usage error (exit 2) that names the option, and a rank too large
@@ -118,11 +112,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc -q --workspace --no-deps
 cargo test -q -p mha-core persist::
 cargo test -q -p mha-core kill_matrix
 # The paper's mechanisms, by module: the cost model, lazy migration,
-# grouping, access patterns, spare rebuild, redirection, region
-# building, RSSD and the four layout schemes. None of these modules runs
-# as a whole under any other gate. (`online::` cannot be named as a
-# whole while its hot-spot drift test fails; ROADMAP item 1.)
-cargo test -q -p mha-core --lib -- cost:: dynamic:: grouping:: pattern:: rebuild:: redirect:: region:: rssd:: schemes::
+# grouping, online re-planning (its drift trigger sees a hot-spot move
+# and stays quiet on steady windows), access patterns, spare rebuild,
+# redirection, region building, RSSD and the four layout schemes.
+cargo test -q -p mha-core --lib -- cost:: dynamic:: grouping:: online:: pattern:: rebuild:: redirect:: region:: rssd:: schemes::
 # The migration journal, by name: one intent record per journaling call
 # reads back as per-entry batches, a malformed record under a valid CRC
 # is Corrupt, a version-3 per-entry journal is a VersionMismatch, and an
@@ -173,8 +166,6 @@ cargo test -q -p mha-core --lib -- live_vectors_match_the_btree_live_set live_ve
 # The online driver, by name: co-tenant pipelines keep their region
 # files, MDS shards and generations apart, a dead store parks the
 # pipeline instead of panicking, and `drain` leaves nothing pending.
-# (`online::` cannot be named as a whole while its hot-spot drift test
-# fails; ROADMAP item 1.)
 cargo test -q -p mha-core --lib tenant::
 # The flat DRT and the resolver's cursor seek must match the map-based reference table.
 cargo test -q -p mha-core drt_oracle
