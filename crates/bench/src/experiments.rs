@@ -9,7 +9,7 @@ use mha_core::schemes::{Evaluation, PlannerContext, Scheme};
 use mha_core::CostParams;
 use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, DeviceProfile, FaultPlan, IdentityResolver, ReplayInput,
-    ReplayReport, ReplaySchedule, ReplaySession,
+    ReplayReport, ReplaySession,
 };
 use rayon::prelude::*;
 use storage_model::IoOp;
@@ -58,30 +58,26 @@ const SCHEME_NAMES: [&str; 4] = ["DEF", "AAL", "HARL", "MHA"];
 
 /// Replay reports of every scheme on one workload/cluster, scheme-
 /// parallel: each cell builds its own cluster, plan, resolver and
-/// scratch, the trace's replay schedule is built once and shared (it is
-/// read-only), and the indexed collect keeps scheme order, so the grid
-/// is deterministic — reports are identical to [`scheme_reports_serial`]
+/// session, and the indexed collect keeps scheme order, so the grid is
+/// deterministic — reports are identical to [`scheme_reports_serial`]
 /// at any thread count (the replay determinism test compares them field
 /// by field).
 pub fn scheme_reports(trace: &Trace, cluster: &ClusterConfig) -> Vec<ReplayReport> {
     let ctx = workloads::context_for(trace, cluster);
-    let schedule = ReplaySchedule::for_trace(trace);
     SCHEMES
         .par_iter()
         .map(|&s| {
-            let mut session = ReplaySession::new().with_schedule(schedule.clone());
             Evaluation::of(s, trace, cluster)
                 .context(&ctx)
-                .run_in(&mut session)
-                .expect("scheduled fault-free replay cannot fail")
+                .run()
+                .expect("fault-free replay cannot fail")
         })
         .collect()
 }
 
 /// Single-thread reference for [`scheme_reports`], threading one replay
-/// session (and its scratch) through all four schemes and rebuilding the
-/// schedule inline per cell — so the bit-for-bit grid test simultaneously
-/// pins the pinned-schedule path against the per-replay rebuild.
+/// session (and its scratch) through all four schemes — so the
+/// bit-for-bit grid test also pins a warm session against fresh ones.
 pub fn scheme_reports_serial(trace: &Trace, cluster: &ClusterConfig) -> Vec<ReplayReport> {
     let ctx = workloads::context_for(trace, cluster);
     let mut session = ReplaySession::new();

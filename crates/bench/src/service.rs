@@ -31,6 +31,7 @@ use pfs_sim::{
     Cluster, ClusterConfig, CoreSel, IdentityResolver, LayoutService, NullRuntime, ReplayInput,
     ReplaySession, ServiceConfig, ServiceReport,
 };
+use std::path::PathBuf;
 use storage_model::IoOp;
 
 /// Arrival-process seed for the published figures.
@@ -56,10 +57,24 @@ fn tenant_trace(t: u32, job: u32, scale: Scale) -> Trace {
     skewed::generate(&cfg)
 }
 
-fn fresh_store(tag: &str) -> PipelineStore {
-    let p = std::env::temp_dir().join(format!("mha-bench-service-{}-{tag}", std::process::id()));
-    let _ = std::fs::remove_file(&p);
-    PipelineStore::open(p).expect("open service store")
+/// A fresh service store in the temp directory; dropping it deletes the
+/// file.
+struct TempStore {
+    store: PipelineStore,
+    path: PathBuf,
+}
+
+impl Drop for TempStore {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_file(&self.path);
+    }
+}
+
+fn fresh_store(tag: &str) -> TempStore {
+    let path =
+        std::env::temp_dir().join(format!("mha-bench-service-{}-{tag}", std::process::id()));
+    let _ = std::fs::remove_file(&path);
+    TempStore { store: PipelineStore::open(&path).expect("open service store"), path }
 }
 
 /// One full service run: `tenants` pipelines over `store`, each
@@ -97,14 +112,14 @@ pub(crate) fn study(scale: Scale) -> Vec<Figure> {
 
     // -- determinism: same seed, fresh stores, bit-identical service --
     let store_a = fresh_store("a");
-    let report = run_service(&store_a, &all, jobs_per_tenant, scale);
+    let report = run_service(&store_a.store, &all, jobs_per_tenant, scale);
     let store_b = fresh_store("b");
-    let rerun = run_service(&store_b, &all, jobs_per_tenant, scale);
+    let rerun = run_service(&store_b.store, &all, jobs_per_tenant, scale);
     assert!(report == rerun, "same seed must reproduce the service bit-for-bit");
 
     // -- isolation: tenant 1 solo == tenant 1 among co-tenants --------
     let store_solo = fresh_store("solo");
-    let solo = run_service(&store_solo, &[1], jobs_per_tenant, scale);
+    let solo = run_service(&store_solo.store, &[1], jobs_per_tenant, scale);
     let solo_reports: Vec<_> = solo.jobs.iter().map(|j| (j.seq, &j.report)).collect();
     let with_cotenants: Vec<_> = report
         .jobs

@@ -3,10 +3,10 @@
 //! as a single-thread walk — otherwise figure rows would wobble from run
 //! to run and the before/after replay benchmark would be meaningless.
 //!
-//! The serial reference also threads one `ReplaySession` (and its
-//! scratch) through every cell, so the comparison simultaneously pins
-//! the allocation-free replay fast path against per-cell sessions with
-//! pinned schedules.
+//! The single-thread walk also threads one `ReplaySession` (and its
+//! scratch) through every cell, so the comparison simultaneously pins a
+//! warm session's allocation-free replay path against fresh per-cell
+//! sessions.
 
 use mha_bench::experiments::{scheme_reports, scheme_reports_serial};
 use mha_bench::workloads::{self, Scale};

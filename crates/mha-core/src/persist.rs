@@ -2114,3 +2114,34 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 }
+
+/// Store paths for tests, removed when dropped: a test that owns one
+/// leaves no file in the temp directory, even when it panics.
+#[cfg(test)]
+pub(crate) mod temp {
+    use std::path::{Path, PathBuf};
+
+    pub(crate) struct TempPath(PathBuf);
+
+    impl TempPath {
+        /// `mha-<kind>-<pid>-<tag>` in the temp directory, with any
+        /// stale file of that name removed first.
+        pub(crate) fn new(kind: &str, tag: &str) -> Self {
+            let p = std::env::temp_dir().join(format!("mha-{kind}-{}-{tag}", std::process::id()));
+            let _ = std::fs::remove_file(&p);
+            TempPath(p)
+        }
+    }
+
+    impl AsRef<Path> for TempPath {
+        fn as_ref(&self) -> &Path {
+            &self.0
+        }
+    }
+
+    impl Drop for TempPath {
+        fn drop(&mut self) {
+            let _ = std::fs::remove_file(&self.0);
+        }
+    }
+}

@@ -181,6 +181,7 @@ pub fn rebuild_onto_spare(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::persist::temp::TempPath;
     use crate::persist::{CommitPoint, PipelineStore};
     use iotrace::TenantId;
     use iotrace::{Rank, TraceRecord};
@@ -192,10 +193,8 @@ mod tests {
         store.tenant(TenantId(0))
     }
 
-    fn tmp_store(tag: &str) -> std::path::PathBuf {
-        let p = std::env::temp_dir().join(format!("mha-rebuild-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        p
+    fn tmp_store(tag: &str) -> TempPath {
+        TempPath::new("rebuild", tag)
     }
 
     const STRIPE: u64 = 64 << 10;
@@ -305,7 +304,6 @@ mod tests {
         let again =
             rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("again");
         assert_eq!(again, RebuildOutcome::default());
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
@@ -363,7 +361,6 @@ mod tests {
             rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("record");
             store.kill_switch().boundaries()
         };
-        let _ = std::fs::remove_file(&path);
         // Per affected file an intent record and its commit, then the
         // journal clear.
         assert_eq!(boundaries, 2 * N_RED as u64 + 1);
@@ -407,7 +404,6 @@ mod tests {
             let again =
                 rebuild_onto_spare(t0(&store), &mut layouts, &sizes, DEAD, SPARE).expect("again");
             assert_eq!(again, RebuildOutcome::default(), "boundary {k}");
-            let _ = std::fs::remove_file(&path);
         }
         let kinds_crossed =
             [CommitPoint::BatchIntent, CommitPoint::BatchCommit, CommitPoint::JournalClear];
@@ -433,7 +429,6 @@ mod tests {
         assert_eq!((out.files, out.bytes_lost, out.bytes_written), (1, 0, 0));
         assert_eq!(layouts[0].1, original.swap_server(DEAD, SPARE));
         assert_eq!(store.kill_switch().boundaries(), 1, "only the journal clear");
-        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

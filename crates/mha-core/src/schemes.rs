@@ -643,8 +643,9 @@ impl<'a> Evaluation<'a> {
         self
     }
 
-    /// Pin the replay core (default [`CoreSel::Auto`]) — experiment
-    /// grids use this to assert serial/sharded equivalence per cell.
+    /// Pick the replay core (default [`CoreSel::Auto`], the production
+    /// lane core) — the straggler study uses [`CoreSel::Serial`] to
+    /// assert the serial reference and the lane core agree per cell.
     #[must_use]
     pub fn core(mut self, core: CoreSel) -> Self {
         self.core = core;
@@ -652,9 +653,9 @@ impl<'a> Evaluation<'a> {
     }
 
     /// Run inside a caller-owned [`ReplaySession`] — the experiment grid
-    /// threads one session (warm scratch, pinned schedule) through many
-    /// cells. An `Evaluation` carrying faults installs its plan into the
-    /// session; otherwise the session's existing fault plan applies.
+    /// threads one session (warm scratch) through many cells. An
+    /// `Evaluation` carrying faults installs its plan into the session;
+    /// otherwise the session's existing fault plan applies.
     pub fn run_in(&self, session: &mut ReplaySession) -> Result<ReplayReport, ReplayError> {
         let calibrated;
         let base_ctx = match self.ctx {
@@ -1164,22 +1165,5 @@ mod tests {
             excluded += got.regions.iter().filter(|r| r.extents == 0).count();
         }
         assert!(excluded > 0, "some case must exclude a group");
-    }
-
-    #[test]
-    fn pinned_schedule_evaluation_matches_the_builder() {
-        // Hoisting the replay schedule into a pinned session changes
-        // where the ordering work happens, never the report.
-        let c = ctx();
-        let t = gen_lanl(&LanlConfig::paper(4, IoOp::Write));
-        let cfg = ClusterConfig::paper_default();
-        let via_builder = eval(Scheme::Harl, &t, &cfg, &c);
-        let schedule = pfs_sim::ReplaySchedule::for_trace(&t);
-        let mut pinned = ReplaySession::new().with_schedule(schedule);
-        let via_sched = Evaluation::of(Scheme::Harl, &t, &cfg)
-            .context(&c)
-            .run_in(&mut pinned)
-            .expect("pinned evaluation");
-        assert_eq!(via_builder, via_sched);
     }
 }

@@ -135,14 +135,17 @@ impl TenantRuntime for TenantPipeline<'_> {
 mod tests {
     use super::*;
     use crate::persist::recover;
+    use crate::persist::temp::TempPath;
     use iotrace::gen::skewed::{self, SkewedConfig};
     use pfs_sim::{LayoutService, ServiceConfig};
     use storage_model::IoOp;
 
-    fn store_at(tag: &str) -> PipelineStore {
-        let p = std::env::temp_dir().join(format!("mha-tenant-{}-{tag}", std::process::id()));
-        let _ = std::fs::remove_file(&p);
-        PipelineStore::open(p).unwrap()
+    /// A fresh store and its path, which removes the file when the test
+    /// drops it.
+    fn store_at(tag: &str) -> (TempPath, PipelineStore) {
+        let path = TempPath::new("tenant", tag);
+        let store = PipelineStore::open(&path).unwrap();
+        (path, store)
     }
 
     fn skewed_trace(request_size: u64, seed: u64) -> Trace {
@@ -156,7 +159,7 @@ mod tests {
 
     #[test]
     fn co_tenant_pipelines_keep_namespaces_and_generations_apart() {
-        let store = store_at("co-tenant");
+        let (_path, store) = store_at("co-tenant");
         let cluster_cfg = ClusterConfig::paper_default();
         let mut cluster = pfs_sim::Cluster::new(cluster_cfg.clone());
         let report = {
@@ -195,7 +198,7 @@ mod tests {
 
     #[test]
     fn region_layouts_land_in_the_tenants_mds_shard() {
-        let store = store_at("mds-shard");
+        let (_path, store) = store_at("mds-shard");
         let cluster_cfg = ClusterConfig::paper_default();
         let mut cluster = pfs_sim::Cluster::new(cluster_cfg.clone());
         {
@@ -222,7 +225,7 @@ mod tests {
 
     #[test]
     fn drain_migrates_every_pending_redirect() {
-        let store = store_at("drain");
+        let (_path, store) = store_at("drain");
         let cluster_cfg = ClusterConfig::paper_default();
         let mut pipe =
             TenantPipeline::new(&store, TenantId(1), &cluster_cfg, OnlineConfig::default());
@@ -240,7 +243,7 @@ mod tests {
 
     #[test]
     fn failed_store_parks_the_pipeline_instead_of_panicking() {
-        let store = store_at("kill");
+        let (_path, store) = store_at("kill");
         let cluster_cfg = ClusterConfig::paper_default();
         let mut pipe =
             TenantPipeline::new(&store, TenantId(1), &cluster_cfg, OnlineConfig::default());

@@ -6,14 +6,6 @@ use storage_model::DeviceKind;
 /// Why a replay (or the setup leading to it) could not run.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ReplayError {
-    /// The pinned [`crate::ReplaySchedule`] was built for a trace of a
-    /// different shape.
-    ScheduleMismatch {
-        /// Records the schedule was built for.
-        schedule: usize,
-        /// Records in the trace being replayed.
-        trace: usize,
-    },
     /// A layout or fault plan referenced a server the cluster does not
     /// have.
     UnknownServer {
@@ -49,9 +41,9 @@ pub enum ReplayError {
         /// The medium actually backing the server.
         kind: DeviceKind,
     },
-    /// A streaming payload was paired with the serial core: the serial
-    /// replay loop needs the whole trace materialized, so streams can
-    /// only run on the sharded core (`CoreSel::Auto` picks it).
+    /// A streaming payload was paired with `CoreSel::Serial`: the serial
+    /// reference loop needs the whole trace materialized, so streams run
+    /// only on the lane core (`CoreSel::Auto` or `CoreSel::Sharded`).
     StreamRequiresSharded,
     /// The session's [`simrt::SchedPolicy`] carries out-of-range knobs
     /// (see `SchedPolicy::validate`); the string is the reason.
@@ -61,10 +53,6 @@ pub enum ReplayError {
 impl std::fmt::Display for ReplayError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ReplayError::ScheduleMismatch { schedule, trace } => write!(
-                f,
-                "schedule/trace mismatch: schedule covers {schedule} records, trace has {trace}"
-            ),
             ReplayError::UnknownServer { server, servers } => {
                 write!(f, "unknown server {server} (cluster has {servers})")
             }
@@ -83,7 +71,7 @@ impl std::fmt::Display for ReplayError {
             ),
             ReplayError::StreamRequiresSharded => write!(
                 f,
-                "a streaming payload cannot run on the serial core; use CoreSel::Sharded or Auto"
+                "a streaming payload cannot run on the serial reference core; use CoreSel::Auto or Sharded"
             ),
             ReplayError::InvalidSchedPolicy(reason) => {
                 write!(f, "invalid scheduling policy: {reason}")
@@ -97,14 +85,6 @@ impl std::error::Error for ReplayError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn display_preserves_the_legacy_mismatch_phrase() {
-        // Pre-0.3 callers matched on this assert text; the Display form
-        // keeps the phrase stable.
-        let e = ReplayError::ScheduleMismatch { schedule: 3, trace: 5 };
-        assert!(e.to_string().contains("schedule/trace mismatch"), "{e}");
-    }
 
     #[test]
     fn errors_format_with_context() {

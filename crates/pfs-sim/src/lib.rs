@@ -25,11 +25,12 @@
 //!   device profiles; the fault-free path is bit-for-bit identical to a
 //!   session with no plan.
 //!
-//! [`ReplaySession`] is the only replay entry point (the pre-0.3 free
-//! functions `replay` / `replay_with_scratch` / `replay_scheduled` have
-//! been removed). Since 0.8 a session takes a [`ReplayInput`] (trace or
-//! stream) plus a [`CoreSel`]; the 0.8-era `run_sharded` / `run_stream`
-//! shims have been removed after their one-release grace period.
+//! [`ReplaySession`] is the only replay entry point: it takes a
+//! [`ReplayInput`] (trace or stream) plus a [`CoreSel`]. One production
+//! core, the per-server-lane core ([`sharded`]), runs every replay
+//! under `CoreSel::Auto`; a serial reference loop, reachable only
+//! through `CoreSel::Serial`, is what tests and the benchmark compare
+//! it against, report for report.
 //!
 //! On top of single replays, [`service::LayoutService`] runs a
 //! long-lived multi-tenant service over one shared cluster: seeded
@@ -42,6 +43,10 @@ mod fault;
 pub mod layout;
 pub mod mds;
 pub mod redundancy;
+// The serial reference loop: hidden, and reached only through
+// `CoreSel::Serial`.
+#[doc(hidden)]
+mod reference;
 pub mod replay;
 mod sched;
 pub mod server;
@@ -53,8 +58,7 @@ pub use cluster::{Cluster, ClusterConfig};
 pub use error::ReplayError;
 pub use layout::{LayoutSpec, LoadScratch, Placement, ServerId};
 pub use replay::{
-    Counters, IdentityResolver, PhysExtent, ReplayReport, ReplaySchedule, Resolution, Resolver,
-    ServerIoStat,
+    Counters, IdentityResolver, PhysExtent, ReplayReport, Resolution, Resolver, ServerIoStat,
 };
 pub use server::StorageServer;
 pub use service::{

@@ -1,5 +1,5 @@
-//! Trace replay: drives a cluster with a trace and reports bandwidth and
-//! per-server load.
+//! Trace replay: the semantics every replay core implements, and the
+//! vocabulary they share (resolvers, reports, counters).
 //!
 //! Replay follows the synchronous parallel I/O semantics of the paper's
 //! workloads: requests of one phase start together (after the previous
@@ -7,18 +7,19 @@
 //! per-server sub-requests by the target file's layout, and a request
 //! completes when its **slowest** sub-request completes. Aggregate
 //! bandwidth is total bytes over the makespan, matching how IOR reports.
+//!
+//! The lane core in [`crate::sharded`] runs every production replay; a
+//! serial loop kept as its reference runs only under
+//! [`crate::CoreSel::Serial`].
 
 use crate::cluster::Cluster;
-use crate::error::ReplayError;
-use crate::fault::{Admission, FaultRuntime};
-use crate::layout::{LayoutSpec, SubExtent};
-use crate::redundancy::{decode_penalty, RedundancyState};
-use crate::sched::SchedRuntime;
-use iotrace::{FileId, Trace, TraceRecord};
+use crate::fault::FaultRuntime;
+use crate::redundancy::RedundancyState;
+use iotrace::{FileId, TraceRecord};
 use simrt::stats::OnlineStats;
-use simrt::{SeedSeq, ServerHealth, SimDuration, SimTime};
+use simrt::{ServerHealth, SimDuration, SimTime};
 use std::collections::HashSet;
-use storage_model::{DeviceKind, IoOp};
+use storage_model::DeviceKind;
 
 /// Device-space base for a file's object on every server: each file's
 /// stripes live in their own region of the disk, so switching between
@@ -104,89 +105,6 @@ impl FileSet {
     /// Insert `file`; returns `true` when it was not already present.
     pub(crate) fn insert(&mut self, file: FileId) -> bool {
         self.files.insert(file)
-    }
-}
-
-/// Precomputed replay order for one trace: records grouped into barrier
-/// phases, shuffled within each phase by the deterministic replay seed.
-///
-/// Building a schedule costs a pass over the records plus one RNG
-/// shuffle per phase. The ordering depends only on the trace (the seed
-/// is fixed), so callers replaying one trace many times — the experiment
-/// grid runs every scheme over the same trace, benches iterate it
-/// hundreds of times — build the schedule once with
-/// [`ReplaySchedule::for_trace`] and pin it via
-/// [`crate::ReplaySession::with_schedule`]. An unpinned session builds
-/// one internally; hoisting changes where the ordering work happens,
-/// never the order itself.
-#[derive(Debug, Clone, Default)]
-pub struct ReplaySchedule {
-    /// Record indices in replay order (shuffled within each phase).
-    order: Vec<usize>,
-    /// Per-phase `(phase id, start, end)` spans into `order`.
-    spans: Vec<(u32, usize, usize)>,
-}
-
-impl ReplaySchedule {
-    /// Schedule for `trace` under the fixed replay seed.
-    pub fn for_trace(trace: &Trace) -> Self {
-        let mut s = Self::default();
-        s.rebuild(trace);
-        s
-    }
-
-    /// Recompute for `trace` in place, reusing the buffers.
-    pub(crate) fn rebuild(&mut self, trace: &Trace) {
-        self.order.clear();
-        self.spans.clear();
-        // Group records into phases (consecutive runs of one phase id),
-        // then interleave each phase's requests in a deterministic
-        // shuffled order: concurrent clients race over the network, so a
-        // server does NOT see sub-requests in rank (= ascending offset)
-        // order. Replaying them sorted would hand rotating disks an
-        // unrealistically sequential stream.
-        self.order.extend(0..trace.len());
-        self.spans.extend(trace.phases().map(|p| (p.phase(), p.start(), p.start() + p.len())));
-        let shuffle_seed = SeedSeq::new(0x5EED_0F0F);
-        for &(phase, start, end) in self.spans.iter() {
-            let mut rng = shuffle_seed.derive_idx("phase", u64::from(phase)).rng();
-            rng.shuffle(&mut self.order[start..end]);
-        }
-    }
-}
-
-/// Reusable replay buffers owned by a [`crate::ReplaySession`]: the
-/// resolved-extent and sub-request vectors, the opened-file set, and
-/// a schedule rebuilt per trace. One session threaded through a whole
-/// experiment grid makes the per-request path allocation-free at steady
-/// state.
-#[derive(Debug, Clone, Default)]
-pub(crate) struct ReplayScratch {
-    /// Physical extents of the request being replayed.
-    extents: Vec<PhysExtent>,
-    /// Per-server sub-requests of the extent being decomposed.
-    subs: Vec<SubExtent>,
-    /// Physical files already opened (metadata lookup paid).
-    opened: FileSet,
-    /// Schedule buffers rebuilt per trace by an unpinned session
-    /// (sessions pinned with [`crate::ReplaySession::with_schedule`]
-    /// leave this empty).
-    schedule: ReplaySchedule,
-    /// Redundancy expansion state: sampled health, degraded-mode
-    /// counters, and internal buffers. Reset per run.
-    red: RedundancyState,
-}
-
-impl ReplayScratch {
-    /// Detach the schedule buffers so they can be borrowed alongside the
-    /// rest of the scratch (see [`crate::ReplaySession::run`]).
-    pub(crate) fn take_schedule(&mut self) -> ReplaySchedule {
-        std::mem::take(&mut self.schedule)
-    }
-
-    /// Return the schedule buffers taken by [`Self::take_schedule`].
-    pub(crate) fn put_schedule(&mut self, schedule: ReplaySchedule) {
-        self.schedule = schedule;
     }
 }
 
@@ -335,177 +253,6 @@ impl ReplayReport {
     }
 }
 
-/// The one replay loop behind [`crate::ReplaySession`]. With
-/// `faults: None` the time arithmetic is exactly the historical
-/// fault-free path — reports stay bit-for-bit identical; with a
-/// [`FaultRuntime`], every sub-request first passes server admission
-/// (outage retry loops, permanent loss) before touching fabric or device.
-pub(crate) fn replay_core(
-    cluster: &mut Cluster,
-    trace: &Trace,
-    schedule: &ReplaySchedule,
-    resolver: &mut dyn Resolver,
-    scratch: &mut ReplayScratch,
-    mut faults: Option<&mut FaultRuntime>,
-    sched: &mut SchedRuntime,
-) -> Result<ReplayReport, ReplayError> {
-    if schedule.order.len() != trace.len() {
-        return Err(ReplayError::ScheduleMismatch {
-            schedule: schedule.order.len(),
-            trace: trace.len(),
-        });
-    }
-    // Spans are phase runs, so the cursor stays in one stored run per
-    // span and decodes each record in O(1).
-    let mut records = trace.records().cursor();
-    cluster.reset();
-    let n_servers = cluster.servers().len();
-    let device_slots = cluster.config().device_slots;
-    let ReplayScratch { extents, subs, opened, schedule: _, red } = scratch;
-    extents.clear();
-    subs.clear();
-    opened.clear();
-    red.reset(n_servers, faults.as_deref());
-    sched.begin_run(n_servers);
-    let observing = sched.observing();
-    // Only a fault runtime ever times a sub-request out.
-    let timeout = faults.as_deref().map_or(SimDuration::ZERO, FaultRuntime::timeout);
-    let ReplaySchedule { order, spans } = schedule;
-    let mut latencies = OnlineStats::new();
-    let mut read_bytes = 0u64;
-    let mut write_bytes = 0u64;
-    let mut resolve_overhead = SimDuration::ZERO;
-    let mut phase_end = SimTime::ZERO;
-    let mut phases = 0u32;
-    // `file_device_base` costs a division by the (runtime) slot count;
-    // consecutive records overwhelmingly hit the same file, so a
-    // one-entry memo removes it from the hot path.
-    let mut dev_base_memo: Option<(FileId, u64)> = None;
-
-    for &(_, start, end) in spans.iter() {
-        // Barrier: the new phase starts when the previous one drained.
-        let phase_start = phase_end;
-        phases += 1;
-        let span = &order[start..end];
-        // Plan the phase from scheduler state frozen at the barrier
-        // (stateless layout lookups only — the resolver may mutate).
-        sched.plan_phase(span.iter().map(|&i| records.get(i).file), cluster.mds());
-        for (k, &idx) in span.iter().enumerate() {
-            let rec = &records.get(idx);
-            let overhead = resolver.resolve_into(rec, extents);
-            debug_assert_eq!(
-                extents.iter().map(|e| e.len).sum::<u64>(),
-                rec.len,
-                "resolution must cover the request exactly"
-            );
-            resolve_overhead += overhead;
-            match rec.op {
-                IoOp::Read => read_bytes += rec.len,
-                IoOp::Write => write_bytes += rec.len,
-            }
-            let client = cluster.client_node(rec.rank.0);
-            // The latency base (and completion floor) excludes the
-            // scheduler's issue delay: a deferred request still waited
-            // from the barrier, so deferral counts as latency.
-            let base = phase_start + overhead;
-            let mut issue = base + sched.delay(k);
-            let mut completion = base;
-            let mut decode_bytes = 0u64;
-            let (servers, fabric, mds) = cluster.parts_mut();
-            for ext in extents.iter() {
-                // First touch of a physical file pays a metadata lookup
-                // (open). The layout is borrowed from the MDS for the
-                // duration of the extent — no per-extent clone.
-                let layout: &LayoutSpec = if opened.insert(ext.file) {
-                    let (layout, open_done) = mds.lookup_ref(issue, ext.file);
-                    issue = open_done;
-                    layout
-                } else {
-                    mds.layout(ext.file)
-                };
-                let dev_base = match dev_base_memo {
-                    Some((f, b)) if f == ext.file => b,
-                    _ => {
-                        let b = file_device_base(ext.file, device_slots);
-                        dev_base_memo = Some((ext.file, b));
-                        b
-                    }
-                };
-                decode_bytes += red.expand(layout, ext.offset, ext.len, rec.op, subs);
-                for sub in subs.iter() {
-                    let Some(server) = servers.get_mut(sub.server.0) else {
-                        return Err(ReplayError::UnknownServer {
-                            server: sub.server.0,
-                            servers: n_servers,
-                        });
-                    };
-                    let dev_off = dev_base + sub.server_offset;
-                    // `done` is the sub-request's final completion;
-                    // `dev_done` its device-stage completion (before any
-                    // read fabric hop) — the scheduler's latency
-                    // observation, matching the sharded device pass.
-                    // Admission first: fault-free, every sub-request
-                    // starts at its issue time.
-                    let admission = match faults.as_deref_mut() {
-                        None => Admission::At(issue),
-                        Some(rt) => rt.admit(sub.server.0, issue),
-                    };
-                    let (done, dev_done) = match admission {
-                        Admission::At(start) => match rec.op {
-                            IoOp::Write => {
-                                // Data flows client → server, then hits the device.
-                                let arrived =
-                                    fabric.transfer(start, client, server.node(), sub.len);
-                                let d = server.serve(arrived, rec.op, dev_off, sub.len);
-                                (d, d)
-                            }
-                            IoOp::Read => {
-                                // Device read, then data flows server → client.
-                                let read_done = server.serve(start, rec.op, dev_off, sub.len);
-                                (fabric.transfer(read_done, server.node(), client, sub.len), read_done)
-                            }
-                        },
-                        // An abandoned sub-request moves no bytes and
-                        // charges no device or fabric time — the client
-                        // just burns the timeout waiting.
-                        Admission::TimedOut => {
-                            let t = issue + timeout;
-                            (t, t)
-                        }
-                    };
-                    if observing {
-                        sched.observe(sub.server.0, dev_done.since(issue).as_secs_f64());
-                    }
-                    completion = completion.max(done);
-                }
-            }
-            if decode_bytes > 0 {
-                // Degraded EC reads pay the client-side decode before the
-                // request can complete.
-                completion += decode_penalty(decode_bytes);
-            }
-            latencies.push(completion.since(base).as_secs_f64());
-            phase_end = phase_end.max(completion);
-        }
-    }
-
-    Ok(assemble_report(
-        cluster,
-        faults.as_deref(),
-        red,
-        RunTotals {
-            read_bytes,
-            write_bytes,
-            requests: trace.len(),
-            phases,
-            resolve_overhead,
-            request_latency: latencies,
-            phase_end,
-            deferred: sched.deferred,
-        },
-    ))
-}
-
 /// Scalar run totals a replay core accumulates; everything else in a
 /// [`ReplayReport`] is read off the cluster and fault runtime at the end.
 pub(crate) struct RunTotals {
@@ -520,8 +267,8 @@ pub(crate) struct RunTotals {
 }
 
 /// Assemble the final report from the cluster's post-run state — shared
-/// by the serial and sharded cores so the two can never drift in how
-/// they read counters back.
+/// by the lane core and the serial reference so the two can never drift
+/// in how they read counters back.
 pub(crate) fn assemble_report(
     cluster: &Cluster,
     faults: Option<&FaultRuntime>,
@@ -579,6 +326,8 @@ mod tests {
     use crate::session::{CoreSel, ReplayInput, ReplaySession};
     use iotrace::gen::ior::{generate, IorConfig};
     use iotrace::record::{Rank, TenantId};
+    use iotrace::Trace;
+    use storage_model::IoOp;
 
     fn small_ior(op: IoOp) -> Trace {
         let mut cfg = IorConfig::default_run(op);
@@ -749,36 +498,23 @@ mod tests {
     }
 
     #[test]
-    fn hoisted_schedule_is_report_identical() {
-        // One schedule pinned across replays must reproduce the
-        // inline-built ordering exactly.
+    fn reference_order_repeats_across_runs() {
+        // The serial reference rebuilds its shuffled order on every run:
+        // one session replaying a trace again and again must reproduce a
+        // fresh session's report, and the lane core's.
         for t in [small_ior(IoOp::Write), small_ior(IoOp::Read)] {
-            let schedule = ReplaySchedule::for_trace(&t);
-            assert_eq!(schedule.spans.len(), 8);
-            let mut pinned = ReplaySession::new().with_schedule(schedule);
             let mut c1 = Cluster::new(ClusterConfig::paper_default());
-            let inline = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto).unwrap();
+            let lane = run(&mut c1, &t, &mut IdentityResolver);
+            assert_eq!(lane.phases, 8);
+            let mut session = ReplaySession::new();
             for round in 0..3 {
                 let mut c2 = Cluster::new(ClusterConfig::paper_default());
-                let hoisted = pinned.run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Auto).unwrap();
-                assert_eq!(inline, hoisted, "round {round}");
+                let reference = session
+                    .run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Serial)
+                    .unwrap();
+                assert_eq!(lane, reference, "round {round}");
             }
         }
-    }
-
-    #[test]
-    fn schedule_for_wrong_trace_is_rejected() {
-        let t = small_ior(IoOp::Write);
-        let schedule = ReplaySchedule::for_trace(&Trace::new());
-        let mut c = Cluster::new(ClusterConfig::paper_default());
-        let err = ReplaySession::new()
-            .with_schedule(schedule)
-            .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Auto)
-            .unwrap_err();
-        assert!(
-            matches!(err, crate::ReplayError::ScheduleMismatch { schedule: 0, trace } if trace == t.len()),
-            "got {err:?}"
-        );
     }
 
     #[test]

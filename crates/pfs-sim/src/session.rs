@@ -1,23 +1,24 @@
 //! [`ReplaySession`]: the single entry point for replaying traces.
 //!
-//! A session owns the replay's working state — scratch buffers, an
-//! optional pinned schedule — plus the fault-injection state
-//! ([`simrt::FaultPlan`]). One session replayed across a whole
-//! experiment grid keeps the per-request path allocation-free, and
-//! every failure mode surfaces as a [`ReplayError`] instead of a panic.
+//! A session owns the replay's working state — the lane core's scratch
+//! buffers — plus the fault-injection state ([`simrt::FaultPlan`]) and
+//! the dispatch policy. One session replayed across a whole experiment
+//! grid keeps the per-request path allocation-free, and every failure
+//! mode surfaces as a [`ReplayError`] instead of a panic.
 //!
-//! Since 0.8 there is one `run` method: the payload (a materialized
-//! [`Trace`] or a streaming [`BatchSource`]) travels inside a
-//! [`ReplayInput`], and the replay core is picked by [`CoreSel`].
-//! `CoreSel::Auto` reproduces the pre-0.8 defaults exactly: traces run
-//! on the serial core, streams on the sharded per-server-lane core.
-//! The two cores are bit-for-bit identical, so the selector is a
-//! performance knob, never a semantics knob.
+//! There is one `run` method: the payload (a materialized [`Trace`] or
+//! a streaming [`BatchSource`]) travels inside a [`ReplayInput`], and
+//! [`CoreSel`] picks the core. There is one production core, the
+//! per-server-lane core ([`crate::sharded`]), which `CoreSel::Auto` runs
+//! for traces and streams alike. `CoreSel::Serial` runs a serial
+//! reference loop that tests and the benchmark compare the lane core
+//! against, report for report.
 
 use crate::cluster::Cluster;
 use crate::error::ReplayError;
 use crate::fault::FaultRuntime;
-use crate::replay::{replay_core, ReplayReport, ReplaySchedule, ReplayScratch, Resolver};
+use crate::reference;
+use crate::replay::{ReplayReport, Resolver};
 use crate::sched::SchedRuntime;
 use crate::sharded::{sharded_core, ShardedScratch};
 use iotrace::{BatchSource, Trace, TraceBatches};
@@ -64,22 +65,21 @@ impl<'a> ReplayInput<'a> {
 /// Which replay core executes a [`ReplayInput`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CoreSel {
-    /// Pick per payload: serial for traces, sharded for streams (the
-    /// pre-0.8 behavior of `run` / `run_stream`).
+    /// The production core: the per-server-lane core, for traces and
+    /// streams alike.
     #[default]
     Auto,
-    /// The serial replay loop. Requires a materialized trace; honors a
-    /// pinned [`ReplaySchedule`].
+    /// The serial reference loop, one record at a time. Requires a
+    /// materialized trace. Tests and the benchmark compare the lane core
+    /// against it; it is not tuned for speed.
     Serial,
-    /// The per-server-lane core ([`crate::sharded`]): bit-identical to
-    /// serial and several times faster at scale. A pinned schedule is
-    /// ignored — the sharded core derives the same deterministic order
-    /// from the phases themselves.
+    /// The per-server-lane core ([`crate::sharded`]), named explicitly:
+    /// the same core `Auto` runs.
     Sharded,
 }
 
-/// Reusable replay context: scratch buffers, an optional pinned
-/// [`ReplaySchedule`], and an optional [`FaultPlan`].
+/// Reusable replay context: the lane core's scratch buffers, an
+/// optional [`FaultPlan`] and a dispatch policy.
 ///
 /// ```
 /// use pfs_sim::{Cluster, ClusterConfig, CoreSel, IdentityResolver, ReplayInput, ReplaySession};
@@ -96,28 +96,15 @@ pub enum CoreSel {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct ReplaySession {
-    /// Pinned schedule, when the caller hoisted it; otherwise the order
-    /// is rebuilt per run from the scratch's schedule buffers.
-    schedule: Option<ReplaySchedule>,
-    scratch: ReplayScratch,
     sharded: ShardedScratch,
     fault: FaultPlan,
     sched: SchedRuntime,
 }
 
 impl ReplaySession {
-    /// Fresh session: no pinned schedule, no faults, cold buffers.
+    /// Fresh session: no faults, cold buffers.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Pin a prebuilt schedule. Every subsequent serial run replays in
-    /// exactly this order and rejects traces of a different shape with
-    /// [`ReplayError::ScheduleMismatch`].
-    #[must_use]
-    pub fn with_schedule(mut self, schedule: ReplaySchedule) -> Self {
-        self.schedule = Some(schedule);
-        self
     }
 
     /// Attach a fault plan. An empty plan ([`FaultPlan::none`]) leaves
@@ -183,38 +170,11 @@ impl ReplaySession {
             Some(FaultRuntime::new(&self.fault, cluster.servers().len()))
         };
         match (payload, core) {
-            (ReplayPayload::Trace(trace), CoreSel::Auto | CoreSel::Serial) => {
-                match &self.schedule {
-                    Some(schedule) => replay_core(
-                        cluster,
-                        trace,
-                        schedule,
-                        resolver,
-                        &mut self.scratch,
-                        runtime.as_mut(),
-                        &mut self.sched,
-                    ),
-                    None => {
-                        // Borrow dance: the schedule buffers live inside
-                        // the scratch, so take them out while the scratch
-                        // is mutably borrowed by the core.
-                        let mut schedule = self.scratch.take_schedule();
-                        schedule.rebuild(trace);
-                        let report = replay_core(
-                            cluster,
-                            trace,
-                            &schedule,
-                            resolver,
-                            &mut self.scratch,
-                            runtime.as_mut(),
-                            &mut self.sched,
-                        );
-                        self.scratch.put_schedule(schedule);
-                        report
-                    }
-                }
+            (ReplayPayload::Trace(trace), CoreSel::Serial) => {
+                reference::replay(cluster, trace, resolver, runtime.as_mut(), &mut self.sched)
             }
-            (ReplayPayload::Trace(trace), CoreSel::Sharded) => sharded_core(
+            (ReplayPayload::Stream(_), CoreSel::Serial) => Err(ReplayError::StreamRequiresSharded),
+            (ReplayPayload::Trace(trace), CoreSel::Auto | CoreSel::Sharded) => sharded_core(
                 cluster,
                 &mut TraceBatches::new(trace),
                 resolver,
@@ -230,12 +190,8 @@ impl ReplaySession {
                 runtime.as_mut(),
                 &mut self.sched,
             ),
-            (ReplayPayload::Stream(_), CoreSel::Serial) => {
-                Err(ReplayError::StreamRequiresSharded)
-            }
         }
     }
-
 }
 
 #[cfg(test)]
@@ -256,7 +212,7 @@ mod tests {
     fn run_serial(t: &Trace) -> ReplayReport {
         let mut c = Cluster::new(ClusterConfig::paper_default());
         ReplaySession::new()
-            .run(ReplayInput::trace(&mut c, t, &mut IdentityResolver), CoreSel::Auto)
+            .run(ReplayInput::trace(&mut c, t, &mut IdentityResolver), CoreSel::Serial)
             .unwrap()
     }
 
@@ -276,13 +232,15 @@ mod tests {
     #[test]
     fn explicit_core_selection_is_bit_identical_to_auto() {
         let t = small_ior(IoOp::Write);
-        let auto = run_serial(&t);
-        for core in [CoreSel::Serial, CoreSel::Sharded] {
+        let run = |core| {
             let mut c = Cluster::new(ClusterConfig::paper_default());
-            let r = ReplaySession::new()
+            ReplaySession::new()
                 .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), core)
-                .unwrap();
-            assert_eq!(r, auto, "{core:?}");
+                .unwrap()
+        };
+        let auto = run(CoreSel::Auto);
+        for core in [CoreSel::Serial, CoreSel::Sharded] {
+            assert_eq!(run(core), auto, "{core:?}");
         }
     }
 
@@ -333,17 +291,6 @@ mod tests {
             .unwrap();
         assert_eq!(plain, faultless);
         assert!(!c2.faults_applied(), "empty plan must not touch the cluster");
-    }
-
-    #[test]
-    fn pinned_schedule_rejects_wrong_trace() {
-        let t = small_ior(IoOp::Write);
-        let mut c = Cluster::new(ClusterConfig::paper_default());
-        let err = ReplaySession::new()
-            .with_schedule(ReplaySchedule::for_trace(&Trace::new()))
-            .run(ReplayInput::trace(&mut c, &t, &mut IdentityResolver), CoreSel::Auto)
-            .unwrap_err();
-        assert_eq!(err, ReplayError::ScheduleMismatch { schedule: 0, trace: t.len() });
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! Sharded replay core: per-server event lanes over columnar sub-request
-//! batches, bit-identical to the serial [`crate::replay`] loop.
+//! The replay core: per-server event lanes over columnar sub-request
+//! batches. Every production replay runs here (`CoreSel::Auto`), traces
+//! through [`iotrace::TraceBatches`] and streams phase by phase; it is
+//! bit-identical to the serial reference loop (`CoreSel::Serial`).
 //!
-//! The serial core walks one record at a time, bouncing between the
+//! The reference walks one record at a time, bouncing between the
 //! metadata server, the fabric and a *random* storage server per
 //! sub-request. At 1000+ servers that walk is cache-hostile: every
 //! sub-request misses on the server struct, its device state and both NIC
@@ -34,7 +36,7 @@
 //! the serial replay order (windows run in replay order, and lanes are
 //! stable partitions of a window's order), and all cross-lane merges are
 //! order-independent reductions (max for times, sums for counters) —
-//! which is why the result is bit-for-bit identical to the serial core,
+//! which is why the result is bit-for-bit identical to the reference,
 //! not merely close. See DESIGN.md §14 for the invariant argument.
 
 use crate::cluster::Cluster;
@@ -42,11 +44,11 @@ use crate::error::ReplayError;
 use crate::fault::{Admission, FaultRuntime};
 use crate::layout::LayoutSpec;
 use crate::redundancy::{decode_penalty, RedundancyState};
-use crate::replay::{assemble_report, file_device_base, ReplayReport, Resolver, RunTotals};
-use crate::replay::FileSet;
-use crate::sched::SchedRuntime;
 use crate::layout::SubExtent;
-use crate::replay::PhysExtent;
+use crate::replay::{
+    assemble_report, file_device_base, FileSet, PhysExtent, ReplayReport, Resolver, RunTotals,
+};
+use crate::sched::SchedRuntime;
 use iotrace::{BatchSource, FileId, RecordBatch};
 use rayon::prelude::*;
 use simrt::stats::OnlineStats;
@@ -62,6 +64,22 @@ const WINDOW: usize = 2048;
 /// Handing out one span per item would pay the dispatch cost per active
 /// server; a group amortizes it over many.
 const LANE_GRAIN: usize = 64;
+
+/// Run `pass` over `spans` in groups of [`LANE_GRAIN`], one parallel item
+/// per group. A window with one group's worth of active lanes (every
+/// window on clusters of up to 64 servers, the paper's 8 among them)
+/// calls `pass` directly: the rayon stand-in would run a one-item call
+/// inline too, but first looks up its pool width, which costs a
+/// `std::thread::available_parallelism` call (about 17 µs on a 2-CPU
+/// Xeon) per parallel call. The guard can go once the stand-in caches
+/// that width.
+fn for_each_lane_group<T: Sync>(spans: &[T], pass: impl Fn(&[T]) + Sync + Send) {
+    if spans.len() <= LANE_GRAIN {
+        pass(spans);
+    } else {
+        spans.par_chunks(LANE_GRAIN).for_each(pass);
+    }
+}
 
 /// Reusable buffers of the sharded core. The record batch and the shuffle
 /// hold the current barrier phase; every other column holds one window
@@ -118,8 +136,8 @@ pub(crate) struct ShardedScratch {
 }
 
 /// Replay every phase of `source` against `cluster` — the engine behind
-/// [`crate::ReplaySession::run`] with [`crate::CoreSel::Sharded`] (and
-/// the `Auto` pick for streaming payloads).
+/// [`crate::ReplaySession::run`] with [`crate::CoreSel::Auto`] and
+/// [`crate::CoreSel::Sharded`].
 pub(crate) fn sharded_core(
     cluster: &mut Cluster,
     source: &mut dyn BatchSource,
@@ -189,8 +207,8 @@ pub(crate) fn sharded_core(
         requests += n;
 
         // The deterministic replay order: shuffling local indices with
-        // the per-phase seed produces exactly the permutation
-        // ReplaySchedule applies to this phase's global index span
+        // the per-phase seed produces exactly the permutation the serial
+        // reference applies to this phase's global index span
         // (Fisher–Yates is position-based, so local and global shuffles
         // coincide up to the span offset).
         shuffle.clear();
@@ -200,7 +218,7 @@ pub(crate) fn sharded_core(
 
         // Plan the phase from scheduler state frozen at the barrier —
         // the same pure function of (shuffled order, layout table,
-        // tracker state) the serial core computes, so both cores
+        // tracker state) the serial reference computes, so both cores
         // dispatch the identical order with identical delays.
         sched.plan_phase(
             shuffle.iter().map(|&li| batch.record(li as usize).file),
@@ -258,7 +276,7 @@ pub(crate) fn sharded_core(
                     let client = (rec.rank.0 as usize % clients) as u32;
                     // The latency base (and completion floor) excludes
                     // the scheduler's issue delay — deferral counts as
-                    // latency, exactly as in the serial core.
+                    // latency, exactly as in the serial reference.
                     let base = phase_start + overhead;
                     let mut issue = base + sched.delay(k0 + j);
                     let mut decode_bytes = 0u64;
@@ -330,7 +348,7 @@ pub(crate) fn sharded_core(
                 let states_w = DisjointSlice::new(states);
                 let issue_r: &[SimTime] = sub_issue;
                 let lanes: &LanePartition = partition;
-                lanes.spans().par_chunks(LANE_GRAIN).for_each(|group| {
+                for_each_lane_group(lanes.spans(), |group| {
                     for span in group {
                         // SAFETY: spans carry unique lanes; this lane's
                         // state is touched by no other span.
@@ -390,7 +408,7 @@ pub(crate) fn sharded_core(
                 let lens: &[u64] = sub_len;
                 let timed: &[bool] = sub_timed_out;
                 let issues: &[SimTime] = sub_issue;
-                lanes.spans().par_chunks(LANE_GRAIN).for_each(|group| {
+                for_each_lane_group(lanes.spans(), |group| {
                     for span in group {
                         // SAFETY: spans carry unique lanes; this server is
                         // touched by no other span.
@@ -430,7 +448,7 @@ pub(crate) fn sharded_core(
             // disjoint from the write-fabric ones, so running after pass 4
             // preserves the serial arrival order everywhere. Latencies
             // accumulate in replay order so the float statistics match the
-            // serial core bit for bit; the phase barrier is the max over
+            // serial reference bit for bit; the phase barrier is the max over
             // completions, across every window of the phase.
             {
                 let (_, fabric, _) = cluster.parts_mut();
@@ -451,7 +469,7 @@ pub(crate) fn sharded_core(
                     }
                     sub_cursor = end;
                     if rec_decode[r] > 0 {
-                        // Same degraded-EC decode charge as the serial core.
+                        // Same degraded-EC decode charge as the serial reference.
                         completion += decode_penalty(rec_decode[r]);
                     }
                     latencies.push(completion.since(base).as_secs_f64());
@@ -499,7 +517,7 @@ mod tests {
     fn sharded_matches_serial_fault_free() {
         for t in [small_ior(IoOp::Write), small_ior(IoOp::Read)] {
             let mut c1 = Cluster::new(ClusterConfig::paper_default());
-            let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto).unwrap();
+            let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Serial).unwrap();
             let mut c2 = Cluster::new(ClusterConfig::paper_default());
             let sharded =
                 ReplaySession::new().run(ReplayInput::trace(&mut c2, &t, &mut IdentityResolver), CoreSel::Sharded).unwrap();
@@ -517,7 +535,7 @@ mod tests {
         let mut c1 = Cluster::new(ClusterConfig::paper_default());
         let serial = ReplaySession::new()
             .with_fault_plan(plan.clone())
-            .run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto)
+            .run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Serial)
             .unwrap();
         assert!(serial.counters.retries > 0 && serial.counters.timeouts > 0, "plan must bite");
         let mut c2 = Cluster::new(ClusterConfig::paper_default());
@@ -544,7 +562,7 @@ mod tests {
             c1.mds_mut().set_layout(FileId(0), spec.clone());
             let serial = ReplaySession::new()
                 .with_fault_plan(plan.clone())
-                .run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto)
+                .run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Serial)
                 .unwrap();
             let mut c2 = Cluster::new(ClusterConfig::paper_default());
             c2.mds_mut().set_layout(FileId(0), spec);
@@ -584,7 +602,7 @@ mod tests {
         };
         let t = generate(&cfg);
         let mut c1 = Cluster::new(ClusterConfig::paper_default());
-        let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Auto).unwrap();
+        let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &t, &mut IdentityResolver), CoreSel::Serial).unwrap();
         let mut c2 = Cluster::new(ClusterConfig::paper_default());
         let streamed = ReplaySession::new()
             .run(ReplayInput::stream(&mut c2, &mut iotrace::gen::ior::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)

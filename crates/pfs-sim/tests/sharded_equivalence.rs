@@ -1,5 +1,6 @@
-//! Property-style equivalence suite: the sharded per-server-lane core
-//! must be bit-for-bit identical to the serial replay loop — makespan,
+//! Property-style equivalence suite: the per-server-lane core (the
+//! production core, `CoreSel::Auto`) must be bit-for-bit identical to
+//! the serial reference loop (`CoreSel::Serial`) — makespan,
 //! per-server statistics, fault accounting and the request-latency
 //! stream — across randomized traces, cluster shapes, layout schemes,
 //! device-slot counts and fault plans.
@@ -163,7 +164,7 @@ fn sharded_replay_is_bit_identical_to_serial_across_random_scenarios() {
         random_layouts(&mut rng.clone(), &mut c1, FileId);
         let serial = ReplaySession::new()
             .with_fault_plan(plan.clone())
-            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto)
+            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial)
             .unwrap();
 
         let mut c2 = Cluster::new(config);
@@ -232,7 +233,7 @@ fn degraded_redundant_replay_is_bit_identical_and_completes() {
         random_layouts(&mut rng.clone(), &mut c1, FileId);
         let serial = ReplaySession::new()
             .with_fault_plan(plan.clone())
-            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto)
+            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial)
             .unwrap();
 
         let mut c2 = Cluster::new(config.clone());
@@ -256,10 +257,14 @@ fn degraded_redundant_replay_is_bit_identical_and_completes() {
                 let spec = LayoutSpec::fixed(&all, 64 << 10).with_placement(placement);
                 c3.mds_mut().set_layout(FileId(f), spec);
             }
-            let degraded = ReplaySession::new()
-                .with_fault_plan(only_loss)
-                .run(ReplayInput::trace(&mut c3, &trace, &mut IdentityResolver), CoreSel::Auto)
-                .unwrap();
+            let mut run = |core| {
+                ReplaySession::new()
+                    .with_fault_plan(only_loss.clone())
+                    .run(ReplayInput::trace(&mut c3, &trace, &mut IdentityResolver), core)
+                    .unwrap()
+            };
+            let degraded = run(CoreSel::Auto);
+            assert!(degraded == run(CoreSel::Serial), "trial {trial}: one loss, serial != sharded");
             assert_eq!(degraded.counters.timeouts, 0, "trial {trial}: redundant replay must complete");
             assert_eq!(degraded.total_bytes, trace.total_bytes(), "trial {trial}");
         }
@@ -277,7 +282,7 @@ fn one_warmed_session_stays_identical_across_random_scenarios() {
         let config = random_config(&mut rng);
         let mut c1 = Cluster::new(config.clone());
         let serial =
-            ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
+            ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial).unwrap();
         let mut c2 = Cluster::new(config);
         let sharded = session.run(ReplayInput::trace(&mut c2, &trace, &mut IdentityResolver), CoreSel::Sharded).unwrap();
         assert_eq!(serial, sharded, "trial {trial}");
@@ -313,7 +318,7 @@ fn streaming_generators_match_their_materialized_traces() {
 
         let mut c1 = Cluster::new(ClusterConfig::paper_default());
         let serial =
-            ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
+            ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial).unwrap();
         let mut c2 = Cluster::new(ClusterConfig::paper_default());
         let streamed = ReplaySession::new()
             .run(ReplayInput::stream(&mut c2, &mut ior::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
@@ -328,7 +333,7 @@ fn skewed_stream_replays_identically_to_its_trace() {
     cfg.phases = 24;
     let trace = skewed::generate(&cfg);
     let mut c1 = Cluster::new(ClusterConfig::paper_default());
-    let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto).unwrap();
+    let serial = ReplaySession::new().run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial).unwrap();
     let mut c2 = Cluster::new(ClusterConfig::paper_default());
     let streamed = ReplaySession::new()
         .run(ReplayInput::stream(&mut c2, &mut skewed::stream(&cfg), &mut IdentityResolver), CoreSel::Auto)
@@ -361,7 +366,7 @@ fn skewed_stream_replays_identically_under_active_fault_plans() {
         let mut c1 = Cluster::new(config.clone());
         let serial = ReplaySession::new()
             .with_fault_plan(plan.clone())
-            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Auto)
+            .run(ReplayInput::trace(&mut c1, &trace, &mut IdentityResolver), CoreSel::Serial)
             .unwrap();
         let mut c2 = Cluster::new(config);
         let streamed = ReplaySession::new()

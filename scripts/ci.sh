@@ -36,6 +36,12 @@ if git grep -ln 'impl GlobalAlloc' -- '*.rs' ':(exclude)crates/simrt/src/heap.rs
     exit 1
 fi
 
+# Tests, examples and the `figures` runs below put their stores in the
+# temp directory: a fresh one, checked at the end for any `mha-*` file
+# left behind.
+test_tmp=$(mktemp -d)
+trap 'rm -rf "$test_tmp"' EXIT
+export TMPDIR="$test_tmp"
 # `workspace.default-members` lists every crate, so these two build and
 # test the whole workspace.
 cargo build --release
@@ -92,7 +98,7 @@ bench_target="$(realpath -m "${CARGO_TARGET_DIR:-target}")/perfbench"
 bench_work=$(mktemp -d)
 bench_lock=$(mktemp)
 cp perfbench/Cargo.lock "$bench_lock"
-trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -rf "$bench_lock" "$bench_work"' EXIT
+trap 'cp "$bench_lock" perfbench/Cargo.lock; rm -rf "$bench_lock" "$bench_work" "$test_tmp"' EXIT
 (cd perfbench && CARGO_TARGET_DIR="$bench_target" cargo build -q --release --offline)
 for workload in service-online plan-pipeline stream-1024; do
     "$bench_target/release/mha-perfbench" --workload "$workload" --seed 1 \
@@ -175,19 +181,20 @@ cargo test -q -p mha-core drt_oracle
 cargo test -q -p mha-core drt_segments_match_the_flat_table
 # A crash at every boundary of a multi-chunk save_tables must leave the old generation loading.
 cargo test -q -p mha-core save_tables_kill_matrix
-# Sharded-replay identity gate, explicitly: the per-server-lane core
-# and the streaming-generator path must stay bit-identical to the
-# serial replay loop across randomized traces, cluster shapes, layouts
-# and fault plans (also inside `cargo test -q`; named to pin the PR 6
-# contract). "Bit-identical" is `==` on the whole `ReplayReport`: every
-# field and every server's stats and counters, the latency statistics
-# by bit pattern.
+# Replay identity gate, explicitly: the per-server-lane core (the one
+# production core, `CoreSel::Auto`) and the streaming-generator path
+# must stay bit-identical to the serial reference loop
+# (`CoreSel::Serial`, which only tests and perfbench run) across
+# randomized traces, cluster shapes, layouts and fault plans (also
+# inside `cargo test -q`; named to pin the contract). "Bit-identical"
+# is `==` on the whole `ReplayReport`: every field and every server's
+# stats and counters, the latency statistics by bit pattern.
 cargo test -q -p pfs-sim --test sharded_equivalence
-# Replay window, by name: the sharded core walks each phase in fixed
+# Replay window, by name: the lane core walks each phase in fixed
 # windows, so phases one record short of a window, exactly one, one
-# past it and two plus one must stay bit-identical to the serial core
-# (fault-free, under faults, redundant with a server down, under
-# straggler-aware dispatch, and streamed), and a streamed replay's heap
+# past it and two plus one must stay bit-identical to the serial
+# reference (fault-free, under faults, redundant with a server down,
+# under straggler-aware dispatch, and streamed), and a streamed replay's heap
 # may grow by at most 48 B per record of phase width (a counting
 # allocator).
 cargo test -q -p pfs-sim --lib window_edges
@@ -217,8 +224,8 @@ cargo test -q -p iotrace --test tsv_memory
 cargo test -q -p iotrace --test trace_memory
 cargo test -q -p pfs-sim --test cluster_memory
 # Scale smoke: a 1024-server, ~1M-record streaming run with a
-# serial == sharded == streamed whole-report identity assertion on a
-# materialized prefix — catches panics, identity drift and memory blow-ups at the
+# reference == lane core == streamed whole-report identity assertion on
+# a materialized prefix — catches panics, identity drift and memory blow-ups at the
 # cluster sizes the full grid exercises.
 cargo run -p mha-bench --release --bin scale -- --smoke
 # Study smoke: every figure and study is a `figures` id with one flag
@@ -239,9 +246,9 @@ cargo run -p mha-bench --release --bin scale -- --smoke
 #   striped MHA, and the journaled rebuild swaps every affected layout
 #   onto the spare (its kill-point matrix lives in `mha-core rebuild::`);
 # - straggler: straggler-aware dispatch is a bit-identical no-op
-#   fault-free (whole reports equal), both replay cores agree in every
-#   cell, and it never loses to blind dispatch under the migrating
-#   transient straggler.
+#   fault-free (whole reports equal), the serial reference and the lane
+#   core agree in every cell, and it never loses to blind dispatch
+#   under the migrating transient straggler.
 # `--json` also drives the results/<figure id>.json writer (into the
 # scratch directory the exit trap removes). The
 # kill-matrix resume test checks a crash mid-service on the shared store.
@@ -253,9 +260,9 @@ expect_usage --json "$figures" fig3 --json
 expect_usage --json "$figures" --json --quick fig3
 "$figures" fault online service redundancy straggler --quick --json "$bench_work/figures" >/dev/null
 cargo test -q -p mha-bench --test service_resume
-# Degraded-equivalence gate, explicitly: the serial and sharded cores
-# must agree bit-for-bit (counters included) on randomized *degraded*
-# redundant replays — replica failover and erasure decode included
+# Degraded-equivalence gate, explicitly: the serial reference and the
+# lane core must agree bit-for-bit (counters included) on randomized
+# *degraded* redundant replays — replica failover and erasure decode included
 # (also inside the sharded_equivalence run above; named to pin the
 # redundancy contract).
 cargo test -q -p pfs-sim --test sharded_equivalence degraded_redundant
@@ -266,3 +273,8 @@ cargo test -q -p pfs-sim --test sharded_equivalence degraded_redundant
 # named to pin this PR's contract).
 cargo test -q -p pfs-sim --test sched_policy
 cargo test -q -p pfs-sim --test sharded_equivalence random_sched_policies
+# No test, example or study run above may leave a store behind.
+if find "$test_tmp" -maxdepth 1 -name 'mha-*' | grep .; then
+    echo "error: the runs above left these files in the temp directory" >&2
+    exit 1
+fi
